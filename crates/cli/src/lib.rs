@@ -471,43 +471,9 @@ fn run_probes(idx: &DualLayerIndex, n: usize, seed: u64, cache: Option<&drtopk_c
     }
 }
 
-/// The structural index gauges as `(name, help, value)` rows — shared by
-/// the JSON and Prometheus stats renderers.
-fn index_gauge_rows(idx: &DualLayerIndex) -> Vec<(&'static str, &'static str, u64)> {
-    let s = idx.stats();
-    vec![
-        ("tuples", "Tuples in the indexed relation", s.n as u64),
-        ("dims", "Attribute dimensionality", s.dims as u64),
-        ("coarse_layers", "Coarse layers", s.coarse_layers as u64),
-        ("fine_sublayers", "Fine sublayers", s.fine_layers as u64),
-        (
-            "forall_edges",
-            "Forall-dominance edges",
-            s.forall_edges as u64,
-        ),
-        (
-            "exists_edges",
-            "Exists-dominance edges",
-            s.exists_edges as u64,
-        ),
-        (
-            "pseudo_tuples",
-            "Zero-layer pseudo-tuples",
-            s.pseudo_tuples as u64,
-        ),
-        (
-            "first_layer_size",
-            "Tuples in L1",
-            s.first_layer_size as u64,
-        ),
-        ("first_fine_size", "Tuples in L11", s.first_fine_size as u64),
-        ("query_seeds", "Initially-free query seeds", s.seeds as u64),
-    ]
-}
-
 fn stats_json(idx: &DualLayerIndex, snap: &drtopk_obs::MetricsSnapshot) -> String {
     let mut out = String::from("{\n  \"index\": {\n");
-    let rows = index_gauge_rows(idx);
+    let rows = idx.stats().gauge_rows();
     for (i, (name, _help, value)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(out, "    \"{name}\": {value}{comma}");
@@ -522,7 +488,7 @@ fn stats_json(idx: &DualLayerIndex, snap: &drtopk_obs::MetricsSnapshot) -> Strin
 
 fn stats_prometheus(idx: &DualLayerIndex, snap: &drtopk_obs::MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, help, value) in index_gauge_rows(idx) {
+    for (name, help, value) in idx.stats().gauge_rows() {
         drtopk_obs::snapshot::prom_gauge(
             &mut out,
             &format!("drtopk_index_{name}"),

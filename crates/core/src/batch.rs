@@ -42,13 +42,14 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort extraction of a panic payload's message.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "query worker panicked".to_string()
+        "opaque panic payload".to_string()
     }
 }
 
@@ -125,7 +126,8 @@ impl<'a> BatchExecutor<'a> {
     pub fn run(&self, requests: &[(Weights, usize)]) -> Vec<TopkResult> {
         let idx = self.idx;
         let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
+        let m = drtopk_obs::metrics();
+        m.batch_enqueued.add(requests.len() as u64);
         let out = parallel_map_chunked(
             requests,
             self.threads,
@@ -136,7 +138,7 @@ impl<'a> BatchExecutor<'a> {
                 None => idx.topk_with_scratch(w, *k, scratch),
             },
         );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
+        m.batch_drained.add(out.len() as u64);
         out
     }
 
@@ -171,56 +173,13 @@ impl<'a> BatchExecutor<'a> {
         requests: &[(Weights, usize)],
         budget: &QueryBudget,
     ) -> Vec<Result<GuardedTopk, RequestError>> {
-        let idx = self.idx;
-        let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
-        let out = parallel_map_chunked(
-            requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| Some(QueryScratch::for_index(idx)),
-            &|slot: &mut Option<QueryScratch>, (w, k)| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    drtopk_failpoints::hit(WORKER_FAILPOINT)
-                        .map_err(|e| RequestError {
-                            message: e.to_string(),
-                        })
-                        .map(|()| {
-                            let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(idx));
-                            match cache {
-                                Some(c) if budget.is_unlimited() => {
-                                    let r = c.topk_with_scratch(idx, w, *k, scratch);
-                                    GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    }
-                                }
-                                Some(c) => match c.probe(idx, w, *k) {
-                                    Some(r) => GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    },
-                                    None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                                },
-                                None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                            }
-                        })
-                }));
-                match outcome {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        *slot = None;
-                        Err(RequestError {
-                            message: panic_message(payload),
-                        })
-                    }
-                }
-            },
-        );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
-        out
+        // A budget clone shares the cancel flag's `Arc`, so tripping it
+        // still drains every request of the batch.
+        let each: Vec<(Weights, usize, QueryBudget)> = requests
+            .iter()
+            .map(|(w, k)| (w.clone(), *k, budget.clone()))
+            .collect();
+        self.run_guarded_each(&each)
     }
 
     /// Like [`run_guarded`](Self::run_guarded), but with a **per-request**
@@ -240,7 +199,8 @@ impl<'a> BatchExecutor<'a> {
     ) -> Vec<Result<GuardedTopk, RequestError>> {
         let idx = self.idx;
         let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
+        let m = drtopk_obs::metrics();
+        m.batch_enqueued.add(requests.len() as u64);
         let out = parallel_map_chunked(
             requests,
             self.threads,
@@ -280,13 +240,13 @@ impl<'a> BatchExecutor<'a> {
                     Err(payload) => {
                         *slot = None;
                         Err(RequestError {
-                            message: panic_message(payload),
+                            message: panic_message(payload.as_ref()),
                         })
                     }
                 }
             },
         );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
+        m.batch_drained.add(out.len() as u64);
         out
     }
 
@@ -294,7 +254,8 @@ impl<'a> BatchExecutor<'a> {
     pub fn run_uniform(&self, queries: &[Weights], k: usize) -> Vec<TopkResult> {
         let idx = self.idx;
         let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(queries.len() as u64);
+        let m = drtopk_obs::metrics();
+        m.batch_enqueued.add(queries.len() as u64);
         let out = parallel_map_chunked(
             queries,
             self.threads,
@@ -305,7 +266,7 @@ impl<'a> BatchExecutor<'a> {
                 None => idx.topk_with_scratch(w, k, scratch),
             },
         );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
+        m.batch_drained.add(out.len() as u64);
         out
     }
 }

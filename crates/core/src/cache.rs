@@ -310,7 +310,7 @@ impl ResultCache {
     pub fn invalidate_all(&self) {
         self.generation.fetch_add(1, Relaxed);
         self.invalidations.fetch_add(1, Relaxed);
-        drtopk_obs::metrics().cache_invalidate();
+        drtopk_obs::metrics().cache_invalidations.add(1);
     }
 
     /// Drops every entry (counters are kept).
@@ -515,17 +515,17 @@ impl ResultCache {
         drop(shard);
         if rejects > 0 {
             self.cert_rejects.fetch_add(rejects, Relaxed);
-            m.cache_cert_reject(rejects);
+            m.cache_cert_rejects.add(rejects);
         }
         match result {
             Some(hit) => {
                 self.hits.fetch_add(1, Relaxed);
-                m.cache_hit();
+                m.cache_hits.add(1);
                 hit
             }
             None => {
                 self.misses.fetch_add(1, Relaxed);
-                m.cache_miss();
+                m.cache_misses.add(1);
                 CacheLookup::Miss
             }
         }

@@ -265,7 +265,7 @@ impl DynamicIndex {
         let h = self.next_handle;
         self.next_handle += 1;
         self.buffer.push((h, row.to_vec()));
-        drtopk_obs::metrics().dynamic_insert();
+        drtopk_obs::metrics().dynamic_inserts.add(1);
         self.touch_cache();
         self.maybe_rebuild();
         Ok(h)
@@ -287,7 +287,7 @@ impl DynamicIndex {
         self.check_row(row)?;
         self.next_handle = h + 1;
         self.buffer.push((h, row.to_vec()));
-        drtopk_obs::metrics().dynamic_insert();
+        drtopk_obs::metrics().dynamic_inserts.add(1);
         self.touch_cache();
         self.maybe_rebuild();
         Ok(())
@@ -299,7 +299,7 @@ impl DynamicIndex {
             return false;
         }
         self.tombstones.insert(h);
-        drtopk_obs::metrics().dynamic_delete();
+        drtopk_obs::metrics().dynamic_deletes.add(1);
         self.touch_cache();
         self.maybe_rebuild();
         true
@@ -358,7 +358,9 @@ impl DynamicIndex {
                 merged.push((w.score(self.index.relation().tuple(t)), h));
             }
         }
-        drtopk_obs::metrics().dynamic_buffer_scan(self.buffer.len() as u64);
+        drtopk_obs::metrics()
+            .dynamic_buffer_scanned
+            .add(self.buffer.len() as u64);
         for (h, row) in &self.buffer {
             if !self.tombstones.contains(h) {
                 cost.tick();
@@ -476,7 +478,9 @@ impl DynamicIndex {
                 merged.push((w.score(self.index.relation().tuple(t)), h));
             }
         }
-        drtopk_obs::metrics().dynamic_buffer_scan(self.buffer.len() as u64);
+        drtopk_obs::metrics()
+            .dynamic_buffer_scanned
+            .add(self.buffer.len() as u64);
         for (h, row) in &self.buffer {
             if !self.tombstones.contains(h) {
                 cost.tick();
@@ -537,7 +541,7 @@ impl DynamicIndex {
         self.buffer.clear();
         self.tombstones.clear();
         self.rebuilds += 1;
-        drtopk_obs::metrics().dynamic_rebuild();
+        drtopk_obs::metrics().dynamic_rebuilds.add(1);
         self.touch_cache();
     }
 

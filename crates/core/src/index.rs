@@ -212,6 +212,50 @@ pub struct IndexStats {
     pub first_fine_size: usize,
 }
 
+impl IndexStats {
+    /// The structural gauges as `(name, help, value)` rows, exported as
+    /// `drtopk_index_<name>` by `drtopk stats` and by a single-index
+    /// server's `/metrics`.
+    pub fn gauge_rows(&self) -> [(&'static str, &'static str, u64); 10] {
+        [
+            ("tuples", "Tuples in the indexed relation", self.n as u64),
+            ("dims", "Attribute dimensionality", self.dims as u64),
+            ("coarse_layers", "Coarse layers", self.coarse_layers as u64),
+            ("fine_sublayers", "Fine sublayers", self.fine_layers as u64),
+            (
+                "forall_edges",
+                "Forall-dominance edges",
+                self.forall_edges as u64,
+            ),
+            (
+                "exists_edges",
+                "Exists-dominance edges",
+                self.exists_edges as u64,
+            ),
+            (
+                "pseudo_tuples",
+                "Zero-layer pseudo-tuples",
+                self.pseudo_tuples as u64,
+            ),
+            (
+                "first_layer_size",
+                "Tuples in L1",
+                self.first_layer_size as u64,
+            ),
+            (
+                "first_fine_size",
+                "Tuples in L11",
+                self.first_fine_size as u64,
+            ),
+            (
+                "query_seeds",
+                "Initially-free query seeds",
+                self.seeds as u64,
+            ),
+        ]
+    }
+}
+
 /// The dual-resolution layer index (see crate docs).
 ///
 /// Build with [`DualLayerIndex::build`]; query with

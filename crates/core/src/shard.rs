@@ -35,6 +35,7 @@
 //!   subset of shards is the exact top-k over the union of the surviving
 //!   partitions — never a guess.
 
+use crate::batch::panic_message;
 use crate::dynamic::{DynamicIndex, Handle};
 use crate::query::{QueryBudget, TruncateReason};
 use drtopk_common::{Cost, Error, Relation, Weights};
@@ -620,7 +621,7 @@ impl<S: ShardProbe> ShardRouter<S> {
         let m = drtopk_obs::metrics();
         let mut attempt = 0u32;
         loop {
-            m.shard_probe();
+            m.shard_probes.add(1);
             let carved = self.carve(budget);
             let shard = &self.shards[s];
             let outcome = catch_unwind(AssertUnwindSafe(|| shard.probe(w, k, &carved)));
@@ -648,7 +649,7 @@ impl<S: ShardProbe> ShardRouter<S> {
                 }
                 other => other,
             };
-            m.shard_probe_failure();
+            m.shard_probe_failures.add(1);
             self.record_failure(s);
             if attempt >= self.cfg.retry.max_retries {
                 return ProbeOutcome::Failed(fault);
@@ -660,7 +661,7 @@ impl<S: ShardProbe> ShardRouter<S> {
                     return ProbeOutcome::Failed(fault);
                 }
             }
-            m.shard_retry();
+            m.shard_retries.add(1);
             std::thread::sleep(delay);
             attempt += 1;
         }
@@ -721,7 +722,7 @@ impl<S: ShardProbe> ShardRouter<S> {
             }
         }
         if coverage.degraded() && truncated.is_none() {
-            drtopk_obs::metrics().shard_degraded_answer();
+            drtopk_obs::metrics().shard_degraded_answers.add(1);
         }
         ShardedTopk {
             ids: merge_scored(k, &lists),
@@ -900,7 +901,7 @@ impl<P: ShardProbe> ShardProbe for ReplicaSet<P> {
             match msg {
                 None => {
                     // Latency threshold tripped: race a fresh replica.
-                    m.shard_hedge();
+                    m.shard_hedges.add(1);
                     self.launch(order[next], w, k, budget, &tx);
                     next += 1;
                     outstanding += 1;
@@ -919,7 +920,7 @@ impl<P: ShardProbe> ShardProbe for ReplicaSet<P> {
                     self.set_up(idx, false);
                     outstanding -= 1;
                     if next < order.len() {
-                        m.shard_failover();
+                        m.shard_failovers.add(1);
                         self.launch(order[next], w, k, budget, &tx);
                         next += 1;
                         outstanding += 1;
@@ -936,17 +937,6 @@ impl<P: ShardProbe> ShardProbe for ReplicaSet<P> {
 
     fn dims(&self) -> usize {
         self.dims
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

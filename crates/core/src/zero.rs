@@ -49,7 +49,7 @@ impl Zero2d {
     /// Chain position of the top-1 candidate for weight vector `w`
     /// (logarithmic search, as in Section V-A).
     pub fn select(&self, w: &Weights) -> usize {
-        drtopk_obs::metrics().zero_probe();
+        drtopk_obs::metrics().zero_probes.add(1);
         let w1 = w.as_slice()[0];
         // Minimizer is chain[t] for w1 in (breakpoints[t], breakpoints[t-1]).
         // breakpoints are decreasing, so partition_point on `w1 < bp`.

@@ -22,19 +22,29 @@
 //! Every number exported here maps to a paper quantity; the table lives
 //! in `DESIGN.md` § Observability.
 //!
+//! # One table
+//!
+//! Every registry metric is one row of the table in `src/table.rs`: its
+//! field name and HELP text, plus, for a histogram, the exported family
+//! name and unit scale. A macro turns the rows into the registry's
+//! fields, the snapshot's fields, `snapshot()`, `reset()` and the row
+//! lists both renderers loop over. Adding a metric is one row plus its
+//! recording call, e.g. `metrics().cache_hits.add(1)`.
+//!
 //! # Feature gating
 //!
-//! With the `enabled` feature (default) off, all recording types are
-//! zero-sized and every method is an empty `#[inline]` body: the query
-//! path compiles to exactly the un-instrumented code. Snapshots then
-//! report zeros. Disable it through the consumer crates, e.g.
+//! Each metric field ([`Counter`], [`Gauge`], [`Histogram`]) carries the
+//! gate itself. With the `enabled` feature (default) off, they are built
+//! on a zero-sized cell that reads zero, so the registry, [`QueryCounters`]
+//! and [`QuerySpan`] are zero-sized, every recording call folds away, and
+//! snapshots report zeros. Disable it through the consumer crates, e.g.
 //! `cargo build -p drtopk-bench --no-default-features`.
 //!
 //! # Runtime gating
 //!
 //! Even when compiled in, recording can be switched off per process with
 //! [`MetricsRegistry::set_recording`]: spans skip the clock read and
-//! counter flushes skip the atomic traffic. The residual cost is the
+//! recording calls skip the atomic traffic. The residual cost is the
 //! plain-integer increments, which the throughput bench measures at well
 //! under the 2 % budget (see `BENCH_throughput.json`).
 //!
@@ -42,7 +52,7 @@
 //! use drtopk_obs::metrics;
 //!
 //! let m = metrics();
-//! m.zero_probe(); // e.g. one 2-d zero-layer binary search
+//! m.zero_probes.add(1); // e.g. one 2-d zero-layer binary search
 //! let snap = m.snapshot();
 //! // Recorded when compiled in; silently dropped in a no-op build.
 //! assert_eq!(snap.zero_probes, u64::from(drtopk_obs::COMPILED));
@@ -50,21 +60,13 @@
 //! ```
 #![warn(missing_docs)]
 
+mod registry;
 pub mod snapshot;
+mod table;
 
-#[cfg(feature = "enabled")]
-mod active;
-#[cfg(feature = "enabled")]
-pub use active::{
-    metrics, LogHistogram, MetricsRegistry, QueryCounters, QuerySpan, ShardedCounter,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{metrics, MetricsRegistry, QueryCounters, QuerySpan};
-
+pub use registry::{metrics, Counter, Gauge, Histogram, QueryCounters, QuerySpan};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
+pub use table::MetricsRegistry;
 
 /// Whether recording support was compiled in (the `enabled` feature).
 /// Benchmarks embed this so disabled-build numbers are never mistaken for

@@ -3,11 +3,18 @@
 //! when the `enabled` feature is off, so exporters never need feature
 //! gates of their own.
 
+pub use crate::table::{HistogramRow, MetricsSnapshot};
 use std::fmt::Write as _;
 
 /// Number of log₂ buckets a histogram carries: bucket 0 holds the value
 /// `0`, bucket `b ≥ 1` holds values in `[2^(b-1), 2^b)`.
 pub const HIST_BUCKETS: usize = 65;
+
+/// The bucket holding `v`.
+#[inline]
+pub(crate) fn bucket_of(v: u64) -> usize {
+    (64 - v.leading_zeros()) as usize
+}
 
 /// A point-in-time copy of one log-bucketed histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,98 +160,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// A point-in-time copy of every registry metric. Field-for-field, this
-/// is the export schema; the mapping to paper quantities is documented in
-/// `DESIGN.md` § Observability.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Completed top-k / threshold queries.
-    pub queries: u64,
-    /// Real tuples scored by `F` (Definition 9 cost, real part).
-    pub tuples_evaluated: u64,
-    /// Zero-layer pseudo-tuples scored by `F` (Definition 9, pseudo part).
-    pub pseudo_evaluated: u64,
-    /// ∀-dominance out-edges relaxed (∀-freeness bookkeeping steps,
-    /// Definition 7 / Algorithm 2).
-    pub forall_relaxations: u64,
-    /// ∃-dominance out-edges relaxed (∃-freeness bookkeeping steps,
-    /// Definition 8 / Algorithm 2).
-    pub exists_relaxations: u64,
-    /// Entries pushed onto the query priority queue.
-    pub heap_pushes: u64,
-    /// Zero-layer selective-access probes (2-d weight-range binary
-    /// searches, Section V-A).
-    pub zero_probes: u64,
-    /// Requests handed to a batch-executor run.
-    pub batch_enqueued: u64,
-    /// Batch requests fully answered.
-    pub batch_drained: u64,
-    /// Tuples inserted into a dynamic index.
-    pub dynamic_inserts: u64,
-    /// Live tuples tombstoned in a dynamic index.
-    pub dynamic_deletes: u64,
-    /// Full dynamic-index rebuilds (buffer + tombstone compactions).
-    pub dynamic_rebuilds: u64,
-    /// Buffered (unindexed) tuples scanned by dynamic-index queries.
-    pub dynamic_buffer_scanned: u64,
-    /// Result-cache lookups served from the cache (cell + certified hits).
-    pub cache_hits: u64,
-    /// Result-cache lookups that fell back to the traversal.
-    pub cache_misses: u64,
-    /// Cached entries whose hit certificate failed validation.
-    pub cache_cert_rejects: u64,
-    /// Result-cache generation bumps (full invalidations).
-    pub cache_invalidations: u64,
-    /// Client connections accepted by the network server.
-    pub server_connections: u64,
-    /// Well-formed request frames received by the network server.
-    pub server_requests: u64,
-    /// Requests shed by admission control (answered `Overloaded`).
-    pub server_sheds: u64,
-    /// Protocol violations (bad frame, CRC mismatch, oversized length).
-    pub server_protocol_errors: u64,
-    /// Requests admitted into the server's bounded queue.
-    pub server_enqueued: u64,
-    /// Requests pulled from the server queue into micro-batches.
-    pub server_dequeued: u64,
-    /// Shard probes attempted by the shard router (retries included).
-    pub shard_probes: u64,
-    /// Shard probes that failed (error, panic, or timeout).
-    pub shard_probe_failures: u64,
-    /// Shard probes retried after a transient failure.
-    pub shard_retries: u64,
-    /// Routed answers returned with degraded (partial) shard coverage.
-    pub shard_degraded_answers: u64,
-    /// Probes failed over from one replica-set endpoint to the next.
-    pub shard_failovers: u64,
-    /// Hedged second probes launched after the hedge latency threshold.
-    pub shard_hedges: u64,
-    /// Health-pinger PINGs issued to remote endpoints.
-    pub endpoint_pings: u64,
-    /// Health-pinger PINGs that failed (connect, timeout, or bad reply).
-    pub endpoint_ping_failures: u64,
-    /// Shards currently healthy (router gauge).
-    pub shards_up: u64,
-    /// Shards currently degraded — failing but below the Down threshold.
-    pub shards_degraded: u64,
-    /// Shards currently down (skipped by the router).
-    pub shards_down: u64,
-    /// Per-query wall-clock latency, recorded in nanoseconds.
-    pub query_latency_ns: HistogramSnapshot,
-    /// Per-query paper cost (Definition 9 total, real + pseudo).
-    pub query_cost: HistogramSnapshot,
-    /// Per-query count of scratch nodes lazily initialized (the
-    /// epoch-versioned scratch's O(touched) setup work).
-    pub scratch_touched: HistogramSnapshot,
-    /// Tuples per scoring-kernel invocation (columnar block sizes on the
-    /// query hot path).
-    pub kernel_block_tuples: HistogramSnapshot,
-    /// Requests per server micro-batch flush (adaptive batching window).
-    pub server_batch_size: HistogramSnapshot,
-    /// Per-request time spent waiting in the server queue, in nanoseconds.
-    pub server_queue_wait_ns: HistogramSnapshot,
-}
-
 impl MetricsSnapshot {
     /// Batch requests currently in flight (enqueued but not yet drained).
     pub fn batch_queue_depth(&self) -> u64 {
@@ -257,230 +172,23 @@ impl MetricsSnapshot {
         self.server_enqueued.saturating_sub(self.server_dequeued)
     }
 
-    /// The counter fields as `(name, help, value)` rows — one source of
-    /// truth shared by the JSON and Prometheus renderers.
-    pub fn counter_rows(&self) -> Vec<(&'static str, &'static str, u64)> {
-        vec![
-            (
-                "queries",
-                "Completed top-k / threshold queries",
-                self.queries,
-            ),
-            (
-                "tuples_evaluated",
-                "Real tuples scored by F (Definition 9 cost)",
-                self.tuples_evaluated,
-            ),
-            (
-                "pseudo_evaluated",
-                "Zero-layer pseudo-tuples scored by F",
-                self.pseudo_evaluated,
-            ),
-            (
-                "forall_relaxations",
-                "Forall-dominance edges relaxed (forall-freeness checks)",
-                self.forall_relaxations,
-            ),
-            (
-                "exists_relaxations",
-                "Exists-dominance edges relaxed (exists-freeness checks)",
-                self.exists_relaxations,
-            ),
-            (
-                "heap_pushes",
-                "Entries pushed onto the query priority queue",
-                self.heap_pushes,
-            ),
-            (
-                "zero_probes",
-                "Zero-layer weight-range probes (Section V-A)",
-                self.zero_probes,
-            ),
-            (
-                "batch_enqueued",
-                "Requests handed to the batch executor",
-                self.batch_enqueued,
-            ),
-            (
-                "batch_drained",
-                "Batch requests fully answered",
-                self.batch_drained,
-            ),
-            (
-                "dynamic_inserts",
-                "Tuples inserted into dynamic indexes",
-                self.dynamic_inserts,
-            ),
-            (
-                "dynamic_deletes",
-                "Live tuples tombstoned in dynamic indexes",
-                self.dynamic_deletes,
-            ),
-            (
-                "dynamic_rebuilds",
-                "Dynamic-index compactions (full rebuilds)",
-                self.dynamic_rebuilds,
-            ),
-            (
-                "dynamic_buffer_scanned",
-                "Buffered tuples scanned by dynamic-index queries",
-                self.dynamic_buffer_scanned,
-            ),
-            (
-                "cache_hits",
-                "Result-cache lookups served from the cache",
-                self.cache_hits,
-            ),
-            (
-                "cache_misses",
-                "Result-cache lookups answered by the traversal",
-                self.cache_misses,
-            ),
-            (
-                "cache_cert_rejects",
-                "Cached entries whose hit certificate failed validation",
-                self.cache_cert_rejects,
-            ),
-            (
-                "cache_invalidations",
-                "Result-cache generation bumps (full invalidations)",
-                self.cache_invalidations,
-            ),
-            (
-                "server_connections",
-                "Client connections accepted by the network server",
-                self.server_connections,
-            ),
-            (
-                "server_requests",
-                "Well-formed request frames received by the network server",
-                self.server_requests,
-            ),
-            (
-                "server_sheds",
-                "Requests shed by admission control (answered Overloaded)",
-                self.server_sheds,
-            ),
-            (
-                "server_protocol_errors",
-                "Protocol violations on server connections",
-                self.server_protocol_errors,
-            ),
-            (
-                "server_enqueued",
-                "Requests admitted into the server queue",
-                self.server_enqueued,
-            ),
-            (
-                "server_dequeued",
-                "Requests pulled from the server queue into micro-batches",
-                self.server_dequeued,
-            ),
-            (
-                "shard_probes",
-                "Shard probes attempted by the shard router",
-                self.shard_probes,
-            ),
-            (
-                "shard_probe_failures",
-                "Shard probes that failed (error, panic, or timeout)",
-                self.shard_probe_failures,
-            ),
-            (
-                "shard_retries",
-                "Shard probes retried after a transient failure",
-                self.shard_retries,
-            ),
-            (
-                "shard_degraded_answers",
-                "Routed answers returned with degraded shard coverage",
-                self.shard_degraded_answers,
-            ),
-            (
-                "shard_failovers",
-                "Probes failed over from one replica-set endpoint to the next",
-                self.shard_failovers,
-            ),
-            (
-                "shard_hedges",
-                "Hedged second probes launched after the latency threshold",
-                self.shard_hedges,
-            ),
-            (
-                "endpoint_pings",
-                "Health-pinger PINGs issued to remote endpoints",
-                self.endpoint_pings,
-            ),
-            (
-                "endpoint_ping_failures",
-                "Health-pinger PINGs that failed",
-                self.endpoint_ping_failures,
-            ),
-        ]
-    }
-
-    /// The shard-health gauge fields as `(name, help, value)` rows —
-    /// shared by the JSON and Prometheus renderers like
-    /// [`MetricsSnapshot::counter_rows`].
-    pub fn shard_gauge_rows(&self) -> Vec<(&'static str, &'static str, u64)> {
-        vec![
-            ("shards_up", "Shards currently healthy", self.shards_up),
-            (
-                "shards_degraded",
-                "Shards failing but below the Down threshold",
-                self.shards_degraded,
-            ),
-            (
-                "shards_down",
-                "Shards currently down (skipped by the router)",
-                self.shards_down,
-            ),
-        ]
-    }
-
     /// Renders the snapshot as a pretty-printed JSON object. `indent` is
     /// the nesting level of the object itself (0 = top level), letting
     /// callers embed the output inside a larger document.
     pub fn to_json_indented(&self, indent: usize) -> String {
         let pad = "  ".repeat(indent);
-        let mut out = String::new();
-        out.push_str("{\n");
-        for (name, _help, value) in self.counter_rows() {
+        let mut out = String::from("{\n");
+        for (name, _help, value) in self.counter_rows().into_iter().chain(self.gauge_rows()) {
             let _ = writeln!(out, "{pad}  \"{name}\": {value},");
         }
-        let _ = writeln!(
-            out,
-            "{pad}  \"batch_queue_depth\": {},",
-            self.batch_queue_depth()
-        );
-        let _ = writeln!(
-            out,
-            "{pad}  \"server_queue_depth\": {},",
-            self.server_queue_depth()
-        );
-        for (name, _help, value) in self.shard_gauge_rows() {
-            let _ = writeln!(out, "{pad}  \"{name}\": {value},");
+        let inner = format!("{pad}  ");
+        for (i, (field, _name, _help, _scale, h)) in self.histogram_rows().into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n");
+            }
+            let _ = write!(out, "{inner}\"{field}\": ");
+            h.to_json(&mut out, &inner);
         }
-        let _ = write!(out, "{pad}  \"query_latency_ns\": ");
-        self.query_latency_ns.to_json(&mut out, &format!("{pad}  "));
-        out.push_str(",\n");
-        let _ = write!(out, "{pad}  \"query_cost\": ");
-        self.query_cost.to_json(&mut out, &format!("{pad}  "));
-        out.push_str(",\n");
-        let _ = write!(out, "{pad}  \"scratch_touched\": ");
-        self.scratch_touched.to_json(&mut out, &format!("{pad}  "));
-        out.push_str(",\n");
-        let _ = write!(out, "{pad}  \"kernel_block_tuples\": ");
-        self.kernel_block_tuples
-            .to_json(&mut out, &format!("{pad}  "));
-        out.push_str(",\n");
-        let _ = write!(out, "{pad}  \"server_batch_size\": ");
-        self.server_batch_size
-            .to_json(&mut out, &format!("{pad}  "));
-        out.push_str(",\n");
-        let _ = write!(out, "{pad}  \"server_queue_wait_ns\": ");
-        self.server_queue_wait_ns
-            .to_json(&mut out, &format!("{pad}  "));
         let _ = write!(out, "\n{pad}}}");
         out
     }
@@ -500,57 +208,12 @@ impl MetricsSnapshot {
         for (name, help, value) in self.counter_rows() {
             prom_counter(&mut out, &format!("drtopk_{name}_total"), help, value);
         }
-        prom_gauge(
-            &mut out,
-            "drtopk_batch_queue_depth",
-            "Batch requests currently in flight",
-            self.batch_queue_depth() as f64,
-        );
-        prom_gauge(
-            &mut out,
-            "drtopk_server_queue_depth",
-            "Requests waiting in the server admission queue",
-            self.server_queue_depth() as f64,
-        );
-        for (name, help, value) in self.shard_gauge_rows() {
+        for (name, help, value) in self.gauge_rows() {
             prom_gauge(&mut out, &format!("drtopk_{name}"), help, value as f64);
         }
-        self.query_latency_ns.to_prometheus(
-            &mut out,
-            "drtopk_query_latency_seconds",
-            "Per-query wall-clock latency",
-            1e-9,
-        );
-        self.query_cost.to_prometheus(
-            &mut out,
-            "drtopk_query_cost_tuples",
-            "Per-query tuples evaluated by F (Definition 9)",
-            1.0,
-        );
-        self.scratch_touched.to_prometheus(
-            &mut out,
-            "drtopk_scratch_touched_nodes",
-            "Per-query scratch nodes lazily initialized",
-            1.0,
-        );
-        self.kernel_block_tuples.to_prometheus(
-            &mut out,
-            "drtopk_kernel_block_tuples",
-            "Tuples per scoring-kernel block",
-            1.0,
-        );
-        self.server_batch_size.to_prometheus(
-            &mut out,
-            "drtopk_server_batch_size",
-            "Requests per server micro-batch flush",
-            1.0,
-        );
-        self.server_queue_wait_ns.to_prometheus(
-            &mut out,
-            "drtopk_server_queue_wait_seconds",
-            "Per-request wait in the server admission queue",
-            1e-9,
-        );
+        for (_field, name, help, scale, h) in self.histogram_rows() {
+            h.to_prometheus(&mut out, name, help, scale);
+        }
         out
     }
 }
@@ -576,8 +239,7 @@ mod tests {
     fn hist_with(values: &[u64]) -> HistogramSnapshot {
         let mut h = HistogramSnapshot::default();
         for &v in values {
-            let b = (64 - v.leading_zeros()) as usize;
-            h.counts[b] += 1;
+            h.counts[bucket_of(v)] += 1;
             h.sum += v;
         }
         h

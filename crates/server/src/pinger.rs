@@ -7,7 +7,7 @@
 //! accepts TCP connects, so liveness means an answered PONG, not an
 //! accepted SYN. Outcomes feed two levels of state:
 //!
-//! * **Endpoint beliefs** ([`ReplicaSet::set_up`]): `down_after`
+//! * **Endpoint beliefs** ([`ReplicaSet::set_up`](drtopk_core::ReplicaSet::set_up)): `down_after`
 //!   consecutive ping failures mark an endpoint down (probes stop
 //!   preferring it); one answered PONG marks it up again.
 //! * **Router health slots**: all endpoints of a shard down →
@@ -119,12 +119,12 @@ fn pinger_loop(router: &Arc<RemoteRouter>, cfg: &PingerConfig, stop: &AtomicBool
                 if stop.load(SeqCst) {
                     return;
                 }
-                m.endpoint_ping();
+                m.endpoint_pings.add(1);
                 if ping_once(set.replica(i).addr(), cfg.timeout, &mut slot.client) {
                     slot.consecutive_failures = 0;
                     set.set_up(i, true);
                 } else {
-                    m.endpoint_ping_failure();
+                    m.endpoint_ping_failures.add(1);
                     slot.client = None; // reconnect next sweep
                     slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
                     if slot.consecutive_failures >= cfg.down_after {

@@ -264,14 +264,7 @@ impl Shared {
         let mut out = String::new();
         match &self.backend {
             Backend::Single { index, .. } => {
-                let s = index.stats();
-                let gauges: [(&str, &str, u64); 4] = [
-                    ("tuples", "Tuples in the indexed relation", s.n as u64),
-                    ("dims", "Attribute dimensionality", s.dims as u64),
-                    ("coarse_layers", "Coarse layers", s.coarse_layers as u64),
-                    ("fine_sublayers", "Fine sublayers", s.fine_layers as u64),
-                ];
-                for (name, help, value) in gauges {
+                for (name, help, value) in index.stats().gauge_rows() {
                     drtopk_obs::snapshot::prom_gauge(
                         &mut out,
                         &format!("drtopk_index_{name}"),
@@ -642,7 +635,7 @@ impl FrameBuf {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    metrics().server_connection();
+    metrics().server_connections.add(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
 
@@ -672,7 +665,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     if sniff.acc[0..8] != HELLO {
-        metrics().server_protocol_error();
+        metrics().server_protocol_errors.add(1);
         return; // §1.2: bad magic/version gets no reply
     }
     sniff.acc.drain(..8);
@@ -730,7 +723,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             PollEvent::Corrupt(detail) => {
                 // §2.2: framing is untrustworthy past a corrupt frame.
-                metrics().server_protocol_error();
+                metrics().server_protocol_errors.add(1);
                 writer.send(
                     0,
                     &Message::Error {
@@ -816,7 +809,7 @@ fn admit_query(
     writer: &Arc<ConnWriter>,
     shared: &Arc<Shared>,
 ) {
-    metrics().server_request();
+    metrics().server_requests.add(1);
     let reject = |code: ErrorCode, message: String| {
         writer.send(request_id, &Message::Error { code, message });
     };
@@ -880,7 +873,7 @@ fn admit_query(
     let mut queue = shared.queue.lock().unwrap();
     if queue.len() >= shared.cfg.queue_depth {
         drop(queue);
-        metrics().server_shed();
+        metrics().server_sheds.add(1);
         return reject(ErrorCode::Overloaded, "queue full".to_string());
     }
     writer.outstanding.fetch_add(1, SeqCst);
@@ -893,7 +886,7 @@ fn admit_query(
         writer: Arc::clone(writer),
         want_scores,
     });
-    metrics().server_enqueue();
+    metrics().server_enqueued.add(1);
     drop(queue);
     shared.work_ready.notify_one();
 }
@@ -956,7 +949,8 @@ fn run_batch(batch: Vec<Pending>, shared: &Arc<Shared>) {
     let m = metrics();
     m.server_batch(batch.len() as u64);
     for p in &batch {
-        m.server_queue_wait(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        m.server_queue_wait_ns
+            .record(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
     match &shared.backend {
         Backend::Single { index, cache } => run_batch_single(batch, index, cache.as_ref()),

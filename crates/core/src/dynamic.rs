@@ -19,11 +19,11 @@
 use crate::cache::{CacheLookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{QueryBudget, TopkResult, TruncateReason};
+use crate::query::{QueryBudget, QueryScratch, TopkResult, TruncateReason};
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A stable handle to a tuple inserted into a [`DynamicIndex`].
 pub type Handle = u64;
@@ -47,12 +47,49 @@ pub struct DynamicIndex {
     rebuilds: usize,
     /// Optional weight-space result cache, invalidated by every mutation.
     cache: Option<Arc<ResultCache>>,
+    /// Traversal scratch reused across queries.
+    scratch: ScratchPool,
+}
+
+/// Idle [`QueryScratch`]es for the static index. A query takes one (or
+/// allocates one when none is idle) and puts it back when it finishes,
+/// so the pool holds at most one scratch per caller that ever queried
+/// concurrently. The lock is held only to take or put, never across a
+/// traversal; a query that panics drops the scratch it holds.
+#[derive(Default)]
+struct ScratchPool(Mutex<Vec<QueryScratch>>);
+
+impl ScratchPool {
+    fn take(&self, index: &DualLayerIndex) -> QueryScratch {
+        let idle = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        idle.unwrap_or_else(|| QueryScratch::for_index(index))
+    }
+
+    fn put(&self, scratch: QueryScratch) {
+        self.0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(scratch);
+    }
+
+    /// Drops every idle scratch (they are sized for a replaced index).
+    fn clear(&mut self) {
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+    }
+}
+
+impl std::fmt::Debug for ScratchPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let idle = self.0.lock().unwrap_or_else(|e| e.into_inner()).len();
+        f.debug_struct("ScratchPool").field("idle", &idle).finish()
+    }
 }
 
 impl Clone for DynamicIndex {
     /// Clones the index *without* the attached cache: a shared cache would
     /// let one clone serve answers filled by the other after their live
-    /// sets diverge. Re-attach a cache to the clone if it needs one.
+    /// sets diverge. Re-attach a cache to the clone if it needs one. The
+    /// clone starts with no pooled scratch.
     fn clone(&self) -> Self {
         DynamicIndex {
             opts: self.opts.clone(),
@@ -64,6 +101,7 @@ impl Clone for DynamicIndex {
             rebuild_fraction: self.rebuild_fraction,
             rebuilds: self.rebuilds,
             cache: None,
+            scratch: ScratchPool::default(),
         }
     }
 }
@@ -120,6 +158,7 @@ impl DynamicIndex {
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
             cache: None,
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -162,6 +201,7 @@ impl DynamicIndex {
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
             cache: None,
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -349,7 +389,9 @@ impl DynamicIndex {
         // Over-fetch from the index to absorb tombstoned answers. Deleted
         // indexed tuples are at most `tombstones` many.
         let fetch = want + self.tombstones.len();
-        let TopkResult { ids, cost: c } = self.index.topk(w, fetch);
+        let mut scratch = self.scratch.take(&self.index);
+        let TopkResult { ids, cost: c } = self.index.topk_with_scratch(w, fetch, &mut scratch);
+        self.scratch.put(scratch);
         cost.merge(&c);
         let mut merged: Vec<(f64, Handle)> = Vec::with_capacity(ids.len() + self.buffer.len());
         for t in ids {
@@ -447,7 +489,11 @@ impl DynamicIndex {
             }
         }
         let fetch = k_eff + self.tombstones.len();
-        let guarded = self.index.topk_guarded(w, fetch, budget);
+        let mut scratch = self.scratch.take(&self.index);
+        let guarded = self
+            .index
+            .topk_guarded_with_scratch(w, fetch, budget, &mut scratch);
+        self.scratch.put(scratch);
         cost.merge(&guarded.cost);
         let truncated_static = guarded.truncated;
         // Barrier: the last *raw* fetched static entry (tombstoned or not)
@@ -540,6 +586,7 @@ impl DynamicIndex {
         self.indexed_handles = sorted_handles;
         self.buffer.clear();
         self.tombstones.clear();
+        self.scratch.clear();
         self.rebuilds += 1;
         drtopk_obs::metrics().dynamic_rebuilds.add(1);
         self.touch_cache();
@@ -638,6 +685,7 @@ impl DynamicIndex {
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
             cache: None,
+            scratch: ScratchPool::default(),
         })
     }
 

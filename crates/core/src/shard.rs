@@ -12,8 +12,13 @@
 //!   back as global ids and a k-way merge on `(score, handle)` — the
 //!   exact comparator the unsharded dynamic index sorts with — is
 //!   bit-identical to the unsharded answer.
-//! * **Fan-out** probes every shard concurrently, each probe isolated
-//!   with `catch_unwind` — the same per-request panic isolation contract
+//! * **Fan-out** runs on the calling thread, with no thread spawned per
+//!   query: the router starts every live shard's probe
+//!   ([`ShardProbe::start`]) and then waits for each ([`InFlight::wait`]).
+//!   A shard held in process answers while it is started; a remote
+//!   shard's request is on the wire before the first wait, so remote
+//!   probes overlap. Start and wait are each isolated with
+//!   `catch_unwind` — the same per-request panic isolation contract
 //!   [`crate::batch::BatchExecutor`] applies to guarded batch requests —
 //!   so one shard's panic degrades coverage instead of killing the
 //!   process.
@@ -43,7 +48,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Hard cap on shard count: coverage travels as a 64-bit answered mask.
@@ -288,13 +293,97 @@ pub type ShardAnswer = (Vec<ScoredHit>, Cost);
 /// via [`ShardError::Truncated`] — the router never merges a partial
 /// shard answer, because a missing middle would break the merged
 /// prefix's exactness.
+///
+/// A probe has two phases: [`ShardProbe::start`] issues it and
+/// [`InFlight::wait`] collects its answer. The router starts every
+/// shard's probe before it waits for any, so probes that answer later
+/// (requests on the wire) overlap while one thread drives them all.
 pub trait ShardProbe: Send + Sync {
-    /// Exact top-`k` over this shard's live tuples under `budget`.
+    /// Exact top-`k` over this shard's live tuples under `budget`: the
+    /// answer [`ShardProbe::start`] followed by a wait to completion
+    /// yields.
     fn probe(&self, w: &Weights, k: usize, budget: &QueryBudget)
         -> Result<ShardAnswer, ShardError>;
 
+    /// Issues the probe and returns without waiting for an answer that
+    /// arrives later. The default answers at once, through
+    /// [`ShardProbe::probe`], which suits a shard held in process.
+    fn start(&self, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
+        InFlight::ready(self.probe(w, k, budget))
+    }
+
     /// Attribute dimensionality (must agree across shards).
     fn dims(&self) -> usize;
+}
+
+/// The waiting half of a probe whose answer arrives after
+/// [`ShardProbe::start`] returned, such as a request on the wire.
+pub trait AwaitProbe {
+    /// Waits at most `limit` for the answer (`None`: no limit beyond the
+    /// probe's own budget). Returns `None` when `limit` passed first; it
+    /// is not called again once it returned `Some`.
+    fn wait(&mut self, limit: Option<Duration>) -> Option<Result<ShardAnswer, ShardError>>;
+}
+
+/// A started shard probe: what [`ShardProbe::start`] returns. Dropping
+/// it abandons the probe.
+pub struct InFlight<'a>(Flight<'a>);
+
+enum Flight<'a> {
+    Ready(Result<ShardAnswer, ShardError>),
+    Waiting(Box<dyn AwaitProbe + 'a>),
+    Spent,
+}
+
+impl<'a> InFlight<'a> {
+    /// A probe that has its answer already.
+    pub fn ready(answer: Result<ShardAnswer, ShardError>) -> Self {
+        InFlight(Flight::Ready(answer))
+    }
+
+    /// A probe whose answer `pending` waits for.
+    pub fn waiting(pending: impl AwaitProbe + 'a) -> Self {
+        InFlight(Flight::Waiting(Box::new(pending)))
+    }
+
+    /// The answer if it is here already: never blocks.
+    pub(crate) fn take_ready(&mut self) -> Option<Result<ShardAnswer, ShardError>> {
+        match std::mem::replace(&mut self.0, Flight::Spent) {
+            Flight::Ready(answer) => Some(answer),
+            other => {
+                self.0 = other;
+                None
+            }
+        }
+    }
+
+    /// Waits at most `limit` for the answer (`None`: no limit beyond the
+    /// probe's own budget); `None` when `limit` passed first.
+    ///
+    /// # Panics
+    /// Panics when called again after it returned the answer.
+    pub fn wait(&mut self, limit: Option<Duration>) -> Option<Result<ShardAnswer, ShardError>> {
+        if let Some(answer) = self.take_ready() {
+            return Some(answer);
+        }
+        let Flight::Waiting(pending) = &mut self.0 else {
+            panic!("shard probe waited on after it answered");
+        };
+        let answer = pending.wait(limit);
+        if answer.is_some() {
+            self.0 = Flight::Spent;
+        }
+        answer
+    }
+
+    /// Waits for the answer with no limit beyond the probe's own budget.
+    pub fn finish(mut self) -> Result<ShardAnswer, ShardError> {
+        loop {
+            if let Some(answer) = self.wait(None) {
+                return answer;
+            }
+        }
+    }
 }
 
 impl ShardProbe for DynamicIndex {
@@ -434,7 +523,6 @@ enum ProbeOutcome {
     Answered(ShardAnswer),
     Failed(ShardError),
     RequestStopped(TruncateReason),
-    Skipped,
 }
 
 /// Fault-tolerant fan-out/merge router over `P` shards.
@@ -611,9 +699,22 @@ impl<S: ShardProbe> ShardRouter<S> {
         carved
     }
 
-    fn probe_with_retry(
-        &self,
+    /// Starts one attempt at shard `s` under a freshly carved budget.
+    fn start_probe(&self, s: usize, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
+        drtopk_obs::metrics().shard_probes.add(1);
+        let carved = self.carve(budget);
+        let shard = &self.shards[s];
+        catch_unwind(AssertUnwindSafe(|| shard.start(w, k, &carved)))
+            .unwrap_or_else(|p| InFlight::ready(Err(ShardError::Panic(panic_message(p.as_ref())))))
+    }
+
+    /// Waits for shard `s`'s started probe, restarting it after a
+    /// transient failure while the retry policy and the request deadline
+    /// allow.
+    fn finish_probe<'a>(
+        &'a self,
         s: usize,
+        mut flight: InFlight<'a>,
         w: &Weights,
         k: usize,
         budget: &QueryBudget,
@@ -621,11 +722,7 @@ impl<S: ShardProbe> ShardRouter<S> {
         let m = drtopk_obs::metrics();
         let mut attempt = 0u32;
         loop {
-            m.shard_probes.add(1);
-            let carved = self.carve(budget);
-            let shard = &self.shards[s];
-            let outcome = catch_unwind(AssertUnwindSafe(|| shard.probe(w, k, &carved)));
-            let err = match outcome {
+            let err = match catch_unwind(AssertUnwindSafe(|| flight.finish())) {
                 Ok(Ok(answer)) => {
                     self.record_success(s);
                     return ProbeOutcome::Answered(answer);
@@ -664,11 +761,17 @@ impl<S: ShardProbe> ShardRouter<S> {
             m.shard_retries.add(1);
             std::thread::sleep(delay);
             attempt += 1;
+            flight = self.start_probe(s, w, k, budget);
         }
     }
 
     /// Routed top-k: fan out to every non-Down shard, retry transient
     /// failures, and heap-merge k-from-each into the global answer.
+    ///
+    /// Every probe runs on the calling thread: each live shard's probe is
+    /// started, then each is waited for in shard order. A shard held in
+    /// process answers while it is started; a remote one has its request
+    /// on the wire before the first wait, so remote probes overlap.
     ///
     /// The returned [`ShardedTopk::coverage`] names the shards whose full
     /// top-k entered the merge; the answer is exact over exactly those
@@ -677,38 +780,20 @@ impl<S: ShardProbe> ShardRouter<S> {
     /// faults degrade coverage instead.
     pub fn topk(&self, w: &Weights, k: usize, budget: &QueryBudget) -> ShardedTopk {
         let p = self.shards.len();
-        let skip: Vec<bool> = self
+        let flights: Vec<Option<InFlight<'_>>> = self
             .health()
             .into_iter()
-            .map(|h| h == ShardHealth::Down)
+            .enumerate()
+            .map(|(s, h)| (h != ShardHealth::Down).then(|| self.start_probe(s, w, k, budget)))
             .collect();
-        let outcomes: Vec<ProbeOutcome> = std::thread::scope(|scope| {
-            let joins: Vec<_> = (0..p)
-                .map(|s| {
-                    if skip[s] {
-                        None
-                    } else {
-                        Some(scope.spawn(move || self.probe_with_retry(s, w, k, budget)))
-                    }
-                })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| match j {
-                    None => ProbeOutcome::Skipped,
-                    Some(handle) => handle.join().unwrap_or_else(|_| {
-                        ProbeOutcome::Failed(ShardError::Panic("probe thread died".into()))
-                    }),
-                })
-                .collect()
-        });
         let mut coverage = ShardCoverage::empty(p);
         let mut truncated: Option<TruncateReason> = None;
         let mut cost = Cost::new();
         let mut lists: Vec<Vec<ScoredHit>> = Vec::with_capacity(p);
         let mut failures: Vec<(usize, ShardError)> = Vec::new();
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
+        for (s, flight) in flights.into_iter().enumerate() {
+            let Some(flight) = flight else { continue };
+            match self.finish_probe(s, flight, w, k, budget) {
                 ProbeOutcome::Answered((hits, c)) => {
                     coverage.mark(s);
                     cost.merge(&c);
@@ -718,7 +803,6 @@ impl<S: ShardProbe> ShardRouter<S> {
                     truncated.get_or_insert(r);
                 }
                 ProbeOutcome::Failed(e) => failures.push((s, e)),
-                ProbeOutcome::Skipped => {}
             }
         }
         if coverage.degraded() && truncated.is_none() {
@@ -758,12 +842,19 @@ pub struct ReplicaConfig {
 /// that tripped is request-scoped, so a different replica would only
 /// repeat it.
 ///
+/// The walk runs on the caller's thread through the replicas' own
+/// [`ShardProbe::start`] and [`InFlight::wait`]: failover starts the next
+/// candidate, and a hedge starts it while the slow probe stays in flight,
+/// after which the caller alternates short waits between the two. When
+/// a hedge answers first, the slower endpoint is believed down, as a
+/// timed-out one is, until the pinger hears from it again.
+///
 /// Up/down beliefs are per-endpoint [`AtomicBool`]s, updated by probe
 /// outcomes and (in the server) by the background health pinger via
 /// [`ReplicaSet::set_up`]. A believed-down endpoint is still tried as a
 /// last resort when everything else failed — beliefs order the walk,
 /// they never amputate it.
-pub struct ReplicaSet<P: ShardProbe + 'static> {
+pub struct ReplicaSet<P: ShardProbe> {
     replicas: Vec<Arc<P>>,
     up: Vec<AtomicBool>,
     cfg: ReplicaConfig,
@@ -846,28 +937,140 @@ impl<P: ShardProbe> ReplicaSet<P> {
             .chain((0..n).filter(|&i| !self.is_up(i)))
             .collect()
     }
+}
 
-    /// Launches replica `idx` on a detached thread reporting into `tx`.
-    /// Detached (not scoped) on purpose: a hedged winner must be able to
-    /// return while the loser is still stalled in its probe.
-    fn launch(
-        &self,
-        idx: usize,
-        w: &Weights,
-        k: usize,
-        budget: &QueryBudget,
-        tx: &mpsc::Sender<(usize, Result<ShardAnswer, ShardError>)>,
-    ) {
-        let replica = Arc::clone(&self.replicas[idx]);
-        let w = w.clone();
-        let budget = budget.clone();
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let out = catch_unwind(AssertUnwindSafe(|| replica.probe(&w, k, &budget)))
-                .unwrap_or_else(|p| Err(ShardError::Panic(panic_message(p.as_ref()))));
-            // The receiver is gone once a winner returned; losers drop out.
-            let _ = tx.send((idx, out));
-        });
+/// How long each wait lasts while several replicas of one shard are in
+/// flight: the calling thread alternates short waits between them, so
+/// whichever answers first is collected within about this long.
+const RACE_SLICE: Duration = Duration::from_millis(1);
+
+/// One probe of a [`ReplicaSet`] walking its candidates: at most one
+/// probe in flight, or two or more once a hedge started.
+struct Walk<'a, P: ShardProbe> {
+    set: &'a ReplicaSet<P>,
+    order: Vec<usize>,
+    /// Next candidate in `order` to start.
+    next: usize,
+    /// Probes in flight with their replica index, oldest first.
+    flying: Vec<(usize, InFlight<'a>)>,
+    w: Weights,
+    k: usize,
+    budget: QueryBudget,
+    /// When to start a hedge on the next candidate, if hedging is on and
+    /// a candidate is left.
+    hedge_at: Option<Instant>,
+    /// Which in-flight probe the next bounded wait goes to.
+    turn: usize,
+}
+
+impl<'a, P: ShardProbe> Walk<'a, P> {
+    /// Starts the next candidate.
+    fn launch(&mut self) {
+        let idx = self.order[self.next];
+        self.next += 1;
+        let replica: &'a P = &self.set.replicas[idx];
+        let (w, k, budget) = (&self.w, self.k, &self.budget);
+        let flight = catch_unwind(AssertUnwindSafe(|| replica.start(w, k, budget)))
+            .unwrap_or_else(|p| InFlight::ready(Err(ShardError::Panic(panic_message(p.as_ref())))));
+        self.flying.push((idx, flight));
+        self.hedge_at = match self.set.cfg.hedge_after {
+            Some(t) if self.next < self.order.len() => Some(Instant::now() + t),
+            _ => None,
+        };
+    }
+
+    /// Takes in-flight probe `i`'s answer. `Some` ends the walk.
+    fn settle(
+        &mut self,
+        i: usize,
+        answer: Result<ShardAnswer, ShardError>,
+    ) -> Option<Result<ShardAnswer, ShardError>> {
+        let (idx, _) = self.flying.remove(i);
+        match answer {
+            Ok(answer) => {
+                self.set.set_up(idx, true);
+                // Probes started earlier and still in flight lost the
+                // race to a hedge: their endpoints are slow, as a
+                // timed-out probe's is. The pinger restores them.
+                for &(slow, _) in &self.flying[..i] {
+                    self.set.set_up(slow, false);
+                }
+                Some(Ok(answer))
+            }
+            // Request-scoped budget trip: retrying elsewhere can only
+            // repeat it. Surface for the router to classify.
+            Err(ShardError::Truncated(r)) => Some(Err(ShardError::Truncated(r))),
+            Err(e) => {
+                // Transport-class fault: this endpoint is suspect.
+                self.set.set_up(idx, false);
+                if self.next < self.order.len() {
+                    drtopk_obs::metrics().shard_failovers.add(1);
+                    self.launch();
+                    None
+                } else if self.flying.is_empty() {
+                    // Every replica walked, every probe failed: the
+                    // freshest error describes the set best.
+                    Some(Err(e))
+                } else {
+                    // A hedged probe is still in flight.
+                    None
+                }
+            }
+        }
+    }
+
+    /// Settles every probe whose answer is already here, without waiting.
+    fn settle_ready(&mut self) -> Option<Result<ShardAnswer, ShardError>> {
+        let mut i = 0;
+        while i < self.flying.len() {
+            match self.flying[i].1.take_ready() {
+                // `settle` removed probe `i`: the next one moved into `i`.
+                Some(answer) => {
+                    if let Some(done) = self.settle(i, answer) {
+                        return Some(done);
+                    }
+                }
+                None => i += 1,
+            }
+        }
+        None
+    }
+}
+
+impl<P: ShardProbe> AwaitProbe for Walk<'_, P> {
+    fn wait(&mut self, limit: Option<Duration>) -> Option<Result<ShardAnswer, ShardError>> {
+        let until = limit.map(|l| Instant::now() + l);
+        loop {
+            if let Some(done) = self.settle_ready() {
+                return Some(done);
+            }
+            let now = Instant::now();
+            if self.hedge_at.is_some_and(|t| now >= t) {
+                // Latency threshold tripped: race a fresh replica.
+                drtopk_obs::metrics().shard_hedges.add(1);
+                self.launch();
+                continue;
+            }
+            if until.is_some_and(|u| now >= u) {
+                return None;
+            }
+            // One probe waits up to the hedge time; several take turns.
+            let mut slice = (self.flying.len() > 1).then_some(RACE_SLICE);
+            for cap in [self.hedge_at, until].into_iter().flatten() {
+                let left = cap.saturating_duration_since(now);
+                slice = Some(slice.map_or(left, |s| s.min(left)));
+            }
+            self.turn = (self.turn + 1) % self.flying.len();
+            let i = self.turn;
+            let flight = &mut self.flying[i].1;
+            let answer = catch_unwind(AssertUnwindSafe(|| flight.wait(slice)))
+                .unwrap_or_else(|p| Some(Err(ShardError::Panic(panic_message(p.as_ref())))));
+            if let Some(answer) = answer {
+                if let Some(done) = self.settle(i, answer) {
+                    return Some(done);
+                }
+            }
+        }
     }
 }
 
@@ -878,60 +1081,28 @@ impl<P: ShardProbe> ShardProbe for ReplicaSet<P> {
         k: usize,
         budget: &QueryBudget,
     ) -> Result<ShardAnswer, ShardError> {
-        let m = drtopk_obs::metrics();
-        let order = self.candidate_order();
-        let (tx, rx) = mpsc::channel();
-        let mut next = 0usize; // next candidate in `order` to launch
-        let mut outstanding = 0usize;
-        self.launch(order[next], w, k, budget, &tx);
-        next += 1;
-        outstanding += 1;
-        loop {
-            // Hedge only while an unlaunched candidate remains.
-            let msg = match self.cfg.hedge_after {
-                Some(t) if next < order.len() => match rx.recv_timeout(t) {
-                    Ok(msg) => Some(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        unreachable!("probe() holds a sender")
-                    }
-                },
-                _ => Some(rx.recv().expect("probe() holds a sender")),
-            };
-            match msg {
-                None => {
-                    // Latency threshold tripped: race a fresh replica.
-                    m.shard_hedges.add(1);
-                    self.launch(order[next], w, k, budget, &tx);
-                    next += 1;
-                    outstanding += 1;
-                }
-                Some((idx, Ok(answer))) => {
-                    self.set_up(idx, true);
-                    return Ok(answer);
-                }
-                Some((_, Err(ShardError::Truncated(r)))) => {
-                    // Request-scoped budget trip: retrying elsewhere can
-                    // only repeat it. Surface for the router to classify.
-                    return Err(ShardError::Truncated(r));
-                }
-                Some((idx, Err(e))) => {
-                    // Transport-class fault: this endpoint is suspect.
-                    self.set_up(idx, false);
-                    outstanding -= 1;
-                    if next < order.len() {
-                        m.shard_failovers.add(1);
-                        self.launch(order[next], w, k, budget, &tx);
-                        next += 1;
-                        outstanding += 1;
-                    } else if outstanding == 0 {
-                        // Every replica walked, every probe failed: the
-                        // freshest error describes the set best.
-                        return Err(e);
-                    }
-                    // Otherwise a hedged probe is still in flight — wait.
-                }
-            }
+        self.start(w, k, budget).finish()
+    }
+
+    /// Starts the first candidate, failing over at once past candidates
+    /// that fail inside `start`; failover after a later failure, and
+    /// hedging, happen while the caller waits.
+    fn start(&self, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
+        let mut walk = Walk {
+            set: self,
+            order: self.candidate_order(),
+            next: 0,
+            flying: Vec::with_capacity(2),
+            w: w.clone(),
+            k,
+            budget: budget.clone(),
+            hedge_at: None,
+            turn: 0,
+        };
+        walk.launch();
+        match walk.settle_ready() {
+            Some(done) => InFlight::ready(done),
+            None => InFlight::waiting(walk),
         }
     }
 
@@ -1328,40 +1499,60 @@ mod tests {
     }
 
     /// A replica double: serves a fixed shard index, optionally failing
-    /// or stalling first.
+    /// or stalling first. A stall is time the probe spends in flight
+    /// after `start` returned, as a request on the wire does.
     struct Replica {
         inner: Arc<DynamicIndex>,
         fail: Option<ShardError>,
         delay: Duration,
         calls: AtomicU32,
+        /// The thread each probe was started on.
+        threads: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     impl Replica {
-        fn healthy(inner: &Arc<DynamicIndex>) -> Arc<Self> {
+        fn new(inner: &Arc<DynamicIndex>, fail: Option<ShardError>, delay: Duration) -> Arc<Self> {
             Arc::new(Replica {
                 inner: Arc::clone(inner),
-                fail: None,
-                delay: Duration::ZERO,
+                fail,
+                delay,
                 calls: AtomicU32::new(0),
+                threads: Mutex::new(Vec::new()),
             })
+        }
+
+        fn healthy(inner: &Arc<DynamicIndex>) -> Arc<Self> {
+            Replica::new(inner, None, Duration::ZERO)
         }
 
         fn failing(inner: &Arc<DynamicIndex>, e: ShardError) -> Arc<Self> {
-            Arc::new(Replica {
-                inner: Arc::clone(inner),
-                fail: Some(e),
-                delay: Duration::ZERO,
-                calls: AtomicU32::new(0),
-            })
+            Replica::new(inner, Some(e), Duration::ZERO)
         }
 
         fn slow(inner: &Arc<DynamicIndex>, delay: Duration) -> Arc<Self> {
-            Arc::new(Replica {
-                inner: Arc::clone(inner),
-                fail: None,
-                delay,
-                calls: AtomicU32::new(0),
-            })
+            Replica::new(inner, None, delay)
+        }
+    }
+
+    /// An answer that lands at `ready_at`.
+    struct Stalled {
+        ready_at: Instant,
+        answer: Option<Result<ShardAnswer, ShardError>>,
+    }
+
+    impl AwaitProbe for Stalled {
+        fn wait(&mut self, limit: Option<Duration>) -> Option<Result<ShardAnswer, ShardError>> {
+            let left = self.ready_at.saturating_duration_since(Instant::now());
+            match limit {
+                Some(limit) if limit < left => {
+                    std::thread::sleep(limit);
+                    None
+                }
+                _ => {
+                    std::thread::sleep(left);
+                    self.answer.take()
+                }
+            }
         }
     }
 
@@ -1372,14 +1563,27 @@ mod tests {
             k: usize,
             budget: &QueryBudget,
         ) -> Result<ShardAnswer, ShardError> {
+            self.start(w, k, budget).finish()
+        }
+
+        fn start(&self, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
             self.calls.fetch_add(1, SeqCst);
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            let answer = match &self.fail {
+                Some(e) => Err(e.clone()),
+                None => self.inner.probe(w, k, budget),
+            };
             if self.delay > Duration::ZERO {
-                std::thread::sleep(self.delay);
+                InFlight::waiting(Stalled {
+                    ready_at: Instant::now() + self.delay,
+                    answer: Some(answer),
+                })
+            } else {
+                InFlight::ready(answer)
             }
-            if let Some(e) = &self.fail {
-                return Err(e.clone());
-            }
-            self.inner.probe(w, k, budget)
         }
 
         fn dims(&self) -> usize {
@@ -1477,6 +1681,13 @@ mod tests {
         let ids: Vec<Handle> = hits.iter().map(|&(_, h)| h).collect();
         assert_eq!(ids, idx.topk(&w, 9).0, "hedged answer is bit-identical");
         assert_eq!(fast.calls.load(SeqCst), 1, "exactly one hedge launched");
+        assert_eq!(
+            *fast.threads.lock().unwrap(),
+            vec![std::thread::current().id()],
+            "the hedge runs on the caller's thread"
+        );
+        assert!(!set.is_up(0), "the outrun primary is believed down");
+        assert!(set.is_up(1));
     }
 
     #[test]

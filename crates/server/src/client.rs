@@ -7,7 +7,9 @@
 //! replies paired back up by `request_id` (§2.3), which the open-loop
 //! load generator uses.
 
-use crate::protocol::{read_frame, write_frame, Coverage, ErrorCode, Message, WireError, HELLO};
+use crate::protocol::{
+    write_frame, Coverage, ErrorCode, FrameBuf, Message, PollEvent, WireError, HELLO,
+};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -120,6 +122,9 @@ fn is_transient(e: &ClientError) -> bool {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    /// Reply bytes read but not yet a whole frame: a read that times out
+    /// mid-frame leaves them here for the next one.
+    frames: FrameBuf,
     next_id: u64,
 }
 
@@ -159,7 +164,11 @@ impl Client {
                 "bad hello echo: {echo:02x?}"
             )));
         }
-        Ok(Client { stream, next_id: 1 })
+        Ok(Client {
+            stream,
+            frames: FrameBuf::default(),
+            next_id: 1,
+        })
     }
 
     /// [`connect`](Self::connect) with bounded retry: up to `retries`
@@ -254,9 +263,23 @@ impl Client {
         Ok(id)
     }
 
-    /// Reads the next reply frame, whatever request it answers.
+    /// Reads the next reply frame, whatever request it answers. A read
+    /// that times out (see [`set_read_timeout`](Self::set_read_timeout))
+    /// keeps what it read of a frame, so a later `recv` resumes it.
     pub fn recv(&mut self) -> Result<(u64, Message), ClientError> {
-        Ok(read_frame(&mut self.stream)?)
+        match self.frames.poll(&mut self.stream) {
+            PollEvent::Frame(id, msg) => Ok((id, msg)),
+            PollEvent::Unknown(request_id, type_byte) => {
+                Err(ClientError::Wire(WireError::UnknownType {
+                    request_id,
+                    type_byte,
+                }))
+            }
+            PollEvent::Timeout => Err(ClientError::Io(io::ErrorKind::TimedOut.into())),
+            PollEvent::Eof => Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into())),
+            PollEvent::Corrupt(msg) => Err(ClientError::Wire(WireError::Corrupt(msg))),
+            PollEvent::Io(e) => Err(ClientError::Io(e)),
+        }
     }
 
     /// Reads the next reply and interprets it as a top-k answer,

@@ -539,6 +539,89 @@ pub fn write_frame<W: Write>(w: &mut W, request_id: u64, msg: &Message) -> io::R
     w.flush()
 }
 
+/// Accumulates stream bytes and carves complete frames out of the front,
+/// so a read that times out can never desynchronize framing mid-frame
+/// (the partial bytes stay buffered for the next poll). The server's
+/// connection readers and the client both read frames through one.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
+    /// Bytes read but not yet carved into a frame.
+    pub(crate) acc: Vec<u8>,
+}
+
+/// What one [`FrameBuf::poll`] produced.
+#[derive(Debug)]
+pub(crate) enum PollEvent {
+    /// A sound frame.
+    Frame(u64, Message),
+    /// A sound frame of an unknown type (§5.3).
+    Unknown(u64, u8),
+    /// The read timed out; buffered bytes are kept.
+    Timeout,
+    /// The peer closed the stream between frames.
+    Eof,
+    /// Untrustworthy framing, or the peer closed mid-frame.
+    Corrupt(String),
+    /// The read failed.
+    Io(io::Error),
+}
+
+impl FrameBuf {
+    /// Returns the next buffered frame, reading from `stream` (under its
+    /// read timeout) until one is complete.
+    pub(crate) fn poll<R: Read>(&mut self, stream: &mut R) -> PollEvent {
+        loop {
+            if let Some(ev) = self.try_decode() {
+                return ev;
+            }
+            let mut tmp = [0u8; 4096];
+            match stream.read(&mut tmp) {
+                Ok(0) => {
+                    return if self.acc.is_empty() {
+                        PollEvent::Eof
+                    } else {
+                        PollEvent::Corrupt("eof mid-frame".to_string())
+                    }
+                }
+                Ok(n) => self.acc.extend_from_slice(&tmp[..n]),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return PollEvent::Timeout
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return PollEvent::Io(e),
+            }
+        }
+    }
+
+    fn try_decode(&mut self) -> Option<PollEvent> {
+        if self.acc.len() < 8 {
+            return None;
+        }
+        let len = u32::from_le_bytes(self.acc[0..4].try_into().expect("4-byte slice")) as usize;
+        if len == 0 || len > MAX_PAYLOAD {
+            return Some(PollEvent::Corrupt(format!(
+                "frame length {len} outside 1..={MAX_PAYLOAD}"
+            )));
+        }
+        if self.acc.len() < 8 + len {
+            return None;
+        }
+        let frame: Vec<u8> = self.acc.drain(..8 + len).collect();
+        match read_frame(&mut &frame[..]) {
+            Ok((id, msg)) => Some(PollEvent::Frame(id, msg)),
+            Err(WireError::UnknownType {
+                request_id,
+                type_byte,
+            }) => Some(PollEvent::Unknown(request_id, type_byte)),
+            Err(WireError::Corrupt(msg)) => Some(PollEvent::Corrupt(msg)),
+            Err(WireError::Io(e)) => Some(PollEvent::Io(e)), // unreachable: full frame buffered
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

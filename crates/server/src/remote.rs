@@ -1,11 +1,18 @@
 //! Remote shard probes: [`ShardProbe`] over the v1 wire protocol.
 //!
-//! One [`RemoteShardProbe`] is one shard-node endpoint. The router's
-//! carved per-shard [`QueryBudget`] travels on the wire as the
-//! SHARD_QUERY budget header (`PROTOCOL.md` §3.5), and the socket read
-//! timeout is pinned to that remaining budget plus a small slack — so a
-//! stalled node surfaces as [`ShardError::Timeout`] inside the carved
-//! window instead of eating the whole request deadline. Wire failures
+//! One [`RemoteShardProbe`] is one shard-node endpoint. Its
+//! [`ShardProbe::start`] checks out a pooled connection and sends the
+//! SHARD_QUERY; the wait on the returned [`InFlight`] reads the reply
+//! through the connection's frame accumulator, so a bounded wait that
+//! runs out leaves the framing intact and can be resumed. The router
+//! sends every shard's request before it waits for any, so one thread
+//! overlaps them all.
+//!
+//! The router's carved per-shard [`QueryBudget`] travels on the wire as
+//! the SHARD_QUERY budget header (`PROTOCOL.md` §3.5), and the reply is
+//! due within that remaining budget plus a small slack — so a stalled
+//! node surfaces as [`ShardError::Timeout`] inside the carved window
+//! instead of eating the whole request deadline. Wire failures
 //! map onto the same [`ShardError`] fault classes the in-process router
 //! already distinguishes, which is what lets the existing
 //! retry/backoff/health machinery drive remote nodes unchanged:
@@ -19,10 +26,18 @@
 //! | ERROR `Overloaded`                  | `Unavailable` (try a replica) |
 //! | ERROR `Internal` / `BadRequest`     | `Io`                          |
 //! | protocol violation / bad frame      | `Io` (connection dropped)     |
+//! | reply carrying another request id   | `Io` (connection dropped)     |
+//!
+//! A connection goes back to the pool only after a clean reply to its
+//! own request. A probe abandoned in flight (a hedge won the race)
+//! closes its connection instead.
 
 use crate::client::{Client, ClientError};
+use crate::protocol::{ErrorCode, Message};
 use drtopk_common::{Cost, Weights};
-use drtopk_core::shard::{ReplicaSet, ScoredHit, ShardAnswer, ShardError, ShardProbe, ShardRouter};
+use drtopk_core::shard::{
+    AwaitProbe, InFlight, ReplicaSet, ScoredHit, ShardAnswer, ShardError, ShardProbe, ShardRouter,
+};
 use drtopk_core::{QueryBudget, TruncateReason};
 use std::io;
 use std::sync::Mutex;
@@ -164,13 +179,14 @@ fn truncate_reason(flag: u8) -> TruncateReason {
     }
 }
 
-impl ShardProbe for RemoteShardProbe {
-    fn probe(
-        &self,
-        w: &Weights,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<ShardAnswer, ShardError> {
+/// Smallest socket read timeout a bounded wait sets: a zero timeout
+/// means "block forever" to the socket layer.
+const MIN_READ_TIMEOUT: Duration = Duration::from_micros(100);
+
+impl RemoteShardProbe {
+    /// Checks out a connection and sends one SHARD_QUERY under the carved
+    /// `budget`, without waiting for the reply.
+    fn send(&self, w: &Weights, k: usize, budget: &QueryBudget) -> Result<Reply<'_>, ShardError> {
         // Pre-flight the carved budget: an already-spent deadline or a
         // tripped cancel flag needs no network round trip to report.
         if let Some(f) = budget.cancel_flag() {
@@ -178,51 +194,76 @@ impl ShardProbe for RemoteShardProbe {
                 return Err(ShardError::Truncated(TruncateReason::Cancelled));
             }
         }
+        let now = Instant::now();
         let remaining = match budget.deadline() {
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    return Err(ShardError::Truncated(TruncateReason::Deadline));
-                }
-                Some(d - now)
-            }
+            Some(d) if now >= d => return Err(ShardError::Truncated(TruncateReason::Deadline)),
+            Some(d) => Some(d - now),
             None => None,
         };
 
         // Budget propagation (PROTOCOL.md §3.5): the wire deadline is the
         // *remaining* carved per-shard time, floored at 1 ms because 0
-        // means unbounded on the wire. The read timeout mirrors it plus
+        // means unbounded on the wire. The reply must land within it plus
         // slack: a node that stalls past its carved window is a Timeout
         // fault here, not a whole-request stall.
         let deadline_ms =
             remaining.map_or(0, |r| r.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
         let read_timeout = remaining.map(|r| r + self.cfg.read_slack);
         let mut client = self.checkout(read_timeout)?;
-        if client.set_read_timeout(read_timeout).is_err() {
+        let max_cost = budget.max_cost().unwrap_or(0);
+        let id = client
+            .send_shard_query(w.as_slice(), k as u32, deadline_ms, max_cost)
+            .map_err(|e| match e {
+                ClientError::Io(e) if is_timeout(&e) => ShardError::Timeout,
+                other => ShardError::Io(format!("{}: {other}", self.addr)),
+            })?;
+        Ok(Reply {
+            probe: self,
+            client: Some(client),
+            id,
+            deadline: read_timeout.map(|t| now + t),
+        })
+    }
+
+    /// Interprets the frame that answered request `want` on `client`,
+    /// pooling the connection again when the stream is left sound.
+    fn settle(
+        &self,
+        client: Client,
+        want: u64,
+        frame: Result<(u64, Message), ClientError>,
+    ) -> Result<ShardAnswer, ShardError> {
+        let (id, msg) = match frame {
+            Ok(frame) => frame,
+            Err(ClientError::Io(e)) => return Err(ShardError::Io(format!("{}: {e}", self.addr))),
+            Err(other) => return Err(ShardError::Io(format!("{}: {other}", self.addr))),
+        };
+        if id != want {
+            // Not this probe's reply: the stream cannot be trusted to pair
+            // replies with requests any more, so it is dropped unpooled.
             return Err(ShardError::Io(format!(
-                "{}: socket configuration",
+                "{}: reply to request {id}, expected {want}",
                 self.addr
             )));
         }
-        let max_cost = budget.max_cost().unwrap_or(0);
-        let sent = client.send_shard_query(w.as_slice(), k as u32, deadline_ms, max_cost);
-        if let Err(e) = sent {
-            return Err(match e {
-                ClientError::Io(e) if is_timeout(&e) => ShardError::Timeout,
-                other => ShardError::Io(format!("{}: {other}", self.addr)),
-            });
-        }
-        match client.recv_topk() {
-            Ok((_, reply)) => {
-                if reply.truncated != 0 {
+        match msg {
+            Message::Topk {
+                truncated,
+                evaluated,
+                pseudo_evaluated,
+                ids,
+                scores,
+                ..
+            } => {
+                if truncated != 0 {
                     // The shard node's answer was cut by the budget we
                     // sent. The connection is healthy; the router
                     // classifies the trip (carved → Timeout fault,
                     // request-scoped → stop the request).
                     self.checkin(client);
-                    return Err(ShardError::Truncated(truncate_reason(reply.truncated)));
+                    return Err(ShardError::Truncated(truncate_reason(truncated)));
                 }
-                let Some(scores) = reply.scores else {
+                let Some(scores) = scores else {
                     // A complete SHARD_QUERY reply must carry scores —
                     // the merge orders on (score, handle).
                     return Err(ShardError::Io(format!(
@@ -230,45 +271,109 @@ impl ShardProbe for RemoteShardProbe {
                         self.addr
                     )));
                 };
-                if scores.len() != reply.ids.len() {
+                if scores.len() != ids.len() {
                     return Err(ShardError::Io(format!(
                         "{}: {} scores for {} ids",
                         self.addr,
                         scores.len(),
-                        reply.ids.len()
+                        ids.len()
                     )));
                 }
                 self.checkin(client);
-                let hits: Vec<ScoredHit> = scores.into_iter().zip(reply.ids).collect();
+                let hits: Vec<ScoredHit> = scores.into_iter().zip(ids).collect();
                 let cost = Cost {
-                    evaluated: reply.evaluated,
-                    pseudo_evaluated: reply.pseudo_evaluated,
+                    evaluated,
+                    pseudo_evaluated,
                 };
                 Ok((hits, cost))
             }
-            Err(ClientError::Io(e)) if is_timeout(&e) => Err(ShardError::Timeout),
-            Err(ClientError::Io(e)) => Err(ShardError::Io(format!("{}: {e}", self.addr))),
-            Err(ClientError::Server { code, message }) => {
-                use crate::protocol::ErrorCode;
-                match code {
-                    // A draining or overloaded node is a reason to try a
-                    // replica, not to distrust the data.
-                    ErrorCode::ShuttingDown => {
-                        Err(ShardError::Unavailable(format!("{}: draining", self.addr)))
-                    }
-                    ErrorCode::Overloaded => Err(ShardError::Unavailable(format!(
-                        "{}: overloaded",
-                        self.addr
-                    ))),
-                    _ => {
-                        // The ERROR frame leaves the stream in a sound
-                        // state; pool it for the next probe.
-                        self.checkin(client);
-                        Err(ShardError::Io(format!("{}: {code}: {message}", self.addr)))
-                    }
+            Message::Error { code, message } => match code {
+                // A draining or overloaded node is a reason to try a
+                // replica, not to distrust the data.
+                ErrorCode::ShuttingDown => {
+                    Err(ShardError::Unavailable(format!("{}: draining", self.addr)))
                 }
+                ErrorCode::Overloaded => Err(ShardError::Unavailable(format!(
+                    "{}: overloaded",
+                    self.addr
+                ))),
+                _ => {
+                    // The ERROR frame leaves the stream in a sound
+                    // state; pool it for the next probe.
+                    self.checkin(client);
+                    Err(ShardError::Io(format!("{}: {code}: {message}", self.addr)))
+                }
+            },
+            other => Err(ShardError::Io(format!(
+                "{}: unexpected reply: {other:?}",
+                self.addr
+            ))),
+        }
+    }
+}
+
+/// A SHARD_QUERY on the wire, awaiting its reply. Dropped before the
+/// reply arrived, it closes its connection: a late reply must never
+/// reach a later probe through the pool.
+struct Reply<'a> {
+    probe: &'a RemoteShardProbe,
+    /// `None` once the reply was read.
+    client: Option<Client>,
+    /// The request id the reply must carry.
+    id: u64,
+    /// When the reply is overdue: the carved budget plus read slack.
+    deadline: Option<Instant>,
+}
+
+impl AwaitProbe for Reply<'_> {
+    fn wait(&mut self, limit: Option<Duration>) -> Option<Result<ShardAnswer, ShardError>> {
+        let client = self
+            .client
+            .as_mut()
+            .expect("reply waited on after it answered");
+        let now = Instant::now();
+        let until = match (self.deadline, limit) {
+            (Some(d), Some(l)) => Some(d.min(now + l)),
+            (d, l) => d.or(l.map(|l| now + l)),
+        };
+        let timeout = until.map(|u| u.saturating_duration_since(now).max(MIN_READ_TIMEOUT));
+        if client.set_read_timeout(timeout).is_err() {
+            self.client = None;
+            return Some(Err(ShardError::Io(format!(
+                "{}: socket configuration",
+                self.probe.addr
+            ))));
+        }
+        let frame = match client.recv() {
+            Err(ClientError::Io(e)) if is_timeout(&e) => {
+                if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                    self.client = None;
+                    return Some(Err(ShardError::Timeout));
+                }
+                return None;
             }
-            Err(other) => Err(ShardError::Io(format!("{}: {other}", self.addr))),
+            frame => frame,
+        };
+        let client = self.client.take().expect("checked above");
+        Some(self.probe.settle(client, self.id, frame))
+    }
+}
+
+impl ShardProbe for RemoteShardProbe {
+    fn probe(
+        &self,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<ShardAnswer, ShardError> {
+        self.start(w, k, budget).finish()
+    }
+
+    /// Sends the SHARD_QUERY and returns; the reply is read by the wait.
+    fn start(&self, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
+        match self.send(w, k, budget) {
+            Ok(reply) => InFlight::waiting(reply),
+            Err(e) => InFlight::ready(Err(e)),
         }
     }
 

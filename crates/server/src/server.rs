@@ -13,9 +13,7 @@
 //! `batch_window` — whichever comes first — it flushes.
 
 use crate::pinger::{HealthPinger, PingerConfig};
-use crate::protocol::{
-    read_frame, write_frame, Coverage, ErrorCode, Message, WireError, HELLO, MAX_PAYLOAD,
-};
+use crate::protocol::{write_frame, Coverage, ErrorCode, FrameBuf, Message, PollEvent, HELLO};
 use crate::remote::RemoteRouter;
 use crate::shard::ServedShard;
 use drtopk_common::Weights;
@@ -561,79 +559,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Accumulates stream bytes and carves complete frames out of the front,
-/// so a poll-timeout can never desynchronize framing mid-header (the
-/// partial bytes stay buffered for the next poll).
-struct FrameBuf {
-    acc: Vec<u8>,
-}
-
-enum PollEvent {
-    Frame(u64, Message),
-    Unknown(u64, u8),
-    Timeout,
-    Eof,
-    Corrupt(String),
-    Io,
-}
-
-impl FrameBuf {
-    fn new() -> Self {
-        FrameBuf { acc: Vec::new() }
-    }
-
-    fn poll(&mut self, stream: &mut TcpStream) -> PollEvent {
-        loop {
-            if let Some(ev) = self.try_decode() {
-                return ev;
-            }
-            let mut tmp = [0u8; 4096];
-            match stream.read(&mut tmp) {
-                Ok(0) => {
-                    return if self.acc.is_empty() {
-                        PollEvent::Eof
-                    } else {
-                        PollEvent::Corrupt("eof mid-frame".to_string())
-                    }
-                }
-                Ok(n) => self.acc.extend_from_slice(&tmp[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return PollEvent::Timeout
-                }
-                Err(_) => return PollEvent::Io,
-            }
-        }
-    }
-
-    fn try_decode(&mut self) -> Option<PollEvent> {
-        if self.acc.len() < 8 {
-            return None;
-        }
-        let len = u32::from_le_bytes(self.acc[0..4].try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_PAYLOAD {
-            return Some(PollEvent::Corrupt(format!(
-                "frame length {len} outside 1..={MAX_PAYLOAD}"
-            )));
-        }
-        if self.acc.len() < 8 + len {
-            return None;
-        }
-        let frame: Vec<u8> = self.acc.drain(..8 + len).collect();
-        match read_frame(&mut &frame[..]) {
-            Ok((id, msg)) => Some(PollEvent::Frame(id, msg)),
-            Err(WireError::UnknownType {
-                request_id,
-                type_byte,
-            }) => Some(PollEvent::Unknown(request_id, type_byte)),
-            Err(WireError::Corrupt(msg)) => Some(PollEvent::Corrupt(msg)),
-            Err(WireError::Io(_)) => Some(PollEvent::Io), // unreachable: full frame buffered
-        }
-    }
-}
-
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     metrics().server_connections.add(1);
     let _ = stream.set_nodelay(true);
@@ -641,7 +566,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
     // Sniff the first 8 bytes: a protocol hello (PROTOCOL.md §1.1) or an
     // HTTP GET for /metrics (§6) — "GET " can never begin a valid hello.
-    let mut sniff = FrameBuf::new();
+    let mut sniff = FrameBuf::default();
     loop {
         if sniff.acc.len() >= 4 && &sniff.acc[0..4] == b"GET " {
             serve_http(&mut stream, &mut sniff.acc, shared);
@@ -733,7 +658,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 );
                 return;
             }
-            PollEvent::Io => return,
+            PollEvent::Io(_) => return,
         }
     }
 }

@@ -24,6 +24,9 @@ use std::sync::RwLock;
 #[derive(Debug)]
 pub struct ServedShard {
     id: usize,
+    /// This shard's failpoint site, interned once here: resolving it
+    /// takes a process-wide lock, which no probe should pay.
+    site: &'static str,
     dims: usize,
     /// `Err` carries the reason the store is unavailable (failed
     /// recovery at startup); such a shard answers every probe with
@@ -36,6 +39,7 @@ impl ServedShard {
     pub fn new(id: usize, store: DurableDynamicIndex) -> Self {
         ServedShard {
             id,
+            site: drtopk_failpoints::shard_site(id),
             dims: store.index().dims(),
             store: RwLock::new(Ok(store)),
         }
@@ -47,6 +51,7 @@ impl ServedShard {
     pub fn unavailable(id: usize, dims: usize, reason: impl Into<String>) -> Self {
         ServedShard {
             id,
+            site: drtopk_failpoints::shard_site(id),
             dims,
             store: RwLock::new(Err(reason.into())),
         }
@@ -90,7 +95,7 @@ impl ShardProbe for ServedShard {
         budget: &QueryBudget,
     ) -> Result<ShardAnswer, ShardError> {
         // The chaos suite's injection point: one named site per shard.
-        if let Err(e) = drtopk_failpoints::hit(drtopk_failpoints::shard_site(self.id)) {
+        if let Err(e) = drtopk_failpoints::hit(self.site) {
             return Err(ShardError::Io(e.to_string()));
         }
         let guard = self.store.read().unwrap_or_else(|e| e.into_inner());

@@ -16,18 +16,20 @@
 use drtopk_common::{Distribution, Relation, Weights, WorkloadSpec};
 use drtopk_core::shard::ShardError;
 use drtopk_core::{
-    DlOptions, DynamicIndex, Handle, QueryBudget, ReplicaConfig, ReplicaSet, ShardProbe,
+    DlOptions, DynamicIndex, Handle, QueryBudget, ReplicaConfig, ReplicaSet, RouterConfig,
+    ShardProbe, ShardRouter,
 };
 use drtopk_server::protocol::{read_frame, write_frame};
 use drtopk_server::{
-    Client, ErrorCode, Message, RemoteProbeConfig, RemoteShardProbe, ServedShard, Server,
-    ServerConfig, ServerHandle, Topology, HELLO,
+    Client, ErrorCode, Message, RemoteProbeConfig, RemoteRouter, RemoteShardProbe, ServedShard,
+    Server, ServerConfig, ServerHandle, Topology, HELLO,
 };
 use drtopk_storage::{create_sharded, shards::shard_dir, DurableDynamicIndex, DurableOptions};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -262,5 +264,98 @@ fn connect_with_retry_fails_fast_on_bad_hello() {
     assert!(
         elapsed < Duration::from_millis(150),
         "bad hello must not burn retry backoff (took {elapsed:?})"
+    );
+}
+
+/// A protocol-correct stub shard node: after the hello it answers every
+/// request with `answer` under the request's id plus `id_offset`, each
+/// `delay` after the request arrived. Returns its address and the count
+/// of connections it accepted.
+fn stub_node(delay: Duration, id_offset: u64, answer: Message) -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&accepted);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            count.fetch_add(1, SeqCst);
+            let answer = answer.clone();
+            std::thread::spawn(move || {
+                let mut hello = [0u8; 8];
+                if stream.read_exact(&mut hello).is_err() || stream.write_all(&HELLO).is_err() {
+                    return;
+                }
+                while let Ok((id, _)) = read_frame(&mut stream) {
+                    std::thread::sleep(delay);
+                    if write_frame(&mut stream, id + id_offset, &answer).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, accepted)
+}
+
+/// A complete SHARD_QUERY reply: `hits` as `(score, id)`, ascending.
+fn shard_reply(hits: &[(f64, u64)]) -> Message {
+    Message::Topk {
+        truncated: 0,
+        evaluated: hits.len() as u64,
+        pseudo_evaluated: 0,
+        ids: hits.iter().map(|&(_, id)| id).collect(),
+        coverage: None,
+        scores: Some(hits.iter().map(|&(s, _)| s).collect()),
+    }
+}
+
+/// A reply carrying another request's id is not this probe's answer: it
+/// is an I/O fault, and the connection is closed rather than pooled, so
+/// the next probe dials afresh.
+#[test]
+fn reply_to_another_request_id_is_an_io_fault() {
+    let (addr, accepted) = stub_node(Duration::ZERO, 1000, shard_reply(&[(0.1, 4)]));
+    let probe = RemoteShardProbe::new(&addr, 2, RemoteProbeConfig::default());
+    let w = Weights::new(vec![0.5, 0.5]).unwrap();
+    for round in 1..=2 {
+        match probe.probe(&w, 1, &QueryBudget::unlimited()) {
+            Err(ShardError::Io(msg)) => assert!(msg.contains("expected"), "{msg}"),
+            other => panic!("a mismatched reply id must be an Io fault, got {other:?}"),
+        }
+        assert_eq!(
+            accepted.load(SeqCst),
+            round,
+            "the mismatched connection must be closed, not pooled"
+        );
+    }
+}
+
+/// The router sends every shard's request before it waits for any: two
+/// shard nodes that each take 300 ms answer one routed query in well
+/// under the 600 ms that probing them one after another would take.
+#[test]
+fn remote_router_overlaps_slow_shards() {
+    let stall = Duration::from_millis(300);
+    let (a, _) = stub_node(stall, 0, shard_reply(&[(0.1, 0), (0.3, 2)]));
+    let (b, _) = stub_node(stall, 0, shard_reply(&[(0.2, 1), (0.4, 3)]));
+    let sets: Vec<ReplicaSet<RemoteShardProbe>> = [a, b]
+        .into_iter()
+        .map(|addr| {
+            let probe = RemoteShardProbe::new(addr, 2, RemoteProbeConfig::default());
+            ReplicaSet::new(vec![Arc::new(probe)], ReplicaConfig::default()).unwrap()
+        })
+        .collect();
+    let router: RemoteRouter = ShardRouter::new(sets, RouterConfig::default()).unwrap();
+    let w = Weights::new(vec![0.5, 0.5]).unwrap();
+    let t0 = Instant::now();
+    let routed = router.topk(&w, 3, &QueryBudget::unlimited());
+    let elapsed = t0.elapsed();
+    assert!(routed.coverage.is_full(), "{:?}", routed.failures);
+    assert_eq!(routed.ids, vec![0, 1, 2]);
+    assert_eq!(routed.cost.evaluated, 4);
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "remote probes must overlap (took {elapsed:?})"
     );
 }

@@ -10,12 +10,14 @@
 //! the documented cache semantics (0 on a 2-d cell hit, k rescores on a
 //! certified hit, a k+1-fetch on a miss) and are pinned where exact.
 
-use drtopk::common::{Distribution, Weights, WorkloadSpec, ZipfWeightWorkload};
+use drtopk::common::{Cost, Distribution, Weights, WorkloadSpec, ZipfWeightWorkload};
 use drtopk::core::{
-    CacheOutcome, DlOptions, DualLayerIndex, DynamicIndex, EdsPolicy, ResultCache, ZeroMode,
+    BatchExecutor, CacheOutcome, DlOptions, DualLayerIndex, DynamicIndex, EdsPolicy, Handle,
+    QueryBudget, QueryScratch, ResultCache, ShardError, ShardProbe, TruncateReason, ZeroMode,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Queries `idx` through a fresh cache with a Zipf-repeated workload and
@@ -248,5 +250,185 @@ fn recovery_and_replay_invalidate_reattached_caches() {
             "d={d}: refilled entries must hit: {:?}",
             cache.stats()
         );
+    }
+}
+
+/// The pre-cancelled and zero-cost budgets every budgeted ask below uses,
+/// with the truncation each must report on a miss.
+fn tight_budgets() -> Vec<(QueryBudget, TruncateReason)> {
+    vec![
+        (
+            QueryBudget::unlimited().with_max_cost(0),
+            TruncateReason::CostExceeded,
+        ),
+        (
+            QueryBudget::unlimited().with_cancel_flag(Arc::new(AtomicBool::new(true))),
+            TruncateReason::Cancelled,
+        ),
+    ]
+}
+
+/// The cache contract, pinned on every cached entry point against the
+/// uncached oracle. A hit is a complete answer under any budget (cost 0
+/// on a 2-d cell hit, k on a certified hit); only a miss under an
+/// unlimited budget fetches k+1 and fills; a budgeted miss truncates
+/// exactly as the uncached guarded query does and never fills. Each
+/// weight is asked more than once, so every repeat hits.
+#[test]
+fn every_cached_entry_point_keeps_the_cache_contract() {
+    const K: usize = 8;
+    let unlimited = QueryBudget::unlimited();
+    for d in [2usize, 3] {
+        let rel =
+            WorkloadSpec::new(Distribution::AntiCorrelated, d, 300, 130 + d as u64).generate();
+        let mut rng = StdRng::seed_from_u64(0xC0DE + d as u64);
+        let pool: Vec<Weights> = (0..5).map(|_| Weights::random(d, &mut rng)).collect();
+        let (hit_kind, hit_cost) = if d == 2 {
+            (CacheOutcome::Hit2d, Cost::new())
+        } else {
+            let certified = Cost {
+                evaluated: K as u64,
+                pseudo_evaluated: 0,
+            };
+            (CacheOutcome::HitCertified, certified)
+        };
+
+        // Static index: the cache's own entry points, then the executor.
+        let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
+        let mut scratch = QueryScratch::for_index(&idx);
+        for (q, w) in pool.iter().enumerate() {
+            let ctx = format!("static d={d} q={q}");
+            let want = idx.topk(w, K).ids;
+            let fill_cost = idx.topk(w, K + 1).cost;
+            let cache = ResultCache::default();
+            assert!(cache.probe(&idx, w, K).is_none(), "{ctx}: cold probe");
+            let miss = cache.topk_with_scratch(&idx, w, K, &mut scratch);
+            assert_eq!(miss.outcome, CacheOutcome::Miss, "{ctx}");
+            assert_eq!((&miss.ids, miss.cost), (&want, fill_cost), "{ctx}: fill");
+            let repeat = cache.topk_with_scratch(&idx, w, K, &mut scratch);
+            let probed = cache.probe(&idx, w, K).expect("a filled entry probes");
+            for got in [repeat, probed] {
+                assert_eq!(got.outcome, hit_kind, "{ctx}");
+                assert_eq!((&got.ids, got.cost), (&want, hit_cost), "{ctx}: hit");
+            }
+            assert_eq!(cache.stats().hits, 2, "{ctx}");
+            assert_eq!(cache.stats().stores, 1, "{ctx}: probes never fill");
+
+            let cache = ResultCache::default();
+            let exec = BatchExecutor::with_threads(&idx, 1).with_cache(&cache);
+            let run = |budget: &QueryBudget| {
+                let mut out = exec.run_guarded_each(&[(w.clone(), K, budget.clone())]);
+                out.pop().unwrap().expect("no faults injected")
+            };
+            for (budget, reason) in tight_budgets() {
+                let got = run(&budget);
+                assert_eq!(got, idx.topk_guarded(w, K, &budget), "{ctx}: budgeted miss");
+                assert_eq!(got.truncated, Some(reason), "{ctx}");
+            }
+            assert_eq!(cache.stats().stores, 0, "{ctx}: budgeted misses never fill");
+            let filled = run(&unlimited);
+            assert_eq!(
+                (&filled.ids, filled.cost, filled.truncated),
+                (&want, fill_cost, None),
+                "{ctx}: executor fill"
+            );
+            assert_eq!(cache.stats().stores, 1, "{ctx}");
+            let budgets = tight_budgets().into_iter().map(|(b, _)| b);
+            for budget in std::iter::once(unlimited.clone()).chain(budgets) {
+                let hits = cache.stats().hits;
+                let got = run(&budget);
+                assert_eq!(
+                    (&got.ids, got.cost, got.truncated),
+                    (&want, hit_cost, None),
+                    "{ctx}: a hit is complete under any budget"
+                );
+                assert_eq!(cache.stats().hits, hits + 1, "{ctx}");
+            }
+            assert_eq!(cache.stats().stores, 1, "{ctx}: hits never fill");
+        }
+
+        // Dynamic index with a buffer and tombstones, then an uncached
+        // twin and a cached one over the same live set.
+        let mut dynamic = DynamicIndex::new(&rel, DlOptions::dl_plus(), 0.5);
+        for _ in 0..12 {
+            let row: Vec<f64> = (0..d).map(|_| rng.gen_range(0.001..0.2)).collect();
+            dynamic.insert(&row).unwrap();
+        }
+        for h in [3u64, 50, 77, 120, 301, 305] {
+            assert!(dynamic.delete(h), "handle {h} is live");
+        }
+        assert_eq!(dynamic.rebuilds(), 0, "buffer and tombstones stay pending");
+        let plain = dynamic.clone();
+        let mut cached = dynamic;
+        let cache = Arc::new(ResultCache::default());
+        cached.attach_cache(Arc::clone(&cache));
+        for (q, w) in pool.iter().enumerate() {
+            let ctx = format!("dynamic d={d} q={q}");
+            let mut live: Vec<(f64, Handle)> = (0..plain.next_handle())
+                .filter_map(|h| plain.get(h).map(|row| (w.score(row), h)))
+                .collect();
+            live.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            let want: Vec<Handle> = live.iter().take(K).map(|&(_, h)| h).collect();
+            let check_scores = |hits: &[(f64, Handle)], index: &DynamicIndex| {
+                for &(s, h) in hits {
+                    let row = index.get(h).expect("answer handle is live");
+                    assert_eq!(s.to_bits(), w.score(row).to_bits(), "{ctx}: handle {h}");
+                }
+            };
+
+            // Uncached: every entry point is the same traversal.
+            let (ids, cost) = plain.topk(w, K);
+            assert_eq!(ids, want, "{ctx}: uncached topk");
+            let full = plain.topk_guarded(w, K, &unlimited);
+            assert_eq!((&full.ids, full.cost, full.truncated), (&want, cost, None));
+            let (hits, probe_cost) = plain.probe(w, K, &unlimited).expect("probe");
+            assert_eq!(hits.iter().map(|&(_, h)| h).collect::<Vec<_>>(), want);
+            assert_eq!(probe_cost, cost, "{ctx}");
+            check_scores(&hits, &plain);
+            for (budget, reason) in tight_budgets() {
+                let g = plain.topk_guarded(w, K, &budget);
+                assert_eq!(g.truncated, Some(reason), "{ctx}");
+                assert!(want.starts_with(&g.ids), "{ctx}: a true prefix");
+                assert_eq!(
+                    plain.probe(w, K, &budget),
+                    Err(ShardError::Truncated(reason)),
+                    "{ctx}"
+                );
+            }
+
+            // Cached: budgeted misses match the uncached twin, store nothing.
+            let stores = cache.stats().stores;
+            for (budget, _) in tight_budgets() {
+                let got = cached.topk_guarded(w, K, &budget);
+                assert_eq!(got, plain.topk_guarded(w, K, &budget), "{ctx}");
+                assert!(cached.probe(w, K, &budget).is_err(), "{ctx}");
+            }
+            assert_eq!(cache.stats().stores, stores, "{ctx}: budgeted misses");
+            // The fill: through topk on even weights, the probe on odd ones.
+            let fill_cost = plain.topk(w, K + 1).1;
+            if q % 2 == 0 {
+                assert_eq!(cached.topk(w, K), (want.clone(), fill_cost), "{ctx}");
+            } else {
+                let (hits, cost) = cached.probe(w, K, &unlimited).expect("probe");
+                assert_eq!(hits.iter().map(|&(_, h)| h).collect::<Vec<_>>(), want);
+                assert_eq!(cost, fill_cost, "{ctx}: probe fill");
+                check_scores(&hits, &cached);
+            }
+            assert_eq!(cache.stats().stores, stores + 1, "{ctx}: one fill");
+            // Every repeat hits, under any budget, on every entry point.
+            let hits_before = cache.stats().hits;
+            assert_eq!(cached.topk(w, K), (want.clone(), hit_cost), "{ctx}");
+            let budgets = tight_budgets().into_iter().map(|(b, _)| b);
+            for budget in std::iter::once(unlimited.clone()).chain(budgets) {
+                let g = cached.topk_guarded(w, K, &budget);
+                assert_eq!((&g.ids, g.cost, g.truncated), (&want, hit_cost, None));
+                let (hits, cost) = cached.probe(w, K, &budget).expect("a hit");
+                assert_eq!(hits.iter().map(|&(_, h)| h).collect::<Vec<_>>(), want);
+                assert_eq!(cost, hit_cost, "{ctx}: probe hit");
+                check_scores(&hits, &cached);
+            }
+            assert_eq!(cache.stats().hits, hits_before + 7, "{ctx}");
+            assert_eq!(cache.stats().stores, stores + 1, "{ctx}: hits never fill");
+        }
     }
 }

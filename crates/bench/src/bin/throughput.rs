@@ -5,7 +5,7 @@
 //! * per-query latency (p50/p99) and QPS of a sequential loop of
 //!   [`DualLayerIndex::topk`] calls (fresh scratch each query — the
 //!   baseline an application gets without the batch engine);
-//! * wall-clock QPS of [`BatchExecutor::run_uniform`] at each requested
+//! * wall-clock QPS of [`BatchExecutor::run`] at each requested
 //!   thread count (pooled scratch, scoped-thread fan-out);
 //! * mean paper cost (Definition 9) per query, which is identical across
 //!   all execution modes — the executor is bit-deterministic;
@@ -47,7 +47,7 @@
 
 use drtopk_bench::json::Value;
 use drtopk_bench::{dataset, query_weights};
-use drtopk_common::{Distribution, ZipfWeightWorkload};
+use drtopk_common::{Distribution, Weights, ZipfWeightWorkload};
 use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, ResultCache};
 use std::time::Instant;
 
@@ -288,10 +288,11 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     // against the sequential reference (the determinism contract).
     let mut executor_rows = Vec::new();
     let mut single_qps = seq_qps;
+    let requests: Vec<(Weights, usize)> = weights.iter().map(|w| (w.clone(), k)).collect();
     for &t in &cfg.threads {
         let exec = BatchExecutor::with_threads(&idx, t);
         let e0 = Instant::now();
-        let results = exec.run_uniform(&weights, k);
+        let results = exec.run(&requests);
         let secs = e0.elapsed().as_secs_f64();
         let qps = weights.len() as f64 / secs;
         for (r, s) in results.iter().zip(&reference) {

@@ -764,6 +764,13 @@ fn cmd_serve(f: &Flags) -> Result<String, CliError> {
     let window_us: u64 = f.parse_num("batch-window-us", 200)?;
     let queue_depth: usize = f.parse_num("queue-depth", 1024)?;
     let duration_s: u64 = f.parse_num("duration-s", 0)?;
+    if f.has("cache") && (f.get("shard-dir").is_some() || f.get("topology").is_some()) {
+        return Err(CliError::usage(
+            "--cache serves single-index deployments only (--index); \
+             it cannot be combined with --shard-dir or --topology"
+                .to_string(),
+        ));
+    }
     let cfg = drtopk_server::ServerConfig::new()
         .addr(addr)
         .workers(workers)
@@ -1103,32 +1110,15 @@ fn cmd_batch(f: &Flags) -> Result<String, CliError> {
     let text = std::fs::read_to_string(&weights_path)
         .map_err(|e| CliError::runtime(format!("{}: {e}", weights_path.display())))?;
     let queries = parse_weights_file(&text, idx.dims())?;
-    let budget = parse_budget(f)?;
+    let budget = parse_budget(f)?.unwrap_or_default();
     let cache = f.has("cache").then(drtopk_core::ResultCache::default);
     let mut exec = BatchExecutor::with_threads(&idx, threads);
     if let Some(c) = &cache {
         exec = exec.with_cache(c);
     }
+    let requests: Vec<(Weights, usize)> = queries.into_iter().map(|w| (w, k)).collect();
     let t0 = std::time::Instant::now();
-    // The guarded path carries per-request outcomes; the plain path is
-    // mapped into the same shape so one report loop serves both.
-    let results: Vec<Result<drtopk_core::GuardedTopk, drtopk_core::RequestError>> = match &budget {
-        None => exec
-            .run_uniform(&queries, k)
-            .into_iter()
-            .map(|r| {
-                Ok(drtopk_core::GuardedTopk {
-                    ids: r.ids,
-                    cost: r.cost,
-                    truncated: None,
-                })
-            })
-            .collect(),
-        Some(b) => {
-            let requests: Vec<(Weights, usize)> = queries.iter().map(|w| (w.clone(), k)).collect();
-            exec.run_guarded(&requests, b)
-        }
-    };
+    let results = exec.run_guarded(&requests, &budget);
     let secs = t0.elapsed().as_secs_f64();
     let mut out = String::new();
     let mut total_cost = 0u64;
@@ -1178,7 +1168,7 @@ fn cmd_batch(f: &Flags) -> Result<String, CliError> {
         out,
         "{} queries on {} threads in {:.3}s ({:.0} queries/s, mean cost {:.1})",
         results.len(),
-        exec.effective_threads(queries.len()),
+        exec.effective_threads(results.len()),
         secs,
         qps,
         total_cost as f64 / answered.max(1) as f64
@@ -2200,6 +2190,37 @@ mod tests {
         assert_eq!(err.code, 1);
         // drain without --connect is a usage error (2).
         assert_eq!(run(&argv(&["drain"])).unwrap_err().code, 2);
+    }
+
+    /// Only the single-index server has a result cache, so `--cache` with
+    /// a sharded or routed deployment is refused before any store is
+    /// opened or created.
+    #[test]
+    fn serve_cache_is_refused_for_sharded_and_routed_deployments() {
+        let data = tmp("cache_refused.data.drt");
+        let root = tmp("cache_refused.shards");
+        let _ = std::fs::remove_dir_all(&root);
+        let topo = tmp("cache_refused.topology");
+        let (data, root_arg) = (data.to_str().unwrap(), root.to_str().unwrap());
+        let gen = "generate --dist ind --dims 2 --n 60 --seed 3 --out";
+        run(&argv(&[gen.split(' ').collect(), vec![data]].concat())).unwrap();
+        let refused = |args: &[&str]| {
+            let err = run(&argv(&[args, &["--cache"]].concat())).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}: {}", err.message);
+            assert!(err.message.contains("--cache"), "{}", err.message);
+        };
+        refused(&[
+            "serve",
+            "--shard-dir",
+            root_arg,
+            "--shards",
+            "2",
+            "--data",
+            data,
+        ]);
+        refused(&["serve", "--shard-dir", root_arg, "--shard-id", "0"]);
+        refused(&["serve", "--topology", topo.to_str().unwrap()]);
+        assert!(!root.exists(), "no shard store may be created");
     }
 
     /// `--duration-s` bounds the serve command without an external drain

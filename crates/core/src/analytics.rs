@@ -1,5 +1,5 @@
-//! Analytical queries layered on the index traversal: reverse top-k,
-//! k-skyband, and batched evaluation.
+//! Analytical queries layered on the index traversal: reverse top-k and
+//! the k-skyband.
 //!
 //! * **Reverse top-k** (bichromatic; Vlachou et al., ICDE 2010 — the
 //!   paper's reference \[32\]): given a tuple and a population of user
@@ -9,11 +9,8 @@
 //! * **k-skyband**: the tuples dominated by fewer than k others — a
 //!   weight-independent superset of every possible top-k answer under any
 //!   strictly monotone scoring function.
-//! * **Batched top-k**: many weight vectors against one index with one
-//!   scratch allocation, optionally fanned out over threads.
 
 use crate::index::{DualLayerIndex, NodeId};
-use crate::query::TopkResult;
 use drtopk_common::{dominates, Cost, TupleId, Weights};
 
 impl DualLayerIndex {
@@ -99,17 +96,6 @@ impl DualLayerIndex {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Answers many queries with one scratch allocation per worker; with
-    /// `parallel = true` the batch fans out over all cores (results are
-    /// identical either way). Thin wrapper over
-    /// [`BatchExecutor`](crate::batch::BatchExecutor), kept for API
-    /// stability; use the executor directly for per-request `k` or an
-    /// explicit thread count.
-    pub fn topk_batch(&self, queries: &[Weights], k: usize, parallel: bool) -> Vec<TopkResult> {
-        let threads = if parallel { 0 } else { 1 };
-        crate::batch::BatchExecutor::with_threads(self, threads).run_uniform(queries, k)
     }
 }
 
@@ -201,22 +187,6 @@ mod tests {
         let idx = DualLayerIndex::build(&rel, DlOptions::dl());
         for t in 0..rel.len() as TupleId {
             assert!(chain_length_lower_bounds_dominators(&idx, t), "tuple {t}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_and_parallel() {
-        let rel = WorkloadSpec::new(Distribution::Independent, 3, 500, 7).generate();
-        let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
-        let mut rng = StdRng::seed_from_u64(31);
-        let queries: Vec<Weights> = (0..40).map(|_| Weights::random(3, &mut rng)).collect();
-        let seq = idx.topk_batch(&queries, 10, false);
-        let par = idx.topk_batch(&queries, 10, true);
-        assert_eq!(seq.len(), 40);
-        for ((s, p), w) in seq.iter().zip(&par).zip(&queries) {
-            assert_eq!(s.ids, p.ids);
-            assert_eq!(s.cost, p.cost);
-            assert_eq!(s.ids, topk_bruteforce(&rel, w, 10));
         }
     }
 }

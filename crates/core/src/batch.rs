@@ -124,22 +124,18 @@ impl<'a> BatchExecutor<'a> {
     /// Panics if any weight vector's dimensionality differs from the
     /// index's.
     pub fn run(&self, requests: &[(Weights, usize)]) -> Vec<TopkResult> {
-        let idx = self.idx;
-        let cache = self.cache;
-        let m = drtopk_obs::metrics();
-        m.batch_enqueued.add(requests.len() as u64);
-        let out = parallel_map_chunked(
+        let unlimited = QueryBudget::unlimited();
+        self.fan_out(
             requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| QueryScratch::for_index(idx),
-            &|scratch, (w, k)| match cache {
-                Some(c) => c.topk_with_scratch(idx, w, *k, scratch).into_result(),
-                None => idx.topk_with_scratch(w, *k, scratch),
+            &|| QueryScratch::for_index(self.idx),
+            &|scratch, (w, k)| {
+                let g = self.answer(w, *k, &unlimited, scratch);
+                TopkResult {
+                    ids: g.ids,
+                    cost: g.cost,
+                }
             },
-        );
-        m.batch_drained.add(out.len() as u64);
-        out
+        )
     }
 
     /// Fault-isolated batch execution: every `(weights, k)` request is
@@ -162,12 +158,9 @@ impl<'a> BatchExecutor<'a> {
     /// the next request: the panic may have unwound mid-update, and a
     /// fresh scratch is the only state guaranteed clean.
     ///
-    /// With a cache attached: under an unlimited budget requests take the
-    /// full cache path (lookup, fallback, fill). Under a real budget a
-    /// cache *hit* — always a complete answer costing at most k rescores —
-    /// is served as-is (strictly better than any truncation the budget
-    /// could force), while a miss runs the guarded traversal unchanged and
-    /// is never stored (a truncated answer must not poison the cache).
+    /// With a cache attached, requests follow the cache rule (see
+    /// [`crate::cache`]): a hit is served complete under any budget, and
+    /// only a miss under an unlimited budget fills the cache.
     pub fn run_guarded(
         &self,
         requests: &[(Weights, usize)],
@@ -189,83 +182,58 @@ impl<'a> BatchExecutor<'a> {
     /// header (`PROTOCOL.md` §3.1), so one slow client's budget must not
     /// govern the micro-batch it happens to share.
     ///
-    /// All `run_guarded` guarantees hold per slot: panics are confined to
-    /// the request that raised them, untruncated results are bit-identical
-    /// to sequential [`DualLayerIndex::topk`], cache hits are served
-    /// complete under any budget, and budgeted misses never fill the cache.
+    /// All `run_guarded` guarantees hold per slot.
     pub fn run_guarded_each(
         &self,
         requests: &[(Weights, usize, QueryBudget)],
     ) -> Vec<Result<GuardedTopk, RequestError>> {
-        let idx = self.idx;
-        let cache = self.cache;
-        let m = drtopk_obs::metrics();
-        m.batch_enqueued.add(requests.len() as u64);
-        let out = parallel_map_chunked(
+        self.fan_out(
             requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| Some(QueryScratch::for_index(idx)),
+            &|| None,
             &|slot: &mut Option<QueryScratch>, (w, k, budget)| {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    drtopk_failpoints::hit(WORKER_FAILPOINT)
-                        .map_err(|e| RequestError {
-                            message: e.to_string(),
-                        })
-                        .map(|()| {
-                            let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(idx));
-                            match cache {
-                                Some(c) if budget.is_unlimited() => {
-                                    let r = c.topk_with_scratch(idx, w, *k, scratch);
-                                    GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    }
-                                }
-                                Some(c) => match c.probe(idx, w, *k) {
-                                    Some(r) => GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    },
-                                    None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                                },
-                                None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                            }
-                        })
+                    drtopk_failpoints::hit(WORKER_FAILPOINT).map_err(|e| RequestError {
+                        message: e.to_string(),
+                    })?;
+                    let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(self.idx));
+                    Ok(self.answer(w, *k, budget, scratch))
                 }));
-                match outcome {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        *slot = None;
-                        Err(RequestError {
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
+                outcome.unwrap_or_else(|payload| {
+                    *slot = None;
+                    Err(RequestError {
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
             },
-        );
-        m.batch_drained.add(out.len() as u64);
-        out
+        )
     }
 
-    /// Answers every query with the same `k` — the common benchmark shape.
-    pub fn run_uniform(&self, queries: &[Weights], k: usize) -> Vec<TopkResult> {
-        let idx = self.idx;
-        let cache = self.cache;
+    /// Answers one request: through the cache's static body when a cache
+    /// is attached, the guarded traversal otherwise.
+    fn answer(
+        &self,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+        scratch: &mut QueryScratch,
+    ) -> GuardedTopk {
+        match self.cache {
+            Some(c) => c.answer(self.idx, w, k, budget, scratch).0,
+            None => self.idx.topk_guarded_with_scratch(w, k, budget, scratch),
+        }
+    }
+
+    /// Maps `f` over `requests` on this executor's workers, each with its
+    /// own state from `init`, and counts the batch in the registry.
+    fn fan_out<T: Sync, R: Send, S>(
+        &self,
+        requests: &[T],
+        init: &(dyn Fn() -> S + Sync),
+        f: &(dyn Fn(&mut S, &T) -> R + Sync),
+    ) -> Vec<R> {
         let m = drtopk_obs::metrics();
-        m.batch_enqueued.add(queries.len() as u64);
-        let out = parallel_map_chunked(
-            queries,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| QueryScratch::for_index(idx),
-            &|scratch, w| match cache {
-                Some(c) => c.topk_with_scratch(idx, w, k, scratch).into_result(),
-                None => idx.topk_with_scratch(w, k, scratch),
-            },
-        );
+        m.batch_enqueued.add(requests.len() as u64);
+        let out = parallel_map_chunked(requests, self.threads, MIN_REQUESTS_PER_WORKER, init, f);
         m.batch_drained.add(out.len() as u64);
         out
     }
@@ -306,19 +274,6 @@ mod tests {
                     assert_eq!(b.cost, s.cost, "d={d} threads={threads} request {i}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn run_uniform_matches_per_request_k() {
-        let (idx, requests) = batch_fixture(3, 300);
-        let queries: Vec<Weights> = requests.iter().map(|(w, _)| w.clone()).collect();
-        let uniform = BatchExecutor::with_threads(&idx, 2).run_uniform(&queries, 7);
-        let explicit: Vec<(Weights, usize)> = queries.iter().map(|w| (w.clone(), 7)).collect();
-        let general = BatchExecutor::with_threads(&idx, 2).run(&explicit);
-        for (a, b) in uniform.iter().zip(&general) {
-            assert_eq!(a.ids, b.ids);
-            assert_eq!(a.cost, b.cost);
         }
     }
 

@@ -8,12 +8,12 @@
 //! weight vectors into O(k) — or zero — work:
 //!
 //! * **d = 2, exact zero layer present**: entries are keyed by the
-//!   [`Zero2d`] facet-slope cell containing `w` (the reverse top-*1* cell
-//!   the index already computes). At fill time the cache derives, in
-//!   closed form, the exact `w₁` interval on which the cached answer
-//!   *list* (set **and** order) provably stays the answer; a hit is an
-//!   interval-containment check and returns the stored ids verbatim —
-//!   zero traversal, zero rescoring, reported cost `0`.
+//!   [`Zero2d`](crate::zero::Zero2d) facet-slope cell containing `w`
+//!   (the reverse top-*1* cell the index already computes). At fill
+//!   time the cache derives, in closed form, the exact `w₁` interval on
+//!   which the cached answer *list* (set **and** order) provably stays
+//!   the answer; a hit is an interval-containment check and returns the
+//!   stored ids verbatim — zero traversal, reported cost `0`.
 //! * **d ≥ 3 (or 2-d without the exact zero layer)**: entries are keyed
 //!   by a quantized weight direction and validated per hit with a
 //!   certificate: the cached k tuples are rescored under the new `w`
@@ -28,6 +28,26 @@
 //! by the index itself. Reported *costs* differ by documented semantics:
 //! `0` on a 2-d cell hit, `k` on a certified hit, and the cost of the
 //! `k+1`-fetch traversal on a miss.
+//!
+//! # The cache rule
+//!
+//! Every cached query — [`ResultCache::topk`], the batch executor, and
+//! [`DynamicIndex`](crate::DynamicIndex) queries and shard probes — asks
+//! the cache through one crate-private `lookup`, which applies the rule
+//! in one place:
+//!
+//! * a hit is a complete answer under any budget;
+//! * only a miss under an unlimited budget fetches k+1 and fills;
+//! * a miss under a budget runs guarded and never fills: a truncated
+//!   answer must not poison the cache, and the budgeted path should not
+//!   pay the over-fetch;
+//! * k = 0 or `min(k, n)` above 128 bypasses the cache (entries store
+//!   k+1 rows of coordinates, so unbounded k would make them arbitrarily
+//!   large).
+//!
+//! [`ResultCache::probe`] is a hit-only lookup. A probe that misses
+//! changes no counter: the request goes on to a lookup of its own, which
+//! counts the miss.
 //!
 //! # Certificate rule
 //!
@@ -61,16 +81,18 @@
 //! it between an index and its clone) would let entries from one index
 //! answer queries on another.
 //!
-//! # Concurrency
+//! # Sizing and concurrency
 //!
-//! The table is a fixed array of `RwLock`-protected shards selected by
-//! key hash: lookups take a read lock (read-mostly fast path — a batch of
-//! workers hitting the same hot cells never serializes), stores take the
-//! write lock of one shard, invalidation is a single atomic bump.
+//! Every cache has the same fixed size: 16 lock shards selected by key
+//! hash, 4096 entries in all (each shard evicts its oldest entry, stale
+//! first, once it holds 256), at most 64 entries per key, and 64
+//! quantization steps per weight coordinate for the d ≥ 3 key. Lookups
+//! take a shard's read lock (a batch of workers hitting the same hot
+//! cells never serializes), fills take the write lock of one shard, and
+//! invalidation is a single atomic bump.
 
 use crate::index::DualLayerIndex;
-use crate::query::{QueryScratch, TopkResult};
-use crate::zero::Zero2d;
+use crate::query::{GuardedTopk, QueryBudget, QueryScratch};
 use drtopk_common::{Cost, TupleId, Weights};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -86,44 +108,34 @@ use std::sync::RwLock;
 /// of weight space near answer boundaries.
 pub const SLACK: f64 = 1e-12;
 
-/// Sizing and keying knobs for a [`ResultCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Lock shards (rounded up to a power of two, min 1). More shards =
-    /// less write contention under concurrent batch workers.
-    pub shards: usize,
-    /// Total entry budget across all shards; each shard evicts its oldest
-    /// entry once it holds `capacity / shards`.
-    pub capacity: usize,
-    /// Entries retained per key (a hot cell can hold answers for several
-    /// distinct weight vectors and several k values map to distinct keys).
-    /// Must cover the number of *distinct* recurring weights a single hot
-    /// cell serves — below that, round-robin repetition evicts every
-    /// entry before its weight recurs and the hit rate collapses. Cell
-    /// lookups scan these entries at O(1) each, so a generous cap costs
-    /// little; certificate lookups pay O(k·d) per scanned entry, which
-    /// `max_k` bounds.
-    pub entries_per_key: usize,
-    /// Quantization grid per weight coordinate for the d ≥ 3 key
-    /// (clamped to `2..=4096`). Coarser grids put more weights in one
-    /// bucket — more certificate attempts, more replacement churn.
-    pub quant: u32,
-    /// Queries with `min(k, n)` above this bypass the cache entirely
-    /// (entries store k+1 rows of coordinates; unbounded k would make
-    /// them arbitrarily large).
-    pub max_k: usize,
+/// Sizing and keying knobs. Every cache uses [`CacheConfig::DEFAULT`]
+/// (module docs); the unit tests shrink it.
+#[derive(Debug, Clone, Copy)]
+struct CacheConfig {
+    /// Lock shards, a power of two.
+    shards: usize,
+    /// Total entry budget; each shard evicts once it holds
+    /// `capacity / shards`.
+    capacity: usize,
+    /// Entries retained per key. Must cover the distinct recurring
+    /// weights a single hot cell serves, or round-robin repetition evicts
+    /// every entry before its weight recurs. Certificate lookups pay
+    /// O(k·d) per scanned entry, which `max_k` bounds.
+    entries_per_key: usize,
+    /// Quantization steps per weight coordinate for the d ≥ 3 key.
+    quant: u32,
+    /// Queries with `min(k, n)` above this bypass the cache.
+    max_k: usize,
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            shards: 16,
-            capacity: 4096,
-            entries_per_key: 64,
-            quant: 64,
-            max_k: 128,
-        }
-    }
+impl CacheConfig {
+    const DEFAULT: CacheConfig = CacheConfig {
+        shards: 16,
+        capacity: 4096,
+        entries_per_key: 64,
+        quant: 64,
+        max_k: 128,
+    };
 }
 
 /// Monotone counters describing a cache's behaviour (per-instance; the
@@ -155,7 +167,7 @@ pub enum CacheOutcome {
     HitCertified,
     /// No provably-valid entry; answered by the traversal (and stored).
     Miss,
-    /// The cache did not apply (k = 0, k above `max_k`, empty index).
+    /// The cache did not apply (k = 0, k above the size cap, empty index).
     Bypass,
 }
 
@@ -181,20 +193,12 @@ impl CachedTopk {
             CacheOutcome::Hit2d | CacheOutcome::HitCertified
         )
     }
-
-    /// Drops the outcome, leaving the plain query result.
-    pub fn into_result(self) -> TopkResult {
-        TopkResult {
-            ids: self.ids,
-            cost: self.cost,
-        }
-    }
 }
 
 /// Cache key: the weight-space cell a query falls in, plus its k.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum CacheKey {
-    /// Exact 2-d facet-slope cell index from [`Zero2d::select`].
+enum CacheKey {
+    /// Exact 2-d facet-slope cell index from `Zero2d::select`.
     Cell { cell: u32, k: u32 },
     /// Quantized weight direction (one `u16` per coordinate).
     Quant { dir: Box<[u16]>, k: u32 },
@@ -217,17 +221,24 @@ struct Entry {
     interval: Option<(f64, f64)>,
 }
 
-/// Outcome of a raw lookup (ids are `u64` so the same machinery serves
-/// static `TupleId`s and dynamic `Handle`s).
-#[derive(Debug)]
-pub(crate) enum CacheLookup {
-    /// 2-d interval hit: the stored answer list, verbatim.
-    Hit2d(Vec<u64>),
-    /// Certified hit: ids re-sorted under the new weights, plus the
-    /// number of rescoring evaluations performed.
-    HitCertified(Vec<u64>, u64),
-    /// No valid entry.
-    Miss,
+/// What one lookup found. Ids are `u64` so the same rule serves static
+/// `TupleId`s and dynamic `Handle`s.
+pub(crate) enum Lookup {
+    /// A provably valid entry: the answer as ascending `(score, id)`
+    /// pairs, its reported cost and its kind.
+    Hit(Vec<(f64, u64)>, Cost, CacheOutcome),
+    /// No valid entry; carries a fill ticket when the query may fill.
+    Miss(Option<Ticket>),
+    /// The cache does not apply to this query.
+    Bypass,
+}
+
+/// Permission to fill one entry: the key and generation the miss saw,
+/// and the answer size `min(k, n)`.
+pub(crate) struct Ticket {
+    key: CacheKey,
+    generation: u64,
+    k: usize,
 }
 
 type Shard = HashMap<CacheKey, Vec<Entry>>;
@@ -237,11 +248,11 @@ type Shard = HashMap<CacheKey, Vec<Entry>>;
 ///
 /// ```
 /// use drtopk_common::{Distribution, Weights, WorkloadSpec};
-/// use drtopk_core::{CacheConfig, DlOptions, DualLayerIndex, ResultCache};
+/// use drtopk_core::{DlOptions, DualLayerIndex, ResultCache};
 ///
 /// let rel = WorkloadSpec::new(Distribution::Independent, 2, 400, 7).generate();
 /// let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
-/// let cache = ResultCache::new(CacheConfig::default());
+/// let cache = ResultCache::default();
 /// let w = Weights::new(vec![0.3, 0.7]).unwrap();
 /// let miss = cache.topk(&idx, &w, 10);
 /// let hit = cache.topk(&idx, &w, 10);
@@ -266,24 +277,16 @@ pub struct ResultCache {
 
 impl Default for ResultCache {
     fn default() -> Self {
-        Self::new(CacheConfig::default())
+        Self::with_config(CacheConfig::DEFAULT)
     }
 }
 
 impl ResultCache {
-    /// An empty cache with the given configuration.
-    pub fn new(mut cfg: CacheConfig) -> Self {
-        cfg.shards = cfg.shards.clamp(1, 1024).next_power_of_two();
-        cfg.capacity = cfg.capacity.max(cfg.shards);
-        cfg.entries_per_key = cfg.entries_per_key.max(1);
-        cfg.quant = cfg.quant.clamp(2, 4096);
-        let shards = (0..cfg.shards)
-            .map(|_| RwLock::new(Shard::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    fn with_config(cfg: CacheConfig) -> Self {
+        debug_assert!(cfg.shards.is_power_of_two(), "shard_of masks the key hash");
         ResultCache {
             cfg,
-            shards,
+            shards: (0..cfg.shards).map(|_| RwLock::default()).collect(),
             generation: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -293,11 +296,6 @@ impl ResultCache {
             stores: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The active configuration (after clamping).
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// The current generation stamp.
@@ -361,191 +359,157 @@ impl ResultCache {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> CachedTopk {
-        let n = idx.len();
-        let k_eff = k.min(n);
-        if k_eff == 0 || k_eff > self.cfg.max_k {
-            let r = idx.topk_with_scratch(w, k, scratch);
-            return CachedTopk {
-                ids: r.ids,
-                cost: r.cost,
-                outcome: CacheOutcome::Bypass,
-            };
-        }
-        let key = self.key_for_parts(idx.dims(), idx.zero2d(), w, k_eff as u32);
-        let generation = self.generation();
-        match self.lookup_raw(&key, w, idx.dims(), generation) {
-            CacheLookup::Hit2d(ids) => CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost::new(),
-                outcome: CacheOutcome::Hit2d,
-            },
-            CacheLookup::HitCertified(ids, evals) => CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost {
-                    evaluated: evals,
-                    pseudo_evaluated: 0,
-                },
-                outcome: CacheOutcome::HitCertified,
-            },
-            CacheLookup::Miss => {
-                // Fetch one extra answer: it is the new entry's barrier.
-                let fetch = (k_eff + 1).min(n);
-                let r = idx.topk_with_scratch(w, fetch, scratch);
-                let barrier = if r.ids.len() > k_eff {
-                    w.score(idx.relation().tuple(r.ids[k_eff]))
-                } else {
-                    f64::INFINITY
-                };
-                let answer: Vec<TupleId> = r.ids[..k_eff].to_vec();
-                let dims = idx.dims();
-                let mut coords = Vec::with_capacity(k_eff * dims);
-                for &t in &answer {
-                    coords.extend_from_slice(idx.relation().tuple(t));
-                }
-                let ids: Vec<u64> = answer.iter().map(|&t| t as u64).collect();
-                self.store_raw(key, generation, w.as_slice(), ids, coords, barrier);
-                CachedTopk {
-                    ids: answer,
-                    cost: r.cost,
-                    outcome: CacheOutcome::Miss,
-                }
-            }
+        let (g, outcome) = self.answer(idx, w, k, &QueryBudget::unlimited(), scratch);
+        CachedTopk {
+            ids: g.ids,
+            cost: g.cost,
+            outcome,
         }
     }
 
     /// Hit-only probe: returns the answer if a provably-valid entry
-    /// exists, without falling back or storing. Budget-guarded callers
-    /// use this — a hit is always a *complete* answer that cost at most
-    /// k evaluations, a miss proceeds under the budget unchanged.
+    /// exists, without falling back or filling. A hit is a complete
+    /// answer that cost at most k evaluations; a miss changes no counter.
     pub fn probe(&self, idx: &DualLayerIndex, w: &Weights, k: usize) -> Option<CachedTopk> {
-        let n = idx.len();
-        let k_eff = k.min(n);
-        if k_eff == 0 || k_eff > self.cfg.max_k {
-            return None;
-        }
-        let key = self.key_for_parts(idx.dims(), idx.zero2d(), w, k_eff as u32);
-        match self.lookup_raw(&key, w, idx.dims(), self.generation()) {
-            CacheLookup::Hit2d(ids) => Some(CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost::new(),
-                outcome: CacheOutcome::Hit2d,
+        match self.lookup(idx, idx.len(), w, k, None) {
+            Lookup::Hit(hits, cost, outcome) => Some(CachedTopk {
+                ids: hits.into_iter().map(|(_, id)| id as TupleId).collect(),
+                cost,
+                outcome,
             }),
-            CacheLookup::HitCertified(ids, evals) => Some(CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost {
-                    evaluated: evals,
-                    pseudo_evaluated: 0,
-                },
-                outcome: CacheOutcome::HitCertified,
-            }),
-            CacheLookup::Miss => None,
+            _ => None,
         }
     }
 
-    /// The key for a query: the exact facet cell when the 2-d zero layer
-    /// exists, the quantized direction otherwise.
-    pub(crate) fn key_for_parts(
+    /// The one static query body: the cache rule (module docs) around the
+    /// guarded traversal of `idx`.
+    pub(crate) fn answer(
         &self,
-        dims: usize,
-        zero2d: Option<&Zero2d>,
+        idx: &DualLayerIndex,
         w: &Weights,
-        k: u32,
-    ) -> CacheKey {
-        if dims == 2 {
-            if let Some(z) = zero2d {
-                return CacheKey::Cell {
-                    cell: z.select(w) as u32,
-                    k,
+        k: usize,
+        budget: &QueryBudget,
+        scratch: &mut QueryScratch,
+    ) -> (GuardedTopk, CacheOutcome) {
+        let (ticket, outcome) = match self.lookup(idx, idx.len(), w, k, Some(budget)) {
+            Lookup::Hit(hits, cost, outcome) => {
+                let ids = hits.into_iter().map(|(_, id)| id as TupleId).collect();
+                let g = GuardedTopk {
+                    ids,
+                    cost,
+                    truncated: None,
                 };
+                return (g, outcome);
             }
+            Lookup::Miss(ticket) => (ticket, CacheOutcome::Miss),
+            Lookup::Bypass => (None, CacheOutcome::Bypass),
+        };
+        // A fill fetches one extra answer: it is the new entry's barrier.
+        let fetch = ticket.as_ref().map_or(k, |t| t.k + 1);
+        let mut g = idx.topk_guarded_with_scratch(w, fetch, budget, scratch);
+        if let Some(ticket) = ticket {
+            let fetched = g.ids.iter().map(|&id| u64::from(id));
+            self.fill(ticket, w, fetched, |id| idx.relation().tuple(id as TupleId));
+            g.ids.truncate(k);
         }
-        let q = f64::from(self.cfg.quant);
-        let top = (self.cfg.quant - 1) as u16;
-        let dir: Box<[u16]> = w
-            .as_slice()
-            .iter()
-            .map(|&x| (((x * q) as u32).min(u32::from(top))) as u16)
-            .collect();
-        CacheKey::Quant { dir, k }
+        (g, outcome)
     }
 
-    /// Looks `key` up and validates candidates against `w`; counts the
-    /// outcome. Ids come back as raw `u64` (static `TupleId`s or dynamic
-    /// `Handle`s, whatever the caller stored).
-    pub(crate) fn lookup_raw(
+    /// Looks a query over `n` live tuples of `idx` up, applying the cache
+    /// rule (module docs), and counts the outcome. `budget` is the
+    /// query's budget, or `None` for a hit-only probe, whose misses count
+    /// nothing; only a miss under an unlimited budget gets a ticket.
+    pub(crate) fn lookup(
         &self,
-        key: &CacheKey,
+        idx: &DualLayerIndex,
+        n: usize,
         w: &Weights,
-        dims: usize,
-        generation: u64,
-    ) -> CacheLookup {
-        let m = drtopk_obs::metrics();
-        let shard = self.shards[self.shard_of(key)].read().unwrap();
+        k: usize,
+        budget: Option<&QueryBudget>,
+    ) -> Lookup {
+        let k = k.min(n);
+        if k == 0 || k > self.cfg.max_k {
+            return Lookup::Bypass;
+        }
+        let key = self.key(idx, w, k as u32);
+        let generation = self.generation();
         let mut rejects = 0u64;
-        let result = (|| {
-            let entries = shard.get(key)?;
-            // Oldest first: under a skewed workload the most popular
-            // weights miss — and therefore store — earliest, so a forward
-            // scan finds hot entries in the first few probes. Stale
-            // entries are skipped by the generation check either way, and
-            // every valid entry certifies the same answer, so scan order
-            // never changes results, only hit latency.
-            for e in entries.iter() {
-                if e.generation != generation {
-                    continue;
+        let shard = self.shards[self.shard_of(&key)].read().unwrap();
+        // Oldest first: under a skewed workload the most popular weights
+        // miss — and therefore store — earliest, so a forward scan finds
+        // hot entries in the first few probes. Every valid entry
+        // certifies the same answer, so scan order never changes results.
+        let hit = shard.get(&key).into_iter().flatten().find_map(|e| {
+            if e.generation != generation {
+                return None;
+            }
+            match e.interval {
+                Some((lo, hi)) => {
+                    let w1 = w.as_slice()[0];
+                    (lo < w1 && w1 < hi).then(|| {
+                        let hits = e.rows().map(|(id, row)| (w.score(row), id)).collect();
+                        (hits, Cost::new(), CacheOutcome::Hit2d)
+                    })
                 }
-                match e.interval {
-                    Some((lo, hi)) => {
-                        let w1 = w.as_slice()[0];
-                        if lo < w1 && w1 < hi {
-                            return Some(CacheLookup::Hit2d(e.ids.to_vec()));
-                        }
-                    }
-                    None => match certify(e, w, dims) {
-                        Some(ids) => {
-                            let evals = e.ids.len() as u64;
-                            return Some(CacheLookup::HitCertified(ids, evals));
-                        }
-                        None => rejects += 1,
-                    },
+                None => {
+                    let hits = certify(e, w);
+                    rejects += u64::from(hits.is_none());
+                    let evaluated = e.ids.len() as u64;
+                    let cost = Cost {
+                        evaluated,
+                        pseudo_evaluated: 0,
+                    };
+                    hits.map(|h| (h, cost, CacheOutcome::HitCertified))
                 }
             }
-            None
-        })();
+        });
         drop(shard);
+        if hit.is_none() && budget.is_none() {
+            return Lookup::Miss(None);
+        }
+        let m = drtopk_obs::metrics();
         if rejects > 0 {
             self.cert_rejects.fetch_add(rejects, Relaxed);
             m.cache_cert_rejects.add(rejects);
         }
-        match result {
-            Some(hit) => {
-                self.hits.fetch_add(1, Relaxed);
-                m.cache_hits.add(1);
-                hit
-            }
-            None => {
-                self.misses.fetch_add(1, Relaxed);
-                m.cache_misses.add(1);
-                CacheLookup::Miss
-            }
+        if let Some((hits, cost, outcome)) = hit {
+            self.hits.fetch_add(1, Relaxed);
+            m.cache_hits.add(1);
+            return Lookup::Hit(hits, cost, outcome);
         }
+        self.misses.fetch_add(1, Relaxed);
+        m.cache_misses.add(1);
+        let unlimited = budget.is_some_and(QueryBudget::is_unlimited);
+        Lookup::Miss(unlimited.then_some(Ticket { key, generation, k }))
     }
 
-    /// Inserts a freshly-computed answer. `coords` is `ids.len()` rows in
-    /// answer order; `barrier` is the (k+1)-th score under `w0` (`+∞`
-    /// when the answer exhausts the data).
-    pub(crate) fn store_raw(
+    /// Stores the answer a ticketed miss computed. `fetched` is the k+1
+    /// fetch in answer order (fewer when the data ran out): its first
+    /// `ticket.k` ids are the entry, and the next one's score under `w`
+    /// is the barrier (`+∞` when there is none). `row` gives each id's
+    /// attributes.
+    pub(crate) fn fill<'r>(
         &self,
-        key: CacheKey,
-        generation: u64,
-        w0: &[f64],
-        ids: Vec<u64>,
-        coords: Vec<f64>,
-        barrier: f64,
+        ticket: Ticket,
+        w: &Weights,
+        fetched: impl IntoIterator<Item = u64>,
+        row: impl Fn(u64) -> &'r [f64],
     ) {
+        let Ticket { key, generation, k } = ticket;
+        let mut ids = Vec::with_capacity(k);
+        let mut coords = Vec::with_capacity(k * w.dims());
+        let mut barrier = f64::INFINITY;
+        for id in fetched {
+            if ids.len() == k {
+                barrier = w.score(row(id));
+                break;
+            }
+            ids.push(id);
+            coords.extend_from_slice(row(id));
+        }
         let interval = match key {
             CacheKey::Cell { .. } => {
-                let iv = interval_2d(w0[0], &coords, barrier);
+                let iv = interval_2d(w.as_slice()[0], &coords, barrier);
                 if iv.0 >= iv.1 {
                     // Degenerate (a tie exactly at w0): the entry could
                     // never hit, so don't spend a slot on it.
@@ -558,7 +522,7 @@ impl ResultCache {
         let entry = Entry {
             generation,
             stamp: self.tick.fetch_add(1, Relaxed),
-            w0: w0.into(),
+            w0: w.as_slice().into(),
             ids: ids.into_boxed_slice(),
             coords: coords.into_boxed_slice(),
             barrier,
@@ -596,10 +560,35 @@ impl ResultCache {
         }
     }
 
+    /// The key for a query: the exact facet cell when the 2-d zero layer
+    /// exists, the quantized direction otherwise.
+    fn key(&self, idx: &DualLayerIndex, w: &Weights, k: u32) -> CacheKey {
+        if let (2, Some(z)) = (idx.dims(), idx.zero2d()) {
+            let cell = z.select(w) as u32;
+            return CacheKey::Cell { cell, k };
+        }
+        let q = f64::from(self.cfg.quant);
+        let top = self.cfg.quant - 1;
+        let dir = w
+            .as_slice()
+            .iter()
+            .map(|&x| ((x * q) as u32).min(top) as u16)
+            .collect();
+        CacheKey::Quant { dir, k }
+    }
+
     fn shard_of(&self, key: &CacheKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) & (self.cfg.shards - 1)
+    }
+}
+
+impl Entry {
+    /// The cached `(id, attribute row)` pairs in answer order.
+    fn rows(&self) -> impl Iterator<Item = (u64, &[f64])> {
+        let dims = self.w0.len();
+        self.ids.iter().copied().zip(self.coords.chunks_exact(dims))
     }
 }
 
@@ -629,33 +618,23 @@ fn evict_oldest(shard: &mut Shard, generation: u64) -> u64 {
 
 /// The d ≥ 3 certificate (module docs): rescores the cached tuples under
 /// `w` and accepts iff every one scores strictly below the displaced
-/// bound `B − neg − SLACK`. Returns the ids in the exact `(score, id)`
+/// bound `B − neg − SLACK`. Returns the `(score, id)` pairs in the exact
 /// order the traversal would emit.
-fn certify(e: &Entry, w: &Weights, dims: usize) -> Option<Vec<u64>> {
-    let ws = w.as_slice();
-    let mut neg = 0.0f64;
-    for (w0j, wj) in e.w0.iter().zip(&ws[..dims]) {
-        let d = w0j - wj;
-        if d > 0.0 {
-            neg += d;
-        }
-    }
+fn certify(e: &Entry, w: &Weights) -> Option<Vec<(f64, u64)>> {
+    let neg: f64 =
+        e.w0.iter()
+            .zip(w.as_slice())
+            .map(|(w0j, wj)| (w0j - wj).max(0.0))
+            .sum();
     let bound = e.barrier - neg - SLACK;
-    let mut scored: Vec<(f64, u64)> = Vec::with_capacity(e.ids.len());
-    let mut max = f64::NEG_INFINITY;
-    for (i, &id) in e.ids.iter().enumerate() {
-        let s = w.score(&e.coords[i * dims..(i + 1) * dims]);
-        if s > max {
-            max = s;
-        }
-        scored.push((s, id));
-    }
+    let mut scored: Vec<(f64, u64)> = e.rows().map(|(id, row)| (w.score(row), id)).collect();
+    let max = scored.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
     // A NaN max must reject: only a proven `max < bound` accepts.
     if max.partial_cmp(&bound) != Some(std::cmp::Ordering::Less) {
         return None;
     }
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    Some(scored.into_iter().map(|(_, id)| id).collect())
+    Some(scored)
 }
 
 /// Closed-form 2-d validity interval: the open range of `w₁` on which the
@@ -796,9 +775,9 @@ mod tests {
         // separated by the certificate, never by luck.
         let idx = fixture(3, 600);
         // One coarse bucket for everything: quant = 2 maximizes collisions.
-        let cache = ResultCache::new(CacheConfig {
+        let cache = ResultCache::with_config(CacheConfig {
             quant: 2,
-            ..CacheConfig::default()
+            ..CacheConfig::DEFAULT
         });
         let mut rng = StdRng::seed_from_u64(99);
         for q in 0..200 {
@@ -849,9 +828,9 @@ mod tests {
     #[test]
     fn bypass_paths_and_k_variants() {
         let idx = fixture(2, 120);
-        let cache = ResultCache::new(CacheConfig {
+        let cache = ResultCache::with_config(CacheConfig {
             max_k: 16,
-            ..CacheConfig::default()
+            ..CacheConfig::DEFAULT
         });
         let w = Weights::uniform(2);
         assert_eq!(cache.topk(&idx, &w, 0).outcome, CacheOutcome::Bypass);
@@ -872,12 +851,12 @@ mod tests {
     #[test]
     fn capacity_is_bounded_and_eviction_counted() {
         let idx = fixture(3, 400);
-        let cache = ResultCache::new(CacheConfig {
+        let cache = ResultCache::with_config(CacheConfig {
             shards: 2,
             capacity: 32,
             entries_per_key: 2,
             quant: 4096,
-            ..CacheConfig::default()
+            ..CacheConfig::DEFAULT
         });
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..400 {
@@ -901,6 +880,11 @@ mod tests {
         let w = Weights::uniform(2);
         assert!(cache.probe(&idx, &w, 5).is_none());
         assert!(cache.is_empty(), "probe must not populate");
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "a probe miss counts nothing"
+        );
         cache.topk(&idx, &w, 5);
         let hit = cache.probe(&idx, &w, 5).expect("filled entry must probe");
         assert_eq!(hit.ids, idx.topk(&w, 5).ids);

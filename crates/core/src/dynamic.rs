@@ -16,10 +16,10 @@
 //! brute-force oracle over the live multiset. Ids returned are *handles*
 //! (stable across rebuilds), not positions in the current index.
 
-use crate::cache::{CacheLookup, ResultCache};
+use crate::cache::{Lookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{QueryBudget, QueryScratch, TopkResult, TruncateReason};
+use crate::query::{QueryBudget, QueryScratch, TruncateReason};
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::collections::HashSet;
@@ -350,89 +350,29 @@ impl DynamicIndex {
     /// With a cache attached, hits return the same handles with the
     /// cache's cost semantics (0 on a 2-d cell hit, k rescores on a
     /// certified hit) and misses report the cost of the k+1-fetch the
-    /// cache fill requires; answers are bit-identical either way. The
-    /// stored (k+1)-th *merged* score is a sound barrier: any unfetched
-    /// indexed tuple scores at least the traversal's last fetched answer,
-    /// which is at least the merged (k+1)-th.
+    /// cache fill requires; answers are bit-identical either way.
     pub fn topk(&self, w: &Weights, k: usize) -> (Vec<Handle>, Cost) {
-        let k_eff = k.min(self.len());
-        let mut cost = Cost::new();
-        if k_eff == 0 {
-            return (Vec::new(), cost);
-        }
-        let cache = self.cache.as_deref().filter(|c| k_eff <= c.config().max_k);
-        let mut fill = None;
-        if let Some(c) = cache {
-            let key = c.key_for_parts(self.index.dims(), self.index.zero2d(), w, k_eff as u32);
-            let generation = c.generation();
-            match c.lookup_raw(&key, w, self.index.dims(), generation) {
-                CacheLookup::Hit2d(ids) => return (ids, Cost::new()),
-                CacheLookup::HitCertified(ids, evals) => {
-                    return (
-                        ids,
-                        Cost {
-                            evaluated: evals,
-                            pseudo_evaluated: 0,
-                        },
-                    )
-                }
-                CacheLookup::Miss => fill = Some((key, generation)),
-            }
-        }
-        // On a cache fill, fetch one extra answer: it is the new entry's
-        // barrier (the score no outside tuple can beat).
-        let want = if fill.is_some() {
-            (k_eff + 1).min(self.len())
-        } else {
-            k_eff
-        };
-        // Over-fetch from the index to absorb tombstoned answers. Deleted
-        // indexed tuples are at most `tombstones` many.
-        let fetch = want + self.tombstones.len();
-        let mut scratch = self.scratch.take(&self.index);
-        let TopkResult { ids, cost: c } = self.index.topk_with_scratch(w, fetch, &mut scratch);
-        self.scratch.put(scratch);
-        cost.merge(&c);
-        let mut merged: Vec<(f64, Handle)> = Vec::with_capacity(ids.len() + self.buffer.len());
-        for t in ids {
-            let h = self.indexed_handles[t as usize];
-            if !self.tombstones.contains(&h) {
-                merged.push((w.score(self.index.relation().tuple(t)), h));
-            }
-        }
-        drtopk_obs::metrics()
-            .dynamic_buffer_scanned
-            .add(self.buffer.len() as u64);
-        for (h, row) in &self.buffer {
-            if !self.tombstones.contains(h) {
-                cost.tick();
-                merged.push((w.score(row), *h));
-            }
-        }
-        merged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        if let (Some((key, generation)), Some(c)) = (fill, cache) {
-            let barrier = if merged.len() > k_eff {
-                merged[k_eff].0
-            } else {
-                f64::INFINITY
-            };
-            let ids: Vec<u64> = merged[..k_eff.min(merged.len())]
-                .iter()
-                .map(|&(_, h)| h)
-                .collect();
-            let dims = self.index.dims();
-            let mut coords = Vec::with_capacity(ids.len() * dims);
-            for &h in &ids {
-                coords.extend_from_slice(self.get(h).expect("answer handle is live"));
-            }
-            c.store_raw(key, generation, w.as_slice(), ids, coords, barrier);
-        }
-        merged.truncate(k_eff);
-        (merged.into_iter().map(|(_, h)| h).collect(), cost)
+        let (hits, cost, _) = self.topk_scored(w, k, &QueryBudget::unlimited());
+        (hits.into_iter().map(|(_, h)| h).collect(), cost)
     }
 
     /// Budget-guarded top-k over the live tuples, with the true-prefix
-    /// partial-result contract of [`DualLayerIndex::topk_guarded`].
+    /// partial-result contract of [`DualLayerIndex::topk_guarded`]. With a
+    /// cache attached, a hit is served complete under any budget and a
+    /// budgeted miss never fills (see [`crate::cache`]).
+    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
+        let (hits, cost, truncated) = self.topk_scored(w, k, budget);
+        DynamicGuardedTopk {
+            ids: hits.into_iter().map(|(_, h)| h).collect(),
+            cost,
+            truncated,
+        }
+    }
+
+    /// The one query body: the attached cache's rule around the static
+    /// traversal, the tombstone over-fetch and the buffer merge. Returns
+    /// the answer as `(score, handle)` pairs ascending, its cost, and the
+    /// tripped limit when the answer is a true prefix only.
     ///
     /// When the static traversal trips the budget after fetching its exact
     /// top-m, the last fetched static entry `(S, h_m)` is a sound barrier:
@@ -442,53 +382,32 @@ impl DynamicIndex {
     /// combined prefix over index + buffer. Entries past the barrier are
     /// discarded rather than returned speculatively.
     ///
-    /// With a cache attached the guarded path probes it (hits bypass the
-    /// traversal entirely) but never fills it: a truncated answer must not
-    /// poison the cache, and the fill's k+1 over-fetch is a cost the
-    /// budgeted path should not pay.
-    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
-        if budget.is_unlimited() {
-            let (ids, cost) = self.topk(w, k);
-            return DynamicGuardedTopk {
-                ids,
-                cost,
-                truncated: None,
-            };
-        }
+    /// A cache fill stores the (k+1)-th *merged* score as its barrier,
+    /// which is sound: any unfetched indexed tuple scores at least the
+    /// traversal's last fetched answer, which is at least the merged
+    /// (k+1)-th.
+    pub(crate) fn topk_scored(
+        &self,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> (Vec<(f64, Handle)>, Cost, Option<TruncateReason>) {
         let k_eff = k.min(self.len());
         let mut cost = Cost::new();
         if k_eff == 0 {
-            return DynamicGuardedTopk {
-                ids: Vec::new(),
-                cost,
-                truncated: None,
-            };
+            return (Vec::new(), cost, None);
         }
-        if let Some(c) = self.cache.as_deref().filter(|c| k_eff <= c.config().max_k) {
-            let key = c.key_for_parts(self.index.dims(), self.index.zero2d(), w, k_eff as u32);
-            let generation = c.generation();
-            match c.lookup_raw(&key, w, self.index.dims(), generation) {
-                CacheLookup::Hit2d(ids) => {
-                    return DynamicGuardedTopk {
-                        ids,
-                        cost: Cost::new(),
-                        truncated: None,
-                    }
-                }
-                CacheLookup::HitCertified(ids, evals) => {
-                    return DynamicGuardedTopk {
-                        ids,
-                        cost: Cost {
-                            evaluated: evals,
-                            pseudo_evaluated: 0,
-                        },
-                        truncated: None,
-                    }
-                }
-                CacheLookup::Miss => {}
-            }
-        }
-        let fetch = k_eff + self.tombstones.len();
+        let cache = self.cache.as_deref();
+        let ticket = match cache.map(|c| c.lookup(&self.index, self.len(), w, k, Some(budget))) {
+            Some(Lookup::Hit(hits, cost, _)) => return (hits, cost, None),
+            Some(Lookup::Miss(ticket)) => ticket,
+            Some(Lookup::Bypass) | None => None,
+        };
+        // A fill fetches one extra answer: it is the new entry's barrier.
+        // Over-fetch from the index to absorb tombstoned answers: deleted
+        // indexed tuples are at most `tombstones` many.
+        let want = (k_eff + usize::from(ticket.is_some())).min(self.len());
+        let fetch = want + self.tombstones.len();
         let mut scratch = self.scratch.take(&self.index);
         let guarded = self
             .index
@@ -498,23 +417,13 @@ impl DynamicIndex {
         let truncated_static = guarded.truncated;
         // Barrier: the last *raw* fetched static entry (tombstoned or not)
         // bounds everything the traversal did not fetch.
-        let barrier = if truncated_static.is_some() {
-            guarded.ids.last().map(|&t| {
-                (
-                    w.score(self.index.relation().tuple(t)),
-                    self.indexed_handles[t as usize],
-                )
-            })
-        } else {
-            None
-        };
+        let barrier = truncated_static.and(guarded.ids.last()).map(|&t| {
+            let h = self.indexed_handles[t as usize];
+            (w.score(self.index.relation().tuple(t)), h)
+        });
         if truncated_static.is_some() && barrier.is_none() && !self.indexed_handles.is_empty() {
             // Truncated before fetching anything: no sound prefix exists.
-            return DynamicGuardedTopk {
-                ids: Vec::new(),
-                cost,
-                truncated: truncated_static,
-            };
+            return (Vec::new(), cost, truncated_static);
         }
         let mut merged: Vec<(f64, Handle)> =
             Vec::with_capacity(guarded.ids.len() + self.buffer.len());
@@ -537,6 +446,12 @@ impl DynamicIndex {
         if let Some((bs, bh)) = barrier {
             merged.retain(|&(s, h)| s < bs || (s == bs && h <= bh));
         }
+        if let (Some(t), Some(c)) = (ticket, cache) {
+            let fetched = merged.iter().map(|&(_, h)| h);
+            c.fill(t, w, fetched, |h| {
+                self.get(h).expect("answer handle is live")
+            });
+        }
         merged.truncate(k_eff);
         // A truncated traversal can still leave a complete answer when the
         // sound prefix reaches k: report it as complete.
@@ -545,11 +460,7 @@ impl DynamicIndex {
         } else {
             truncated_static
         };
-        DynamicGuardedTopk {
-            ids: merged.into_iter().map(|(_, h)| h).collect(),
-            cost,
-            truncated,
-        }
+        (merged, cost, truncated)
     }
 
     /// Forces a rebuild now (compacts buffer and tombstones).

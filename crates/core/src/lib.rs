@@ -47,7 +47,7 @@ pub mod verify;
 pub mod zero;
 
 pub use batch::{BatchExecutor, RequestError};
-pub use cache::{CacheConfig, CacheOutcome, CacheStats, CachedTopk, ResultCache};
+pub use cache::{CacheOutcome, CacheStats, CachedTopk, ResultCache};
 pub use dynamic::{DynamicGuardedTopk, DynamicIndex, DynamicState, Handle};
 pub use explain::QueryExplain;
 pub use index::{DualLayerIndex, IndexStats, NodeId};

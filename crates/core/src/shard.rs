@@ -393,16 +393,10 @@ impl ShardProbe for DynamicIndex {
         k: usize,
         budget: &QueryBudget,
     ) -> Result<ShardAnswer, ShardError> {
-        let g = self.topk_guarded(w, k, budget);
-        if let Some(r) = g.truncated {
-            return Err(ShardError::Truncated(r));
+        match self.topk_scored(w, k, budget) {
+            (_, _, Some(r)) => Err(ShardError::Truncated(r)),
+            (hits, cost, None) => Ok((hits, cost)),
         }
-        let hits = g
-            .ids
-            .iter()
-            .map(|&h| (w.score(self.get(h).expect("answer handle is live")), h))
-            .collect();
-        Ok((hits, g.cost))
     }
 
     fn dims(&self) -> usize {

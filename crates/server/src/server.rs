@@ -131,6 +131,8 @@ impl ServerConfig {
 
     /// Serve repeated weight vectors from a shared [`ResultCache`]: hits
     /// are answered at admission time without ever touching the queue.
+    /// The cache serves single-index deployments ([`Server::start`])
+    /// only; the sharded, shard-node and router servers ignore it.
     pub fn cache(mut self, on: bool) -> Self {
         self.cache = on;
         self

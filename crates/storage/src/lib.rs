@@ -38,5 +38,5 @@ pub use format::{
     load_dynamic_state, load_index, load_relation, save_dynamic_state, save_index, save_relation,
     FormatError,
 };
-pub use shards::{create_sharded, list_shard_dirs, open_shards, open_shards_tolerant, shard_dir};
+pub use shards::{create_sharded, list_shard_dirs, shard_dir};
 pub use wal::{read_wal, WalRecord, WalReplay, WalWriter, MAX_WAL_RECORD};

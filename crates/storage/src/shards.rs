@@ -13,12 +13,12 @@
 //!
 //! Independence is the point: a crash, torn WAL, or at-rest corruption in
 //! one shard's directory quarantines to that shard — its peers' files are
-//! never read, written, or pruned by its recovery. [`open_shards`] opens
-//! strictly (first failure aborts); [`open_shards_tolerant`] returns a
-//! per-shard `Result` so a serving path can bring the healthy shards up
-//! and leave the damaged one Down for `drtopk recover --shard N`.
+//! never read, written, or pruned by its recovery. A serving path lists
+//! the shards with [`list_shard_dirs`] and opens each with
+//! [`DurableDynamicIndex::open`], so it can bring the healthy shards up
+//! and leave a damaged one Down for `drtopk recover --shard N`.
 
-use crate::durable::{DurableDynamicIndex, DurableOptions, RecoveryReport};
+use crate::durable::{DurableDynamicIndex, DurableOptions};
 use drtopk_common::{Error, Relation};
 use drtopk_core::shard::{partition_relation, MAX_SHARDS};
 use std::fs;
@@ -102,40 +102,6 @@ pub fn create_sharded(
     Ok(stores)
 }
 
-/// Opens every shard under `root` strictly: the first shard that fails to
-/// recover aborts the open. Use [`open_shards_tolerant`] to serve around
-/// a damaged shard.
-pub fn open_shards(
-    root: &Path,
-    options: &DurableOptions,
-) -> Result<Vec<(DurableDynamicIndex, RecoveryReport)>, Error> {
-    open_shards_tolerant(root)?
-        .into_iter()
-        .enumerate()
-        .map(|(s, dir)| {
-            DurableDynamicIndex::open(&dir, options.clone())
-                .map_err(|e| Error::Io(format!("shard {s}: {e}")))
-        })
-        .collect()
-}
-
-/// Lists the shard directories of a deployment for per-shard (tolerant)
-/// opening: the caller opens each with [`DurableDynamicIndex::open`] and
-/// decides what a failure means — serving paths typically mark that
-/// shard Down and carry on. A missing or gap-ridden deployment is still
-/// an error: partial *discovery* (as opposed to partial recovery) would
-/// silently drop whole partitions.
-pub fn open_shards_tolerant(root: &Path) -> Result<Vec<PathBuf>, Error> {
-    let dirs = list_shard_dirs(root)?;
-    if dirs.is_empty() {
-        return Err(Error::Invalid(format!(
-            "no shard directories under {}",
-            root.display()
-        )));
-    }
-    Ok(dirs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +134,12 @@ mod tests {
         assert_eq!(stores.iter().map(|s| s.len()).sum::<usize>(), rel.len());
         drop(stores);
 
-        let reopened = open_shards(&root, &opts()).unwrap();
+        let reopened: Vec<_> = list_shard_dirs(&root)
+            .unwrap()
+            .iter()
+            .map(|dir| DurableDynamicIndex::open(dir, opts()).unwrap())
+            .collect();
+        assert_eq!(reopened.len(), 4);
         for (_, report) in &reopened {
             assert_eq!(report.replayed, 0);
             assert!(!report.torn_tail);
@@ -224,8 +195,8 @@ mod tests {
         };
         let before = (fingerprint(0), fingerprint(2));
 
-        assert!(open_shards(&root, &opts()).is_err(), "strict open aborts");
-        let dirs = open_shards_tolerant(&root).unwrap();
+        let dirs = list_shard_dirs(&root).unwrap();
+        assert_eq!(dirs.len(), 3);
         let results: Vec<Result<_, _>> = dirs
             .iter()
             .map(|d| DurableDynamicIndex::open(d, opts()))

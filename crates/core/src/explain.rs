@@ -58,32 +58,14 @@ impl DualLayerIndex {
                 layer_of[t as usize] = ci as u32;
             }
         }
-        let (result, trace) = self.topk_traced(w, k);
+        let (result, evaluated) = self.topk_evaluated(w, k);
         let mut evaluated_per_layer = vec![0u32; self.coarse_layers().len()];
         let mut pseudo_evaluated = 0u32;
-        let mut count = |node: u32| {
+        for node in evaluated {
             if (node as usize) < n {
                 evaluated_per_layer[layer_of[node as usize] as usize] += 1;
             } else {
                 pseudo_evaluated += 1;
-            }
-        };
-        // Evaluated set = everything that ever entered the queue: seeds,
-        // popped nodes, and nodes still queued at the end.
-        let mut seen = vec![false; n + self.stats().pseudo_tuples];
-        let mark = |node: u32, seen: &mut [bool], count: &mut dyn FnMut(u32)| {
-            if !seen[node as usize] {
-                seen[node as usize] = true;
-                count(node);
-            }
-        };
-        for &s in &trace.seeds {
-            mark(s, &mut seen, &mut count);
-        }
-        for step in &trace.steps {
-            mark(step.popped, &mut seen, &mut count);
-            for &q in &step.queue_after {
-                mark(q, &mut seen, &mut count);
             }
         }
         let answer_depth = result

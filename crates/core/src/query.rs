@@ -429,6 +429,24 @@ impl DualLayerIndex {
         (result, trace)
     }
 
+    /// Like [`DualLayerIndex::topk`], also returning every node the query
+    /// evaluated (Definition 9): each real tuple and zero-layer
+    /// pseudo-tuple that entered the queue, as ascending original node
+    /// ids. Read back from the run's own scratch, so memory stays O(n)
+    /// at any `k`, where a [`topk_traced`](Self::topk_traced) trace
+    /// grows with the square of the pops.
+    pub fn topk_evaluated(&self, w: &Weights, k: usize) -> (TopkResult, Vec<NodeId>) {
+        let mut scratch = QueryScratch::for_index(self);
+        let result = self.run(w, StopRule::Count(k), &mut scratch, None);
+        // `mark_freed` sets `enqueued` exactly once per evaluated node.
+        let mut nodes: Vec<NodeId> = (0..self.total_nodes())
+            .filter(|&i| scratch.stamp[i] == scratch.epoch && scratch.enqueued[i])
+            .map(|i| self.node_orig[i])
+            .collect();
+        nodes.sort_unstable();
+        (result, nodes)
+    }
+
     /// Lazily streams answers in score order: a *progressive* top-k that
     /// lets callers stop whenever enough results arrived, paying only for
     /// what was consumed.
@@ -826,6 +844,32 @@ mod tests {
         );
         // Cost: exactly {a,b,c} + {d,e,f} + {g} = 7 tuples evaluated.
         assert_eq!(res.cost.total(), 7);
+    }
+
+    #[test]
+    fn evaluated_set_is_every_node_that_entered_the_queue() {
+        let mut rng = StdRng::seed_from_u64(91);
+        for d in [2usize, 3] {
+            let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, 400, 5).generate();
+            for opts in [DlOptions::dl(), DlOptions::dl_plus()] {
+                let idx = DualLayerIndex::build(&rel, opts);
+                for k in [0, 1, 9, 200, 400] {
+                    let w = Weights::random(d, &mut rng);
+                    let (res, trace) = idx.topk_traced(&w, k);
+                    let mut entered = trace.seeds.clone();
+                    for step in &trace.steps {
+                        entered.push(step.popped);
+                        entered.extend(&step.queue_after);
+                    }
+                    entered.sort_unstable();
+                    entered.dedup();
+                    let (got, evaluated) = idx.topk_evaluated(&w, k);
+                    assert_eq!(got, res, "d={d} k={k}");
+                    assert_eq!(evaluated, entered, "d={d} k={k}");
+                    assert_eq!(evaluated.len() as u64, res.cost.total(), "d={d} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,22 +100,12 @@ impl BlockLayout {
 }
 
 /// The set of *real* tuples a query evaluates (pseudo-tuples live in the
-/// in-memory directory, not in data blocks), derived from a traced run.
-/// The result is sorted and deduplicated; its length equals the query's
-/// `cost.evaluated`.
+/// in-memory directory, not in data blocks). The result is sorted and
+/// deduplicated; its length equals the query's `cost.evaluated`.
 pub fn query_accesses(idx: &DualLayerIndex, w: &Weights, k: usize) -> Vec<TupleId> {
     let n = idx.len() as u32;
-    let (_, trace) = idx.topk_traced(w, k);
-    let mut acc: Vec<TupleId> = Vec::new();
-    acc.extend(trace.seeds.iter().copied().filter(|&t| t < n));
-    for step in &trace.steps {
-        if step.popped < n {
-            acc.push(step.popped);
-        }
-        acc.extend(step.queue_after.iter().copied().filter(|&t| t < n));
-    }
-    acc.sort_unstable();
-    acc.dedup();
+    let (_, mut acc) = idx.topk_evaluated(w, k);
+    acc.retain(|&t| t < n);
     acc
 }
 

@@ -174,6 +174,28 @@ fn large_sample_matches_reference() {
         );
         assert_query_identical(&reference, &idx, d, 19, &format!("n=100k d={d}"));
     }
+    // `explain` at k = n must stay O(n) in memory. VmHWM is the peak of
+    // the whole test process, so the ceiling covers every test it runs.
+    #[cfg(target_os = "linux")]
+    {
+        let peak = peak_rss_kib();
+        eprintln!("VmHWM {} MiB", peak >> 10);
+        assert!(peak < 2 << 20, "peak RSS {peak} KiB exceeds 2 GiB");
+    }
+}
+
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`), KiB.
+#[cfg(target_os = "linux")]
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .expect("VmHWM line");
+    line.split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM value in kB")
 }
 
 /// Seeded property test: after any sequence of queries through one reused

@@ -48,9 +48,8 @@
 //! ```text
 //! serving [--n 50000] [--d 3] [--k 10] [--clients 4] [--seconds 2.0]
 //!         [--rates 2000,8000] [--pool 64] [--skew 1.0] [--workers 2]
-//!         [--batch-max 32] [--batch-window-us 200] [--queue-depth 1024]
-//!         [--overload-clients 8] [--overload-queue 1] [--cache]
-//!         [--shards P] [--degrade-shard S]
+//!         [--queue-depth 1024] [--overload-clients 8] [--overload-queue 1]
+//!         [--cache] [--shards P] [--degrade-shard S]
 //!         [--topology P|FILE] [--kill-replica]
 //!         [--out BENCH_serving.json] [--min-qps F]
 //! ```
@@ -77,8 +76,6 @@ struct Config {
     pool: usize,
     skew: f64,
     workers: usize,
-    batch_max: usize,
-    batch_window_us: u64,
     queue_depth: usize,
     overload_clients: usize,
     overload_queue: usize,
@@ -105,8 +102,6 @@ impl Config {
             pool: 64,
             skew: 1.0,
             workers: 2,
-            batch_max: 32,
-            batch_window_us: 200,
             queue_depth: 1024,
             overload_clients: 8,
             overload_queue: 1,
@@ -152,8 +147,6 @@ impl Config {
                 "--pool" => cfg.pool = num()?,
                 "--skew" => cfg.skew = fnum()?,
                 "--workers" => cfg.workers = num()?,
-                "--batch-max" => cfg.batch_max = num()?,
-                "--batch-window-us" => cfg.batch_window_us = num()? as u64,
                 "--queue-depth" => cfg.queue_depth = num()?,
                 "--overload-clients" => cfg.overload_clients = num()?,
                 "--overload-queue" => cfg.overload_queue = num()?,
@@ -408,9 +401,6 @@ fn server_counters(addr: SocketAddr) -> Value {
     let Ok(prom) = client.metrics_text() else {
         return Value::Null;
     };
-    let count = scrape(&prom, "drtopk_server_batch_size_count").unwrap_or(0.0);
-    let sum = scrape(&prom, "drtopk_server_batch_size_sum").unwrap_or(0.0);
-    let mean_batch = if count > 0.0 { sum / count } else { 0.0 };
     Value::object([
         (
             "requests_total",
@@ -424,7 +414,6 @@ fn server_counters(addr: SocketAddr) -> Value {
             "protocol_errors_total",
             Value::float(scrape(&prom, "drtopk_server_protocol_errors_total").unwrap_or(0.0)),
         ),
-        ("mean_batch_size", Value::float(mean_batch)),
     ])
 }
 
@@ -774,10 +763,10 @@ fn main() {
             eprintln!("serving: {e}");
             eprintln!(
                 "usage: serving [--n N] [--d D] [--k K] [--clients C] [--seconds S] \
-                 [--rates R[,..]] [--pool P] [--skew Z] [--workers W] [--batch-max B] \
-                 [--batch-window-us US] [--queue-depth Q] [--overload-clients C] \
-                 [--overload-queue Q] [--cache] [--shards P] [--degrade-shard S] \
-                 [--topology P|FILE] [--kill-replica] [--out FILE] [--min-qps F]"
+                 [--rates R[,..]] [--pool P] [--skew Z] [--workers W] [--queue-depth Q] \
+                 [--overload-clients C] [--overload-queue Q] [--cache] [--shards P] \
+                 [--degrade-shard S] [--topology P|FILE] [--kill-replica] [--out FILE] \
+                 [--min-qps F]"
             );
             std::process::exit(2);
         }
@@ -790,8 +779,6 @@ fn main() {
     let base = ServerConfig::new()
         .addr("127.0.0.1:0")
         .workers(cfg.workers)
-        .batch_max(cfg.batch_max)
-        .batch_window(Duration::from_micros(cfg.batch_window_us))
         .queue_depth(cfg.queue_depth)
         .cache(cfg.cache);
 
@@ -880,8 +867,6 @@ fn main() {
                 ("pool", Value::uint(cfg.pool)),
                 ("skew", Value::float(cfg.skew)),
                 ("workers", Value::uint(cfg.workers)),
-                ("batch_max", Value::uint(cfg.batch_max)),
-                ("batch_window_us", Value::uint(cfg.batch_window_us as usize)),
                 ("queue_depth", Value::uint(cfg.queue_depth)),
                 ("cache", Value::Bool(cfg.cache)),
             ]),

@@ -151,8 +151,6 @@ impl Flags {
                 "connect",
                 "addr",
                 "workers",
-                "batch-max",
-                "batch-window-us",
                 "queue-depth",
                 "duration-s",
                 "shards",
@@ -250,12 +248,10 @@ commands:
             [--deadline-ms MS] [--max-cost C] [--partial] [--cache]
   recover   --dir DIR [--shard N] [--variant dl+|dl|dg|dg+] [--checkpoint]
   wal       --dir DIR
-  serve     --index FILE [--addr HOST:PORT] [--workers W] [--batch-max B]
-            [--batch-window-us US] [--queue-depth Q] [--cache]
-            [--duration-s S]
+  serve     --index FILE [--addr HOST:PORT] [--workers W] [--queue-depth Q]
+            [--cache] [--duration-s S]
   serve     --shard-dir DIR [--shards P --data FILE] [--addr HOST:PORT]
-            [--workers W] [--batch-max B] [--batch-window-us US]
-            [--queue-depth Q] [--duration-s S]
+            [--workers W] [--queue-depth Q] [--duration-s S]
   serve     --shard-dir DIR --shard-id N [--addr HOST:PORT] [...]
   serve     --topology FILE [--addr HOST:PORT] [...]
   topology  check FILE
@@ -760,8 +756,6 @@ fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<St
 fn cmd_serve(f: &Flags) -> Result<String, CliError> {
     let addr = f.get("addr").unwrap_or("127.0.0.1:7071");
     let workers: usize = f.parse_num("workers", 2)?;
-    let batch_max: usize = f.parse_num("batch-max", 32)?;
-    let window_us: u64 = f.parse_num("batch-window-us", 200)?;
     let queue_depth: usize = f.parse_num("queue-depth", 1024)?;
     let duration_s: u64 = f.parse_num("duration-s", 0)?;
     if f.has("cache") && (f.get("shard-dir").is_some() || f.get("topology").is_some()) {
@@ -774,8 +768,6 @@ fn cmd_serve(f: &Flags) -> Result<String, CliError> {
     let cfg = drtopk_server::ServerConfig::new()
         .addr(addr)
         .workers(workers)
-        .batch_max(batch_max)
-        .batch_window(std::time::Duration::from_micros(window_us))
         .queue_depth(queue_depth)
         .cache(f.has("cache"));
     let handle = if let Some(topo) = f.get("topology") {
@@ -794,8 +786,7 @@ fn cmd_serve(f: &Flags) -> Result<String, CliError> {
     };
     let bound = handle.addr();
     eprintln!(
-        "drtopk serving on {bound} ({workers} workers, batch <= {batch_max} \
-         or {window_us} µs, queue depth {queue_depth}, cache {})",
+        "drtopk serving on {bound} ({workers} workers, queue depth {queue_depth}, cache {})",
         if f.has("cache") { "on" } else { "off" }
     );
     if duration_s > 0 {

@@ -21,8 +21,9 @@ use drtopk_common::Weights;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Failpoint visited once per request on the guarded path, before the
-/// query runs. The chaos suite arms it with a panic to prove one poisoned
-/// request cannot take down its batch.
+/// query runs: by the batch executor and by every network server worker.
+/// The chaos suites arm it with a panic to prove one poisoned request
+/// takes down neither its batch nor its server worker.
 pub const WORKER_FAILPOINT: &str = "batch::worker";
 
 /// A per-request failure inside [`BatchExecutor::run_guarded`]: the
@@ -177,10 +178,11 @@ impl<'a> BatchExecutor<'a> {
 
     /// Like [`run_guarded`](Self::run_guarded), but with a **per-request**
     /// budget: each `(weights, k, budget)` triple carries its own
-    /// deadline/cost cap/cancel flag. This is the enqueue hook the network
-    /// server uses — every client propagates its own deadline in the frame
-    /// header (`PROTOCOL.md` §3.1), so one slow client's budget must not
-    /// govern the micro-batch it happens to share.
+    /// deadline/cost cap/cancel flag, so one request's budget never
+    /// governs another's. (The network server does not batch: each of its
+    /// workers answers one request at a time through the same per-request
+    /// body, [`ResultCache::answer`] or
+    /// [`DualLayerIndex::topk_guarded_with_scratch`].)
     ///
     /// All `run_guarded` guarantees hold per slot.
     pub fn run_guarded_each(

@@ -382,8 +382,10 @@ impl ResultCache {
     }
 
     /// The one static query body: the cache rule (module docs) around the
-    /// guarded traversal of `idx`.
-    pub(crate) fn answer(
+    /// guarded traversal of `idx`, run on the caller's scratch. Returns
+    /// the answer and whether it was a hit, a miss or a bypass. The batch
+    /// executor and the network server's workers answer through it.
+    pub fn answer(
         &self,
         idx: &DualLayerIndex,
         w: &Weights,

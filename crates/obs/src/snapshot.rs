@@ -167,7 +167,7 @@ impl MetricsSnapshot {
     }
 
     /// Requests currently waiting in the server's admission queue
-    /// (admitted but not yet pulled into a micro-batch).
+    /// (admitted but not yet taken by a worker).
     pub fn server_queue_depth(&self) -> u64 {
         self.server_enqueued.saturating_sub(self.server_dequeued)
     }

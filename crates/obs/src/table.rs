@@ -141,7 +141,7 @@ metric_table! {
         server_sheds: "Requests shed by admission control (answered Overloaded)",
         server_protocol_errors: "Protocol violations on server connections",
         server_enqueued: "Requests admitted into the server queue",
-        server_dequeued: "Requests pulled from the server queue into micro-batches",
+        server_dequeued: "Requests pulled from the server queue, one per worker dequeue",
         shard_probes: "Shard probes attempted by the shard router",
         shard_probe_failures: "Shard probes that failed (error, panic, or timeout)",
         shard_retries: "Shard probes retried after a transient failure",
@@ -170,7 +170,7 @@ metric_table! {
         kernel_block_tuples: "drtopk_kernel_block_tuples", 1.0,
             "Tuples per scoring-kernel block";
         server_batch_size: "drtopk_server_batch_size", 1.0,
-            "Requests per server micro-batch flush";
+            "Requests a server worker takes per dequeue (one)";
         server_queue_wait_ns: "drtopk_server_queue_wait_seconds", 1e-9,
             "Per-request wait in the server admission queue";
     }

@@ -118,7 +118,8 @@ fn is_transient(e: &ClientError) -> bool {
 /// A blocking connection to a `drtopk serve` process.
 ///
 /// One `Client` is one TCP connection; it is not `Sync` — use one per
-/// thread (the server multiplexes them into shared batches on its side).
+/// thread (the server's workers answer every connection's requests from
+/// one shared queue).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,

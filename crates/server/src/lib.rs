@@ -9,13 +9,13 @@
 //!   contract**: length-prefixed CRC-checked frames in the style of the
 //!   write-ahead log, a budget header per query, explicit error codes.
 //! * [`server`] — the service: per-connection readers feed one bounded
-//!   admission queue; a fixed worker pool drains it in adaptive
-//!   micro-batches (flush on size or age) through
-//!   [`BatchExecutor::run_guarded_each`](drtopk_core::BatchExecutor::run_guarded_each),
-//!   each request under its own deadline. Overload sheds fast
-//!   (`Overloaded` replies) instead of queueing without bound; shutdown
-//!   drains gracefully; `/metrics` answers both a protocol frame and
-//!   plain HTTP.
+//!   admission queue; a fixed worker pool takes one request at a time
+//!   and answers it at once, under its own deadline, through the same
+//!   query bodies as the in-process API (for a cached index,
+//!   [`ResultCache::answer`](drtopk_core::ResultCache::answer)).
+//!   Overload sheds fast (`Overloaded` replies) instead of queueing
+//!   without bound; shutdown drains gracefully; `/metrics` answers both
+//!   a protocol frame and plain HTTP.
 //! * [`client`] — a blocking client with pipelining support, used by the
 //!   CLI (`drtopk query --connect`), the tests, and the serving load
 //!   generator.

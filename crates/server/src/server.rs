@@ -1,30 +1,32 @@
-//! The index service: accept loop, admission control, adaptive
-//! micro-batching, graceful drain.
+//! The index service: accept loop, admission control, a worker pool,
+//! graceful drain.
 //!
 //! Architecture (DESIGN.md §8): one reader thread per connection parses
 //! frames (`PROTOCOL.md` §2) and *admits* queries into a single bounded
-//! queue; a fixed pool of worker threads pulls micro-batches out of that
-//! queue and answers them through [`BatchExecutor::run_guarded_each`],
-//! each request under its own [`QueryBudget`] built from the frame's
-//! budget header (§3.1) at admission time — so time spent queued counts
-//! against the client's deadline. When the queue is full, admission sheds
-//! the request with a fast `Overloaded` reply (§5.1) instead of letting
-//! latency collapse; when a batch fills to `batch_max` or ages past
-//! `batch_window` — whichever comes first — it flushes.
+//! queue; a fixed pool of worker threads takes one request at a time out
+//! of that queue and answers it at once, under its own [`QueryBudget`]
+//! built from the frame's budget header (§3.1) at admission time — so
+//! time spent queued counts against the client's deadline. When the
+//! queue is full, admission sheds the request with a fast `Overloaded`
+//! reply (§5.1) instead of letting latency collapse. A request whose
+//! query panics is answered `Internal`; its worker lives on.
 
 use crate::pinger::{HealthPinger, PingerConfig};
 use crate::protocol::{write_frame, Coverage, ErrorCode, FrameBuf, Message, PollEvent, HELLO};
 use crate::remote::RemoteRouter;
 use crate::shard::ServedShard;
 use drtopk_common::Weights;
+use drtopk_core::batch::WORKER_FAILPOINT;
 use drtopk_core::{
-    BatchExecutor, DualLayerIndex, QueryBudget, ResultCache, ShardHealth, ShardProbe, ShardRouter,
-    TruncateReason,
+    DualLayerIndex, QueryBudget, QueryScratch, ResultCache, ShardError, ShardHealth, ShardProbe,
+    ShardRouter, ShardedTopk, TruncateReason,
 };
 use drtopk_obs::metrics;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -39,37 +41,37 @@ pub const ACCEPT_FAILPOINT: &str = "server::accept";
 /// How often blocked connection readers wake to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
 
+/// Why the queue lock cannot be poisoned: no holder panics while it
+/// holds it (admission pushes, a worker pops or waits).
+const QUEUE_LOCK: &str = "queue lock poisoned, but no holder panics";
+
 /// Configuration for [`Server::start`], built fluently.
 ///
 /// ```
 /// use drtopk_server::ServerConfig;
-/// use std::time::Duration;
 ///
 /// let cfg = ServerConfig::new()
 ///     .addr("127.0.0.1:0") // port 0: pick an ephemeral port
-///     .workers(2)
-///     .batch_max(64)
-///     .batch_window(Duration::from_micros(200))
+///     .workers(4)
 ///     .queue_depth(512)
 ///     .cache(true);
-/// assert_eq!(cfg.get_workers(), 2);
+/// assert_eq!(cfg.get_workers(), 4);
 /// assert_eq!(cfg.get_queue_depth(), 512);
 /// ```
 ///
-/// Defaults favor a small host: 2 workers, batches of up to 32 requests
-/// flushed after at most 200 µs, a queue of 1024, no cache.
+/// Defaults favor a small host: 2 workers, each answering one request at
+/// a time, a queue of 1024, no cache.
 ///
 /// ```
 /// let cfg = drtopk_server::ServerConfig::new();
-/// assert_eq!(cfg.get_batch_max(), 32);
+/// assert_eq!(cfg.get_workers(), 2);
+/// assert_eq!(cfg.get_queue_depth(), 1024);
 /// assert!(!cfg.get_cache());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     addr: String,
     workers: usize,
-    batch_max: usize,
-    batch_window: Duration,
     queue_depth: usize,
     cache: bool,
 }
@@ -79,8 +81,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            batch_max: 32,
-            batch_window: Duration::from_micros(200),
             queue_depth: 1024,
             cache: false,
         }
@@ -100,24 +100,10 @@ impl ServerConfig {
         self
     }
 
-    /// Number of batch worker threads (minimum 1).
+    /// Number of worker threads (minimum 1); each answers one request at
+    /// a time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Flush a micro-batch once it holds this many requests (minimum 1).
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Flush a micro-batch once its oldest request has waited this long,
-    /// even if it is below [`batch_max`](Self::batch_max). Zero disables
-    /// batching-by-age (every flush is size-1 unless requests are already
-    /// queued).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
         self
     }
 
@@ -148,16 +134,6 @@ impl ServerConfig {
         self.workers
     }
 
-    /// Configured batch-size flush bound.
-    pub fn get_batch_max(&self) -> usize {
-        self.batch_max
-    }
-
-    /// Configured batch-age flush bound.
-    pub fn get_batch_window(&self) -> Duration {
-        self.batch_window
-    }
-
     /// Configured admission bound.
     pub fn get_queue_depth(&self) -> usize {
         self.queue_depth
@@ -182,10 +158,10 @@ struct Pending {
     want_scores: bool,
 }
 
-/// The reply side of one connection: workers answering a micro-batch
-/// write frames under the stream lock (replies may interleave across
-/// requests of different batches; `request_id` pairs them back up,
-/// `PROTOCOL.md` §2.3).
+/// The reply side of one connection: workers write frames under the
+/// stream lock (pipelined requests may be answered out of order by
+/// different workers; `request_id` pairs them back up, `PROTOCOL.md`
+/// §2.3).
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     /// Admitted-but-unanswered queries on this connection; the reader
@@ -196,7 +172,10 @@ struct ConnWriter {
 
 impl ConnWriter {
     fn send(&self, request_id: u64, msg: &Message) {
-        let mut stream = self.stream.lock().unwrap();
+        let mut stream = self
+            .stream
+            .lock()
+            .expect("stream lock poisoned, but writing a frame never panics");
         // A vanished client is its own problem; the server presses on.
         let _ = write_frame(&mut *stream, request_id, msg);
     }
@@ -797,7 +776,7 @@ fn admit_query(
         budget = budget.with_max_cost(max_cost);
     }
 
-    let mut queue = shared.queue.lock().unwrap();
+    let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
     if queue.len() >= shared.cfg.queue_depth {
         drop(queue);
         metrics().server_sheds.add(1);
@@ -818,145 +797,83 @@ fn admit_query(
     shared.work_ready.notify_one();
 }
 
-/// One worker: assemble a micro-batch (flush on size or age, whichever
-/// first), run it, write the replies.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch = match next_batch(shared) {
-            Some(b) => b,
-            None => return, // drained and shut down
-        };
-        run_batch(batch, shared);
+/// One worker: take one request, answer it, write the reply. Nothing
+/// waits for company: a request is answered as soon as a worker is free.
+fn worker_loop(shared: &Shared) {
+    let m = metrics();
+    // The single backend's traversal scratch, allocated on first use and
+    // reused by every later request on this worker.
+    let mut scratch = None;
+    while let Some(p) = next_request(shared) {
+        m.server_batch(1);
+        m.server_queue_wait_ns
+            .record(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        // A panicking request answers Internal; the worker lives on.
+        let reply = catch_unwind(AssertUnwindSafe(|| {
+            answer(&shared.backend, &p, &mut scratch)
+        }))
+        .unwrap_or_else(|payload| {
+            // The unwind may have left the scratch mid-update.
+            scratch = None;
+            Message::Error {
+                code: ErrorCode::Internal,
+                message: panic_text(payload.as_ref()),
+            }
+        });
+        p.writer.send(p.request_id, &reply);
+        p.writer.outstanding.fetch_sub(1, SeqCst);
     }
 }
 
-/// Blocks for work, then gathers up to `batch_max` requests, waiting at
-/// most `batch_window` past the first one. Returns `None` when the
-/// server is shutting down and the queue is empty.
-fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Pending>> {
-    let mut queue = shared.queue.lock().unwrap();
+/// Blocks until a request is queued and takes it. Returns `None` once the
+/// server is draining and the queue is empty.
+fn next_request(shared: &Shared) -> Option<Pending> {
+    let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
     loop {
-        if !queue.is_empty() {
-            break;
+        if let Some(p) = queue.pop_front() {
+            return Some(p);
         }
         if shared.shutting_down() {
             return None;
         }
-        queue = shared.work_ready.wait(queue).unwrap();
-    }
-    let mut batch = Vec::with_capacity(shared.cfg.batch_max.min(queue.len()));
-    batch.push(queue.pop_front().unwrap());
-    let opened = Instant::now();
-    while batch.len() < shared.cfg.batch_max {
-        if let Some(p) = queue.pop_front() {
-            batch.push(p);
-            continue;
-        }
-        if shared.shutting_down() {
-            break; // flush immediately: nothing more is coming
-        }
-        let age = opened.elapsed();
-        if age >= shared.cfg.batch_window {
-            break;
-        }
-        let (q, timeout) = shared
-            .work_ready
-            .wait_timeout(queue, shared.cfg.batch_window - age)
-            .unwrap();
-        queue = q;
-        if timeout.timed_out() && queue.is_empty() {
-            break;
-        }
-    }
-    drop(queue);
-    Some(batch)
-}
-
-fn run_batch(batch: Vec<Pending>, shared: &Arc<Shared>) {
-    let m = metrics();
-    m.server_batch(batch.len() as u64);
-    for p in &batch {
-        m.server_queue_wait_ns
-            .record(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-    match &shared.backend {
-        Backend::Single { index, cache } => run_batch_single(batch, index, cache.as_ref()),
-        Backend::Sharded { router } => run_batch_sharded(batch, router),
-        Backend::ShardNode { shard } => run_batch_shard_node(batch, shard),
-        Backend::Remote { router } => run_batch_sharded(batch, router),
+        queue = shared.work_ready.wait(queue).expect(QUEUE_LOCK);
     }
 }
 
-fn run_batch_single(batch: Vec<Pending>, index: &Arc<DualLayerIndex>, cache: Option<&ResultCache>) {
-    let requests: Vec<(Weights, usize, QueryBudget)> = batch
-        .iter()
-        .map(|p| (p.weights.clone(), p.k, p.budget.clone()))
-        .collect();
-    // Parallelism comes from the worker pool; each micro-batch runs on
-    // its worker's thread so concurrent batches never oversubscribe.
-    let mut exec = BatchExecutor::with_threads(index, 1);
-    if let Some(cache) = cache {
-        exec = exec.with_cache(cache);
+/// Answers one request on `backend`: the one query path of every served
+/// request. `scratch` is the worker's traversal scratch for the single
+/// backend.
+fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) -> Message {
+    if let Err(e) = drtopk_failpoints::hit(WORKER_FAILPOINT) {
+        return Message::Error {
+            code: ErrorCode::Internal,
+            message: e.to_string(),
+        };
     }
-    let results = exec.run_guarded_each(&requests);
-    for (p, r) in batch.into_iter().zip(results) {
-        let msg = match r {
-            Ok(g) => Message::Topk {
+    let (w, k, budget) = (&p.weights, p.k, &p.budget);
+    match backend {
+        Backend::Single { index, cache } => {
+            let scratch = scratch.get_or_insert_with(|| QueryScratch::for_index(index));
+            let g = match cache {
+                Some(cache) => cache.answer(index, w, k, budget, scratch).0,
+                None => index.topk_guarded_with_scratch(w, k, budget, scratch),
+            };
+            Message::Topk {
                 truncated: truncate_flag(g.truncated),
                 evaluated: g.cost.evaluated,
                 pseudo_evaluated: g.cost.pseudo_evaluated,
                 ids: g.ids.iter().map(|&id| u64::from(id)).collect(),
                 coverage: None,
                 scores: None,
-            },
-            Err(e) => Message::Error {
-                code: ErrorCode::Internal,
-                message: e.message,
-            },
-        };
-        p.writer.send(p.request_id, &msg);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
-    }
-}
-
-fn run_batch_sharded<S: ShardProbe>(batch: Vec<Pending>, router: &Arc<ShardRouter<S>>) {
-    // The router fans each request across all shards itself, so requests
-    // run one at a time on this worker — cross-request parallelism still
-    // comes from the worker pool. Generic over the probe: the same code
-    // serves in-process shards and remote replica sets.
-    for p in batch {
-        let r = router.topk(&p.weights, p.k, &p.budget);
-        let msg = Message::Topk {
-            truncated: truncate_flag(r.truncated),
-            evaluated: r.cost.evaluated,
-            pseudo_evaluated: r.cost.pseudo_evaluated,
-            ids: r.ids,
-            coverage: r.coverage.degraded().then(|| Coverage {
-                shards: r.coverage.total() as u16,
-                answered: r.coverage.mask(),
-            }),
-            scores: None,
-        };
-        p.writer.send(p.request_id, &msg);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
-    }
-}
-
-/// Answers a batch on a shard node: every request probes this node's one
-/// shard directly. A SHARD_QUERY reply attaches scores (the router's
-/// merge orders on `(score, handle)`); a truncated probe reports the
-/// truncation flag with an empty id list — the router never merges a
-/// partial shard answer, so shipping the prefix would only waste wire.
-fn run_batch_shard_node(batch: Vec<Pending>, shard: &Arc<ServedShard>) {
-    use drtopk_core::shard::ShardError;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    for p in batch {
-        // The same per-request panic isolation the batch executor gives
-        // the single backend: a poisoned probe answers Internal, the
-        // worker (and the node) live on.
-        let outcome = catch_unwind(AssertUnwindSafe(|| shard.probe(&p.weights, p.k, &p.budget)))
-            .unwrap_or_else(|_| Err(ShardError::Panic("shard probe panicked".to_string())));
-        let msg = match outcome {
+            }
+        }
+        Backend::Sharded { router } => routed_reply(router.topk(w, k, budget)),
+        Backend::Remote { router } => routed_reply(router.topk(w, k, budget)),
+        // A SHARD_QUERY reply attaches scores (the router's merge orders
+        // on `(score, handle)`); a truncated probe reports the truncation
+        // flag with an empty id list — the router never merges a partial
+        // shard answer, so shipping the prefix would only waste wire.
+        Backend::ShardNode { shard } => match shard.probe(w, k, budget) {
             Ok((hits, cost)) => {
                 let (scores, ids): (Vec<f64>, Vec<u64>) = hits.into_iter().unzip();
                 Message::Topk {
@@ -980,9 +897,34 @@ fn run_batch_shard_node(batch: Vec<Pending>, shard: &Arc<ServedShard>) {
                 code: ErrorCode::Internal,
                 message: e.to_string(),
             },
-        };
-        p.writer.send(p.request_id, &msg);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
+        },
+    }
+}
+
+/// A routed answer as a TOPK reply: degraded coverage travels in the
+/// coverage extension (`PROTOCOL.md` §4.1).
+fn routed_reply(r: ShardedTopk) -> Message {
+    Message::Topk {
+        truncated: truncate_flag(r.truncated),
+        evaluated: r.cost.evaluated,
+        pseudo_evaluated: r.cost.pseudo_evaluated,
+        ids: r.ids,
+        coverage: r.coverage.degraded().then(|| Coverage {
+            shards: r.coverage.total() as u16,
+            answered: r.coverage.mask(),
+        }),
+        scores: None,
+    }
+}
+
+/// A panic payload's message: `panic!` carries a `&str` or a `String`.
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "opaque panic payload".to_string()),
     }
 }
 

@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn build_index(d: usize, n: usize, seed: u64) -> Arc<DualLayerIndex> {
     let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, seed).generate();
@@ -39,14 +38,8 @@ fn raw_weights(d: usize, count: usize, seed: u64) -> Vec<Vec<f64>> {
 fn loopback_matrix_is_bit_identical_to_in_process_topk() {
     for d in [2usize, 3] {
         let idx = build_index(d, 400, 13 + d as u64);
-        let handle = Server::start(
-            Arc::clone(&idx),
-            ServerConfig::new()
-                .workers(2)
-                .batch_max(8)
-                .batch_window(Duration::from_micros(100)),
-        )
-        .expect("start server");
+        let handle =
+            Server::start(Arc::clone(&idx), ServerConfig::new().workers(2)).expect("start server");
         let addr = handle.addr();
 
         std::thread::scope(|s| {
@@ -265,14 +258,7 @@ fn http_metrics_escape_hatch() {
 fn pipelined_queries_pair_up_by_request_id() {
     let d = 3;
     let idx = build_index(d, 300, 17);
-    let handle = Server::start(
-        Arc::clone(&idx),
-        ServerConfig::new()
-            .workers(2)
-            .batch_max(4)
-            .batch_window(Duration::from_micros(50)),
-    )
-    .expect("start");
+    let handle = Server::start(Arc::clone(&idx), ServerConfig::new().workers(2)).expect("start");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let pool = raw_weights(d, 24, 0xF00D);
     let mut expected = std::collections::HashMap::new();

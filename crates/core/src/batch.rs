@@ -43,8 +43,9 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload's message: `panic!` carries a `&str` or a `String`;
+/// any other payload reads "opaque panic payload".
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

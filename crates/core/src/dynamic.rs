@@ -5,9 +5,9 @@
 //! full rebuild (Table IV) per update. [`DynamicIndex`] follows the
 //! classic log-structured pattern:
 //!
-//! * inserts land in a small unindexed *buffer*, scanned linearly at query
-//!   time and merged with the index's answers;
-//! * deletes are *tombstones*; the traversal over-fetches to compensate;
+//! * inserts land in a small unindexed *buffer*, scored and sorted at
+//!   query time and merged with the index's best-first cursor;
+//! * deletes are *tombstones*, which the cursor skips as it pops them;
 //! * once the buffer or tombstone set outgrows `rebuild_threshold`
 //!   (a fraction of the indexed size), the index is rebuilt from the live
 //!   tuple set.
@@ -19,7 +19,7 @@
 use crate::cache::{Lookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{QueryBudget, QueryScratch, TruncateReason};
+use crate::query::{QueryBudget, QueryScratch, TopkCursor, TruncateReason};
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::collections::HashSet;
@@ -147,19 +147,9 @@ impl DynamicIndex {
     /// Builds over an initial relation. `rebuild_fraction` is the pending-
     /// update fraction that triggers a rebuild (e.g. 0.2).
     pub fn new(rel: &Relation, opts: DlOptions, rebuild_fraction: f64) -> Self {
-        let index = DualLayerIndex::build(rel, opts.clone());
-        DynamicIndex {
-            opts,
-            indexed_handles: (0..rel.len() as Handle).collect(),
-            next_handle: rel.len() as Handle,
-            index,
-            buffer: Vec::new(),
-            tombstones: HashSet::new(),
-            rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
-            rebuilds: 0,
-            cache: None,
-            scratch: ScratchPool::default(),
-        }
+        let handles = (0..rel.len() as Handle).collect();
+        DynamicIndex::with_handles(rel, handles, opts, rebuild_fraction)
+            .expect("positions are one ascending handle per tuple")
     }
 
     /// Builds over a relation whose tuples carry *caller-assigned* handles
@@ -217,11 +207,6 @@ impl DynamicIndex {
     pub fn attach_cache(&mut self, cache: Arc<ResultCache>) {
         cache.invalidate_all();
         self.cache = Some(cache);
-    }
-
-    /// Detaches and returns the cache, if one was attached.
-    pub fn detach_cache(&mut self) -> Option<Arc<ResultCache>> {
-        self.cache.take()
     }
 
     /// The attached cache, if any.
@@ -301,13 +286,8 @@ impl DynamicIndex {
 
     /// Inserts a tuple, returning its stable handle.
     pub fn insert(&mut self, row: &[f64]) -> Result<Handle, Error> {
-        self.check_row(row)?;
         let h = self.next_handle;
-        self.next_handle += 1;
-        self.buffer.push((h, row.to_vec()));
-        drtopk_obs::metrics().dynamic_inserts.add(1);
-        self.touch_cache();
-        self.maybe_rebuild();
+        self.replay_insert(h, row)?;
         Ok(h)
     }
 
@@ -369,23 +349,24 @@ impl DynamicIndex {
         }
     }
 
-    /// The one query body: the attached cache's rule around the static
-    /// traversal, the tombstone over-fetch and the buffer merge. Returns
-    /// the answer as `(score, handle)` pairs ascending, its cost, and the
+    /// The one query body: the attached cache's rule around a merge of
+    /// the static index's cursor with the live buffered rows. Returns the
+    /// answer as `(score, handle)` pairs ascending, its cost, and the
     /// tripped limit when the answer is a true prefix only.
     ///
-    /// When the static traversal trips the budget after fetching its exact
-    /// top-m, the last fetched static entry `(S, h_m)` is a sound barrier:
-    /// the traversal's prefix property guarantees every *unfetched* indexed
-    /// tuple orders strictly after `(S, h_m)` under `(score, handle)`, so
-    /// merged entries at or below that threshold are exactly the true
-    /// combined prefix over index + buffer. Entries past the barrier are
-    /// discarded rather than returned speculatively.
+    /// The cursor pops indexed tuples in `(score, position)` order, which
+    /// is `(score, handle)` order because handles ascend with position,
+    /// and tombstoned handles are skipped as they pop. Its raw queue head
+    /// bounds every indexed tuple not yet popped, so a buffered row goes
+    /// next when it orders before a real head, or scores strictly below a
+    /// pseudo-tuple head, whose members may tie it. The merge stops at k
+    /// live answers, or k+1 for a cache fill: the (k+1)-th score is the
+    /// new entry's barrier.
     ///
-    /// A cache fill stores the (k+1)-th *merged* score as its barrier,
-    /// which is sound: any unfetched indexed tuple scores at least the
-    /// traversal's last fetched answer, which is at least the merged
-    /// (k+1)-th.
+    /// The budget is checked before every step, buffered or static, and a
+    /// tripped read returns what it merged: a true prefix. As for a
+    /// static read, its cost cap bounds the traversal; scoring the live
+    /// buffered rows is a fixed cost of every read.
     pub(crate) fn topk_scored(
         &self,
         w: &Weights,
@@ -393,9 +374,8 @@ impl DynamicIndex {
         budget: &QueryBudget,
     ) -> (Vec<(f64, Handle)>, Cost, Option<TruncateReason>) {
         let k_eff = k.min(self.len());
-        let mut cost = Cost::new();
         if k_eff == 0 {
-            return (Vec::new(), cost, None);
+            return (Vec::new(), Cost::new(), None);
         }
         let cache = self.cache.as_deref();
         let ticket = match cache.map(|c| c.lookup(&self.index, self.len(), w, k, Some(budget))) {
@@ -403,49 +383,56 @@ impl DynamicIndex {
             Some(Lookup::Miss(ticket)) => ticket,
             Some(Lookup::Bypass) | None => None,
         };
-        // A fill fetches one extra answer: it is the new entry's barrier.
-        // Over-fetch from the index to absorb tombstoned answers: deleted
-        // indexed tuples are at most `tombstones` many.
         let want = (k_eff + usize::from(ticket.is_some())).min(self.len());
-        let fetch = want + self.tombstones.len();
-        let mut scratch = self.scratch.take(&self.index);
-        let guarded = self
-            .index
-            .topk_guarded_with_scratch(w, fetch, budget, &mut scratch);
-        self.scratch.put(scratch);
-        cost.merge(&guarded.cost);
-        let truncated_static = guarded.truncated;
-        // Barrier: the last *raw* fetched static entry (tombstoned or not)
-        // bounds everything the traversal did not fetch.
-        let barrier = truncated_static.and(guarded.ids.last()).map(|&t| {
-            let h = self.indexed_handles[t as usize];
-            (w.score(self.index.relation().tuple(t)), h)
-        });
-        if truncated_static.is_some() && barrier.is_none() && !self.indexed_handles.is_empty() {
-            // Truncated before fetching anything: no sound prefix exists.
-            return (Vec::new(), cost, truncated_static);
-        }
-        let mut merged: Vec<(f64, Handle)> =
-            Vec::with_capacity(guarded.ids.len() + self.buffer.len());
-        for t in guarded.ids {
-            let h = self.indexed_handles[t as usize];
-            if !self.tombstones.contains(&h) {
-                merged.push((w.score(self.index.relation().tuple(t)), h));
-            }
-        }
         drtopk_obs::metrics()
             .dynamic_buffer_scanned
             .add(self.buffer.len() as u64);
-        for (h, row) in &self.buffer {
-            if !self.tombstones.contains(h) {
-                cost.tick();
-                merged.push((w.score(row), *h));
+        // Live buffered rows, descending: the next one is the last.
+        let mut buffered: Vec<(f64, Handle)> = self
+            .buffer
+            .iter()
+            .filter(|(h, _)| !self.tombstones.contains(h))
+            .map(|(h, row)| (w.score(row), *h))
+            .collect();
+        buffered.sort_by(|a, b| b.partial_cmp(a).expect("scores are finite"));
+        let mut cost = Cost {
+            evaluated: buffered.len() as u64,
+            pseudo_evaluated: 0,
+        };
+        let mut scratch = self.scratch.take(&self.index);
+        let mut cursor = TopkCursor::new(&self.index, w, &mut scratch, None);
+        let mut merged = Vec::with_capacity(want);
+        let mut truncated = None;
+        let mut steps = 0;
+        while merged.len() < want {
+            truncated = budget.tripped(&cursor.cost(), steps);
+            if truncated.is_some() {
+                break;
+            }
+            steps += 1;
+            let buffered_first = match (cursor.head(), buffered.last()) {
+                (_, None) => false,
+                (None, Some(_)) => true,
+                (Some(e), Some(&(s, h))) if e.real => {
+                    (s, h) < (e.score, self.indexed_handles[e.orig as usize])
+                }
+                (Some(e), Some(&(s, _))) => s < e.score,
+            };
+            if buffered_first {
+                merged.extend(buffered.pop());
+                continue;
+            }
+            let Some(e) = cursor.step() else { break };
+            if e.real {
+                let h = self.indexed_handles[e.orig as usize];
+                if !self.tombstones.contains(&h) {
+                    merged.push((e.score, h));
+                }
             }
         }
-        merged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        if let Some((bs, bh)) = barrier {
-            merged.retain(|&(s, h)| s < bs || (s == bs && h <= bh));
-        }
+        cost.merge(&cursor.cost());
+        drop(cursor);
+        self.scratch.put(scratch);
         if let (Some(t), Some(c)) = (ticket, cache) {
             let fetched = merged.iter().map(|&(_, h)| h);
             c.fill(t, w, fetched, |h| {
@@ -453,13 +440,6 @@ impl DynamicIndex {
             });
         }
         merged.truncate(k_eff);
-        // A truncated traversal can still leave a complete answer when the
-        // sound prefix reaches k: report it as complete.
-        let truncated = if merged.len() == k_eff {
-            None
-        } else {
-            truncated_static
-        };
         (merged, cost, truncated)
     }
 
@@ -793,6 +773,24 @@ mod tests {
             DynamicIndex::from_state(&state, DlOptions::dg(), 0.2),
             Err(Error::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn buffered_row_tying_a_pseudo_tuple_waits_for_its_members() {
+        // The skyline is eight copies of one point, so every zero-layer
+        // pseudo-tuple's corner is that point and its members tie it. A
+        // buffered copy ties them as well and must follow them by handle.
+        let d = 3;
+        let point = vec![0.1, 0.2, 0.3];
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut rows = vec![point.clone(); 8];
+        rows.extend((0..200).map(|_| (0..d).map(|_| rng.gen_range(0.4..0.99)).collect()));
+        let rel = Relation::from_rows(d, &rows).unwrap();
+        let mut dynamic = DynamicIndex::new(&rel, DlOptions::dl_plus(), 5.0);
+        assert!(dynamic.index.stats().pseudo_tuples > 0, "a zero layer");
+        let h = dynamic.insert(&point).unwrap();
+        let (got, _) = dynamic.topk(&Weights::uniform(d), 10);
+        assert_eq!(got[..9], [0, 1, 2, 3, 4, 5, 6, 7, h]);
     }
 
     #[test]

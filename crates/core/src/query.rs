@@ -99,7 +99,7 @@ impl QueryBudget {
 
     /// Checks every configured limit; `pops` is the number of pops
     /// completed so far (used to pace the clock reads).
-    fn tripped(&self, cost: &Cost, pops: u64) -> Option<TruncateReason> {
+    pub(crate) fn tripped(&self, cost: &Cost, pops: u64) -> Option<TruncateReason> {
         if let Some(flag) = &self.cancel {
             if flag.load(AtomicOrdering::Relaxed) {
                 return Some(TruncateReason::Cancelled);
@@ -364,14 +364,6 @@ impl QueryScratch {
     }
 }
 
-/// When a traversal stops.
-enum StopRule {
-    /// After `k` real answers.
-    Count(usize),
-    /// Once the next pop's score exceeds the bound (threshold query).
-    Bound(f64),
-}
-
 impl DualLayerIndex {
     /// Answers a top-k query (Definition 1): the `k` tuples with the
     /// smallest scores under `w`, ties broken by tuple id.
@@ -393,8 +385,7 @@ impl DualLayerIndex {
     /// # Panics
     /// Panics if `w`'s dimensionality differs from the index's.
     pub fn topk(&self, w: &Weights, k: usize) -> TopkResult {
-        let mut scratch = QueryScratch::for_index(self);
-        self.run(w, StopRule::Count(k), &mut scratch, None)
+        self.topk_with_scratch(w, k, &mut QueryScratch::for_index(self))
     }
 
     /// Like [`DualLayerIndex::topk`], reusing caller-provided scratch to
@@ -405,7 +396,11 @@ impl DualLayerIndex {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> TopkResult {
-        self.run(w, StopRule::Count(k), scratch, None)
+        let g = self.topk_guarded_with_scratch(w, k, &QueryBudget::unlimited(), scratch);
+        TopkResult {
+            ids: g.ids,
+            cost: g.cost,
+        }
     }
 
     /// Threshold query: every tuple with score ≤ `bound`, ascending. Uses
@@ -418,15 +413,49 @@ impl DualLayerIndex {
     pub fn range_by_score(&self, w: &Weights, bound: f64) -> TopkResult {
         assert!(!bound.is_nan(), "score bound must not be NaN");
         let mut scratch = QueryScratch::for_index(self);
-        self.run(w, StopRule::Bound(bound), &mut scratch, None)
+        let mut cursor = self.topk_iter(w, &mut scratch);
+        let mut ids = Vec::new();
+        // Stop on the raw head: a pseudo-tuple above the bound stays
+        // unpopped, so its cluster is never scored.
+        while ids.len() < self.len() && cursor.head().is_some_and(|e| e.score <= bound) {
+            if let Some(e) = cursor.step().filter(|e| e.real) {
+                ids.push(e.orig as TupleId);
+            }
+        }
+        TopkResult {
+            ids,
+            cost: cursor.cost(),
+        }
     }
 
     /// Like [`DualLayerIndex::topk`], also recording a full traversal trace.
     pub fn topk_traced(&self, w: &Weights, k: usize) -> (TopkResult, QueryTrace) {
-        let mut trace = QueryTrace::default();
+        let k = k.min(self.len());
         let mut scratch = QueryScratch::for_index(self);
-        let result = self.run(w, StopRule::Count(k), &mut scratch, Some(&mut trace));
-        (result, trace)
+        let mut trace = QueryTrace::default();
+        if k == 0 {
+            // An empty query seeds nothing: the untraced path answers it.
+            return (self.topk_with_scratch(w, k, &mut scratch), trace);
+        }
+        let mut ids = Vec::new();
+        let mut cursor = self.topk_iter(w, &mut scratch);
+        trace.seeds = cursor.scratch.heap.iter().map(|e| e.orig).collect();
+        trace.seeds.sort_unstable();
+        while ids.len() < k {
+            let Some(entry) = cursor.step() else { break };
+            if entry.real {
+                ids.push(entry.orig as TupleId);
+            }
+            let mut q: Vec<Entry> = cursor.scratch.heap.iter().copied().collect();
+            q.sort_by(|a, b| b.cmp(a)); // Entry::cmp is reversed; re-reverse for pop order
+            trace.steps.push(TraceStep {
+                popped: entry.orig,
+                queue_after: q.into_iter().map(|e| e.orig).collect(),
+                answers_after: ids.clone(),
+            });
+        }
+        let cost = cursor.cost();
+        (TopkResult { ids, cost }, trace)
     }
 
     /// Like [`DualLayerIndex::topk`], also returning every node the query
@@ -437,7 +466,7 @@ impl DualLayerIndex {
     /// grows with the square of the pops.
     pub fn topk_evaluated(&self, w: &Weights, k: usize) -> (TopkResult, Vec<NodeId>) {
         let mut scratch = QueryScratch::for_index(self);
-        let result = self.run(w, StopRule::Count(k), &mut scratch, None);
+        let result = self.topk_with_scratch(w, k, &mut scratch);
         // `mark_freed` sets `enqueued` exactly once per evaluated node.
         let mut nodes: Vec<NodeId> = (0..self.total_nodes())
             .filter(|&i| scratch.stamp[i] == scratch.epoch && scratch.enqueued[i])
@@ -447,11 +476,18 @@ impl DualLayerIndex {
         (result, nodes)
     }
 
-    /// Lazily streams answers in score order: a *progressive* top-k that
-    /// lets callers stop whenever enough results arrived, paying only for
-    /// what was consumed.
-    pub fn topk_iter(&self, w: &Weights) -> TopkCursor<'_> {
-        TopkCursor::new(self, w)
+    /// Lazily streams answers in score order on `scratch`: a
+    /// *progressive* top-k that lets callers stop whenever enough results
+    /// arrived, paying only for what was consumed.
+    ///
+    /// # Panics
+    /// Panics if `w`'s dimensionality differs from the index's.
+    pub fn topk_iter<'a>(
+        &'a self,
+        w: &'a Weights,
+        scratch: &'a mut QueryScratch,
+    ) -> TopkCursor<'a> {
+        TopkCursor::new(self, w, scratch, None)
     }
 
     /// Filtered top-k: the k best tuples *satisfying `pred`*, streamed in
@@ -465,15 +501,14 @@ impl DualLayerIndex {
         k: usize,
         mut pred: P,
     ) -> TopkResult {
-        let k_eff = k.min(self.len());
-        let mut cursor = TopkCursor::new(self, w);
-        let mut ids = Vec::with_capacity(k_eff);
-        while ids.len() < k_eff {
-            let Some((t, _)) = cursor.next() else { break };
-            if pred(t, self.rel.tuple(t)) {
-                ids.push(t);
-            }
-        }
+        let mut scratch = QueryScratch::for_index(self);
+        let mut cursor = self.topk_iter(w, &mut scratch);
+        let ids = cursor
+            .by_ref()
+            .map(|(t, _)| t)
+            .filter(|&t| pred(t, self.rel.tuple(t)))
+            .take(k.min(self.len()))
+            .collect();
         TopkResult {
             ids,
             cost: cursor.cost(),
@@ -519,7 +554,7 @@ impl DualLayerIndex {
 
     /// Pops the minimum-key free node and relaxes its out-edges, possibly
     /// scoring and enqueueing newly free nodes. `None` when the queue is
-    /// exhausted.
+    /// exhausted. [`TopkCursor::step`] is its only caller.
     fn pop_relax(&self, w: &Weights, scratch: &mut QueryScratch, cost: &mut Cost) -> Option<Entry> {
         let entry = scratch.heap.pop()?;
         let node = entry.node;
@@ -573,12 +608,12 @@ impl DualLayerIndex {
     /// trips, otherwise the best-so-far prefix with a truncation marker
     /// (see [`GuardedTopk`] for the partial-result contract).
     pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> GuardedTopk {
-        let mut scratch = QueryScratch::for_index(self);
-        self.topk_guarded_with_scratch(w, k, budget, &mut scratch)
+        self.topk_guarded_with_scratch(w, k, budget, &mut QueryScratch::for_index(self))
     }
 
     /// Like [`DualLayerIndex::topk_guarded`], reusing caller-provided
-    /// scratch (the batch executor's per-worker pool).
+    /// scratch (the batch executor's per-worker pool). Every top-k entry
+    /// point but the threshold, filtered and traced ones answers here.
     pub fn topk_guarded_with_scratch(
         &self,
         w: &Weights,
@@ -586,135 +621,94 @@ impl DualLayerIndex {
         budget: &QueryBudget,
         scratch: &mut QueryScratch,
     ) -> GuardedTopk {
-        let budget = if budget.is_unlimited() {
-            None
-        } else {
-            Some(budget)
-        };
-        let (TopkResult { ids, cost }, truncated) =
-            self.run_impl(w, StopRule::Count(k), scratch, None, budget);
+        let k = k.min(self.len());
+        if k == 0 {
+            // An empty query seeds nothing, so it costs nothing.
+            assert_eq!(w.dims(), self.dims(), "weight dimensionality mismatch");
+            return GuardedTopk {
+                ids: Vec::new(),
+                cost: Cost::new(),
+                truncated: None,
+            };
+        }
+        let mut cursor = TopkCursor::new(self, w, scratch, Some(budget));
+        let ids: Vec<TupleId> = cursor.by_ref().take(k).map(|(t, _)| t).collect();
+        // Only a tripped budget ends the stream before k answers.
+        debug_assert!(ids.len() == k || cursor.truncated().is_some());
         GuardedTopk {
             ids,
-            cost,
-            truncated,
+            cost: cursor.cost(),
+            truncated: cursor.truncated(),
         }
-    }
-
-    fn run(
-        &self,
-        w: &Weights,
-        stop: StopRule,
-        scratch: &mut QueryScratch,
-        trace: Option<&mut QueryTrace>,
-    ) -> TopkResult {
-        self.run_impl(w, stop, scratch, trace, None).0
-    }
-
-    fn run_impl(
-        &self,
-        w: &Weights,
-        stop: StopRule,
-        scratch: &mut QueryScratch,
-        mut trace: Option<&mut QueryTrace>,
-        budget: Option<&QueryBudget>,
-    ) -> (TopkResult, Option<TruncateReason>) {
-        let n = self.len();
-        let k_eff = match stop {
-            StopRule::Count(k) => k.min(n),
-            StopRule::Bound(_) => n,
-        };
-        let mut cost = Cost::new();
-        let mut ids = Vec::new();
-        let mut truncated = None;
-        if k_eff == 0 {
-            assert_eq!(w.dims(), self.dims(), "weight dimensionality mismatch");
-            return (TopkResult { ids, cost }, truncated);
-        }
-        let span = QuerySpan::start();
-        self.seed_queue(w, scratch, &mut cost);
-        if let Some(t) = trace.as_deref_mut() {
-            let mut s: Vec<NodeId> = scratch.heap.iter().map(|e| e.orig).collect();
-            s.sort_unstable();
-            t.seeds = s;
-        }
-
-        let mut pops: u64 = 0;
-        while ids.len() < k_eff {
-            if let Some(b) = budget {
-                if let Some(reason) = b.tripped(&cost, pops) {
-                    truncated = Some(reason);
-                    break;
-                }
-            }
-            pops += 1;
-            if let (StopRule::Bound(b), Some(top)) = (&stop, scratch.heap.peek()) {
-                if top.score > *b {
-                    break;
-                }
-            }
-            let Some(entry) = self.pop_relax(w, scratch, &mut cost) else {
-                // A Count query can only exhaust the queue on a broken
-                // invariant; a Bound query exhausts it whenever the bound
-                // covers the whole relation.
-                debug_assert!(
-                    matches!(stop, StopRule::Bound(_)),
-                    "queue exhausted before k answers — broken invariant"
-                );
-                break;
-            };
-            if entry.real {
-                ids.push(entry.orig as TupleId);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                let mut q: Vec<Entry> = scratch.heap.iter().copied().collect();
-                q.sort_by(|a, b| b.cmp(a)); // Entry::cmp is reversed; re-reverse for pop order
-                t.steps.push(TraceStep {
-                    popped: entry.orig,
-                    queue_after: q.into_iter().map(|e| e.orig).collect(),
-                    answers_after: ids.clone(),
-                });
-            }
-        }
-        scratch.flush_counters();
-        span.finish(cost.evaluated, cost.pseudo_evaluated);
-        (TopkResult { ids, cost }, truncated)
     }
 }
 
-/// A lazily-evaluated top-k traversal: yields `(tuple id, score)` pairs in
-/// ascending score order, scoring tuples only as the consumer advances.
+/// A lazily-evaluated top-k traversal (Algorithm 2): yields `(tuple id,
+/// score)` pairs in ascending `(score, id)` order, scoring tuples only as
+/// the consumer advances. Every traversal of the index runs through one:
+/// it is the only code that pops the queue.
+///
+/// The cursor runs on the caller's [`QueryScratch`] and borrows the
+/// weights. An optional [`QueryBudget`] is checked before every pop; a
+/// trip ends the stream, and [`TopkCursor::truncated`] names the limit.
+/// What was yielded before the trip is a true prefix of the answer.
 ///
 /// ```
 /// # use drtopk_common::{Distribution, Weights, WorkloadSpec};
-/// # use drtopk_core::{DlOptions, DualLayerIndex};
+/// # use drtopk_core::{DlOptions, DualLayerIndex, QueryBudget, QueryScratch};
+/// # use drtopk_core::{TopkCursor, TruncateReason};
 /// let rel = WorkloadSpec::new(Distribution::Independent, 3, 200, 1).generate();
 /// let idx = DualLayerIndex::build(&rel, DlOptions::default());
 /// let w = Weights::uniform(3);
+/// let mut scratch = QueryScratch::for_index(&idx);
 /// // Take answers until a score threshold is crossed, without fixing k.
-/// let cheap: Vec<_> = idx.topk_iter(&w).take_while(|&(_, s)| s < 0.2).collect();
+/// let cheap: Vec<_> = idx.topk_iter(&w, &mut scratch).take_while(|&(_, s)| s < 0.2).collect();
 /// # let _ = cheap;
+/// // The same scratch serves the next cursor. A cost cap ends the stream
+/// // early, after a true prefix of the answer.
+/// let budget = QueryBudget::unlimited().with_max_cost(5);
+/// let mut cursor = TopkCursor::new(&idx, &w, &mut scratch, Some(&budget));
+/// let prefix: Vec<_> = cursor.by_ref().map(|(t, _)| t).collect();
+/// assert_eq!(cursor.truncated(), Some(TruncateReason::CostExceeded));
+/// assert_eq!(prefix, idx.topk(&w, prefix.len()).ids);
 /// ```
 pub struct TopkCursor<'a> {
     idx: &'a DualLayerIndex,
-    w: Weights,
-    scratch: QueryScratch,
+    w: &'a Weights,
+    scratch: &'a mut QueryScratch,
+    /// `None` when unlimited: the no-op fast path.
+    budget: Option<&'a QueryBudget>,
     cost: Cost,
+    /// Pops so far; paces the budget's clock reads.
+    pops: u64,
+    truncated: Option<TruncateReason>,
     /// `Some` until the drop flush; the span covers the cursor's lifetime.
     span: Option<QuerySpan>,
 }
 
 impl<'a> TopkCursor<'a> {
-    /// Starts a progressive traversal (seeds the queue).
-    pub fn new(idx: &'a DualLayerIndex, w: &Weights) -> Self {
+    /// Starts a traversal of `idx` on `scratch` (seeds the queue).
+    /// `budget`, when given, is checked before every pop.
+    ///
+    /// # Panics
+    /// Panics if `w`'s dimensionality differs from the index's.
+    pub fn new(
+        idx: &'a DualLayerIndex,
+        w: &'a Weights,
+        scratch: &'a mut QueryScratch,
+        budget: Option<&'a QueryBudget>,
+    ) -> Self {
         let span = Some(QuerySpan::start());
-        let mut scratch = QueryScratch::for_index(idx);
         let mut cost = Cost::new();
-        idx.seed_queue(w, &mut scratch, &mut cost);
+        idx.seed_queue(w, scratch, &mut cost);
         TopkCursor {
             idx,
-            w: w.clone(),
+            w,
             scratch,
+            budget: budget.filter(|b| !b.is_unlimited()),
             cost,
+            pops: 0,
+            truncated: None,
             span,
         }
     }
@@ -724,19 +718,41 @@ impl<'a> TopkCursor<'a> {
         self.cost
     }
 
-    /// The score of the next answer, without consuming it. Pseudo-tuples
-    /// at the queue head are drained first.
+    /// The limit that ended the stream, or `None` while the budget holds.
+    pub fn truncated(&self) -> Option<TruncateReason> {
+        self.truncated
+    }
+
+    /// The score of the next answer, without consuming it; `None` once
+    /// the stream has ended. Pseudo-tuples at the queue head are drained
+    /// first, under the budget like every pop.
     pub fn peek_score(&mut self) -> Option<f64> {
-        loop {
-            match self.scratch.heap.peek() {
-                Some(e) if e.real => return Some(e.score),
-                Some(_) => {
-                    self.idx
-                        .pop_relax(&self.w, &mut self.scratch, &mut self.cost);
-                }
-                None => return None,
-            }
+        while !self.head()?.real {
+            self.step();
         }
+        self.head().map(|e| e.score)
+    }
+
+    /// The raw queue head, pseudo-tuple or real: the entry the next
+    /// [`step`](Self::step) pops. Pops come in ascending key order, so the
+    /// head bounds every tuple not yet popped (DESIGN.md §4). `None` once
+    /// the queue is empty or the budget has tripped.
+    pub(crate) fn head(&self) -> Option<Entry> {
+        let head = self.scratch.heap.peek().copied();
+        head.filter(|_| self.truncated.is_none())
+    }
+
+    /// Checks the budget, then pops the head and relaxes its edges.
+    /// `None` when the queue is empty or the budget trips.
+    pub(crate) fn step(&mut self) -> Option<Entry> {
+        self.truncated = self
+            .truncated
+            .or_else(|| self.budget?.tripped(&self.cost, self.pops));
+        if self.truncated.is_some() {
+            return None;
+        }
+        self.pops += 1;
+        self.idx.pop_relax(self.w, self.scratch, &mut self.cost)
     }
 }
 
@@ -754,9 +770,7 @@ impl Iterator for TopkCursor<'_> {
 
     fn next(&mut self) -> Option<(TupleId, f64)> {
         loop {
-            let entry = self
-                .idx
-                .pop_relax(&self.w, &mut self.scratch, &mut self.cost)?;
+            let entry = self.step()?;
             if entry.real {
                 return Some((entry.orig as TupleId, entry.score));
             }
@@ -1048,7 +1062,8 @@ mod tests {
             for _ in 0..5 {
                 let w = Weights::random(3, &mut rng);
                 let want = idx.topk(&w, 25);
-                let mut cursor = idx.topk_iter(&w);
+                let mut scratch = QueryScratch::for_index(&idx);
+                let mut cursor = idx.topk_iter(&w, &mut scratch);
                 let got: Vec<TupleId> = cursor.by_ref().take(25).map(|(t, _)| t).collect();
                 assert_eq!(got, want.ids);
                 // Consuming exactly k answers costs exactly what topk(k) costs.
@@ -1062,7 +1077,8 @@ mod tests {
         let rel = WorkloadSpec::new(Distribution::Independent, 2, 150, 9).generate();
         let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         let w = Weights::new(vec![0.7, 0.3]).unwrap();
-        let all: Vec<(TupleId, f64)> = idx.topk_iter(&w).collect();
+        let mut scratch = QueryScratch::for_index(&idx);
+        let all: Vec<(TupleId, f64)> = idx.topk_iter(&w, &mut scratch).collect();
         assert_eq!(all.len(), 150);
         assert!(all.windows(2).all(|p| p[0].1 <= p[1].1 + 1e-12));
         let ids: Vec<TupleId> = all.iter().map(|&(t, _)| t).collect();
@@ -1074,7 +1090,8 @@ mod tests {
         let rel = WorkloadSpec::new(Distribution::Independent, 3, 100, 2).generate();
         let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         let w = Weights::uniform(3);
-        let mut cursor = idx.topk_iter(&w);
+        let mut scratch = QueryScratch::for_index(&idx);
+        let mut cursor = idx.topk_iter(&w, &mut scratch);
         let peeked = cursor.peek_score().unwrap();
         let (first, score) = cursor.next().unwrap();
         assert_eq!(peeked, score);

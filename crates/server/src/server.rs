@@ -16,13 +16,12 @@ use crate::protocol::{write_frame, Coverage, ErrorCode, FrameBuf, Message, PollE
 use crate::remote::RemoteRouter;
 use crate::shard::ServedShard;
 use drtopk_common::Weights;
-use drtopk_core::batch::WORKER_FAILPOINT;
+use drtopk_core::batch::{panic_message, WORKER_FAILPOINT};
 use drtopk_core::{
     DualLayerIndex, QueryBudget, QueryScratch, ResultCache, ShardError, ShardHealth, ShardProbe,
     ShardRouter, ShardedTopk, TruncateReason,
 };
 use drtopk_obs::metrics;
-use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -817,7 +816,7 @@ fn worker_loop(shared: &Shared) {
             scratch = None;
             Message::Error {
                 code: ErrorCode::Internal,
-                message: panic_text(payload.as_ref()),
+                message: panic_message(payload.as_ref()),
             }
         });
         p.writer.send(p.request_id, &reply);
@@ -914,17 +913,6 @@ fn routed_reply(r: ShardedTopk) -> Message {
             answered: r.coverage.mask(),
         }),
         scores: None,
-    }
-}
-
-/// A panic payload's message: `panic!` carries a `&str` or a `String`.
-fn panic_text(payload: &(dyn Any + Send)) -> String {
-    match payload.downcast_ref::<&str>() {
-        Some(s) => (*s).to_string(),
-        None => payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "opaque panic payload".to_string()),
     }
 }
 

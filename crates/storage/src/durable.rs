@@ -133,31 +133,8 @@ impl DurableDynamicIndex {
     /// Creates a fresh store over an initial relation in `dir` (created if
     /// missing; must not already hold a store).
     pub fn create(dir: &Path, rel: &Relation, options: DurableOptions) -> Result<Self, Error> {
-        fs::create_dir_all(dir).map_err(|e| Error::Io(e.to_string()))?;
-        if !list_generations(dir, "snapshot.", ".drt")
-            .map_err(Error::from)?
-            .is_empty()
-        {
-            return Err(Error::Invalid(format!(
-                "directory {} already holds a durable index; use open()",
-                dir.display()
-            )));
-        }
-        let inner = DynamicIndex::new(rel, options.opts.clone(), options.rebuild_fraction);
-        // WAL first, snapshot second: the snapshot's appearance is the
-        // commit point, and a committed snapshot must have its WAL ready.
-        let wal = WalWriter::create(&wal_path(dir, 0), 0).map_err(Error::from)?;
-        format::save_dynamic_state(&inner.to_state(), 0, &snapshot_path(dir, 0))
-            .map_err(Error::from)?;
-        Ok(DurableDynamicIndex {
-            dir: dir.to_path_buf(),
-            inner,
-            wal,
-            generation: 0,
-            appends_since_checkpoint: 0,
-            poisoned: None,
-            options,
-        })
+        let handles = (0..rel.len() as Handle).collect();
+        DurableDynamicIndex::create_with_handles(dir, rel, handles, options)
     }
 
     /// Creates a fresh store whose tuples carry *caller-assigned* global
@@ -187,6 +164,8 @@ impl DurableDynamicIndex {
             options.opts.clone(),
             options.rebuild_fraction,
         )?;
+        // WAL first, snapshot second: the snapshot's appearance is the
+        // commit point, and a committed snapshot must have its WAL ready.
         let wal = WalWriter::create(&wal_path(dir, 0), 0).map_err(Error::from)?;
         format::save_dynamic_state(&inner.to_state(), 0, &snapshot_path(dir, 0))
             .map_err(Error::from)?;
@@ -394,11 +373,12 @@ impl DurableDynamicIndex {
     }
 
     /// Inserts a tuple under a caller-assigned handle (shard discipline:
-    /// a shard only assigns handles congruent to its id). Same WAL-first
-    /// contract as [`DurableDynamicIndex::insert`]; `h` must be at or
-    /// above the next unassigned handle.
+    /// a shard only assigns handles congruent to its id): WAL append
+    /// first, then the in-memory apply. `h` must be at or above the next
+    /// unassigned handle.
     pub fn insert_with_handle(&mut self, h: Handle, row: &[f64]) -> Result<(), Error> {
         self.check_usable()?;
+        // Validate before logging so a rejected row never reaches the WAL.
         self.inner.check_row(row)?;
         if h < self.inner.next_handle() {
             return Err(Error::Invalid(format!(
@@ -417,19 +397,11 @@ impl DurableDynamicIndex {
         Ok(())
     }
 
-    /// Inserts a tuple: WAL append first, then the in-memory apply.
+    /// Inserts a tuple under the next unassigned handle and returns it
+    /// (see [`DurableDynamicIndex::insert_with_handle`]).
     pub fn insert(&mut self, row: &[f64]) -> Result<Handle, Error> {
-        self.check_usable()?;
-        // Validate before logging so a rejected row never reaches the WAL.
-        self.inner.check_row(row)?;
         let handle = self.inner.next_handle();
-        self.log(&WalRecord::Insert {
-            handle,
-            row: row.to_vec(),
-        })?;
-        let got = self.inner.insert(row).expect("row validated above");
-        debug_assert_eq!(got, handle);
-        self.maybe_checkpoint();
+        self.insert_with_handle(handle, row)?;
         Ok(handle)
     }
 

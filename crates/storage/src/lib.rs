@@ -25,14 +25,12 @@
 //! default) the sites compile to no-ops.
 
 pub mod blocks;
-pub mod bufferpool;
 pub mod durable;
 pub mod format;
 pub mod shards;
 pub mod wal;
 
 pub use blocks::{BlockLayout, Placement};
-pub use bufferpool::{BufferPool, IoStats};
 pub use durable::{DurableDynamicIndex, DurableOptions, RecoveryReport};
 pub use format::{
     load_dynamic_state, load_index, load_relation, save_dynamic_state, save_index, save_relation,

@@ -15,7 +15,7 @@
 use crate::format::{crc32, FormatError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use drtopk_core::Handle;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -263,19 +263,10 @@ pub fn read_wal(path: &Path, expected_generation: u64) -> Result<WalReplay, Form
     })
 }
 
-/// Removes a log file; missing files are not an error (pruning is
-/// idempotent).
-pub fn remove_wal(path: &Path) -> Result<(), FormatError> {
-    match fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("drtopk_wal_{name}"));

@@ -32,7 +32,7 @@ use drtopk_common::{
     relation_from_csv, ColumnSpec, Direction, Distribution, Weights, WorkloadSpec,
     ZipfWeightWorkload,
 };
-use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, ZeroMode};
+use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, TruncateReason, ZeroMode};
 use drtopk_storage::{
     load_index, load_relation, read_wal, save_index, save_relation, DurableDynamicIndex,
     DurableOptions, WalRecord,
@@ -600,15 +600,7 @@ fn cmd_query(f: &Flags) -> Result<String, CliError> {
         }
     };
     let micros = t0.elapsed().as_micros();
-    if let Some(reason) = truncated {
-        if !f.has("partial") {
-            return Err(CliError::budget(format!(
-                "query stopped after {} of {k} answers: {reason} \
-                 (pass --partial to accept the prefix)",
-                ids.len()
-            )));
-        }
-    }
+    let truncation = truncation_note(f, truncated, ids.len(), k)?;
     let mut out = String::new();
     let _ = writeln!(out, "rank  tuple        score  attributes");
     for (rank, &t) in ids.iter().enumerate() {
@@ -623,13 +615,7 @@ fn cmd_query(f: &Flags) -> Result<String, CliError> {
             attrs.join(", ")
         );
     }
-    if let Some(reason) = truncated {
-        let _ = writeln!(
-            out,
-            "TRUNCATED after {} of {k} answers: {reason}",
-            ids.len()
-        );
-    }
+    out.push_str(&truncation);
     let _ = writeln!(
         out,
         "evaluated {} of {} tuples ({} pseudo) in {micros} µs",
@@ -654,14 +640,26 @@ fn client_error(e: drtopk_server::ClientError) -> CliError {
     }
 }
 
-/// Human-readable reason for a TOPK `truncated` flag (PROTOCOL.md §4.1).
-fn truncation_reason(flag: u8) -> &'static str {
-    match flag {
-        1 => "deadline expired",
-        2 => "cost budget exhausted",
-        3 => "cancelled",
-        _ => "truncated",
+/// The partial-answer contract of both query paths: an answer a budget
+/// cut short after `got` of `k` is a budget error (exit 4) unless
+/// `--partial` accepts it, and then its `TRUNCATED` line is returned
+/// (empty for a complete answer).
+fn truncation_note(
+    f: &Flags,
+    truncated: Option<TruncateReason>,
+    got: usize,
+    k: usize,
+) -> Result<String, CliError> {
+    let Some(reason) = truncated else {
+        return Ok(String::new());
+    };
+    if !f.has("partial") {
+        return Err(CliError::budget(format!(
+            "query stopped after {got} of {k} answers: {reason} \
+             (pass --partial to accept the prefix)"
+        )));
     }
+    Ok(format!("TRUNCATED after {got} of {k} answers: {reason}\n"))
 }
 
 /// Connects per the CLI's reconnect policy: `--connect-retries` bounded
@@ -697,14 +695,7 @@ fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<St
         .query(raw, k32, deadline_ms, max_cost)
         .map_err(client_error)?;
     let micros = t0.elapsed().as_micros();
-    if !reply.is_complete() && !f.has("partial") {
-        return Err(CliError::budget(format!(
-            "query stopped after {} of {k} answers: {} \
-             (pass --partial to accept the prefix)",
-            reply.ids.len(),
-            truncation_reason(reply.truncated)
-        )));
-    }
+    let truncation = truncation_note(f, reply.truncated, reply.ids.len(), k)?;
     if let Some(cov) = &reply.coverage {
         // Degraded coverage is a partial answer in the shard dimension:
         // same contract as a truncated prefix — explicit opt-in.
@@ -712,8 +703,8 @@ fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<St
             return Err(CliError::budget(format!(
                 "answer covers {} of {} shards (skipped {:?}); \
                  pass --partial to accept degraded coverage",
-                cov.shards as usize - cov.skipped().len(),
-                cov.shards,
+                cov.answered().len(),
+                cov.total(),
                 cov.skipped()
             )));
         }
@@ -723,20 +714,13 @@ fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<St
     for (rank, t) in reply.ids.iter().enumerate() {
         let _ = writeln!(out, "{:>4}  {:>6}", rank + 1, t);
     }
-    if !reply.is_complete() {
-        let _ = writeln!(
-            out,
-            "TRUNCATED after {} of {k} answers: {}",
-            reply.ids.len(),
-            truncation_reason(reply.truncated)
-        );
-    }
+    out.push_str(&truncation);
     if let Some(cov) = &reply.coverage {
         let _ = writeln!(
             out,
             "DEGRADED coverage: {} of {} shards answered (skipped {:?})",
-            cov.shards as usize - cov.skipped().len(),
-            cov.shards,
+            cov.answered().len(),
+            cov.total(),
             cov.skipped()
         );
     }
@@ -2158,7 +2142,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(partial.contains("TRUNCATED"), "{partial}");
-        assert!(partial.contains("cost budget exhausted"), "{partial}");
+        assert!(partial.contains("cost cap exceeded"), "{partial}");
 
         // Wrong arity is rejected server-side as BadRequest -> usage (2).
         let err = run(&argv(&[

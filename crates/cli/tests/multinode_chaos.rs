@@ -281,7 +281,7 @@ fn kill9_with_replica_loses_no_answers() {
             reply.is_full_coverage(),
             "round {round}: a replicated shard must never degrade coverage"
         );
-        assert_eq!(reply.truncated, 0, "round {round}");
+        assert_eq!(reply.truncated, None, "round {round}");
     }
 
     // The pinger notices the corpse without taking the shard down.
@@ -344,7 +344,7 @@ fn kill9_without_replica_degrades_then_rejoins() {
         reply.ids, survivor_ids,
         "degraded ids are the exact survivor-partition top-k"
     );
-    assert_eq!(reply.truncated, 0, "degraded is not truncated");
+    assert_eq!(reply.truncated, None, "degraded is not truncated");
     let cov = reply.coverage.expect("reply names the dead shard");
     assert_eq!(cov.skipped(), vec![1]);
 

@@ -1,54 +1,21 @@
 //! Blocking client for the drtopk index service.
 //!
 //! Speaks `PROTOCOL.md` verbatim: hello exchange (§1.1), then frames
-//! (§2). The synchronous [`Client::query`] sends one QUERY and reads its
-//! reply; the split [`Client::send_query`] / [`Client::recv`] pair
-//! supports pipelining — many requests in flight on one connection,
-//! replies paired back up by `request_id` (§2.3), which the open-loop
-//! load generator uses.
+//! (§2). The synchronous [`Client::query`] sends one QUERY and waits for
+//! the reply to that request, skipping replies to requests it abandoned
+//! earlier; [`Client::ping`], [`Client::metrics_text`] and
+//! [`Client::drain`] wait the same way. The split [`Client::send_query`]
+//! / [`Client::recv`] pair supports pipelining — many requests in flight
+//! on one connection, replies paired back up by `request_id` (§2.3),
+//! which the open-loop load generator uses. Replies are the protocol's
+//! own types: a top-k answer is a [`TopkReply`].
 
 use crate::protocol::{
-    write_frame, Coverage, ErrorCode, FrameBuf, Message, PollEvent, WireError, HELLO,
+    write_frame, ErrorCode, FrameBuf, Message, PollEvent, TopkReply, WireError, HELLO,
 };
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// A decoded TOPK reply (`PROTOCOL.md` §4.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopkReply {
-    /// Answer ids, ascending `(score, id)`; a true prefix of the exact
-    /// answer when `truncated != 0`.
-    pub ids: Vec<u64>,
-    /// Real tuples scored (Definition 9, real part).
-    pub evaluated: u64,
-    /// Zero-layer pseudo-tuples scored (Definition 9, pseudo part).
-    pub pseudo_evaluated: u64,
-    /// Truncation reason: `0` complete, `1` deadline, `2` cost cap, `3`
-    /// cancelled.
-    pub truncated: u8,
-    /// Degraded shard coverage (§4.1 flags bit 2): `Some` exactly when
-    /// the server skipped one or more shards, in which case `ids` is the
-    /// exact answer over the shards named in the mask.
-    pub coverage: Option<Coverage>,
-    /// Per-id scores (§4.1 flags bit 3): `Some` exactly when the server
-    /// attached them, which replies to SHARD_QUERY always do — the
-    /// router's k-way merge orders on `(score, id)` and cannot re-derive
-    /// scores from ids alone.
-    pub scores: Option<Vec<f64>>,
-}
-
-impl TopkReply {
-    /// Whether the answer ran to completion (no budget tripped).
-    pub fn is_complete(&self) -> bool {
-        self.truncated == 0
-    }
-
-    /// Whether the answer covers every shard of the deployment.
-    pub fn is_full_coverage(&self) -> bool {
-        self.coverage.is_none()
-    }
-}
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -215,29 +182,34 @@ impl Client {
         Ok(self.stream.set_read_timeout(timeout)?)
     }
 
-    /// Sends one SHARD_QUERY frame (§3.5) without waiting, returning its
-    /// request id. `deadline_ms` is the *carved per-shard* budget, not
-    /// the client request's; the reply carries scores (§4.1 bit 3).
-    pub fn send_shard_query(
+    /// Sends `msg` under a fresh request id without waiting, returning
+    /// the id.
+    fn send(&mut self, msg: &Message) -> Result<u64, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        write_frame(&mut self.stream, id, msg)?;
+        Ok(id)
+    }
+
+    /// Sends one QUERY frame (§3.1), or with `scores` a SHARD_QUERY
+    /// (§3.5), without waiting, returning its request id. A SHARD_QUERY's
+    /// `deadline_ms` is the *carved per-shard* budget, and its reply
+    /// carries scores (§4.1 bit 3).
+    pub(crate) fn send_topk_request(
         &mut self,
         weights: &[f64],
         k: u32,
         deadline_ms: u32,
         max_cost: u64,
+        scores: bool,
     ) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(
-            &mut self.stream,
-            id,
-            &Message::ShardQuery {
-                deadline_ms,
-                max_cost,
-                k,
-                weights: weights.to_vec(),
-            },
-        )?;
-        Ok(id)
+        self.send(&Message::Query {
+            deadline_ms,
+            max_cost,
+            k,
+            weights: weights.to_vec(),
+            scores,
+        })
     }
 
     /// Sends one QUERY frame (§3.1) without waiting, returning its
@@ -249,19 +221,7 @@ impl Client {
         deadline_ms: u32,
         max_cost: u64,
     ) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(
-            &mut self.stream,
-            id,
-            &Message::Query {
-                deadline_ms,
-                max_cost,
-                k,
-                weights: weights.to_vec(),
-            },
-        )?;
-        Ok(id)
+        self.send_topk_request(weights, k, deadline_ms, max_cost, false)
     }
 
     /// Reads the next reply frame, whatever request it answers. A read
@@ -288,29 +248,25 @@ impl Client {
     /// [`ClientError::Server`].
     pub fn recv_topk(&mut self) -> Result<(u64, TopkReply), ClientError> {
         match self.recv()? {
-            (
-                id,
-                Message::Topk {
-                    truncated,
-                    evaluated,
-                    pseudo_evaluated,
-                    ids,
-                    coverage,
-                    scores,
-                },
-            ) => Ok((
-                id,
-                TopkReply {
-                    ids,
-                    evaluated,
-                    pseudo_evaluated,
-                    truncated,
-                    coverage,
-                    scores,
-                },
-            )),
+            (id, Message::Topk(reply)) => Ok((id, reply)),
             (_, Message::Error { code, message }) => Err(ClientError::Server { code, message }),
             (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
+        }
+    }
+
+    /// Reads replies until the one to request `want`, skipping replies to
+    /// requests abandoned earlier on this connection. An ERROR for `want`,
+    /// or a connection-scoped one (request id 0, §5.2), ends the wait as
+    /// [`ClientError::Server`].
+    fn wait_for(&mut self, want: u64) -> Result<Message, ClientError> {
+        loop {
+            match self.recv()? {
+                (id, Message::Error { code, message }) if id == want || id == 0 => {
+                    return Err(ClientError::Server { code, message })
+                }
+                (id, msg) if id == want => return Ok(msg),
+                _ => {}
+            }
         }
     }
 
@@ -323,47 +279,38 @@ impl Client {
         deadline_ms: u32,
         max_cost: u64,
     ) -> Result<TopkReply, ClientError> {
-        let want = self.send_query(weights, k, deadline_ms, max_cost)?;
-        loop {
-            let (id, reply) = self.recv_topk()?;
-            if id == want {
-                return Ok(reply);
-            }
-            // A stale reply from an abandoned pipelined request; skip it.
+        let id = self.send_query(weights, k, deadline_ms, max_cost)?;
+        match self.wait_for(id)? {
+            Message::Topk(reply) => Ok(reply),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
     /// Liveness probe (§3.3).
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, id, &Message::Ping)?;
-        match self.recv()? {
-            (got, Message::Pong) if got == id => Ok(()),
-            (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
+        let id = self.send(&Message::Ping)?;
+        match self.wait_for(id)? {
+            Message::Pong => Ok(()),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
     /// Fetches the Prometheus text exposition over the protocol (§3.2).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, id, &Message::MetricsRequest)?;
-        match self.recv()? {
-            (got, Message::MetricsReply(text)) if got == id => Ok(text),
-            (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
+        let id = self.send(&Message::MetricsRequest)?;
+        match self.wait_for(id)? {
+            Message::MetricsReply(text) => Ok(text),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
     /// Asks the server to drain gracefully (§3.4), waiting for the
     /// DRAINING acknowledgement.
     pub fn drain(&mut self) -> Result<(), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, id, &Message::Drain)?;
-        match self.recv()? {
-            (got, Message::Draining) if got == id => Ok(()),
-            (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
+        let id = self.send(&Message::Drain)?;
+        match self.wait_for(id)? {
+            Message::Draining => Ok(()),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 }

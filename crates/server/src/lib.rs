@@ -8,6 +8,8 @@
 //! * [`protocol`] — the hand-rolled wire format. **`PROTOCOL.md` is the
 //!   contract**: length-prefixed CRC-checked frames in the style of the
 //!   write-ahead log, a budget header per query, explicit error codes.
+//!   It declares the top-k vocabulary once: one [`Message::Query`], one
+//!   [`TopkReply`], core's `TruncateReason` and `ShardCoverage`.
 //! * [`server`] — the service: per-connection readers feed one bounded
 //!   admission queue; a fixed worker pool takes one request at a time
 //!   and answers it at once, under its own deadline, through the same
@@ -49,9 +51,9 @@ pub mod server;
 pub mod shard;
 pub mod topology;
 
-pub use client::{Client, ClientError, TopkReply};
+pub use client::{Client, ClientError};
 pub use pinger::{HealthPinger, PingerConfig};
-pub use protocol::{Coverage, ErrorCode, Message, WireError, HELLO, MAX_PAYLOAD};
+pub use protocol::{ErrorCode, Message, TopkReply, WireError, HELLO, MAX_PAYLOAD};
 pub use remote::{RemoteProbeConfig, RemoteRouter, RemoteShardProbe};
 pub use server::{Server, ServerConfig, ServerHandle, ACCEPT_FAILPOINT};
 pub use shard::ServedShard;

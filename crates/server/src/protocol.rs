@@ -5,12 +5,22 @@
 //! `tests/protocol.rs` pins the spec's worked hex examples (§7) against
 //! this encoder byte-for-byte.
 //!
+//! This is the one place the top-k wire vocabulary lives, one Rust type
+//! per wire concept: [`Message::Query`] is both QUERY and SHARD_QUERY
+//! (its `scores` flag picks the type byte), [`TopkReply`] is the TOPK
+//! body every producer builds and every consumer reads, the truncation
+//! bits decode to core's [`TruncateReason`] and the coverage extension
+//! to core's [`ShardCoverage`]. [`encode_frame`] and [`decode_payload`]
+//! hold the only mapping between those types and their bytes.
+//!
 //! Framing (§2) follows the write-ahead log: `len u32 LE | crc32 u32 LE |
 //! payload`, CRC-32 IEEE over the payload (the same
 //! [`drtopk_storage::format::crc32`] the WAL uses), payloads capped at
 //! 1 MiB. A frame that fails any check is a [`WireError::Corrupt`]: the
 //! stream is unreadable past it, exactly like a torn WAL tail.
 
+use drtopk_common::Cost;
+use drtopk_core::{ShardCoverage, TruncateReason};
 use drtopk_storage::format::crc32;
 use std::io::{self, Read, Write};
 
@@ -80,35 +90,75 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// Degraded shard coverage attached to a TOPK response (§4.1, flags
-/// bit 2): which shards of a sharded backend answered this request. Only
-/// present when coverage is *partial* — a full-coverage (or unsharded)
-/// answer keeps bit 2 clear and carries no extra bytes, so the v1 TOPK
-/// encoding is unchanged for the healthy path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coverage {
-    /// Total shard count of the deployment (1..=64).
-    pub shards: u16,
-    /// Bit `s` set ⇔ shard `s` contributed its partition to the answer.
-    pub answered: u64,
+/// TOPK flag bits 0–1 (§4.1): the truncation reason encoded as `n` is
+/// `TRUNCATE_REASONS[n - 1]`; `0` means complete.
+const TRUNCATE_REASONS: [TruncateReason; 3] = [
+    TruncateReason::Deadline,
+    TruncateReason::CostExceeded,
+    TruncateReason::Cancelled,
+];
+
+/// A TOPK reply (§4.1): the paper's answer, ids in score order plus
+/// their Definition 9 cost, with the budget and coverage it was
+/// answered under.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopkReply {
+    /// Answer ids, ascending `(score, id)`; a true prefix of the exact
+    /// answer when `truncated` is `Some`.
+    pub ids: Vec<u64>,
+    /// Real tuples scored (Definition 9, real part).
+    pub evaluated: u64,
+    /// Zero-layer pseudo-tuples scored (Definition 9, pseudo part).
+    pub pseudo_evaluated: u64,
+    /// The budget limit that stopped the answer early (§4.1 flags bits
+    /// 0–1); `None` when it ran to completion.
+    pub truncated: Option<TruncateReason>,
+    /// Degraded shard coverage (§4.1 flags bit 2): `Some` exactly when
+    /// one or more shards were skipped, in which case `ids` is the exact
+    /// top-k over the answering shards' partitions. Full coverage is
+    /// never sent as an extension.
+    pub coverage: Option<ShardCoverage>,
+    /// Per-id scores (§4.1 flags bit 3): `Some` only in replies to
+    /// SHARD_QUERY, one `f64` per id in the same order, so a remote
+    /// router can merge on `(score, id)` exactly like the in-process
+    /// merge.
+    pub scores: Option<Vec<f64>>,
 }
 
-impl Coverage {
-    /// Shard ids that did **not** contribute (their partitions are
-    /// missing from the answer).
-    pub fn skipped(&self) -> Vec<usize> {
-        (0..self.shards as usize)
-            .filter(|s| self.answered & (1u64 << s) == 0)
-            .collect()
+impl TopkReply {
+    /// A complete, fully covered reply without scores: `ids` at `cost`.
+    /// Every other reply is this one with fields overridden.
+    pub fn new(ids: Vec<u64>, cost: Cost) -> Self {
+        TopkReply {
+            ids,
+            evaluated: cost.evaluated,
+            pseudo_evaluated: cost.pseudo_evaluated,
+            truncated: None,
+            coverage: None,
+            scores: None,
+        }
+    }
+
+    /// Whether the answer ran to completion (no budget tripped).
+    pub fn is_complete(&self) -> bool {
+        self.truncated.is_none()
+    }
+
+    /// Whether the answer covers every shard of the deployment.
+    pub fn is_full_coverage(&self) -> bool {
+        self.coverage.is_none()
     }
 }
 
 /// One decoded protocol message (the payload past the request id, §2.3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// QUERY (§3.1): one top-k request with its budget header.
+    /// QUERY (§3.1), or SHARD_QUERY (§3.5) when `scores` is set: one
+    /// top-k request with its budget header.
     Query {
         /// Budget deadline in milliseconds from admission; `0` = none.
+        /// In a SHARD_QUERY it is the *carved per-shard* budget, not the
+        /// client's request deadline.
         deadline_ms: u32,
         /// Budget cap on Definition-9 cost; `0` = none.
         max_cost: u64,
@@ -116,21 +166,10 @@ pub enum Message {
         k: u32,
         /// Query weight vector (`dims` is implied by the length).
         weights: Vec<f64>,
-    },
-    /// SHARD_QUERY (§3.5): a router-to-shard-node top-k request. Body is
-    /// identical to QUERY; the reply is a TOPK frame carrying the scores
-    /// extension (§4.1 flags bit 3) so the router can k-way merge
-    /// per-shard answers bit-identically. `deadline_ms` here is the
-    /// *carved per-shard* budget, not the client's request deadline.
-    ShardQuery {
-        /// Remaining carved per-shard deadline in milliseconds; `0` = none.
-        deadline_ms: u32,
-        /// Budget cap on Definition-9 cost; `0` = none.
-        max_cost: u64,
-        /// Number of results requested.
-        k: u32,
-        /// Query weight vector (`dims` is implied by the length).
-        weights: Vec<f64>,
+        /// SHARD_QUERY, type `0x05`: a router-to-shard-node request whose
+        /// reply carries the scores extension (§4.1 flags bit 3) so the
+        /// router can k-way merge per-shard answers bit-identically.
+        scores: bool,
     },
     /// METRICS request (§3.2): empty body.
     MetricsRequest,
@@ -139,27 +178,7 @@ pub enum Message {
     /// DRAIN (§3.4): begin a graceful drain.
     Drain,
     /// TOPK response (§4.1): answer ids plus the paper cost split.
-    Topk {
-        /// Truncation reason: `0` complete, `1` deadline, `2` cost cap,
-        /// `3` cancelled (§4.1 flags bits 0–1).
-        truncated: u8,
-        /// Real tuples scored (Definition 9, real part).
-        evaluated: u64,
-        /// Zero-layer pseudo-tuples scored (Definition 9, pseudo part).
-        pseudo_evaluated: u64,
-        /// Answer ids, ascending `(score, id)`; a true prefix when
-        /// `truncated != 0`.
-        ids: Vec<u64>,
-        /// Degraded shard coverage (§4.1 flags bit 2): `Some` exactly
-        /// when one or more shards were skipped, in which case the ids
-        /// are the exact top-k over the answering shards' partitions.
-        coverage: Option<Coverage>,
-        /// Per-id scores (§4.1 flags bit 3): `Some` only in replies to
-        /// SHARD_QUERY, one `f64` per id in the same order, so a remote
-        /// router can merge on `(score, id)` exactly like the in-process
-        /// merge. Must be the same length as `ids` when present.
-        scores: Option<Vec<f64>>,
-    },
+    Topk(TopkReply),
     /// METRICS response (§4.2): Prometheus text exposition.
     MetricsReply(
         /// The exposition body, UTF-8.
@@ -237,12 +256,12 @@ pub fn encode_frame(request_id: u64, msg: &Message) -> Vec<u8> {
 
 fn type_byte(msg: &Message) -> u8 {
     match msg {
-        Message::Query { .. } => ty::QUERY,
-        Message::ShardQuery { .. } => ty::SHARD_QUERY,
+        Message::Query { scores: false, .. } => ty::QUERY,
+        Message::Query { scores: true, .. } => ty::SHARD_QUERY,
         Message::MetricsRequest => ty::METRICS_REQ,
         Message::Ping => ty::PING,
         Message::Drain => ty::DRAIN,
-        Message::Topk { .. } => ty::TOPK,
+        Message::Topk(_) => ty::TOPK,
         Message::MetricsReply(_) => ty::METRICS_REP,
         Message::Pong => ty::PONG,
         Message::Draining => ty::DRAINING,
@@ -257,12 +276,7 @@ fn encode_body(msg: &Message, out: &mut Vec<u8>) {
             max_cost,
             k,
             weights,
-        }
-        | Message::ShardQuery {
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
+            scores: _,
         } => {
             out.extend_from_slice(&deadline_ms.to_le_bytes());
             out.extend_from_slice(&max_cost.to_le_bytes());
@@ -272,37 +286,31 @@ fn encode_body(msg: &Message, out: &mut Vec<u8>) {
                 out.extend_from_slice(&w.to_le_bytes());
             }
         }
-        Message::Topk {
-            truncated,
-            evaluated,
-            pseudo_evaluated,
-            ids,
-            coverage,
-            scores,
-        } => {
-            debug_assert!(*truncated <= 3, "truncated reason outside flag bits 0-1");
+        Message::Topk(r) => {
             debug_assert!(
-                scores.as_ref().is_none_or(|s| s.len() == ids.len()),
+                r.scores.as_ref().is_none_or(|s| s.len() == r.ids.len()),
                 "scores must pair with ids one-to-one"
             );
-            let flags = truncated
-                | if coverage.is_some() { 0x04 } else { 0 }
-                | if scores.is_some() { 0x08 } else { 0 };
+            let reason = r.truncated.map_or(0, |t| {
+                let at = TRUNCATE_REASONS.iter().position(|&x| x == t);
+                1 + at.expect("every reason has flag bits") as u8
+            });
+            let flags = reason
+                | if r.coverage.is_some() { 0x04 } else { 0 }
+                | if r.scores.is_some() { 0x08 } else { 0 };
             out.push(flags);
-            out.extend_from_slice(&evaluated.to_le_bytes());
-            out.extend_from_slice(&pseudo_evaluated.to_le_bytes());
-            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-            for id in ids {
+            out.extend_from_slice(&r.evaluated.to_le_bytes());
+            out.extend_from_slice(&r.pseudo_evaluated.to_le_bytes());
+            out.extend_from_slice(&(r.ids.len() as u32).to_le_bytes());
+            for id in &r.ids {
                 out.extend_from_slice(&id.to_le_bytes());
             }
-            if let Some(scores) = scores {
-                for s in scores {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
+            for s in r.scores.iter().flatten() {
+                out.extend_from_slice(&s.to_le_bytes());
             }
-            if let Some(cov) = coverage {
-                out.extend_from_slice(&cov.shards.to_le_bytes());
-                out.extend_from_slice(&cov.answered.to_le_bytes());
+            if let Some(cov) = r.coverage {
+                out.extend_from_slice(&(cov.total() as u16).to_le_bytes());
+                out.extend_from_slice(&cov.mask().to_le_bytes());
             }
         }
         Message::MetricsReply(text) => out.extend_from_slice(text.as_bytes()),
@@ -394,20 +402,12 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
             for _ in 0..dims {
                 weights.push(c.f64()?);
             }
-            if type_byte == ty::SHARD_QUERY {
-                Message::ShardQuery {
-                    deadline_ms,
-                    max_cost,
-                    k,
-                    weights,
-                }
-            } else {
-                Message::Query {
-                    deadline_ms,
-                    max_cost,
-                    k,
-                    weights,
-                }
+            Message::Query {
+                deadline_ms,
+                max_cost,
+                k,
+                weights,
+                scores: type_byte == ty::SHARD_QUERY,
             }
         }
         ty::METRICS_REQ => Message::MetricsRequest,
@@ -420,12 +420,17 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
                     "reserved TOPK flag bits set: {flags:#04x}"
                 )));
             }
-            let truncated = flags & 0x03;
+            let truncated = (flags & 0x03)
+                .checked_sub(1)
+                .map(|n| TRUNCATE_REASONS[n as usize]);
             let evaluated = c.u64()?;
             let pseudo_evaluated = c.u64()?;
             let count = c.u32()? as usize;
-            // An honest count can't outrun the payload that carries it.
-            if count > (payload.len() - c.pos) / 8 {
+            // One shared count sizes the ids and, when flag bit 3 is set,
+            // as many scores (§4.1): an honest count can't outrun the
+            // payload that carries them.
+            let width = if flags & 0x08 != 0 { 16 } else { 8 };
+            if count > (payload.len() - c.pos) / width {
                 return Err(corrupt(format!("id count {count} exceeds the body")));
             }
             let mut ids = Vec::with_capacity(count);
@@ -433,11 +438,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
                 ids.push(c.u64()?);
             }
             let scores = if flags & 0x08 != 0 {
-                // One f64 per id (§4.1 bit 3): the count is shared, so
-                // the same outrun check bounds it.
-                if count > (payload.len() - c.pos) / 8 {
-                    return Err(corrupt(format!("score count {count} exceeds the body")));
-                }
                 let mut scores = Vec::with_capacity(count);
                 for _ in 0..count {
                     scores.push(c.f64()?);
@@ -447,38 +447,26 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
                 None
             };
             let coverage = if flags & 0x04 != 0 {
-                let shards = c.u16()?;
-                let answered = c.u64()?;
-                if shards == 0 || shards > 64 {
-                    return Err(corrupt(format!("shard count {shards} outside 1..=64")));
-                }
-                let valid = if shards == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << shards) - 1
-                };
-                if answered & !valid != 0 {
-                    return Err(corrupt(format!(
-                        "answered mask {answered:#x} has bits past shard count {shards}"
-                    )));
-                }
-                if answered == valid {
+                let (shards, answered) = (c.u16()?, c.u64()?);
+                let cov = ShardCoverage::from_mask(shards, answered)
+                    .map_err(|e| corrupt(e.to_string()))?;
+                if cov.is_full() {
                     return Err(corrupt(
                         "full coverage must be encoded without the coverage extension",
                     ));
                 }
-                Some(Coverage { shards, answered })
+                Some(cov)
             } else {
                 None
             };
-            Message::Topk {
-                truncated,
+            Message::Topk(TopkReply {
+                ids,
                 evaluated,
                 pseudo_evaluated,
-                ids,
+                truncated,
                 coverage,
                 scores,
-            }
+            })
         }
         ty::METRICS_REP => {
             let rest = c.take(payload.len() - c.pos)?;
@@ -626,6 +614,17 @@ impl FrameBuf {
 mod tests {
     use super::*;
 
+    fn cost(evaluated: u64, pseudo_evaluated: u64) -> Cost {
+        Cost {
+            evaluated,
+            pseudo_evaluated,
+        }
+    }
+
+    fn coverage(shards: u16, answered: u64) -> Option<ShardCoverage> {
+        Some(ShardCoverage::from_mask(shards, answered).unwrap())
+    }
+
     fn roundtrip(id: u64, msg: Message) {
         let frame = encode_frame(id, &msg);
         let (got_id, got) = read_frame(&mut &frame[..]).expect("roundtrip");
@@ -642,69 +641,53 @@ mod tests {
                 max_cost: 0,
                 k: 3,
                 weights: vec![0.25, 0.75],
+                scores: false,
             },
         );
         roundtrip(
             17,
-            Message::ShardQuery {
+            Message::Query {
                 deadline_ms: 40,
                 max_cost: 900,
                 k: 5,
                 weights: vec![1.0, 0.0, 0.5],
+                scores: true,
             },
         );
         roundtrip(1, Message::MetricsRequest);
         roundtrip(2, Message::Ping);
         roundtrip(3, Message::Drain);
-        roundtrip(
-            7,
-            Message::Topk {
-                truncated: 0,
-                evaluated: 5,
-                pseudo_evaluated: 1,
-                ids: vec![12, 4, 9],
-                coverage: None,
-                scores: None,
-            },
-        );
+        roundtrip(7, Message::Topk(TopkReply::new(vec![12, 4, 9], cost(5, 1))));
         roundtrip(
             8,
-            Message::Topk {
-                truncated: 1,
-                evaluated: 5,
-                pseudo_evaluated: 0,
-                ids: vec![3],
-                coverage: Some(Coverage {
-                    shards: 4,
-                    answered: 0b1011,
-                }),
-                scores: None,
-            },
+            Message::Topk(TopkReply {
+                truncated: Some(TruncateReason::Deadline),
+                coverage: coverage(4, 0b1011),
+                ..TopkReply::new(vec![3], cost(5, 0))
+            }),
         );
         roundtrip(
             10,
-            Message::Topk {
-                truncated: 0,
-                evaluated: 9,
-                pseudo_evaluated: 2,
-                ids: vec![12, 4],
-                coverage: None,
+            Message::Topk(TopkReply {
                 scores: Some(vec![3.5, -0.25]),
-            },
+                ..TopkReply::new(vec![12, 4], cost(9, 2))
+            }),
         );
         roundtrip(
             11,
-            Message::Topk {
-                truncated: 2,
-                evaluated: 9,
-                pseudo_evaluated: 2,
-                ids: vec![12],
-                coverage: Some(Coverage {
-                    shards: 2,
-                    answered: 0b01,
-                }),
+            Message::Topk(TopkReply {
+                truncated: Some(TruncateReason::CostExceeded),
+                coverage: coverage(2, 0b01),
                 scores: Some(vec![3.5]),
-            },
+                ..TopkReply::new(vec![12], cost(9, 2))
+            }),
+        );
+        roundtrip(
+            12,
+            Message::Topk(TopkReply {
+                truncated: Some(TruncateReason::Cancelled),
+                ..TopkReply::new(Vec::new(), Cost::default())
+            }),
         );
         roundtrip(4, Message::MetricsReply("# HELP x\nx 1\n".into()));
         roundtrip(5, Message::Pong);
@@ -769,17 +752,10 @@ mod tests {
 
     #[test]
     fn coverage_flags_and_mask_are_validated() {
-        let base = Message::Topk {
-            truncated: 0,
-            evaluated: 1,
-            pseudo_evaluated: 0,
-            ids: vec![7],
-            coverage: Some(Coverage {
-                shards: 3,
-                answered: 0b101,
-            }),
-            scores: None,
-        };
+        let base = Message::Topk(TopkReply {
+            coverage: coverage(3, 0b101),
+            ..TopkReply::new(vec![7], cost(1, 0))
+        });
         // Mutating the flags byte (payload offset 9 → frame offset 17)
         // or the coverage tail must be caught by the decoder.
         let recrc = |frame: &mut Vec<u8>| {
@@ -822,8 +798,8 @@ mod tests {
         let frame = encode_frame(1, &base);
         let (_, msg) = read_frame(&mut &frame[..]).unwrap();
         match msg {
-            Message::Topk { coverage, .. } => {
-                assert_eq!(coverage.unwrap().skipped(), vec![1]);
+            Message::Topk(reply) => {
+                assert_eq!(reply.coverage.unwrap().skipped(), vec![1]);
             }
             other => panic!("want Topk, got {other:?}"),
         }
@@ -831,14 +807,7 @@ mod tests {
 
     #[test]
     fn topk_count_cannot_outrun_the_body() {
-        let msg = Message::Topk {
-            truncated: 0,
-            evaluated: 1,
-            pseudo_evaluated: 0,
-            ids: vec![1, 2],
-            coverage: None,
-            scores: None,
-        };
+        let msg = Message::Topk(TopkReply::new(vec![1, 2], cost(1, 0)));
         let mut frame = encode_frame(1, &msg);
         // count lives at payload offset 26 → frame offset 34.
         frame[34..38].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -854,14 +823,7 @@ mod tests {
     fn score_extension_cannot_outrun_the_body() {
         // A frame whose scores flag is set but whose body holds ids only:
         // the shared count then exceeds what remains for scores.
-        let msg = Message::Topk {
-            truncated: 0,
-            evaluated: 1,
-            pseudo_evaluated: 0,
-            ids: vec![1, 2],
-            coverage: None,
-            scores: None,
-        };
+        let msg = Message::Topk(TopkReply::new(vec![1, 2], cost(1, 0)));
         let mut frame = encode_frame(1, &msg);
         frame[17] |= 0x08;
         let payload = frame[8..].to_vec();

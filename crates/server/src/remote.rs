@@ -33,7 +33,7 @@
 //! closes its connection instead.
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{ErrorCode, Message};
+use crate::protocol::{ErrorCode, Message, TopkReply};
 use drtopk_common::{Cost, Weights};
 use drtopk_core::shard::{
     AwaitProbe, InFlight, ReplicaSet, ScoredHit, ShardAnswer, ShardError, ShardProbe, ShardRouter,
@@ -171,14 +171,6 @@ fn is_retryable_connect(e: &io::Error) -> bool {
     )
 }
 
-fn truncate_reason(flag: u8) -> TruncateReason {
-    match flag {
-        1 => TruncateReason::Deadline,
-        3 => TruncateReason::Cancelled,
-        _ => TruncateReason::CostExceeded,
-    }
-}
-
 /// Smallest socket read timeout a bounded wait sets: a zero timeout
 /// means "block forever" to the socket layer.
 const MIN_READ_TIMEOUT: Duration = Duration::from_micros(100);
@@ -212,7 +204,7 @@ impl RemoteShardProbe {
         let mut client = self.checkout(read_timeout)?;
         let max_cost = budget.max_cost().unwrap_or(0);
         let id = client
-            .send_shard_query(w.as_slice(), k as u32, deadline_ms, max_cost)
+            .send_topk_request(w.as_slice(), k as u32, deadline_ms, max_cost, true)
             .map_err(|e| match e {
                 ClientError::Io(e) if is_timeout(&e) => ShardError::Timeout,
                 other => ShardError::Io(format!("{}: {other}", self.addr)),
@@ -247,38 +239,26 @@ impl RemoteShardProbe {
             )));
         }
         match msg {
-            Message::Topk {
-                truncated,
+            Message::Topk(TopkReply {
+                truncated: Some(reason),
+                ..
+            }) => {
+                // The shard node's answer was cut by the budget we sent.
+                // The connection is healthy; the router classifies the
+                // trip (carved → Timeout fault, request-scoped → stop the
+                // request).
+                self.checkin(client);
+                Err(ShardError::Truncated(reason))
+            }
+            Message::Topk(TopkReply {
+                ids,
                 evaluated,
                 pseudo_evaluated,
-                ids,
-                scores,
+                scores: Some(scores),
                 ..
-            } => {
-                if truncated != 0 {
-                    // The shard node's answer was cut by the budget we
-                    // sent. The connection is healthy; the router
-                    // classifies the trip (carved → Timeout fault,
-                    // request-scoped → stop the request).
-                    self.checkin(client);
-                    return Err(ShardError::Truncated(truncate_reason(truncated)));
-                }
-                let Some(scores) = scores else {
-                    // A complete SHARD_QUERY reply must carry scores —
-                    // the merge orders on (score, handle).
-                    return Err(ShardError::Io(format!(
-                        "{}: complete shard reply missing scores",
-                        self.addr
-                    )));
-                };
-                if scores.len() != ids.len() {
-                    return Err(ShardError::Io(format!(
-                        "{}: {} scores for {} ids",
-                        self.addr,
-                        scores.len(),
-                        ids.len()
-                    )));
-                }
+            }) => {
+                // The decoder read ids and scores under one shared count,
+                // so they pair one-to-one.
                 self.checkin(client);
                 let hits: Vec<ScoredHit> = scores.into_iter().zip(ids).collect();
                 let cost = Cost {
@@ -287,6 +267,12 @@ impl RemoteShardProbe {
                 };
                 Ok((hits, cost))
             }
+            // A complete SHARD_QUERY reply must carry scores: the merge
+            // orders on (score, handle).
+            Message::Topk(_) => Err(ShardError::Io(format!(
+                "{}: complete shard reply missing scores",
+                self.addr
+            ))),
             Message::Error { code, message } => match code {
                 // A draining or overloaded node is a reason to try a
                 // replica, not to distrust the data.

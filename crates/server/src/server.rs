@@ -12,14 +12,14 @@
 //! query panics is answered `Internal`; its worker lives on.
 
 use crate::pinger::{HealthPinger, PingerConfig};
-use crate::protocol::{write_frame, Coverage, ErrorCode, FrameBuf, Message, PollEvent, HELLO};
+use crate::protocol::{write_frame, ErrorCode, FrameBuf, Message, PollEvent, TopkReply, HELLO};
 use crate::remote::RemoteRouter;
 use crate::shard::ServedShard;
-use drtopk_common::Weights;
+use drtopk_common::{Cost, Weights};
 use drtopk_core::batch::{panic_message, WORKER_FAILPOINT};
 use drtopk_core::{
     DualLayerIndex, QueryBudget, QueryScratch, ResultCache, ShardError, ShardHealth, ShardProbe,
-    ShardRouter, ShardedTopk, TruncateReason,
+    ShardRouter, ShardedTopk,
 };
 use drtopk_obs::metrics;
 use std::collections::VecDeque;
@@ -651,28 +651,14 @@ fn dispatch(request_id: u64, msg: Message, writer: &Arc<ConnWriter>, shared: &Ar
             max_cost,
             k,
             weights,
+            scores,
         } => admit_query(
             request_id,
             deadline_ms,
             max_cost,
             k,
             weights,
-            false,
-            writer,
-            shared,
-        ),
-        Message::ShardQuery {
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-        } => admit_query(
-            request_id,
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-            true,
+            scores,
             writer,
             shared,
         ),
@@ -685,7 +671,7 @@ fn dispatch(request_id: u64, msg: Message, writer: &Arc<ConnWriter>, shared: &Ar
             shared.begin_drain();
         }
         // A client sending response-typed messages is confused (§3).
-        Message::Topk { .. }
+        Message::Topk(_)
         | Message::MetricsReply(_)
         | Message::Pong
         | Message::Draining
@@ -750,18 +736,8 @@ fn admit_query(
     } = &shared.backend
     {
         if let Some(hit) = cache.probe(index, &w, k) {
-            writer.send(
-                request_id,
-                &Message::Topk {
-                    truncated: 0,
-                    evaluated: hit.cost.evaluated,
-                    pseudo_evaluated: hit.cost.pseudo_evaluated,
-                    ids: hit.ids.iter().map(|&id| u64::from(id)).collect(),
-                    coverage: None,
-                    scores: None,
-                },
-            );
-            return;
+            let reply = TopkReply::new(hit.ids.iter().map(|&id| u64::from(id)).collect(), hit.cost);
+            return writer.send(request_id, &Message::Topk(reply));
         }
     }
 
@@ -857,14 +833,10 @@ fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) ->
                 Some(cache) => cache.answer(index, w, k, budget, scratch).0,
                 None => index.topk_guarded_with_scratch(w, k, budget, scratch),
             };
-            Message::Topk {
-                truncated: truncate_flag(g.truncated),
-                evaluated: g.cost.evaluated,
-                pseudo_evaluated: g.cost.pseudo_evaluated,
-                ids: g.ids.iter().map(|&id| u64::from(id)).collect(),
-                coverage: None,
-                scores: None,
-            }
+            Message::Topk(TopkReply {
+                truncated: g.truncated,
+                ..TopkReply::new(g.ids.iter().map(|&id| u64::from(id)).collect(), g.cost)
+            })
         }
         Backend::Sharded { router } => routed_reply(router.topk(w, k, budget)),
         Backend::Remote { router } => routed_reply(router.topk(w, k, budget)),
@@ -875,23 +847,15 @@ fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) ->
         Backend::ShardNode { shard } => match shard.probe(w, k, budget) {
             Ok((hits, cost)) => {
                 let (scores, ids): (Vec<f64>, Vec<u64>) = hits.into_iter().unzip();
-                Message::Topk {
-                    truncated: 0,
-                    evaluated: cost.evaluated,
-                    pseudo_evaluated: cost.pseudo_evaluated,
-                    ids,
-                    coverage: None,
+                Message::Topk(TopkReply {
                     scores: p.want_scores.then_some(scores),
-                }
+                    ..TopkReply::new(ids, cost)
+                })
             }
-            Err(ShardError::Truncated(r)) => Message::Topk {
-                truncated: truncate_flag(Some(r)),
-                evaluated: 0,
-                pseudo_evaluated: 0,
-                ids: Vec::new(),
-                coverage: None,
-                scores: None,
-            },
+            Err(ShardError::Truncated(r)) => Message::Topk(TopkReply {
+                truncated: Some(r),
+                ..TopkReply::new(Vec::new(), Cost::default())
+            }),
             Err(e) => Message::Error {
                 code: ErrorCode::Internal,
                 message: e.to_string(),
@@ -903,34 +867,31 @@ fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) ->
 /// A routed answer as a TOPK reply: degraded coverage travels in the
 /// coverage extension (`PROTOCOL.md` §4.1).
 fn routed_reply(r: ShardedTopk) -> Message {
-    Message::Topk {
-        truncated: truncate_flag(r.truncated),
-        evaluated: r.cost.evaluated,
-        pseudo_evaluated: r.cost.pseudo_evaluated,
-        ids: r.ids,
-        coverage: r.coverage.degraded().then(|| Coverage {
-            shards: r.coverage.total() as u16,
-            answered: r.coverage.mask(),
-        }),
-        scores: None,
-    }
+    Message::Topk(TopkReply {
+        truncated: r.truncated,
+        coverage: r.coverage.degraded().then_some(r.coverage),
+        ..TopkReply::new(r.ids, r.cost)
+    })
 }
 
-fn truncate_flag(reason: Option<TruncateReason>) -> u8 {
-    match reason {
-        None => 0,
-        Some(TruncateReason::Deadline) => 1,
-        Some(TruncateReason::CostExceeded) => 2,
-        Some(TruncateReason::Cancelled) => 3,
-    }
-}
+/// Longest HTTP request line [`serve_http`] buffers (`PROTOCOL.md` §6):
+/// a client that sends more without a CRLF is disconnected.
+const MAX_REQUEST_LINE: usize = 8 * 1024;
 
 /// Minimal HTTP answer for Prometheus scrapers (`PROTOCOL.md` §6): only
 /// the request line matters, only `/metrics` exists.
 fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
     let deadline = Instant::now() + Duration::from_secs(2);
-    while !acc.windows(2).any(|w| w == b"\r\n") {
-        if Instant::now() >= deadline {
+    // Bytes of `acc` already scanned; the last one is scanned again, in
+    // case a CRLF straddles two reads.
+    let mut scanned = 0usize;
+    let line_end = loop {
+        let from = scanned.saturating_sub(1);
+        if let Some(i) = acc[from..].windows(2).position(|w| w == b"\r\n") {
+            break from + i;
+        }
+        scanned = acc.len();
+        if scanned > MAX_REQUEST_LINE || Instant::now() >= deadline {
             return;
         }
         let mut tmp = [0u8; 512];
@@ -942,8 +903,10 @@ fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         }
+    };
+    if line_end > MAX_REQUEST_LINE {
+        return;
     }
-    let line_end = acc.windows(2).position(|w| w == b"\r\n").unwrap();
     let line = String::from_utf8_lossy(&acc[..line_end]);
     let path = line.split_whitespace().nth(1).unwrap_or("");
     let (status, body) = if path.starts_with("/metrics") {

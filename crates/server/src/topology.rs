@@ -90,6 +90,11 @@ impl Topology {
                 v.parse::<u64>()
                     .map_err(|_| invalid(format!("line {n}: bad {what} value {v:?}")))
             };
+            // A u32 setting past u32::MAX is refused, never wrapped.
+            let narrow = |v: u64, what: &str| {
+                u32::try_from(v)
+                    .map_err(|_| invalid(format!("line {n}: {what} {v} exceeds {}", u32::MAX)))
+            };
             match key {
                 "dims" => {
                     let d = one_u64("dims")? as usize;
@@ -124,7 +129,7 @@ impl Topology {
                 }
                 "probe-timeout-ms" => probe_timeout_ms = one_u64("probe-timeout-ms")?,
                 "down-after" => {
-                    down_after = one_u64("down-after")? as u32;
+                    down_after = narrow(one_u64("down-after")?, "down-after")?;
                     if down_after == 0 {
                         return Err(invalid(format!("line {n}: down-after must be positive")));
                     }
@@ -132,7 +137,9 @@ impl Topology {
                 "ping-interval-ms" => ping_interval_ms = one_u64("ping-interval-ms")?.max(1),
                 "ping-timeout-ms" => ping_timeout_ms = one_u64("ping-timeout-ms")?.max(1),
                 "hedge-ms" => hedge_ms = one_u64("hedge-ms")?,
-                "connect-retries" => connect_retries = one_u64("connect-retries")? as u32,
+                "connect-retries" => {
+                    connect_retries = narrow(one_u64("connect-retries")?, "connect-retries")?
+                }
                 "connect-backoff-ms" => connect_backoff_ms = one_u64("connect-backoff-ms")?,
                 other => {
                     return Err(invalid(format!("line {n}: unknown directive {other:?}")));
@@ -294,9 +301,21 @@ mod tests {
             ("dims 2\nshard 0 a:1\ndown-after 0\n", "zero down-after"),
             ("dims 2\nshard 0 a:1\nwat 3\n", "unknown directive"),
             ("dims 2\ndims 3\nshard 0 a:1\n", "dims twice"),
+            (
+                "dims 2\nshard 0 a:1\ndown-after 4294967297\n",
+                "down-after past u32",
+            ),
+            (
+                "dims 2\nshard 0 a:1\nconnect-retries 4294967296\n",
+                "retries past u32",
+            ),
         ] {
             assert!(Topology::parse(text).is_err(), "{why}");
         }
+        let err = Topology::parse("dims 2\nshard 0 a:1\ndown-after 4294967297\n").unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
+        let max = Topology::parse("dims 2\nshard 0 a:1\nconnect-retries 4294967295\n").unwrap();
+        assert_eq!(max.connect_retries, u32::MAX);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * a listener that violates the hello exchange is *not* transient —
 //!   `connect_with_retry` surfaces it immediately, no backoff burned.
 
-use drtopk_common::{Distribution, Relation, Weights, WorkloadSpec};
+use drtopk_common::{Cost, Distribution, Relation, Weights, WorkloadSpec};
 use drtopk_core::shard::ShardError;
 use drtopk_core::{
     DlOptions, DynamicIndex, Handle, QueryBudget, ReplicaConfig, ReplicaSet, RouterConfig,
@@ -22,7 +22,7 @@ use drtopk_core::{
 use drtopk_server::protocol::{read_frame, write_frame};
 use drtopk_server::{
     Client, ErrorCode, Message, RemoteProbeConfig, RemoteRouter, RemoteShardProbe, ServedShard,
-    Server, ServerConfig, ServerHandle, Topology, HELLO,
+    Server, ServerConfig, ServerHandle, TopkReply, Topology, HELLO,
 };
 use drtopk_storage::{create_sharded, shards::shard_dir, DurableDynamicIndex, DurableOptions};
 use std::fs;
@@ -114,7 +114,7 @@ fn remote_router_survives_primary_kill_bit_identically() {
     let reply = client.query(&w, k as u32, 0, 0).unwrap();
     assert_eq!(reply.ids, oracle_ids, "remote == unsharded oracle");
     assert!(reply.is_full_coverage(), "healthy baseline coverage");
-    assert_eq!(reply.truncated, 0);
+    assert_eq!(reply.truncated, None);
 
     // Kill shard 1's primary. Every subsequent answer must come from the
     // replica: bit-identical, full coverage, zero degraded replies.
@@ -300,14 +300,14 @@ fn stub_node(delay: Duration, id_offset: u64, answer: Message) -> (String, Arc<A
 
 /// A complete SHARD_QUERY reply: `hits` as `(score, id)`, ascending.
 fn shard_reply(hits: &[(f64, u64)]) -> Message {
-    Message::Topk {
-        truncated: 0,
+    let cost = Cost {
         evaluated: hits.len() as u64,
         pseudo_evaluated: 0,
-        ids: hits.iter().map(|&(_, id)| id).collect(),
-        coverage: None,
+    };
+    Message::Topk(TopkReply {
         scores: Some(hits.iter().map(|&(s, _)| s).collect()),
-    }
+        ..TopkReply::new(hits.iter().map(|&(_, id)| id).collect(), cost)
+    })
 }
 
 /// A reply carrying another request's id is not this probe's answer: it

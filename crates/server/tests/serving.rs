@@ -6,7 +6,7 @@
 //! metrics escape hatch, and forward-compat error replies.
 
 use drtopk_common::{Distribution, Weights, WorkloadSpec};
-use drtopk_core::{DlOptions, DualLayerIndex, QueryBudget};
+use drtopk_core::{DlOptions, DualLayerIndex, QueryBudget, TruncateReason};
 use drtopk_server::protocol::{read_frame, write_frame, Message};
 use drtopk_server::{Client, ClientError, ErrorCode, Server, ServerConfig, HELLO};
 use rand::rngs::StdRng;
@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn build_index(d: usize, n: usize, seed: u64) -> Arc<DualLayerIndex> {
     let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, seed).generate();
@@ -76,7 +77,11 @@ fn loopback_matrix_is_bit_identical_to_in_process_topk() {
                             "client {client_id} query {i}"
                         );
                         if max_cost > 0 && want.truncated.is_some() {
-                            assert_eq!(reply.truncated, 2, "cost-cap truncation flag");
+                            assert_eq!(
+                                reply.truncated,
+                                Some(TruncateReason::CostExceeded),
+                                "cost-cap truncation flag"
+                            );
                         }
                     }
                 });
@@ -169,6 +174,29 @@ fn bad_requests_are_rejected_and_the_connection_survives() {
     handle.shutdown();
 }
 
+/// A synchronous call waits for the reply to its own request id: the
+/// ERROR answering a pipelined request the caller abandoned is skipped,
+/// not returned as the later call's answer.
+#[test]
+fn a_call_skips_the_error_of_an_abandoned_request() {
+    let idx = build_index(2, 150, 23);
+    let handle = Server::start(Arc::clone(&idx), ServerConfig::new()).expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let want: Vec<u64> = idx
+        .topk(&Weights::new(vec![0.5, 0.5]).unwrap(), 3)
+        .ids
+        .iter()
+        .map(|&id| u64::from(id))
+        .collect();
+    // Three weights for a 2-d index: answered BadRequest, never read.
+    client.send_query(&[0.5, 0.3, 0.2], 3, 0, 0).expect("send");
+    let reply = client.query(&[0.5, 0.5], 3, 0, 0).expect("own answer");
+    assert_eq!(reply.ids, want);
+    client.send_query(&[0.5, 0.3, 0.2], 3, 0, 0).expect("send");
+    client.ping().expect("ping skips the stale error");
+    handle.shutdown();
+}
+
 /// §5.3: an unknown request type draws `ERR_UNSUPPORTED` for that id and
 /// the connection keeps working — the forward-compat rule.
 #[test]
@@ -244,6 +272,30 @@ fn http_metrics_escape_hatch() {
     let mut reply = String::new();
     missing.read_to_string(&mut reply).expect("read");
     assert!(reply.starts_with("HTTP/1.0 404"), "{reply}");
+
+    // A request line whose CRLF straddles two reads still answers: the
+    // scan of new bytes starts one byte back.
+    let mut split = TcpStream::connect(addr).expect("connect");
+    split.write_all(b"GET /metrics HTTP/1.0\r").expect("get");
+    std::thread::sleep(Duration::from_millis(60));
+    split.write_all(b"\n").expect("get");
+    let mut body = String::new();
+    split.read_to_string(&mut body).expect("read");
+    assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
+
+    // An endless request line is cut off at the 8 KiB cap, not buffered
+    // until the 2 s deadline.
+    let mut endless = TcpStream::connect(addr).expect("connect");
+    endless.write_all(b"GET /").expect("get");
+    let t0 = Instant::now();
+    while endless.write_all(&[b'a'; 1024]).is_ok() {
+        assert!(t0.elapsed() < Duration::from_secs(3), "never disconnected");
+    }
+    let cut = t0.elapsed();
+    assert!(
+        cut < Duration::from_millis(500),
+        "disconnected after {cut:?}"
+    );
 
     // The protocol-level METRICS frame returns the same exposition shape.
     let mut client = Client::connect(addr).expect("connect");

@@ -139,9 +139,9 @@ fn injected_failure_matrix_degrades_then_recovers() {
             survivors.topk(&weights, k).0,
             "{name}: degraded ids must be the exact survivor-partition top-k"
         );
-        assert_eq!(reply.truncated, 0, "{name}: degraded is not truncated");
+        assert_eq!(reply.truncated, None, "{name}: degraded is not truncated");
         let cov = reply.coverage.expect("degraded reply carries coverage");
-        assert_eq!(cov.shards, p as u16, "{name}");
+        assert_eq!(cov.total(), p, "{name}");
         assert_eq!(
             cov.skipped(),
             vec![dead],

@@ -19,7 +19,7 @@
 use crate::cache::{Lookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{QueryBudget, QueryScratch, TopkCursor, TruncateReason};
+use crate::query::{Entry, QueryBudget, QueryScratch, TopkCursor, TruncateReason};
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::collections::HashSet;
@@ -349,19 +349,11 @@ impl DynamicIndex {
         }
     }
 
-    /// The one query body: the attached cache's rule around a merge of
-    /// the static index's cursor with the live buffered rows. Returns the
-    /// answer as `(score, handle)` pairs ascending, its cost, and the
-    /// tripped limit when the answer is a true prefix only.
-    ///
-    /// The cursor pops indexed tuples in `(score, position)` order, which
-    /// is `(score, handle)` order because handles ascend with position,
-    /// and tombstoned handles are skipped as they pop. Its raw queue head
-    /// bounds every indexed tuple not yet popped, so a buffered row goes
-    /// next when it orders before a real head, or scores strictly below a
-    /// pseudo-tuple head, whose members may tie it. The merge stops at k
-    /// live answers, or k+1 for a cache fill: the (k+1)-th score is the
-    /// new entry's barrier.
+    /// The one query body: the attached cache's rule around the first
+    /// k live answers of a [`LiveCursor`], or k+1 for a cache fill: the
+    /// (k+1)-th score is the new entry's barrier. Returns the answer as
+    /// `(score, handle)` pairs ascending, its cost, and the tripped limit
+    /// when the answer is a true prefix only.
     ///
     /// The budget is checked before every step, buffered or static, and a
     /// tripped read returns what it merged: a true prefix. As for a
@@ -384,55 +376,21 @@ impl DynamicIndex {
             Some(Lookup::Bypass) | None => None,
         };
         let want = (k_eff + usize::from(ticket.is_some())).min(self.len());
-        drtopk_obs::metrics()
-            .dynamic_buffer_scanned
-            .add(self.buffer.len() as u64);
-        // Live buffered rows, descending: the next one is the last.
-        let mut buffered: Vec<(f64, Handle)> = self
-            .buffer
-            .iter()
-            .filter(|(h, _)| !self.tombstones.contains(h))
-            .map(|(h, row)| (w.score(row), *h))
-            .collect();
-        buffered.sort_by(|a, b| b.partial_cmp(a).expect("scores are finite"));
-        let mut cost = Cost {
-            evaluated: buffered.len() as u64,
-            pseudo_evaluated: 0,
-        };
-        let mut scratch = self.scratch.take(&self.index);
-        let mut cursor = TopkCursor::new(&self.index, w, &mut scratch, None);
+        let mut scratch = self.take_scratch();
+        let mut live = LiveCursor::new(self, w, &mut scratch);
         let mut merged = Vec::with_capacity(want);
         let mut truncated = None;
-        let mut steps = 0;
         while merged.len() < want {
-            truncated = budget.tripped(&cursor.cost(), steps);
+            truncated = live.tripped(budget);
             if truncated.is_some() {
                 break;
             }
-            steps += 1;
-            let buffered_first = match (cursor.head(), buffered.last()) {
-                (_, None) => false,
-                (None, Some(_)) => true,
-                (Some(e), Some(&(s, h))) if e.real => {
-                    (s, h) < (e.score, self.indexed_handles[e.orig as usize])
-                }
-                (Some(e), Some(&(s, _))) => s < e.score,
-            };
-            if buffered_first {
-                merged.extend(buffered.pop());
-                continue;
-            }
-            let Some(e) = cursor.step() else { break };
-            if e.real {
-                let h = self.indexed_handles[e.orig as usize];
-                if !self.tombstones.contains(&h) {
-                    merged.push((e.score, h));
-                }
-            }
+            let Some(hit) = live.step() else { break };
+            merged.extend(hit);
         }
-        cost.merge(&cursor.cost());
-        drop(cursor);
-        self.scratch.put(scratch);
+        let cost = live.cost();
+        drop(live);
+        self.put_scratch(scratch);
         if let (Some(t), Some(c)) = (ticket, cache) {
             let fetched = merged.iter().map(|&(_, h)| h);
             c.fill(t, w, fetched, |h| {
@@ -441,6 +399,17 @@ impl DynamicIndex {
         }
         merged.truncate(k_eff);
         (merged, cost, truncated)
+    }
+
+    /// An idle traversal scratch from the pool, or a new one.
+    pub(crate) fn take_scratch(&self) -> QueryScratch {
+        self.scratch.take(&self.index)
+    }
+
+    /// Returns a scratch to the pool once the read using it finished. A
+    /// read that panicked drops its scratch instead.
+    pub(crate) fn put_scratch(&self, scratch: QueryScratch) {
+        self.scratch.put(scratch);
     }
 
     /// Forces a rebuild now (compacts buffer and tombstones).
@@ -587,6 +556,134 @@ impl DynamicIndex {
         {
             self.compact();
         }
+    }
+}
+
+/// A stream's next entry in merge order: score ascending, then a
+/// pseudo-tuple (`handle` is `None`) before a real tuple of equal score,
+/// since its members may tie that tuple, then handle ascending. The
+/// derived order is exactly that.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub(crate) struct Head {
+    pub(crate) score: f64,
+    pub(crate) handle: Option<Handle>,
+}
+
+/// A best-first stream over a [`DynamicIndex`]'s live tuples, ascending
+/// by `(score, handle)`: the static index's cursor merged with the live
+/// buffered rows. `topk_scored` takes its answer from one, and the shard
+/// router's frontier steps one per lent shard.
+///
+/// The static cursor pops indexed tuples in `(score, position)` order,
+/// which is `(score, handle)` order because handles ascend with
+/// position, and tombstoned handles are skipped as they pop. Its raw
+/// queue head bounds every indexed tuple not yet popped, so a buffered
+/// row goes next when its [`Head`] orders first. The stream ends once it
+/// yielded every live tuple, so it never pops past its last answer.
+pub(crate) struct LiveCursor<'a> {
+    dynamic: &'a DynamicIndex,
+    cursor: TopkCursor<'a>,
+    /// Live buffered rows, descending: the next one is the last.
+    buffered: Vec<(f64, Handle)>,
+    /// Buffered rows scored when the stream started.
+    scored: u64,
+    /// Live tuples not yet yielded.
+    left: usize,
+    /// Steps so far; paces the budget's clock reads.
+    steps: u64,
+}
+
+impl<'a> LiveCursor<'a> {
+    /// Starts a stream on `scratch`: seeds the static cursor and scores
+    /// the live buffered rows.
+    pub(crate) fn new(
+        dynamic: &'a DynamicIndex,
+        w: &'a Weights,
+        scratch: &'a mut QueryScratch,
+    ) -> Self {
+        drtopk_obs::metrics()
+            .dynamic_buffer_scanned
+            .add(dynamic.buffer.len() as u64);
+        let mut buffered: Vec<(f64, Handle)> = dynamic
+            .buffer
+            .iter()
+            .filter(|(h, _)| !dynamic.tombstones.contains(h))
+            .map(|(h, row)| (w.score(row), *h))
+            .collect();
+        buffered.sort_by(|a, b| b.partial_cmp(a).expect("scores are finite"));
+        LiveCursor {
+            dynamic,
+            cursor: TopkCursor::new(&dynamic.index, w, scratch, None),
+            scored: buffered.len() as u64,
+            buffered,
+            left: dynamic.len(),
+            steps: 0,
+        }
+    }
+
+    /// The next entry, and whether it is the next buffered row. `None`
+    /// once the stream ended.
+    fn peek(&self) -> Option<(Head, bool)> {
+        if self.left == 0 {
+            return None;
+        }
+        let indexed = self.cursor.head().map(|e| Head {
+            score: e.score,
+            handle: self.handle(e),
+        });
+        let buffered = self.buffered.last().map(|&(score, h)| Head {
+            score,
+            handle: Some(h),
+        });
+        match (indexed, buffered) {
+            (Some(i), Some(b)) if b < i => Some((b, true)),
+            (Some(i), _) => Some((i, false)),
+            (None, b) => b.map(|b| (b, true)),
+        }
+    }
+
+    /// A popped entry's handle; `None` for a pseudo-tuple.
+    fn handle(&self, e: Entry) -> Option<Handle> {
+        e.real
+            .then(|| self.dynamic.indexed_handles[e.orig as usize])
+    }
+
+    /// The next entry's merge key; `None` once the stream ended.
+    pub(crate) fn head(&self) -> Option<Head> {
+        self.peek().map(|(head, _)| head)
+    }
+
+    /// The budget's verdict before the next step: its cost cap against
+    /// this stream's traversal, its clock paced by the steps taken.
+    pub(crate) fn tripped(&self, budget: &QueryBudget) -> Option<TruncateReason> {
+        budget.tripped(&self.cursor.cost(), self.steps)
+    }
+
+    /// Pops the head. `None` once the stream ended; `Some(None)` for an
+    /// entry that is no live answer (a pseudo-tuple or a tombstone).
+    pub(crate) fn step(&mut self) -> Option<Option<(f64, Handle)>> {
+        let (_, buffered) = self.peek()?;
+        self.steps += 1;
+        let hit = if buffered {
+            self.buffered.pop()
+        } else {
+            let e = self.cursor.step()?;
+            self.handle(e)
+                .filter(|h| !self.dynamic.tombstones.contains(h))
+                .map(|h| (e.score, h))
+        };
+        self.left -= usize::from(hit.is_some());
+        Some(hit)
+    }
+
+    /// Tuples scored so far: the live buffered rows and the traversal.
+    pub(crate) fn cost(&self) -> Cost {
+        let mut cost = Cost {
+            evaluated: self.scored,
+            pseudo_evaluated: 0,
+        };
+        cost.merge(&self.cursor.cost());
+        cost
     }
 }
 

@@ -1,4 +1,5 @@
-//! Sharded serving: partition → per-shard top-k → fault-tolerant merge.
+//! Sharded serving: partition → one best-first merge over the shards →
+//! fault-tolerant answer.
 //!
 //! ROADMAP item 2(a): one monolithic index becomes a routing layer over
 //! `P` partitions, so build time, rebuild amortization, and churn
@@ -8,44 +9,55 @@
 //! * **Partitioning** is by tuple id: shard `s` of `P` holds the tuples
 //!   whose *global* handle `h` satisfies `h % P == s`, and each shard's
 //!   [`DynamicIndex`] carries those global handles natively (via
-//!   [`DynamicIndex::with_handles`]). Per-shard answers therefore come
-//!   back as global ids and a k-way merge on `(score, handle)` — the
-//!   exact comparator the unsharded dynamic index sorts with — is
-//!   bit-identical to the unsharded answer.
-//! * **Fan-out** runs on the calling thread, with no thread spawned per
-//!   query: the router starts every live shard's probe
-//!   ([`ShardProbe::start`]) and then waits for each ([`InFlight::wait`]).
-//!   A shard held in process answers while it is started; a remote
-//!   shard's request is on the wire before the first wait, so remote
-//!   probes overlap. Start and wait are each isolated with
-//!   `catch_unwind` — the same per-request panic isolation contract
+//!   [`DynamicIndex::with_handles`]). Shards therefore answer in global
+//!   ids, and a merge on `(score, handle)` — the exact comparator the
+//!   unsharded dynamic index sorts with — is bit-identical to the
+//!   unsharded answer.
+//! * **One frontier** merges the shards on the calling thread, with no
+//!   thread spawned per query. A shard held in process *lends* its
+//!   [`DynamicIndex`] ([`ShardProbe::lend`]), and the router steps every
+//!   lent shard's best-first cursor from one frontier: it always
+//!   advances the shard whose head is lowest, a pseudo-tuple head before
+//!   a real head of equal score, until k answers are out. That is each
+//!   shard stopping at the global k-th score (the threshold stop of
+//!   Fagin's TA), so a shard evaluates at most what its own top-k would.
+//!   A shard that does not lend, such as a remote one, is probed for its
+//!   own top-k ([`ShardProbe::start`], then [`InFlight::wait`]): every
+//!   such request is on the wire before the first wait, and each
+//!   finished list joins the frontier as exact heads. A frontier across
+//!   the wire would cost a round trip per step.
+//! * **Panics** in a lend, a start, a wait or a merge step are caught
+//!   per shard with `catch_unwind` — the per-request isolation contract
 //!   [`crate::batch::BatchExecutor`] applies to guarded batch requests —
 //!   so one shard's panic degrades coverage instead of killing the
-//!   process.
+//!   process. A shard that fails mid-merge is dropped: its rows leave
+//!   the merged prefix, and it is not retried.
 //! * **Health** per shard is Up / Degraded / Down, driven by consecutive
-//!   probe failures. A Down shard is skipped (no latency tax) until an
+//!   failures. A Down shard is skipped (no latency tax) until an
 //!   operator or recovery path marks it up again.
-//! * **Retry** of transiently failed probes is bounded, with
+//! * **Retry** of transiently failed lends and probes is bounded, with
 //!   deterministic jittered exponential backoff, and never sleeps past
 //!   the request's own deadline.
 //! * **Timeouts** are carved from the request's [`QueryBudget`]: each
-//!   probe gets the request deadline tightened by the router's per-probe
-//!   timeout. A probe that trips its *carved* deadline is a shard fault
-//!   (retryable, health-affecting); a probe that trips the *request's*
-//!   budget stops the request — the paper's Definition-9 cost bound and
-//!   the true-prefix contract make that partial answer still exact over
-//!   what it covers.
+//!   lend or probe gets the request deadline tightened by the router's
+//!   per-probe timeout. Shards are lent one after another, so the carved
+//!   window bounds only a shard's own lend: carve, lend, check once. A
+//!   lend or probe that trips its *carved* deadline is a shard fault
+//!   (retryable, health-affecting). The merge steps check the
+//!   *request's* budget, each shard's cost against its cost cap, as a
+//!   shard's own top-k would. A trip of the request's budget stops the
+//!   request: the merge stops, and its ids are a true prefix over every
+//!   shard it covers.
 //! * **Degradation** is explicit: every routed answer carries a
 //!   [`ShardCoverage`] naming the shards that answered. A merge over a
 //!   subset of shards is the exact top-k over the union of the surviving
 //!   partitions — never a guess.
 
 use crate::batch::panic_message;
-use crate::dynamic::{DynamicIndex, Handle};
-use crate::query::{QueryBudget, TruncateReason};
+use crate::dynamic::{DynamicIndex, Handle, Head, LiveCursor};
+use crate::query::{QueryBudget, QueryScratch, TruncateReason};
 use drtopk_common::{Cost, Error, Relation, Weights};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -288,17 +300,30 @@ pub type ScoredHit = (f64, Handle);
 /// (ascending by `(score, handle)`) plus its Definition-9 cost.
 pub type ShardAnswer = (Vec<ScoredHit>, Cost);
 
-/// One queryable shard. Implementations must be cheap to probe
-/// concurrently (`&self`) and are responsible for reporting truncation
-/// via [`ShardError::Truncated`] — the router never merges a partial
-/// shard answer, because a missing middle would break the merged
-/// prefix's exactness.
+/// One queryable shard. Implementations must be cheap to read
+/// concurrently (`&self`).
 ///
-/// A probe has two phases: [`ShardProbe::start`] issues it and
-/// [`InFlight::wait`] collects its answer. The router starts every
-/// shard's probe before it waits for any, so probes that answer later
-/// (requests on the wire) overlap while one thread drives them all.
+/// A shard held in process lends its index ([`ShardProbe::lend`]) and
+/// the router steps its best-first cursor in one frontier with every
+/// other lent shard's, so the shard evaluates only what the global
+/// answer needs. A shard that does not lend — the default — is probed
+/// for its own top-k in two phases: [`ShardProbe::start`] issues the
+/// probe and [`InFlight::wait`] collects its answer. The router starts
+/// every such probe before it waits for any, so probes that answer later
+/// (requests on the wire) overlap while one thread drives them all. A
+/// probe reports truncation via [`ShardError::Truncated`]: the router
+/// never merges a partial shard answer, because a missing middle would
+/// break the merged prefix's exactness.
 pub trait ShardProbe: Send + Sync {
+    /// Lends this shard's index to the router's frontier for one request.
+    /// `None` (the default) means the shard does not lend, and the
+    /// router probes it instead. A lent index stays readable until the
+    /// [`Lent`] drops, so every guard it holds, such as a read lock, is
+    /// held across the merge.
+    fn lend(&self) -> Option<Result<Lent<'_>, ShardError>> {
+        None
+    }
+
     /// Exact top-`k` over this shard's live tuples under `budget`: the
     /// answer [`ShardProbe::start`] followed by a wait to completion
     /// yields.
@@ -386,7 +411,32 @@ impl<'a> InFlight<'a> {
     }
 }
 
+/// A shard's index lent to the router's frontier for one request: a
+/// plain borrow, or a guard (such as a read lock) that keeps the index
+/// readable until it drops.
+pub struct Lent<'a>(Box<dyn Deref<Target = DynamicIndex> + 'a>);
+
+impl<'a> Lent<'a> {
+    /// Lends `index` — `&DynamicIndex` itself, or a guard that derefs
+    /// to one.
+    pub fn new(index: impl Deref<Target = DynamicIndex> + 'a) -> Self {
+        Lent(Box::new(index))
+    }
+}
+
+impl Deref for Lent<'_> {
+    type Target = DynamicIndex;
+
+    fn deref(&self) -> &DynamicIndex {
+        &self.0
+    }
+}
+
 impl ShardProbe for DynamicIndex {
+    fn lend(&self) -> Option<Result<Lent<'_>, ShardError>> {
+        Some(Ok(Lent::new(self)))
+    }
+
     fn probe(
         &self,
         w: &Weights,
@@ -402,66 +452,6 @@ impl ShardProbe for DynamicIndex {
     fn dims(&self) -> usize {
         DynamicIndex::dims(self)
     }
-}
-
-/// K-way merges per-shard answers (each ascending by `(score, handle)`)
-/// into the global top-`k`, using the *same* comparator the unsharded
-/// [`DynamicIndex::topk`] sorts with — `(score, handle)` lexicographic —
-/// so a full-coverage merge is bit-identical to the unsharded answer.
-pub fn merge_scored(k: usize, lists: &[Vec<ScoredHit>]) -> Vec<Handle> {
-    struct Head {
-        score: f64,
-        handle: Handle,
-        src: usize,
-        pos: usize,
-    }
-    impl PartialEq for Head {
-        fn eq(&self, other: &Self) -> bool {
-            self.score == other.score && self.handle == other.handle
-        }
-    }
-    impl Eq for Head {}
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we pop the minimum.
-            other
-                .score
-                .partial_cmp(&self.score)
-                .expect("scores are finite")
-                .then(other.handle.cmp(&self.handle))
-        }
-    }
-    let mut heap = BinaryHeap::with_capacity(lists.len());
-    for (src, list) in lists.iter().enumerate() {
-        if let Some(&(score, handle)) = list.first() {
-            heap.push(Head {
-                score,
-                handle,
-                src,
-                pos: 0,
-            });
-        }
-    }
-    let mut out = Vec::with_capacity(k.min(lists.iter().map(Vec::len).sum()));
-    while out.len() < k {
-        let Some(head) = heap.pop() else { break };
-        out.push(head.handle);
-        let next = head.pos + 1;
-        if let Some(&(score, handle)) = lists[head.src].get(next) {
-            heap.push(Head {
-                score,
-                handle,
-                src: head.src,
-                pos: next,
-            });
-        }
-    }
-    out
 }
 
 /// Router tunables.
@@ -492,17 +482,20 @@ impl Default for RouterConfig {
 pub struct ShardedTopk {
     /// Merged answer, ascending by `(score, handle)`. Exact over the
     /// covered shards' partitions; bit-identical to the unsharded answer
-    /// when coverage is full and no budget tripped.
+    /// when coverage is full and no budget tripped. When `truncated` is
+    /// set, a true prefix of that answer.
     pub ids: Vec<Handle>,
-    /// Summed Definition-9 cost across the shards that answered.
+    /// Definition-9 cost: the sum of what each covered shard evaluated,
+    /// real tuples and pseudo-tuples, for this request.
     pub cost: Cost,
-    /// `Some` when the *request's* budget stopped at least one probe.
+    /// `Some` when the *request's* budget stopped a lend, a probe or the
+    /// merge.
     pub truncated: Option<TruncateReason>,
     /// Which shards contributed.
     pub coverage: ShardCoverage,
-    /// Shards that failed past their retry budget this request, with the
-    /// final error (skipped-while-Down shards are not listed — see
-    /// [`ShardCoverage::skipped`] for the full set).
+    /// Shards that failed past their retry budget this request, or in
+    /// the merge, with the final error (skipped-while-Down shards are not
+    /// listed — see [`ShardCoverage::skipped`] for the full set).
     pub failures: Vec<(usize, ShardError)>,
 }
 
@@ -512,11 +505,41 @@ struct HealthSlot {
     consecutive_failures: u32,
 }
 
-/// Outcome of one probe-with-retry, per shard.
-enum ProbeOutcome {
+/// One attempt at a shard: its index lent, or, for a shard that does not
+/// lend, its probe started.
+enum Attempt<'a> {
+    Lent(Result<Lent<'a>, ShardError>),
+    Probe(InFlight<'a>),
+}
+
+/// Outcome of one shard's attempts, retries included.
+enum Outcome<'a> {
+    Lent(Lent<'a>),
     Answered(ShardAnswer),
     Failed(ShardError),
     RequestStopped(TruncateReason),
+}
+
+/// One joined shard's part in the frontier.
+enum Stream<'a> {
+    /// A lent shard's cursor, with the failpoint site visited before
+    /// each of its steps.
+    Lent(LiveCursor<'a>, &'static str),
+    /// A probed shard's finished top-k, descending: the next row is the
+    /// last.
+    Listed(Vec<ScoredHit>),
+}
+
+impl Stream<'_> {
+    fn head(&self) -> Option<Head> {
+        match self {
+            Stream::Lent(live, _) => live.head(),
+            Stream::Listed(rows) => rows.last().map(|&(score, h)| Head {
+                score,
+                handle: Some(h),
+            }),
+        }
+    }
 }
 
 /// Fault-tolerant fan-out/merge router over `P` shards.
@@ -693,36 +716,57 @@ impl<S: ShardProbe> ShardRouter<S> {
         carved
     }
 
-    /// Starts one attempt at shard `s` under a freshly carved budget.
-    fn start_probe(&self, s: usize, w: &Weights, k: usize, budget: &QueryBudget) -> InFlight<'_> {
+    /// One attempt at shard `s` under a freshly carved budget: lend its
+    /// index, or start its probe when it does not lend. A lend is checked
+    /// against the carved budget once, right after it, because shards are
+    /// lent one after another and the merge steps under the request's own
+    /// budget.
+    fn attempt(&self, s: usize, w: &Weights, k: usize, budget: &QueryBudget) -> Attempt<'_> {
         drtopk_obs::metrics().shard_probes.add(1);
         let carved = self.carve(budget);
         let shard = &self.shards[s];
-        catch_unwind(AssertUnwindSafe(|| shard.start(w, k, &carved)))
-            .unwrap_or_else(|p| InFlight::ready(Err(ShardError::Panic(panic_message(p.as_ref())))))
+        let lent = match catch_unwind(AssertUnwindSafe(|| shard.lend())) {
+            Ok(Some(lent)) => lent,
+            Ok(None) => {
+                return Attempt::Probe(
+                    catch_unwind(AssertUnwindSafe(|| shard.start(w, k, &carved))).unwrap_or_else(
+                        |p| InFlight::ready(Err(ShardError::Panic(panic_message(p.as_ref())))),
+                    ),
+                )
+            }
+            Err(p) => Err(ShardError::Panic(panic_message(p.as_ref()))),
+        };
+        Attempt::Lent(
+            lent.and_then(|index| match carved.tripped(&Cost::new(), 0) {
+                Some(r) => Err(ShardError::Truncated(r)),
+                None => Ok(index),
+            }),
+        )
     }
 
-    /// Waits for shard `s`'s started probe, restarting it after a
-    /// transient failure while the retry policy and the request deadline
-    /// allow.
-    fn finish_probe<'a>(
+    /// Settles shard `s`'s attempt, attempting again after a transient
+    /// failure while the retry policy and the request deadline allow.
+    fn settle<'a>(
         &'a self,
         s: usize,
-        mut flight: InFlight<'a>,
+        mut attempt: Attempt<'a>,
         w: &Weights,
         k: usize,
         budget: &QueryBudget,
-    ) -> ProbeOutcome {
+    ) -> Outcome<'a> {
         let m = drtopk_obs::metrics();
-        let mut attempt = 0u32;
+        let mut retries = 0u32;
         loop {
-            let err = match catch_unwind(AssertUnwindSafe(|| flight.finish())) {
-                Ok(Ok(answer)) => {
-                    self.record_success(s);
-                    return ProbeOutcome::Answered(answer);
+            let err = match attempt {
+                Attempt::Lent(Ok(index)) => return Outcome::Lent(index),
+                Attempt::Lent(Err(e)) => e,
+                Attempt::Probe(flight) => {
+                    match catch_unwind(AssertUnwindSafe(|| flight.finish())) {
+                        Ok(Ok(answer)) => return Outcome::Answered(answer),
+                        Ok(Err(e)) => e,
+                        Err(payload) => ShardError::Panic(panic_message(payload.as_ref())),
+                    }
                 }
-                Ok(Err(e)) => e,
-                Err(payload) => ShardError::Panic(panic_message(payload.as_ref())),
             };
             let request_expired = budget.deadline().is_some_and(|d| Instant::now() >= d);
             let fault = match err {
@@ -736,80 +780,194 @@ impl<S: ShardProbe> ShardRouter<S> {
                 ShardError::Truncated(r) => {
                     // The request's own budget tripped: stop the request;
                     // the shard takes no health penalty.
-                    return ProbeOutcome::RequestStopped(r);
+                    return Outcome::RequestStopped(r);
                 }
                 other => other,
             };
             m.shard_probe_failures.add(1);
             self.record_failure(s);
-            if attempt >= self.cfg.retry.max_retries {
-                return ProbeOutcome::Failed(fault);
+            if retries >= self.cfg.retry.max_retries {
+                return Outcome::Failed(fault);
             }
-            let delay = self.cfg.retry.backoff(attempt, s as u64);
+            let delay = self.cfg.retry.backoff(retries, s as u64);
             if let Some(d) = budget.deadline() {
                 if Instant::now() + delay >= d {
                     // No time left to retry inside the request.
-                    return ProbeOutcome::Failed(fault);
+                    return Outcome::Failed(fault);
                 }
             }
             m.shard_retries.add(1);
             std::thread::sleep(delay);
-            attempt += 1;
-            flight = self.start_probe(s, w, k, budget);
+            retries += 1;
+            attempt = self.attempt(s, w, k, budget);
         }
     }
 
-    /// Routed top-k: fan out to every non-Down shard, retry transient
-    /// failures, and heap-merge k-from-each into the global answer.
+    /// Routed top-k: lend or probe every non-Down shard, retry transient
+    /// failures, and merge the shards that joined through one best-first
+    /// frontier until `k` answers are out (see the module doc).
     ///
-    /// Every probe runs on the calling thread: each live shard's probe is
-    /// started, then each is waited for in shard order. A shard held in
-    /// process answers while it is started; a remote one has its request
-    /// on the wire before the first wait, so remote probes overlap.
+    /// Everything runs on the calling thread. Shards are attempted in
+    /// shard order: an in-process shard lends its index, and every other
+    /// shard's probe is started before the first wait, so remote probes
+    /// overlap. The frontier then steps the lent shards' cursors, each on
+    /// scratch from its own pool, and takes each probed shard's finished
+    /// top-k as exact heads. A lent shard whose step panics is dropped
+    /// from the merge: its rows leave the answer, it records one failure,
+    /// and its scratch is not returned to its pool.
     ///
-    /// The returned [`ShardedTopk::coverage`] names the shards whose full
-    /// top-k entered the merge; the answer is exact over exactly those
-    /// partitions. `truncated` is set only when the *request's* budget
-    /// (deadline / cost cap / cancellation) stopped a probe — shard
-    /// faults degrade coverage instead.
+    /// The returned [`ShardedTopk::coverage`] names the shards that
+    /// joined the merge and did not fail in it; the answer is exact over
+    /// exactly those partitions. `truncated` is set only when the
+    /// *request's* budget (deadline / cost cap / cancellation) stopped a
+    /// lend, a probe or the merge — shard faults degrade coverage instead.
     pub fn topk(&self, w: &Weights, k: usize, budget: &QueryBudget) -> ShardedTopk {
         let p = self.shards.len();
-        let flights: Vec<Option<InFlight<'_>>> = self
+        let attempts: Vec<Option<Attempt<'_>>> = self
             .health()
             .into_iter()
             .enumerate()
-            .map(|(s, h)| (h != ShardHealth::Down).then(|| self.start_probe(s, w, k, budget)))
+            .map(|(s, h)| (h != ShardHealth::Down).then(|| self.attempt(s, w, k, budget)))
             .collect();
-        let mut coverage = ShardCoverage::empty(p);
         let mut truncated: Option<TruncateReason> = None;
         let mut cost = Cost::new();
-        let mut lists: Vec<Vec<ScoredHit>> = Vec::with_capacity(p);
         let mut failures: Vec<(usize, ShardError)> = Vec::new();
-        for (s, flight) in flights.into_iter().enumerate() {
-            let Some(flight) = flight else { continue };
-            match self.finish_probe(s, flight, w, k, budget) {
-                ProbeOutcome::Answered((hits, c)) => {
-                    coverage.mark(s);
-                    cost.merge(&c);
-                    lists.push(hits);
+        let mut joined: Vec<usize> = Vec::with_capacity(p);
+        let mut lent: Vec<(usize, Lent<'_>)> = Vec::new();
+        // Each lent shard's cursor runs on scratch from its own pool.
+        let mut scratch: Vec<QueryScratch> = Vec::new();
+        let mut streams: Vec<(usize, Stream<'_>)> = Vec::with_capacity(p);
+        for (s, attempt) in attempts.into_iter().enumerate() {
+            let Some(attempt) = attempt else { continue };
+            match self.settle(s, attempt, w, k, budget) {
+                Outcome::Lent(index) => {
+                    joined.push(s);
+                    // An empty read needs no cursor: the shard is covered
+                    // as it is, and its lock goes at once.
+                    if k > 0 && !index.is_empty() {
+                        lent.push((s, index));
+                    }
                 }
-                ProbeOutcome::RequestStopped(r) => {
+                Outcome::Answered((mut rows, c)) => {
+                    joined.push(s);
+                    cost.merge(&c);
+                    rows.reverse();
+                    streams.push((s, Stream::Listed(rows)));
+                }
+                Outcome::RequestStopped(r) => {
                     truncated.get_or_insert(r);
                 }
-                ProbeOutcome::Failed(e) => failures.push((s, e)),
+                Outcome::Failed(e) => failures.push((s, e)),
             }
         }
+        // Shards dropped from the merge, with the error that dropped them.
+        let mut dropped: Vec<(usize, ShardError)> = Vec::new();
+        scratch.extend(lent.iter().map(|(_, index)| index.take_scratch()));
+        for ((s, index), scratch) in lent.iter().zip(&mut scratch) {
+            let open = || {
+                // Moved in, not reborrowed, so the cursor keeps the borrow.
+                let scratch = scratch;
+                LiveCursor::new(index, w, scratch)
+            };
+            match catch_unwind(AssertUnwindSafe(open)) {
+                Ok(live) => {
+                    let site = drtopk_failpoints::shard_step_site(*s);
+                    streams.push((*s, Stream::Lent(live, site)));
+                }
+                Err(p) => dropped.push((*s, ShardError::Panic(panic_message(p.as_ref())))),
+            }
+        }
+        let (ids, stopped) = merge(&mut streams, k, budget, &mut dropped);
+        truncated = truncated.or(stopped);
+        for (_, stream) in &streams {
+            if let Stream::Lent(live, _) = stream {
+                cost.merge(&live.cost());
+            }
+        }
+        drop(streams);
+        let is_dropped = |s: usize| dropped.iter().any(|&(d, _)| d == s);
+        for ((s, index), scratch) in lent.iter().zip(scratch) {
+            if !is_dropped(*s) {
+                index.put_scratch(scratch);
+            }
+        }
+        let mut coverage = ShardCoverage::empty(p);
+        for s in joined {
+            if is_dropped(s) {
+                drtopk_obs::metrics().shard_probe_failures.add(1);
+                self.record_failure(s);
+            } else {
+                coverage.mark(s);
+                self.record_success(s);
+            }
+        }
+        failures.extend(dropped);
         if coverage.degraded() && truncated.is_none() {
             drtopk_obs::metrics().shard_degraded_answers.add(1);
         }
         ShardedTopk {
-            ids: merge_scored(k, &lists),
+            ids,
             cost,
             truncated,
             coverage,
             failures,
         }
     }
+}
+
+/// The frontier: steps `streams` until `k` answers are out, always the
+/// stream whose head is lowest. Before each step of a lent stream it
+/// checks the request's `budget` against that stream's cost, and a trip
+/// stops the merge; then it visits the stream's failpoint. A lent stream
+/// whose step fails leaves the frontier with the rows it put out, and
+/// joins `dropped`. Returns the answer and the trip that cut it short.
+fn merge(
+    streams: &mut Vec<(usize, Stream<'_>)>,
+    k: usize,
+    budget: &QueryBudget,
+    dropped: &mut Vec<(usize, ShardError)>,
+) -> (Vec<Handle>, Option<TruncateReason>) {
+    let mut out: Vec<(usize, Handle)> = Vec::with_capacity(k);
+    let mut stopped = None;
+    while out.len() < k {
+        let mut next: Option<(usize, Head)> = None;
+        for (i, (_, stream)) in streams.iter().enumerate() {
+            if let Some(head) = stream.head() {
+                if next.is_none_or(|(_, low)| head < low) {
+                    next = Some((i, head));
+                }
+            }
+        }
+        let Some((i, _)) = next else { break };
+        let (s, stream) = &mut streams[i];
+        let s = *s;
+        let fault = match stream {
+            Stream::Listed(rows) => {
+                out.extend(rows.pop().map(|(_, h)| (s, h)));
+                continue;
+            }
+            Stream::Lent(live, site) => {
+                stopped = live.tripped(budget);
+                if stopped.is_some() {
+                    break;
+                }
+                let site = *site;
+                let step = || drtopk_failpoints::hit(site).map(|()| live.step());
+                match catch_unwind(AssertUnwindSafe(step)) {
+                    Ok(Ok(hit)) => {
+                        out.extend(hit.flatten().map(|(_, h)| (s, h)));
+                        continue;
+                    }
+                    Ok(Err(e)) => ShardError::Io(e.to_string()),
+                    Err(p) => ShardError::Panic(panic_message(p.as_ref())),
+                }
+            }
+        };
+        streams.remove(i);
+        out.retain(|&(from, _)| from != s);
+        dropped.push((s, fault));
+    }
+    (out.into_iter().map(|(_, h)| h).collect(), stopped)
 }
 
 /// Tunables for a [`ReplicaSet`].
@@ -1183,7 +1341,24 @@ mod tests {
             let mut flat: Vec<ScoredHit> = lists.iter().flatten().copied().collect();
             flat.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
             let expect: Vec<Handle> = flat.into_iter().take(k).map(|(_, h)| h).collect();
-            assert_eq!(merge_scored(k, &lists), expect);
+            // Shards that do not lend join the frontier as exact heads.
+            let shards = lists.into_iter().map(Listed).collect();
+            let router = ShardRouter::new(shards, RouterConfig::default()).unwrap();
+            let routed = router.topk(&Weights::uniform(2), k, &QueryBudget::unlimited());
+            assert_eq!(routed.ids, expect);
+        }
+    }
+
+    /// A shard that answers every probe with one fixed list.
+    struct Listed(Vec<ScoredHit>);
+
+    impl ShardProbe for Listed {
+        fn probe(&self, _: &Weights, _: usize, _: &QueryBudget) -> Result<ShardAnswer, ShardError> {
+            Ok((self.0.clone(), Cost::new()))
+        }
+
+        fn dims(&self) -> usize {
+            2
         }
     }
 

@@ -3,12 +3,16 @@
 //! bit-identical to the unsharded dynamic index — and with shards forced
 //! down, bit-identical to the unsharded index over the surviving
 //! partitions. This is the merge tie-break contract under randomized
-//! load; any drift here is a correctness bug, not noise.
+//! load; any drift here is a correctness bug, not noise. The frontier's
+//! own promises are pinned too: pending updates, pseudo-tuple ties
+//! across shards, per-shard cost never above the shard's own top-k, and
+//! true prefixes under a cost cap.
 
-use drtopk_common::{Distribution, Relation, Weights, WorkloadSpec};
-use drtopk_core::shard::{shard_of, ShardAnswer, ShardError};
+use drtopk_common::{Cost, Distribution, Relation, Weights, WorkloadSpec};
+use drtopk_core::shard::{shard_of, Lent, ShardAnswer, ShardError};
 use drtopk_core::{
-    DlOptions, DynamicIndex, Handle, QueryBudget, RouterConfig, ShardProbe, ShardRouter,
+    DlOptions, DualLayerIndex, DynamicIndex, Handle, QueryBudget, RouterConfig, ShardProbe,
+    ShardRouter, TruncateReason,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -240,4 +244,231 @@ fn shared_dynamic_index_reuses_scratch_across_threads_and_rebuilds() {
             }
         });
     }
+}
+
+/// A shard read through a borrow, so one set of shards serves many
+/// routers: it lends its index when `lends`, and is probed otherwise.
+struct Borrowed<'a> {
+    index: &'a DynamicIndex,
+    lends: bool,
+}
+
+impl ShardProbe for Borrowed<'_> {
+    fn lend(&self) -> Option<Result<Lent<'_>, ShardError>> {
+        self.lends.then(|| Ok(Lent::new(self.index)))
+    }
+
+    fn probe(
+        &self,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<ShardAnswer, ShardError> {
+        self.index.probe(w, k, budget)
+    }
+
+    fn dims(&self) -> usize {
+        ShardProbe::dims(self.index)
+    }
+}
+
+/// A router over `shards` in which shard `s` lends iff `lends(s)`.
+fn borrowed_router(
+    shards: &[DynamicIndex],
+    lends: impl Fn(usize) -> bool,
+) -> ShardRouter<Borrowed<'_>> {
+    let borrowed = shards
+        .iter()
+        .enumerate()
+        .map(|(s, index)| Borrowed {
+            index,
+            lends: lends(s),
+        })
+        .collect();
+    ShardRouter::new(borrowed, RouterConfig::default()).unwrap()
+}
+
+/// Lent shards with pending inserts and tombstones route to the
+/// brute-force oracle's ids. The last case puts a buffered row on one
+/// shard level with a pseudo-tuple head on another: shard 0's skyline is
+/// eight copies of one point, so every pseudo-tuple of its zero layer
+/// scores exactly that point, and shard 1 buffers a ninth copy under a
+/// larger handle. The frontier has to step the pseudo-tuple head first,
+/// so that shard 0's copies, with the lower handles, go out before it.
+#[test]
+fn routing_over_pending_updates_matches_brute_force() {
+    let (d, n, p) = (3, 400, 4);
+    let rel = WorkloadSpec::new(Distribution::Independent, d, n, 0xB0F).generate();
+    // A high rebuild fraction keeps every update pending.
+    let mut shards: Vec<DynamicIndex> = drtopk_core::partition_relation(&rel, p)
+        .unwrap()
+        .into_iter()
+        .map(|(part, handles)| {
+            DynamicIndex::with_handles(&part, handles, DlOptions::default(), 5.0).unwrap()
+        })
+        .collect();
+    let mut live: HashMap<Handle, Vec<f64>> = rel
+        .iter()
+        .map(|(t, row)| (t as Handle, row.to_vec()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0xF0F0);
+    let mut next = n as Handle;
+    for round in 0..5 {
+        for _ in 0..30 {
+            let row: Vec<f64> = (0..d).map(|_| rng.gen_range(0.001..0.999)).collect();
+            shards[shard_of(next, p)].replay_insert(next, &row).unwrap();
+            live.insert(next, row);
+            next += 1;
+        }
+        let mut handles: Vec<Handle> = live.keys().copied().collect();
+        handles.sort_unstable();
+        for _ in 0..20 {
+            let h = handles.swap_remove(rng.gen_range(0..handles.len()));
+            assert!(shards[shard_of(h, p)].delete(h));
+            live.remove(&h);
+        }
+        assert!(shards.iter().all(|s| s.pending() > 0));
+        let router = borrowed_router(&shards, |_| true);
+        for _ in 0..15 {
+            let w = Weights::random(d, &mut rng);
+            let k = rng.gen_range(1..=40);
+            let routed = router.topk(&w, k, &QueryBudget::unlimited());
+            assert!(routed.coverage.is_full());
+            assert_eq!(
+                routed.ids,
+                brute_force(&live, &w, k),
+                "round {round} k={k}: routed answer drifted from the oracle"
+            );
+        }
+    }
+
+    let point = vec![0.1, 0.2, 0.3];
+    let mut rows = vec![vec![]; 216];
+    for (t, row) in rows.iter_mut().enumerate() {
+        *row = if t % 2 == 0 && t < 16 {
+            point.clone()
+        } else {
+            (0..d).map(|_| rng.gen_range(0.4..0.99)).collect()
+        };
+    }
+    let tied = Relation::from_rows(d, &rows).unwrap();
+    let parts = drtopk_core::partition_relation(&tied, 2).unwrap();
+    assert!(
+        DualLayerIndex::build(&parts[0].0, DlOptions::default())
+            .stats()
+            .pseudo_tuples
+            > 0,
+        "shard 0 has a zero layer"
+    );
+    let mut shards: Vec<DynamicIndex> = parts
+        .into_iter()
+        .map(|(part, handles)| {
+            DynamicIndex::with_handles(&part, handles, DlOptions::default(), 5.0).unwrap()
+        })
+        .collect();
+    // The next odd handle: shard 1's id class.
+    let late = shards[1].next_handle() | 1;
+    shards[1].replay_insert(late, &point).unwrap();
+    let router = borrowed_router(&shards, |_| true);
+    let routed = router.topk(&Weights::uniform(d), 10, &QueryBudget::unlimited());
+    assert_eq!(routed.ids[..9], [0, 2, 4, 6, 8, 10, 12, 14, late]);
+    let mut live: HashMap<Handle, Vec<f64>> = tied
+        .iter()
+        .map(|(t, row)| (t as Handle, row.to_vec()))
+        .collect();
+    live.insert(late, point);
+    assert_eq!(routed.ids, brute_force(&live, &Weights::uniform(d), 10));
+}
+
+/// The frontier stops each shard at or before its own k-th answer, so a
+/// routed read never evaluates more on a shard than that shard's own
+/// top-k does, and at P = 4 it evaluates strictly less on average.
+///
+/// A shard's part of the routed cost is read by letting only that shard
+/// lend: its cursor stops at the same global k-th answer whether the
+/// others lend or join as finished lists, so the routed cost less the
+/// others' own costs is its part. The parts add up to the routed cost
+/// with every shard lending.
+#[test]
+fn frontier_never_costs_a_shard_more_than_its_own_top_k() {
+    let (d, n, p) = (3, 2000, 4);
+    let rel = WorkloadSpec::new(Distribution::Independent, d, n, 0x7A).generate();
+    let shards = build_shards(&rel, p);
+    let all_lend = borrowed_router(&shards, |_| true);
+    let unlimited = QueryBudget::unlimited();
+    let mut rng = StdRng::seed_from_u64(0xC057);
+    let (mut routed_total, mut own_total) = (0u64, 0u64);
+    for _ in 0..40 {
+        let w = Weights::random(d, &mut rng);
+        let k = rng.gen_range(1..=30);
+        let own: Vec<Cost> = shards
+            .iter()
+            .map(|s| s.probe(&w, k, &unlimited).unwrap().1)
+            .collect();
+        let routed = all_lend.topk(&w, k, &unlimited);
+        let mut parts = Cost::new();
+        for s in 0..p {
+            let one = borrowed_router(&shards, |t| t == s).topk(&w, k, &unlimited);
+            assert_eq!(one.ids, routed.ids, "shard {s} k={k}");
+            let mut part = one.cost;
+            for (_, c) in own.iter().enumerate().filter(|&(t, _)| t != s) {
+                part.evaluated -= c.evaluated;
+                part.pseudo_evaluated -= c.pseudo_evaluated;
+            }
+            assert!(
+                part.evaluated <= own[s].evaluated
+                    && part.pseudo_evaluated <= own[s].pseudo_evaluated,
+                "shard {s} k={k}: routed {part:?} exceeds its own top-k {:?}",
+                own[s]
+            );
+            parts.merge(&part);
+        }
+        assert_eq!(parts, routed.cost, "k={k}: per-shard parts add up");
+        routed_total += routed.cost.total();
+        own_total += own.iter().map(Cost::total).sum::<u64>();
+    }
+    assert!(
+        routed_total < own_total,
+        "P = {p}: routed {routed_total} is not below the shards' own {own_total}"
+    );
+}
+
+/// A routed read under a cost cap returns a true prefix of the uncapped
+/// answer, and is truncated exactly when it is short of it.
+#[test]
+fn capped_routed_reads_are_true_prefixes() {
+    let (d, n, p) = (3, 1200, 4);
+    let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, 0xCA9).generate();
+    let router = ShardRouter::new(build_shards(&rel, p), RouterConfig::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xCA99);
+    let (mut cut, mut whole) = (0, 0);
+    for _ in 0..30 {
+        let w = Weights::random(d, &mut rng);
+        let k = rng.gen_range(1..=40);
+        let full = router.topk(&w, k, &QueryBudget::unlimited());
+        assert!(full.truncated.is_none());
+        for cap in [0, 5, 20, 60, 200, 1000] {
+            let capped = router.topk(&w, k, &QueryBudget::unlimited().with_max_cost(cap));
+            assert!(
+                full.ids.starts_with(&capped.ids),
+                "cap {cap} k={k}: not a prefix of the uncapped answer"
+            );
+            let short = capped.ids.len() < full.ids.len();
+            assert_eq!(
+                capped.truncated,
+                short.then_some(TruncateReason::CostExceeded),
+                "cap {cap} k={k}: truncated exactly when short"
+            );
+            assert!(capped.coverage.is_full(), "a budget trip is no shard fault");
+            if short {
+                cut += 1;
+            } else {
+                whole += 1;
+            }
+        }
+    }
+    assert!(
+        cut > 0 && whole > 0,
+        "caps both cut and spared ({cut}, {whole})"
+    );
 }

@@ -84,13 +84,32 @@ pub enum FailAction {
 /// healthy. Names are interned (leaked once per distinct shard id) so
 /// they satisfy the registry's `&'static str` contract.
 pub fn shard_site(shard: usize) -> &'static str {
+    intern("shard::probe", shard)
+}
+
+/// Sites the shard router visits before each step of a lent shard's
+/// cursor in its merge: `shard_step_site(s)` names shard `s`'s
+/// (`"shard::step::<s>"`), so a chaos test can fail one shard mid-merge.
+/// Without the `enabled` feature every shard shares one constant name and
+/// nothing is interned or locked.
+pub fn shard_step_site(shard: usize) -> &'static str {
+    if COMPILED {
+        intern("shard::step", shard)
+    } else {
+        "shard::step"
+    }
+}
+
+/// `"<prefix>::<shard>"`, leaked once per distinct pair.
+fn intern(prefix: &'static str, shard: usize) -> &'static str {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
-    static SITES: OnceLock<Mutex<HashMap<usize, &'static str>>> = OnceLock::new();
+    type Sites = Mutex<HashMap<(&'static str, usize), &'static str>>;
+    static SITES: OnceLock<Sites> = OnceLock::new();
     let sites = SITES.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = sites.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(shard)
-        .or_insert_with(|| Box::leak(format!("shard::probe::{shard}").into_boxed_str()))
+    map.entry((prefix, shard))
+        .or_insert_with(|| Box::leak(format!("{prefix}::{shard}").into_boxed_str()))
 }
 
 #[cfg(feature = "enabled")]
@@ -330,6 +349,9 @@ mod tests {
         assert_eq!(a, "shard::probe::3");
         assert!(std::ptr::eq(a, b), "interned: same allocation");
         assert_eq!(c, "shard::probe::4");
+        let step = shard_step_site(3);
+        assert_eq!(step, "shard::step::3");
+        assert!(std::ptr::eq(step, shard_step_site(3)));
         reset();
     }
 

@@ -27,6 +27,7 @@
 //! | ERROR `Internal` / `BadRequest`     | `Io`                          |
 //! | protocol violation / bad frame      | `Io` (connection dropped)     |
 //! | reply carrying another request id   | `Io` (connection dropped)     |
+//! | rows non-finite, unordered, or > k  | `Io` (connection dropped)     |
 //!
 //! A connection goes back to the pool only after a clean reply to its
 //! own request. A probe abandoned in flight (a hedge won the race)
@@ -213,16 +214,19 @@ impl RemoteShardProbe {
             probe: self,
             client: Some(client),
             id,
+            k,
             deadline: read_timeout.map(|t| now + t),
         })
     }
 
-    /// Interprets the frame that answered request `want` on `client`,
-    /// pooling the connection again when the stream is left sound.
+    /// Interprets the frame that answered request `want` for the top-`k`
+    /// on `client`, pooling the connection again when the stream is left
+    /// sound.
     fn settle(
         &self,
         client: Client,
         want: u64,
+        k: usize,
         frame: Result<(u64, Message), ClientError>,
     ) -> Result<ShardAnswer, ShardError> {
         let (id, msg) = match frame {
@@ -259,8 +263,27 @@ impl RemoteShardProbe {
             }) => {
                 // The decoder read ids and scores under one shared count,
                 // so they pair one-to-one.
-                self.checkin(client);
                 let hits: Vec<ScoredHit> = scores.into_iter().zip(ids).collect();
+                // The router's merge orders on (score, id): a reply it
+                // cannot order, or one longer than asked, is a faulty
+                // node, and its connection is not pooled.
+                if hits.len() > k {
+                    return Err(ShardError::Io(format!(
+                        "{}: {} rows for a top-{k}",
+                        self.addr,
+                        hits.len()
+                    )));
+                }
+                if hits.iter().any(|(score, _)| !score.is_finite()) {
+                    return Err(ShardError::Io(format!("{}: non-finite score", self.addr)));
+                }
+                if hits.windows(2).any(|p| p[0] >= p[1]) {
+                    return Err(ShardError::Io(format!(
+                        "{}: rows not strictly ascending by (score, id)",
+                        self.addr
+                    )));
+                }
+                self.checkin(client);
                 let cost = Cost {
                     evaluated,
                     pseudo_evaluated,
@@ -307,6 +330,8 @@ struct Reply<'a> {
     client: Option<Client>,
     /// The request id the reply must carry.
     id: u64,
+    /// The `k` the request asked for.
+    k: usize,
     /// When the reply is overdue: the carved budget plus read slack.
     deadline: Option<Instant>,
 }
@@ -341,7 +366,7 @@ impl AwaitProbe for Reply<'_> {
             frame => frame,
         };
         let client = self.client.take().expect("checked above");
-        Some(self.probe.settle(client, self.id, frame))
+        Some(self.probe.settle(client, self.id, self.k, frame))
     }
 }
 

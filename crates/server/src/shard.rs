@@ -9,16 +9,21 @@
 //! whose store failed to open still gets a slot
 //! ([`ServedShard::unavailable`]) so the deployment serves degraded
 //! around it; `drtopk recover --shard N` plus [`ServedShard::replace`]
-//! brings it back without restarting peers. Probes visit the shard's
-//! named failpoint first — the chaos suite injects I/O errors, panics,
-//! and stalls there to exercise every failure mode the router has to
-//! survive.
+//! brings it back without restarting peers. The router's frontier reads
+//! a shard through [`ShardProbe::lend`], a shard node through
+//! [`ShardProbe::probe`]; both make the same checks first: they visit
+//! the shard's named failpoint — the chaos suite injects I/O errors,
+//! panics, and stalls there to exercise every failure mode the router
+//! has to survive — then take the read lock and refuse an unavailable
+//! or poisoned store. A lent store stays read-locked until the router's
+//! merge ends, so [`ServedShard::replace`] waits it out.
 
 use drtopk_common::Weights;
-use drtopk_core::shard::{ShardAnswer, ShardError, ShardProbe};
-use drtopk_core::QueryBudget;
+use drtopk_core::shard::{Lent, ShardAnswer, ShardError, ShardProbe};
+use drtopk_core::{DynamicIndex, QueryBudget};
 use drtopk_storage::DurableDynamicIndex;
-use std::sync::RwLock;
+use std::ops::Deref;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// One shard as the server holds it.
 #[derive(Debug)]
@@ -87,29 +92,54 @@ impl ServedShard {
     }
 }
 
+impl ServedShard {
+    /// The checks every read of this shard makes first: the chaos suite's
+    /// failpoint, the read lock, and a store that is there and sound.
+    fn read(&self) -> Result<StoreRead<'_>, ShardError> {
+        // The chaos suite's injection point: one named site per shard.
+        if let Err(e) = drtopk_failpoints::hit(self.site) {
+            return Err(ShardError::Io(e.to_string()));
+        }
+        let guard = self.store.read().unwrap_or_else(|e| e.into_inner());
+        match guard.as_ref() {
+            Err(reason) => Err(ShardError::Unavailable(reason.clone())),
+            // A store poisoned by a write failure still serves reads, but
+            // its durability story is broken — surface it so the router
+            // marks the shard Down and an operator recovers it.
+            Ok(store) => match store.poisoned() {
+                Some(msg) => Err(ShardError::Unavailable(format!("store poisoned: {msg}"))),
+                None => Ok(StoreRead(guard)),
+            },
+        }
+    }
+}
+
+/// A read-locked store that [`ServedShard::read`] found available.
+struct StoreRead<'a>(RwLockReadGuard<'a, Result<DurableDynamicIndex, String>>);
+
+impl Deref for StoreRead<'_> {
+    type Target = DynamicIndex;
+
+    fn deref(&self) -> &DynamicIndex {
+        self.0
+            .as_ref()
+            .expect("a read holds an available store")
+            .index()
+    }
+}
+
 impl ShardProbe for ServedShard {
+    fn lend(&self) -> Option<Result<Lent<'_>, ShardError>> {
+        Some(self.read().map(Lent::new))
+    }
+
     fn probe(
         &self,
         w: &Weights,
         k: usize,
         budget: &QueryBudget,
     ) -> Result<ShardAnswer, ShardError> {
-        // The chaos suite's injection point: one named site per shard.
-        if let Err(e) = drtopk_failpoints::hit(self.site) {
-            return Err(ShardError::Io(e.to_string()));
-        }
-        let guard = self.store.read().unwrap_or_else(|e| e.into_inner());
-        let store = match guard.as_ref() {
-            Ok(store) => store,
-            Err(reason) => return Err(ShardError::Unavailable(reason.clone())),
-        };
-        if let Some(msg) = store.poisoned() {
-            // A store poisoned by a write failure still serves reads, but
-            // its durability story is broken — surface it so the router
-            // marks the shard Down and an operator recovers it.
-            return Err(ShardError::Unavailable(format!("store poisoned: {msg}")));
-        }
-        store.index().probe(w, k, budget)
+        self.read()?.probe(w, k, budget)
     }
 
     fn dims(&self) -> usize {

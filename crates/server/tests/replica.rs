@@ -359,3 +359,51 @@ fn remote_router_overlaps_slow_shards() {
         "remote probes must overlap (took {elapsed:?})"
     );
 }
+
+/// A complete shard reply the router's merge cannot order — a NaN score,
+/// rows out of (score, id) order, or more rows than asked for — is an Io
+/// fault, not an answer: the replica set fails over past the node that
+/// sent it, and a router over [bad, good] replicas answers bit-identically
+/// with full coverage.
+#[test]
+fn unordered_or_oversized_replies_are_io_faults_that_fail_over() {
+    let rel = WorkloadSpec::new(Distribution::Independent, 2, 150, 37).generate();
+    let root = tmpdir("bad_reply");
+    drop(create_sharded(&root, &rel, 1, &DurableOptions::default()).unwrap());
+    let node = start_shard_node(0, &shard_dir(&root, 0));
+    let w = Weights::new(vec![0.5, 0.5]).unwrap();
+    let k = 3;
+    let oracle_ids = full_oracle(&rel).topk(&w, k).0;
+    let bad_replies = [
+        ("nan", shard_reply(&[(0.1, 0), (f64::NAN, 1)])),
+        ("descending", shard_reply(&[(0.3, 0), (0.1, 1)])),
+        (
+            "oversized",
+            shard_reply(&[(0.1, 0), (0.2, 1), (0.3, 2), (0.4, 3)]),
+        ),
+    ];
+    for (name, reply) in bad_replies {
+        let (stub, _) = stub_node(Duration::ZERO, 0, reply);
+        let cfg = RemoteProbeConfig::default();
+        let bad = RemoteShardProbe::new(&stub, 2, cfg.clone());
+        match bad.probe(&w, k, &QueryBudget::unlimited()) {
+            Err(ShardError::Io(_)) => {}
+            other => panic!("{name}: an unorderable reply must be an Io fault, got {other:?}"),
+        }
+        let good = RemoteShardProbe::new(node.addr().to_string(), 2, cfg);
+        let set = ReplicaSet::new(
+            vec![Arc::new(bad), Arc::new(good)],
+            ReplicaConfig::default(),
+        )
+        .unwrap();
+        let router: RemoteRouter = ShardRouter::new(vec![set], RouterConfig::default()).unwrap();
+        let routed = router.topk(&w, k, &QueryBudget::unlimited());
+        assert_eq!(routed.ids, oracle_ids, "{name}: failover answer is exact");
+        assert!(routed.coverage.is_full(), "{name}: {:?}", routed.failures);
+        assert!(routed.truncated.is_none(), "{name}");
+        assert!(!router.shard(0).is_up(0), "{name}: the bad node is down");
+        assert!(router.shard(0).is_up(1), "{name}: the good node is up");
+    }
+    node.shutdown();
+    let _ = fs::remove_dir_all(&root);
+}

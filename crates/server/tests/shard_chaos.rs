@@ -22,7 +22,7 @@ use drtopk_core::{
     DlOptions, DynamicIndex, Handle, QueryBudget, ResultCache, RetryPolicy, RouterConfig,
     ShardHealth, ShardRouter,
 };
-use drtopk_failpoints::{arm, reset, shard_site, visits, FailAction};
+use drtopk_failpoints::{arm, reset, shard_site, shard_step_site, visits, FailAction};
 use drtopk_server::{Client, ServedShard, Server, ServerConfig};
 use drtopk_storage::{create_sharded, shards::shard_dir, DurableDynamicIndex, DurableOptions};
 use std::fs;
@@ -87,22 +87,24 @@ fn chaos_config() -> RouterConfig {
 }
 
 /// The tentpole matrix: inject a panic, an I/O error, and a stall (which
-/// trips the carved probe timeout) at one shard's probe site, mid-load,
+/// trips the carved probe timeout) at one shard's probe site, and a
+/// panic at its step site in the middle of the router's merge, mid-load,
 /// through the full server + wire protocol. Each mode must yield a
 /// complete reply with exact survivor-oracle ids and explicit degraded
 /// coverage — zero protocol errors — and the shard must rejoin from its
 /// own directory afterwards with answers restored to the full oracle.
 #[test]
 fn injected_failure_matrix_degrades_then_recovers() {
-    let modes: [(&str, FailAction); 3] = [
-        ("io", FailAction::Error),
-        ("panic", FailAction::Panic),
-        ("stall", FailAction::Sleep(200)),
+    let p = 3;
+    let dead = 1usize;
+    let modes: [(&str, &'static str, FailAction); 4] = [
+        ("io", shard_site(dead), FailAction::Error),
+        ("panic", shard_site(dead), FailAction::Panic),
+        ("stall", shard_site(dead), FailAction::Sleep(200)),
+        ("mid-merge panic", shard_step_site(dead), FailAction::Panic),
     ];
-    for (name, action) in modes {
+    for (name, site, action) in modes {
         let _g = guard();
-        let p = 3;
-        let dead = 1usize;
         let rel = WorkloadSpec::new(Distribution::Independent, 2, 150, 23).generate();
         let root = tmpdir(&format!("matrix_{name}"));
         let stores = create_sharded(&root, &rel, p, &opts()).unwrap();
@@ -130,8 +132,17 @@ fn injected_failure_matrix_degrades_then_recovers() {
         assert_eq!(reply.ids, full_ids, "{name}: healthy baseline");
         assert!(reply.is_full_coverage(), "{name}: baseline coverage");
 
-        // Inject the fault at shard 1's probe site and query mid-load.
-        arm(shard_site(dead), 0, action.clone());
+        // Inject the fault at shard 1's site and query mid-load. The
+        // mid-merge panic fires at the shard's last step of the query the
+        // baseline ran, after its earlier rows entered the merge: they
+        // must leave it.
+        let nth = if site == shard_step_site(dead) {
+            assert!(full_ids.iter().any(|&h| shard_of(h, p) == dead));
+            visits(site) - 1
+        } else {
+            0
+        };
+        arm(site, nth, action.clone());
         let survivors = survivor_oracle(&rel, p, &[dead]);
         let reply = client.query(&w, k as u32, 0, 0).unwrap();
         assert_eq!(
@@ -153,15 +164,16 @@ fn injected_failure_matrix_degrades_then_recovers() {
             "{name}: one failure past the (zero) retry budget takes it Down"
         );
 
-        // While Down the shard is not probed: degraded replies are free.
-        let before = visits(shard_site(dead));
+        // While Down the shard is neither lent nor stepped: degraded
+        // replies are free.
+        let before = (visits(shard_site(dead)), visits(shard_step_site(dead)));
         let reply = client.query(&w, k as u32, 0, 0).unwrap();
         assert_eq!(
             reply.coverage.expect("still degraded").skipped(),
             vec![dead]
         );
         assert_eq!(
-            visits(shard_site(dead)),
+            (visits(shard_site(dead)), visits(shard_step_site(dead))),
             before,
             "{name}: a Down shard must be skipped, not probed"
         );

@@ -33,6 +33,14 @@
 //!   the report records hit rate, cached/uncached p50, hit-path p50 and
 //!   QPS per skew under `zipf_cache`.
 //!
+//! * dynamic reads: one fixed section (`dynamic`), independent of the
+//!   cell flags, in the churn workload's shape: a [`DynamicIndex`] over
+//!   n = 20k IND tuples, d = 3, DL+, k = 10, with 0, 100 and 200 buffered
+//!   uniform inserts from a fixed seed. Per insert count it reports the
+//!   mean Definition 9 cost, the buffered rows scored per read and the
+//!   p50 µs of [`DynamicIndex::topk`] over `--queries` weights, and
+//!   asserts the ids equal `topk_bruteforce` over the live rows.
+//!
 //! Results land in a JSON file (default `BENCH_throughput.json`), one
 //! object per cell, plus host metadata (`available_parallelism`) so
 //! numbers from different machines are never compared blindly.
@@ -47,8 +55,10 @@
 
 use drtopk_bench::json::Value;
 use drtopk_bench::{dataset, query_weights};
-use drtopk_common::{Distribution, Weights, ZipfWeightWorkload};
-use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, ResultCache};
+use drtopk_common::{topk_bruteforce, Distribution, Relation, Weights, ZipfWeightWorkload};
+use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, DynamicIndex, ResultCache};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 struct Config {
@@ -450,6 +460,85 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     (cell, single_qps)
 }
 
+/// The fixed `dynamic` section: reads of a [`DynamicIndex`] in the churn
+/// workload's shape, with 0, 100 and 200 buffered uniform inserts.
+fn run_dynamic(queries: usize) -> Value {
+    const N: usize = 20_000;
+    const D: usize = 3;
+    const K: usize = 10;
+    const BUFFERED: [usize; 3] = [0, 100, 200];
+    eprintln!("dynamic n={N} d={D} k={K}: building DL+ index...");
+    let rel = dataset(Distribution::Independent, D, N);
+    let base = DynamicIndex::new(&rel, DlOptions::dl_plus(), 0.02);
+    let weights = query_weights(D, queries, 0xC0FFEE);
+    let mut rng = StdRng::seed_from_u64(0xB0FFE2);
+    let inserts: Vec<Vec<f64>> = (0..BUFFERED[2])
+        .map(|_| (0..D).map(|_| rng.gen()).collect())
+        .collect();
+    let m = drtopk_obs::metrics();
+    m.set_recording(true);
+    let mut rows = Vec::new();
+    for buffered in BUFFERED {
+        let mut dynamic = base.clone();
+        for row in &inserts[..buffered] {
+            dynamic.insert(row).expect("a valid row");
+        }
+        assert_eq!(dynamic.rebuilds(), 0, "the inserts stay buffered");
+        // Handles are positions here: the indexed tuples, then the inserts.
+        let live: Vec<Vec<f64>> = rel
+            .iter()
+            .map(|(_, t)| t.to_vec())
+            .chain(inserts[..buffered].iter().cloned())
+            .collect();
+        let live = Relation::from_rows(D, &live).expect("valid rows");
+        let _ = dynamic.topk(&weights[0], K);
+        m.reset();
+        let mut lat_us = Vec::with_capacity(weights.len());
+        let mut total_cost = 0u64;
+        let mut answers = Vec::with_capacity(weights.len());
+        for w in &weights {
+            let q0 = Instant::now();
+            let (ids, cost) = dynamic.topk(w, K);
+            lat_us.push(q0.elapsed().as_secs_f64() * 1e6);
+            total_cost += cost.total();
+            answers.push(ids);
+        }
+        let scanned = m.snapshot().dynamic_buffer_scanned;
+        for (w, ids) in weights.iter().zip(&answers) {
+            let want: Vec<u64> = topk_bruteforce(&live, w, K)
+                .into_iter()
+                .map(u64::from)
+                .collect();
+            assert_eq!(
+                ids, &want,
+                "dynamic answers diverged at {buffered} buffered"
+            );
+        }
+        lat_us.sort_by(|a, b| a.total_cmp(b));
+        let mean_cost = total_cost as f64 / weights.len() as f64;
+        let scanned_per_read = scanned as f64 / weights.len() as f64;
+        let p50 = percentile(&lat_us, 0.50);
+        eprintln!(
+            "  {buffered} buffered: mean cost {mean_cost:.1}, {scanned_per_read:.1} buffered \
+             rows scored per read, p50 {p50:.2}µs"
+        );
+        rows.push(Value::object([
+            ("buffered", Value::uint(buffered)),
+            ("mean_cost", Value::float(mean_cost)),
+            ("buffer_scanned_per_read", Value::float(scanned_per_read)),
+            ("p50_us", Value::float(p50)),
+        ]));
+    }
+    Value::object([
+        ("n", Value::uint(N)),
+        ("d", Value::uint(D)),
+        ("k", Value::uint(K)),
+        ("variant", Value::str("dl+")),
+        ("queries", Value::uint(queries)),
+        ("rows", Value::Array(rows)),
+    ])
+}
+
 /// The cell's registry snapshot as report JSON: every counter plus the
 /// quantiles of both histograms.
 fn metrics_json(snap: &drtopk_obs::MetricsSnapshot) -> Value {
@@ -512,6 +601,7 @@ fn main() {
             }
         }
     }
+    let dynamic = run_dynamic(cfg.queries);
     let doc = Value::object([
         (
             "host",
@@ -538,6 +628,7 @@ fn main() {
             ),
         ),
         ("cells", Value::Array(cells)),
+        ("dynamic", dynamic),
     ]);
     std::fs::write(&cfg.out, doc.pretty()).expect("write results file");
     eprintln!("wrote {}", cfg.out);

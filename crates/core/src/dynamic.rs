@@ -5,8 +5,10 @@
 //! full rebuild (Table IV) per update. [`DynamicIndex`] follows the
 //! classic log-structured pattern:
 //!
-//! * inserts land in a small unindexed *buffer*, scored and sorted at
-//!   query time and merged with the index's best-first cursor;
+//! * inserts land in a small unindexed *buffer*, kept as a dominance
+//!   forest: a read scores the forest's roots, and a buffered row's
+//!   children only once that row is merged into the answer, so the rows
+//!   a read never reaches cost it nothing (DESIGN.md §4);
 //! * deletes are *tombstones*, which the cursor skips as it pops them;
 //! * once the buffer or tombstone set outgrows `rebuild_threshold`
 //!   (a fraction of the indexed size), the index is rebuilt from the live
@@ -21,8 +23,9 @@ use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
 use crate::query::{Entry, QueryBudget, QueryScratch, TopkCursor, TruncateReason};
 use crate::snapshot::IndexSnapshot;
-use drtopk_common::{Cost, Error, Relation, Weights};
-use std::collections::HashSet;
+use drtopk_common::{dominates, Cost, Error, Relation, Weights};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// A stable handle to a tuple inserted into a [`DynamicIndex`].
@@ -36,8 +39,11 @@ pub struct DynamicIndex {
     index: DualLayerIndex,
     /// Handle of each tuple position in the indexed relation.
     indexed_handles: Vec<Handle>,
-    /// Buffered (handle, row) inserts, not yet indexed.
+    /// Buffered (handle, row) inserts, not yet indexed, ascending by
+    /// handle.
     buffer: Vec<(Handle, Vec<f64>)>,
+    /// Dominance forest over the live buffered rows.
+    forest: Forest,
     /// Deleted handles (both indexed and buffered).
     tombstones: HashSet<Handle>,
     next_handle: Handle,
@@ -96,6 +102,7 @@ impl Clone for DynamicIndex {
             index: self.index.clone(),
             indexed_handles: self.indexed_handles.clone(),
             buffer: self.buffer.clone(),
+            forest: self.forest.clone(),
             tombstones: self.tombstones.clone(),
             next_handle: self.next_handle,
             rebuild_fraction: self.rebuild_fraction,
@@ -107,6 +114,85 @@ impl Clone for DynamicIndex {
 }
 
 const MIN_REBUILD: usize = 64;
+
+/// The dominance forest over the live buffered rows, by buffer position
+/// (positions ascend with handles, so an older row has a smaller one).
+///
+/// A row's parent is the oldest older live buffered row that dominates
+/// it: ≤ in every coordinate and < in at least one. A row with no such
+/// row is a root. Exact duplicates never dominate each other, and a
+/// newer row never parents an older one. The forest is a function of
+/// the live buffered rows alone. Dominance is transitive, so a parent's
+/// own parent would dominate the child and be older: every parent is a
+/// root.
+///
+/// Weights are positive and f64 rounding is monotone, so a parent never
+/// scores above its child, and its handle is smaller. A read therefore
+/// scores the roots and, as each buffered row is merged, that row's
+/// children: the lowest scored row still bounds every unscored one in
+/// `(score, handle)` order.
+#[derive(Debug, Clone, Default)]
+struct Forest {
+    /// The roots' positions, ascending.
+    roots: Vec<usize>,
+    /// Per position: the rows a live root parents.
+    children: Vec<Vec<usize>>,
+}
+
+impl Forest {
+    /// The parent of the live row at `pos`: the oldest root older than
+    /// it that dominates it, since every parent is a root.
+    fn parent(&self, buffer: &[(Handle, Vec<f64>)], pos: usize) -> Option<usize> {
+        let row = &buffer[pos].1;
+        self.roots
+            .iter()
+            .copied()
+            .take_while(|&r| r < pos)
+            .find(|&r| dominates(&buffer[r].1, row))
+    }
+
+    /// Attaches the live row at `pos`, newer than every row attached so
+    /// far.
+    fn attach(&mut self, buffer: &[(Handle, Vec<f64>)], pos: usize) {
+        self.children.resize_with(pos + 1, Vec::new);
+        self.hang(buffer, pos);
+    }
+
+    /// Lists the live row at `pos` under its parent, or with the roots.
+    fn hang(&mut self, buffer: &[(Handle, Vec<f64>)], pos: usize) {
+        match self.parent(buffer, pos) {
+            Some(p) => self.children[p].push(pos),
+            None => {
+                let at = self.roots.partition_point(|&r| r < pos);
+                self.roots.insert(at, pos);
+            }
+        }
+    }
+
+    /// Takes the live row at `pos` out, as its delete does. A deleted
+    /// root's children hang again, oldest first, so a child that becomes
+    /// a root is listed before a younger one looks for its parent.
+    fn detach(&mut self, buffer: &[(Handle, Vec<f64>)], pos: usize) {
+        match self.roots.binary_search(&pos) {
+            Ok(at) => {
+                self.roots.remove(at);
+                let mut orphans = std::mem::take(&mut self.children[pos]);
+                orphans.sort_unstable();
+                for c in orphans {
+                    self.hang(buffer, c);
+                }
+            }
+            Err(_) => {
+                let p = self
+                    .parent(buffer, pos)
+                    .expect("a row that is no root has one");
+                let siblings = &mut self.children[p];
+                let at = siblings.iter().position(|&c| c == pos);
+                siblings.swap_remove(at.expect("a child is listed under its parent"));
+            }
+        }
+    }
+}
 
 /// Flat, public capture of a [`DynamicIndex`]'s full state, for
 /// persistence. A state plus a replayed operation log reconstructs an
@@ -120,7 +206,8 @@ pub struct DynamicState {
     /// Handle of each tuple position in the indexed relation (strictly
     /// ascending).
     pub indexed_handles: Vec<Handle>,
-    /// Buffered `(handle, row)` inserts not yet indexed.
+    /// Buffered `(handle, row)` inserts not yet indexed, ascending by
+    /// handle ([`DynamicIndex::from_state`] sorts them).
     pub buffer: Vec<(Handle, Vec<f64>)>,
     /// Deleted handles, sorted ascending.
     pub tombstones: Vec<Handle>,
@@ -187,6 +274,7 @@ impl DynamicIndex {
             next_handle,
             index,
             buffer: Vec::new(),
+            forest: Forest::default(),
             tombstones: HashSet::new(),
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
@@ -249,10 +337,12 @@ impl DynamicIndex {
         if let Ok(pos) = self.indexed_handles.binary_search(&h) {
             return Some(self.index.relation().tuple(pos as u32));
         }
-        self.buffer
-            .iter()
-            .find(|(bh, _)| *bh == h)
-            .map(|(_, row)| row.as_slice())
+        self.buffered(h).map(|pos| self.buffer[pos].1.as_slice())
+    }
+
+    /// The buffer position of a buffered handle, live or deleted.
+    fn buffered(&self, h: Handle) -> Option<usize> {
+        self.buffer.binary_search_by_key(&h, |&(bh, _)| bh).ok()
     }
 
     /// Validates a candidate row without mutating anything — the check
@@ -307,6 +397,7 @@ impl DynamicIndex {
         self.check_row(row)?;
         self.next_handle = h + 1;
         self.buffer.push((h, row.to_vec()));
+        self.forest.attach(&self.buffer, self.buffer.len() - 1);
         drtopk_obs::metrics().dynamic_inserts.add(1);
         self.touch_cache();
         self.maybe_rebuild();
@@ -317,6 +408,9 @@ impl DynamicIndex {
     pub fn delete(&mut self, h: Handle) -> bool {
         if self.get(h).is_none() {
             return false;
+        }
+        if let Some(pos) = self.buffered(h) {
+            self.forest.detach(&self.buffer, pos);
         }
         self.tombstones.insert(h);
         drtopk_obs::metrics().dynamic_deletes.add(1);
@@ -357,8 +451,9 @@ impl DynamicIndex {
     ///
     /// The budget is checked before every step, buffered or static, and a
     /// tripped read returns what it merged: a true prefix. As for a
-    /// static read, its cost cap bounds the traversal; scoring the live
-    /// buffered rows is a fixed cost of every read.
+    /// static read, its cost cap bounds the traversal. The buffered rows
+    /// a read scores are the forest's roots plus the children of each
+    /// buffered row it merged; a row it never reaches costs nothing.
     pub(crate) fn topk_scored(
         &self,
         w: &Weights,
@@ -445,6 +540,7 @@ impl DynamicIndex {
         self.index = DualLayerIndex::build(&rel, self.opts.clone());
         self.indexed_handles = sorted_handles;
         self.buffer.clear();
+        self.forest = Forest::default();
         self.tombstones.clear();
         self.scratch.clear();
         self.rebuilds += 1;
@@ -535,12 +631,22 @@ impl DynamicIndex {
                 )));
             }
         }
+        let mut buffer = state.buffer.clone();
+        buffer.sort_unstable_by_key(|&(h, _)| h);
+        let tombstones: HashSet<Handle> = state.tombstones.iter().copied().collect();
+        let mut forest = Forest::default();
+        for (pos, (h, _)) in buffer.iter().enumerate() {
+            if !tombstones.contains(h) {
+                forest.attach(&buffer, pos);
+            }
+        }
         Ok(DynamicIndex {
             opts,
             index,
             indexed_handles: state.indexed_handles.clone(),
-            buffer: state.buffer.clone(),
-            tombstones: state.tombstones.iter().copied().collect(),
+            buffer,
+            forest,
+            tombstones,
             next_handle: state.next_handle,
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
@@ -577,15 +683,20 @@ pub(crate) struct Head {
 /// The static cursor pops indexed tuples in `(score, position)` order,
 /// which is `(score, handle)` order because handles ascend with
 /// position, and tombstoned handles are skipped as they pop. Its raw
-/// queue head bounds every indexed tuple not yet popped, so a buffered
-/// row goes next when its [`Head`] orders first. The stream ends once it
-/// yielded every live tuple, so it never pops past its last answer.
+/// queue head bounds every indexed tuple not yet popped. The buffered
+/// rows start as the forest's scored roots in a min-heap; a buffered row
+/// that goes next scores and pushes its children, so the heap's head
+/// bounds every buffered row not yet yielded (see [`Forest`]). A
+/// buffered row goes next when its [`Head`] orders first. The stream
+/// ends once it yielded every live tuple, so it never pops past its last
+/// answer.
 pub(crate) struct LiveCursor<'a> {
     dynamic: &'a DynamicIndex,
+    w: &'a Weights,
     cursor: TopkCursor<'a>,
-    /// Live buffered rows, descending: the next one is the last.
-    buffered: Vec<(f64, Handle)>,
-    /// Buffered rows scored when the stream started.
+    /// Scored buffered rows not yet yielded.
+    buffered: BinaryHeap<Reverse<Buffered>>,
+    /// Buffered rows scored so far.
     scored: u64,
     /// Live tuples not yet yielded.
     left: usize,
@@ -593,32 +704,77 @@ pub(crate) struct LiveCursor<'a> {
     steps: u64,
 }
 
+/// A scored buffered row, ordered by `(score, handle)`.
+#[derive(Debug, Clone, Copy)]
+struct Buffered {
+    score: f64,
+    handle: Handle,
+    /// Its buffer position.
+    pos: usize,
+}
+
+impl PartialEq for Buffered {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Buffered {}
+
+impl PartialOrd for Buffered {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Buffered {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_score = self.score.partial_cmp(&other.score);
+        by_score
+            .expect("scores are finite")
+            .then(self.handle.cmp(&other.handle))
+    }
+}
+
 impl<'a> LiveCursor<'a> {
     /// Starts a stream on `scratch`: seeds the static cursor and scores
-    /// the live buffered rows.
+    /// the forest's roots.
     pub(crate) fn new(
         dynamic: &'a DynamicIndex,
         w: &'a Weights,
         scratch: &'a mut QueryScratch,
     ) -> Self {
-        drtopk_obs::metrics()
-            .dynamic_buffer_scanned
-            .add(dynamic.buffer.len() as u64);
-        let mut buffered: Vec<(f64, Handle)> = dynamic
-            .buffer
-            .iter()
-            .filter(|(h, _)| !dynamic.tombstones.contains(h))
-            .map(|(h, row)| (w.score(row), *h))
-            .collect();
-        buffered.sort_by(|a, b| b.partial_cmp(a).expect("scores are finite"));
-        LiveCursor {
+        let mut live = LiveCursor {
             dynamic,
+            w,
             cursor: TopkCursor::new(&dynamic.index, w, scratch, None),
-            scored: buffered.len() as u64,
-            buffered,
+            buffered: BinaryHeap::new(),
+            scored: 0,
             left: dynamic.len(),
             steps: 0,
+        };
+        live.score(&dynamic.forest.roots);
+        live
+    }
+
+    /// Scores the live buffered rows at `positions` and pushes them.
+    fn score(&mut self, positions: &[usize]) {
+        if positions.is_empty() {
+            return;
         }
+        drtopk_obs::metrics()
+            .dynamic_buffer_scanned
+            .add(positions.len() as u64);
+        self.scored += positions.len() as u64;
+        let buffer = &self.dynamic.buffer;
+        self.buffered.extend(positions.iter().map(|&pos| {
+            let (handle, row) = &buffer[pos];
+            Reverse(Buffered {
+                score: self.w.score(row),
+                handle: *handle,
+                pos,
+            })
+        }));
     }
 
     /// The next entry, and whether it is the next buffered row. `None`
@@ -631,9 +787,9 @@ impl<'a> LiveCursor<'a> {
             score: e.score,
             handle: self.handle(e),
         });
-        let buffered = self.buffered.last().map(|&(score, h)| Head {
-            score,
-            handle: Some(h),
+        let buffered = self.buffered.peek().map(|Reverse(b)| Head {
+            score: b.score,
+            handle: Some(b.handle),
         });
         match (indexed, buffered) {
             (Some(i), Some(b)) if b < i => Some((b, true)),
@@ -665,7 +821,10 @@ impl<'a> LiveCursor<'a> {
         let (_, buffered) = self.peek()?;
         self.steps += 1;
         let hit = if buffered {
-            self.buffered.pop()
+            let Reverse(b) = self.buffered.pop()?;
+            let dynamic = self.dynamic;
+            self.score(&dynamic.forest.children[b.pos]);
+            Some((b.score, b.handle))
         } else {
             let e = self.cursor.step()?;
             self.handle(e)
@@ -676,7 +835,7 @@ impl<'a> LiveCursor<'a> {
         Some(hit)
     }
 
-    /// Tuples scored so far: the live buffered rows and the traversal.
+    /// Tuples scored so far: the buffered rows and the traversal.
     pub(crate) fn cost(&self) -> Cost {
         let mut cost = Cost {
             evaluated: self.scored,
@@ -888,6 +1047,88 @@ mod tests {
         let h = dynamic.insert(&point).unwrap();
         let (got, _) = dynamic.topk(&Weights::uniform(d), 10);
         assert_eq!(got[..9], [0, 1, 2, 3, 4, 5, 6, 7, h]);
+    }
+
+    /// The forest recomputed from the live buffered rows alone: the
+    /// roots, and each position's children (each live row's oldest older
+    /// live dominator is its parent).
+    fn forest_from_scratch(dynamic: &DynamicIndex) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let live = |pos: usize| !dynamic.tombstones.contains(&dynamic.buffer[pos].0);
+        let row = |pos: usize| dynamic.buffer[pos].1.as_slice();
+        let mut roots = Vec::new();
+        let mut children = vec![Vec::new(); dynamic.buffer.len()];
+        for c in (0..dynamic.buffer.len()).filter(|&c| live(c)) {
+            match (0..c).find(|&p| live(p) && dominates(row(p), row(c))) {
+                Some(p) => children[p].push(c),
+                None => roots.push(c),
+            }
+        }
+        (roots, children)
+    }
+
+    #[test]
+    fn forest_is_a_function_of_the_live_buffered_rows() {
+        let d = 2;
+        let rel = WorkloadSpec::new(Distribution::Independent, d, 50, 4).generate();
+        let mut dynamic = DynamicIndex::new(&rel, DlOptions::dl_plus(), 10.0);
+        let mut rng = StdRng::seed_from_u64(0xF02E);
+        for step in 0..600 {
+            let buffered: Vec<Handle> = dynamic.buffer.iter().map(|&(h, _)| h).collect();
+            if rng.gen_bool(0.6) || buffered.is_empty() {
+                // A coarse grid, so duplicates and ties are common.
+                let row: Vec<f64> = (0..d)
+                    .map(|_| f64::from(rng.gen_range(0..6u8)) / 5.0)
+                    .collect();
+                dynamic.insert(&row).unwrap();
+            } else {
+                dynamic.delete(buffered[rng.gen_range(0..buffered.len())]);
+            }
+            let (roots, children) = forest_from_scratch(&dynamic);
+            let forest = &dynamic.forest;
+            assert_eq!(forest.roots, roots, "roots at step {step}");
+            for (p, want) in children.iter().enumerate() {
+                let mut got = forest.children.get(p).cloned().unwrap_or_default();
+                got.sort_unstable();
+                assert_eq!(&got, want, "children of {p} at step {step}");
+            }
+        }
+        let back = DynamicIndex::from_state(&dynamic.to_state(), DlOptions::dl_plus(), 10.0);
+        let back = back.unwrap();
+        assert_eq!(
+            back.forest.roots, dynamic.forest.roots,
+            "from_state rebuilds it"
+        );
+        assert_eq!(
+            dynamic.clone().forest.roots,
+            dynamic.forest.roots,
+            "clone copies it"
+        );
+        dynamic.compact();
+        assert!(dynamic.forest.roots.is_empty() && dynamic.forest.children.is_empty());
+    }
+
+    #[test]
+    fn newer_dominating_row_stays_a_root_beside_the_older_row() {
+        // The newer row dominates the older one, but f64 rounding gives
+        // both the same score: the older row's smaller handle goes first,
+        // so the newer row may not gate it.
+        let d = 2;
+        let rel = Relation::from_rows(d, &[vec![0.9, 0.9], vec![0.8, 0.95]]).unwrap();
+        let mut dynamic = DynamicIndex::new(&rel, DlOptions::dl_plus(), 5.0);
+        let older = [0.25, 0.5];
+        let newer = [0.25, f64::from_bits(0.5f64.to_bits() - 1)];
+        let w = Weights::uniform(d);
+        assert!(dominates(&newer, &older));
+        assert_eq!(w.score(&newer), w.score(&older), "a rounding tie");
+        let a = dynamic.insert(&older).unwrap();
+        let b = dynamic.insert(&newer).unwrap();
+        assert_eq!(dynamic.forest.roots, [0, 1], "both rows are roots");
+        assert_eq!(dynamic.forest.children, [vec![], vec![]]);
+        assert_eq!(dynamic.topk(&w, 3).0, [a, b, 1]);
+        // Deleting the older row leaves the newer one a root.
+        assert!(dynamic.delete(a));
+        assert_eq!(dynamic.forest.roots, [1]);
+        assert_eq!(dynamic.topk(&w, 2).0, [b, 1]);
     }
 
     #[test]

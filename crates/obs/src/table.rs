@@ -131,6 +131,8 @@ metric_table! {
         dynamic_inserts: "Tuples inserted into dynamic indexes",
         dynamic_deletes: "Live tuples tombstoned in dynamic indexes",
         dynamic_rebuilds: "Dynamic-index compactions (full rebuilds)",
+        // Counts the buffered rows a read scores: the buffer forest's
+        // roots, and the children of each buffered row it merges.
         dynamic_buffer_scanned: "Buffered tuples scanned by dynamic-index queries",
         cache_hits: "Result-cache lookups served from the cache",
         cache_misses: "Result-cache lookups answered by the traversal",

@@ -24,7 +24,7 @@ use drtopk_core::{
 use drtopk_obs::metrics;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,6 +39,12 @@ pub const ACCEPT_FAILPOINT: &str = "server::accept";
 
 /// How often blocked connection readers wake to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
+
+/// How long one write to a connection may block on a client that does
+/// not read its replies. A reply write that fails shuts the connection
+/// down, so a client that stops reading loses only its own connection,
+/// never a worker.
+const WRITE_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Why the queue lock cannot be poisoned: no holder panics while it
 /// holds it (admission pushes, a worker pops or waits).
@@ -175,8 +181,12 @@ impl ConnWriter {
             .stream
             .lock()
             .expect("stream lock poisoned, but writing a frame never panics");
-        // A vanished client is its own problem; the server presses on.
-        let _ = write_frame(&mut *stream, request_id, msg);
+        // A client that vanished, or stopped reading past the write
+        // deadline, loses its connection: the shutdown fails its other
+        // replies at once and ends its reader. The server presses on.
+        if write_frame(&mut *stream, request_id, msg).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -543,6 +553,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     metrics().server_connections.add(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
 
     // Sniff the first 8 bytes: a protocol hello (PROTOCOL.md §1.1) or an
     // HTTP GET for /metrics (§6) — "GET " can never begin a valid hello.

@@ -328,3 +328,58 @@ fn pipelined_queries_pair_up_by_request_id() {
     assert!(expected.is_empty());
     handle.shutdown();
 }
+
+/// A client that stops reading its replies loses only its own
+/// connection: a reply write to it fails at the write deadline and shuts
+/// that socket down, so the workers it blocked answer other clients.
+#[test]
+fn a_client_that_stops_reading_does_not_wedge_the_workers() {
+    let (d, n) = (3, 2_000);
+    let idx = build_index(d, n, 29);
+    let handle = Server::start(Arc::clone(&idx), ServerConfig::new().workers(2)).expect("start");
+    let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+    stalled.write_all(&HELLO).expect("hello");
+    let mut echo = [0u8; 8];
+    stalled.read_exact(&mut echo).expect("echo");
+    // Whole-relation answers fill the socket buffers fast; not one reply
+    // is read.
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let query = Message::Query {
+        deadline_ms: 0,
+        max_cost: 0,
+        k: n as u32,
+        weights: vec![0.2, 0.3, 0.5],
+        scores: false,
+    };
+    let until = Instant::now() + Duration::from_millis(1_500);
+    let mut id = 0;
+    while Instant::now() < until {
+        id += 1;
+        if write_frame(&mut stalled, id, &query).is_err() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    // The stalled connection's queued queries may still be draining:
+    // a shed is retried, but a wedged server never answers.
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let reply = loop {
+        match client.query(&[0.5, 0.3, 0.2], 5, 0, 0) {
+            Err(ClientError::Server {
+                code: ErrorCode::Overloaded,
+                ..
+            }) if Instant::now() < give_up => std::thread::sleep(Duration::from_millis(20)),
+            other => break other.expect("another client is answered"),
+        }
+    };
+    let w = Weights::new(vec![0.5, 0.3, 0.2]).unwrap();
+    let want: Vec<u64> = idx.topk(&w, 5).ids.iter().map(|&x| u64::from(x)).collect();
+    assert_eq!(reply.ids, want);
+    drop(stalled);
+    handle.shutdown();
+}

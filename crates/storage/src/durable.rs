@@ -538,9 +538,10 @@ mod tests {
             assert!(store.delete(h).unwrap());
         }
         assert!(!store.delete(121).unwrap(), "double delete");
-        let live_answers: Vec<_> = (0..10)
-            .map(|_| store.topk(&Weights::random(d, &mut rng), 12).0)
-            .collect();
+        // Ids and costs: recovery rebuilds the same buffer forest, so a
+        // read scores the same buffered rows.
+        let weights: Vec<Weights> = (0..10).map(|_| Weights::random(d, &mut rng)).collect();
+        let live_answers: Vec<_> = weights.iter().map(|w| store.topk(w, 12)).collect();
 
         let (reopened, report) = DurableDynamicIndex::open(&dir, opts()).unwrap();
         assert_eq!(report.generation, 0);
@@ -548,13 +549,34 @@ mod tests {
         assert!(!report.torn_tail);
         assert_eq!(report.snapshots_skipped, 0);
         assert_eq!(reopened.len(), store.len());
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..50 {
-            let _: Vec<f64> = (0..d).map(|_| rng.gen_range(0.001..0.999)).collect();
+        for (i, (w, expect)) in weights.iter().zip(&live_answers).enumerate() {
+            assert_eq!(&reopened.topk(w, 12), expect, "query {i} after WAL replay");
         }
-        for (i, expect) in live_answers.iter().enumerate() {
-            let got = reopened.topk(&Weights::random(d, &mut rng), 12).0;
-            assert_eq!(&got, expect, "query {i} after recovery");
+
+        // A snapshot carrying buffered rows and tombstones, then more
+        // buffered inserts and deletes in the new WAL.
+        assert_eq!(store.checkpoint().unwrap(), 1);
+        for _ in 0..5 {
+            let row: Vec<f64> = (0..d).map(|_| rng.gen_range(0.001..0.999)).collect();
+            store.insert(&row).unwrap();
+        }
+        // A buffered row from the snapshot, one from the WAL, an indexed
+        // row; 62 pending updates stay under the rebuild threshold.
+        for h in [122u64, 171, 9] {
+            assert!(store.delete(h).unwrap());
+        }
+        assert_eq!(store.index().rebuilds(), 0);
+        let live_answers: Vec<_> = weights.iter().map(|w| store.topk(w, 12)).collect();
+        let (reopened, report) = DurableDynamicIndex::open(&dir, opts()).unwrap();
+        assert_eq!(report.generation, 1);
+        assert_eq!(report.replayed, 8, "5 inserts + 3 deletes");
+        assert_eq!(reopened.len(), store.len());
+        for (i, (w, expect)) in weights.iter().zip(&live_answers).enumerate() {
+            assert_eq!(
+                &reopened.topk(w, 12),
+                expect,
+                "query {i} after snapshot and WAL recovery"
+            );
         }
     }
 

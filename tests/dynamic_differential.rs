@@ -1,15 +1,19 @@
 //! Differential suite for dynamic reads.
 //!
 //! A [`DynamicIndex`] read merges the static index's best-first cursor,
-//! which skips tombstoned handles, with the sorted live buffer. The
+//! which skips tombstoned handles, with the live buffered rows, which it
+//! scores only as it reaches them through their dominance forest. The
 //! oracle is a brute-force sort of the live set by `(score, handle)`.
-//! Two properties are pinned: a delete outside the answer costs a read
-//! nothing, and a read capped anywhere from cost 0 to its full cost
-//! returns a true prefix of the oracle's answer, marked truncated exactly
-//! when it is short.
+//! Four properties are pinned: a delete outside the answer costs a read
+//! nothing; a read capped anywhere from cost 0 to its full cost returns
+//! a true prefix of the oracle's answer, marked truncated exactly when it
+//! is short; any interleaving of inserts, deletes and rebuilds answers
+//! like the oracle and never costs more than scoring every live buffered
+//! row did; and buffered rows behind a dominator the read never reaches
+//! cost it nothing.
 
-use drtopk::common::{topk_bruteforce, Distribution, Weights, WorkloadSpec};
-use drtopk::core::{DlOptions, DynamicIndex, Handle, QueryBudget, TruncateReason};
+use drtopk::common::{dominates, topk_bruteforce, Distribution, Weights, WorkloadSpec};
+use drtopk::core::{DlOptions, DynamicIndex, DynamicState, Handle, QueryBudget, TruncateReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,4 +136,199 @@ fn capped_dynamic_reads_are_true_prefixes() {
         midway > 0,
         "some cap must trip a read after it found answers"
     );
+}
+
+/// The static index under `index`, with nothing buffered or deleted.
+fn static_twin(index: &DynamicIndex, fraction: f64) -> DynamicIndex {
+    let state = DynamicState {
+        buffer: Vec::new(),
+        tombstones: Vec::new(),
+        ..index.to_state()
+    };
+    DynamicIndex::from_state(&state, DlOptions::dl_plus(), fraction).unwrap()
+}
+
+/// The live buffered handles that are some other live buffered row's
+/// parent: its oldest older dominator.
+fn parents(index: &DynamicIndex, buffered: &[Handle]) -> Vec<Handle> {
+    let row = |h: Handle| index.get(h).expect("live");
+    let mut parents: Vec<Handle> = buffered
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| {
+            let older = buffered[..i].iter();
+            older.copied().find(|&p| dominates(row(p), row(c)))
+        })
+        .collect();
+    parents.sort_unstable();
+    parents.dedup();
+    parents
+}
+
+/// Seeded interleavings of inserts, deletes and rebuilds: dominated
+/// chains, exact duplicates, newer rows dominating older ones, deletes of
+/// buffered parents, of other buffered rows and of indexed rows. Every
+/// read matches the oracle at k in {1, 10, 50, len}, and costs at most
+/// what scoring every live buffered row cost before: the static index's
+/// own top-k cost, with one more answer per deleted indexed row, plus the
+/// live buffered rows. A state round trip rebuilds the forest with the
+/// same answers and costs.
+#[test]
+fn seeded_interleavings_match_the_oracle_within_the_buffer_scan_cost() {
+    const D: usize = 3;
+    const FRACTION: f64 = 0.1;
+    let rel = WorkloadSpec::new(Distribution::Independent, D, 1_500, 61).generate();
+    let mut dynamic = DynamicIndex::new(&rel, DlOptions::dl_plus(), FRACTION);
+    let mut twin = static_twin(&dynamic, FRACTION);
+    let mut rng = StdRng::seed_from_u64(0xF0_2E57);
+    // Live buffered handles, ascending, and indexed rows deleted since
+    // the last rebuild.
+    let mut buffered: Vec<Handle> = Vec::new();
+    let mut deleted_indexed = 0usize;
+    let (mut rebuilds, mut compactions) = (0, 0);
+    // Cases seen: chain, duplicate, newer dominator, parent delete,
+    // other buffered delete, indexed delete, round trip.
+    let mut seen = [0usize; 7];
+    let jitter = |rng: &mut StdRng| rng.gen_range(0.001..0.05);
+    for step in 0..1_500 {
+        let ctx = format!("step {step}");
+        let op = rng.gen_range(0..12);
+        let pick = |rng: &mut StdRng, from: &[Handle]| from[rng.gen_range(0..from.len())];
+        let mut row: Option<Vec<f64>> = None;
+        match op {
+            0 | 1 => {
+                // Half the fresh rows score low enough to reach answers.
+                let hi = if op == 0 { 0.3 } else { 0.999 };
+                row = Some((0..D).map(|_| rng.gen_range(0.0..hi)).collect());
+            }
+            2 if !buffered.is_empty() => {
+                // A chain: each row dominated by the newest buffered one.
+                let base = dynamic.get(*buffered.last().unwrap()).unwrap();
+                let r: Vec<f64> = base
+                    .iter()
+                    .map(|&x| (x + jitter(&mut rng)).min(1.0))
+                    .collect();
+                row = Some(r);
+                seen[0] += 1;
+            }
+            3 => {
+                let live: Vec<Handle> = (0..dynamic.next_handle())
+                    .filter(|&h| dynamic.get(h).is_some())
+                    .collect();
+                row = Some(dynamic.get(pick(&mut rng, &live)).unwrap().to_vec());
+                seen[1] += 1;
+            }
+            4 if !buffered.is_empty() => {
+                let base = dynamic.get(pick(&mut rng, &buffered)).unwrap();
+                let r: Vec<f64> = base
+                    .iter()
+                    .map(|&x| (x - jitter(&mut rng)).max(0.0))
+                    .collect();
+                row = Some(r);
+                seen[2] += 1;
+            }
+            5 => {
+                let parents = parents(&dynamic, &buffered);
+                if !parents.is_empty() {
+                    let h = pick(&mut rng, &parents);
+                    assert!(dynamic.delete(h), "{ctx}: parent {h} is live");
+                    buffered.retain(|&b| b != h);
+                    seen[3] += 1;
+                }
+            }
+            6 if !buffered.is_empty() => {
+                let h = pick(&mut rng, &buffered);
+                assert!(dynamic.delete(h), "{ctx}: buffered {h} is live");
+                buffered.retain(|&b| b != h);
+                seen[4] += 1;
+            }
+            7 => {
+                let h = rng.gen_range(0..dynamic.next_handle());
+                if buffered.binary_search(&h).is_err() && dynamic.delete(h) {
+                    deleted_indexed += 1;
+                    seen[5] += 1;
+                }
+            }
+            _ => {
+                let w = Weights::random(D, &mut rng);
+                let len = dynamic.len();
+                for k in [1, 10, 50, len] {
+                    let ctx = format!("{ctx} k={k}");
+                    let (ids, cost) = dynamic.topk(&w, k);
+                    assert_eq!(ids, oracle(&dynamic, &w, k), "{ctx}");
+                    let reach = (k + deleted_indexed).min(twin.len());
+                    let scan = twin.topk(&w, reach).1.total() + buffered.len() as u64;
+                    assert!(cost.total() <= scan, "{ctx}: cost {cost:?} above {scan}");
+                }
+            }
+        }
+        if let Some(row) = row {
+            let h = dynamic.insert(&row).unwrap();
+            buffered.push(h);
+        }
+        if dynamic.rebuilds() != rebuilds {
+            rebuilds = dynamic.rebuilds();
+            compactions += 1;
+            buffered.clear();
+            deleted_indexed = 0;
+            twin = static_twin(&dynamic, FRACTION);
+        }
+        if step % 100 == 99 {
+            let back =
+                DynamicIndex::from_state(&dynamic.to_state(), DlOptions::dl_plus(), FRACTION)
+                    .unwrap();
+            for _ in 0..4 {
+                let w = Weights::random(D, &mut rng);
+                let k = rng.gen_range(1..=60);
+                assert_eq!(back.topk(&w, k), dynamic.topk(&w, k), "{ctx}: round trip");
+            }
+            dynamic = back;
+            rebuilds = dynamic.rebuilds();
+            seen[6] += 1;
+        }
+    }
+    assert!(compactions > 0, "the run must rebuild");
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "every case must occur: {seen:?}"
+    );
+}
+
+/// 200 buffered rows all dominated by one older buffered row that scores
+/// above the k-th answer: the read scores that row and none of the 200.
+#[test]
+fn rows_behind_an_unreached_dominator_cost_nothing() {
+    const D: usize = 3;
+    let rel = WorkloadSpec::new(Distribution::Independent, D, 2_000, 73).generate();
+    let twin = DynamicIndex::new(&rel, DlOptions::dl_plus(), 5.0);
+    let mut dynamic = twin.clone();
+    let gate = vec![0.5; D];
+    dynamic.insert(&gate).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x6A7E);
+    for _ in 0..200 {
+        let row: Vec<f64> = (0..D).map(|_| rng.gen_range(0.51..0.999)).collect();
+        dynamic.insert(&row).unwrap();
+    }
+    assert_eq!(dynamic.rebuilds(), 0, "the rows stay buffered");
+    for q in 0..10 {
+        let w = Weights::random(D, &mut rng);
+        let k = [1, 10, 50][q % 3];
+        let ctx = format!("q={q} k={k}");
+        let kth = dynamic.get(oracle(&dynamic, &w, k)[k - 1]).unwrap();
+        assert!(
+            w.score(kth) < w.score(&gate),
+            "{ctx}: the gate is not reached"
+        );
+        let (ids, cost) = dynamic.topk(&w, k);
+        assert_eq!(ids, oracle(&dynamic, &w, k), "{ctx}");
+        let (_, static_cost) = twin.topk(&w, k);
+        assert_eq!(cost.evaluated, static_cost.evaluated + 1, "{ctx}");
+        assert_eq!(cost.pseudo_evaluated, static_cost.pseudo_evaluated, "{ctx}");
+    }
+    // A read of everything reaches the gate and then every row behind it.
+    let w = Weights::uniform(D);
+    let (ids, cost) = dynamic.topk(&w, dynamic.len());
+    assert_eq!(ids, oracle(&dynamic, &w, dynamic.len()));
+    let (_, full) = twin.topk(&w, twin.len());
+    assert_eq!(cost.evaluated, full.evaluated + 201);
 }

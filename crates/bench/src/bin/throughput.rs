@@ -14,12 +14,14 @@
 //!   [`drtopk_core::QueryBudget`] — the no-op fast path of the budget
 //!   guard, which must stay within 2 % of the plain path's p50 and return
 //!   bit-identical answers;
-//! * observability overhead: the sequential pass runs twice, once with the
-//!   metrics registry's runtime recording gate off and once on, and the
-//!   report carries both p50s plus the relative overhead (budget: ≤ 2 %).
-//!   Each cell also embeds the registry snapshot its instrumented passes
-//!   produced. Building with `--no-default-features` compiles recording
-//!   out entirely (`obs.compiled = false` in the report).
+//! * observability overhead: the sequential pass runs each query twice,
+//!   back to back, once with the metrics registry's runtime recording gate
+//!   off and once on, alternating which goes first; the report carries
+//!   both paired p50s plus the relative overhead (budget: ≤ 2 %). The
+//!   sequential latency and QPS are the recording-on calls'. Each cell
+//!   also embeds the registry snapshot its instrumented passes produced.
+//!   Building with `--no-default-features` compiles recording out
+//!   entirely (`obs.compiled = false` in the report).
 //!
 //! * scratch split: a reused-[`drtopk_core::QueryScratch`] pass timing the
 //!   O(1) epoch reset separately from the traversal, so the report shows
@@ -166,39 +168,44 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     // Warmup: touch the index and fault in the columns once.
     let _ = idx.topk(&weights[0], k);
 
-    // Recording-off pass: the identical sequential loop with the metrics
-    // registry gated off — the overhead baseline. Its results become the
-    // reference the instrumented passes are checked against.
+    // Sequential pass, recording off and on, paired: each query runs once
+    // with the metrics registry's recording gate off and once on, back to
+    // back, order alternating, so host noise hits both sides equally (as
+    // in the guarded pass below). The recording-off answers become the
+    // reference every later pass is checked against. The registry is
+    // reset first, so the cell's snapshot covers exactly its recording-on
+    // calls.
     let m = drtopk_obs::metrics();
-    m.set_recording(false);
-    let mut off_lat_us = Vec::with_capacity(weights.len());
-    let mut reference = Vec::with_capacity(weights.len());
-    for w in &weights {
+    m.reset();
+    let timed = |on: bool, w: &Weights| {
+        m.set_recording(on);
         let q0 = Instant::now();
         let r = idx.topk(w, k);
-        off_lat_us.push(q0.elapsed().as_secs_f64() * 1e6);
-        reference.push(r);
+        (r, q0.elapsed().as_secs_f64() * 1e6)
+    };
+    let mut off_lat_us = Vec::with_capacity(weights.len());
+    let mut latencies_us = Vec::with_capacity(weights.len());
+    let mut reference = Vec::with_capacity(weights.len());
+    let mut total_cost = 0u64;
+    for (i, w) in weights.iter().enumerate() {
+        let ((off, off_us), (on, on_us)) = if i % 2 == 0 {
+            let off = timed(false, w);
+            (off, timed(true, w))
+        } else {
+            let on = timed(true, w);
+            (timed(false, w), on)
+        };
+        assert_eq!(on.ids, off.ids, "recording on/off changed answers");
+        assert_eq!(on.cost, off.cost, "recording on/off changed costs");
+        total_cost += on.cost.total();
+        off_lat_us.push(off_us);
+        latencies_us.push(on_us);
+        reference.push(off);
     }
+    m.set_recording(true);
     off_lat_us.sort_by(|a, b| a.total_cmp(b));
     let p50_off = percentile(&off_lat_us, 0.50);
-
-    // Sequential baseline, recording on: one topk call per query, timed
-    // individually for the latency distribution. The registry is reset
-    // first so the cell's snapshot covers exactly its instrumented passes.
-    m.set_recording(true);
-    m.reset();
-    let mut latencies_us = Vec::with_capacity(weights.len());
-    let mut total_cost = 0u64;
-    let seq_t0 = Instant::now();
-    for (w, s) in weights.iter().zip(&reference) {
-        let q0 = Instant::now();
-        let r = idx.topk(w, k);
-        latencies_us.push(q0.elapsed().as_secs_f64() * 1e6);
-        total_cost += r.cost.total();
-        assert_eq!(r.ids, s.ids, "recording on/off changed answers");
-        assert_eq!(r.cost, s.cost, "recording on/off changed costs");
-    }
-    let seq_secs = seq_t0.elapsed().as_secs_f64();
+    let seq_secs = latencies_us.iter().sum::<f64>() / 1e6;
     let seq_qps = weights.len() as f64 / seq_secs;
     let mean_cost = total_cost as f64 / weights.len() as f64;
     let mut sorted = latencies_us.clone();

@@ -23,7 +23,7 @@
 //! uniform-weight minimizer is always included.
 
 use crate::hull2d::{cross, lower_left_chain};
-use crate::hulldd::{quickhull, HullError};
+use crate::hulldd::{quickhull, HullScratch};
 use crate::lp::{Cmp, LpOutcome, Simplex};
 use crate::GEOM_EPS;
 use drtopk_common::{dominates, Relation, TupleId};
@@ -46,11 +46,27 @@ pub struct ConvexSkyline {
     pub facets: Vec<Vec<u32>>,
 }
 
+/// The point buffer and hull state one convex-layer peel reuses across
+/// its layers.
+#[derive(Debug, Default)]
+struct CskyScratch {
+    pts: Vec<f64>,
+    hull: HullScratch,
+}
+
 /// Computes the convex skyline of the tuples `ids` within `rel`.
 ///
 /// Returns positions into `ids` (sorted ascending) and facets usable as
 /// ∃-dominance-set candidates.
 pub fn convex_skyline(rel: &Relation, ids: &[TupleId]) -> ConvexSkyline {
+    convex_skyline_with(rel, ids, &mut CskyScratch::default())
+}
+
+fn convex_skyline_with(
+    rel: &Relation,
+    ids: &[TupleId],
+    scratch: &mut CskyScratch,
+) -> ConvexSkyline {
     let d = rel.dims();
     let m = ids.len();
     if m == 0 {
@@ -71,7 +87,7 @@ pub fn convex_skyline(rel: &Relation, ids: &[TupleId]) -> ConvexSkyline {
     if m <= d + 1 {
         return csky_lp(rel, ids);
     }
-    match csky_hull(rel, ids) {
+    match csky_hull(rel, ids, scratch) {
         Some(cs) => cs,
         None => {
             if m <= LP_FALLBACK_CAP {
@@ -109,28 +125,26 @@ fn csky_2d(rel: &Relation, ids: &[TupleId]) -> ConvexSkyline {
     ConvexSkyline { members, facets }
 }
 
-fn csky_hull(rel: &Relation, ids: &[TupleId]) -> Option<ConvexSkyline> {
+fn csky_hull(rel: &Relation, ids: &[TupleId], scratch: &mut CskyScratch) -> Option<ConvexSkyline> {
     let d = rel.dims();
     let m = ids.len();
-    let mut pts = Vec::with_capacity((m + 1) * d);
+    let pts = &mut scratch.pts;
+    pts.clear();
     for &id in ids {
         pts.extend_from_slice(rel.tuple(id));
     }
     pts.extend(std::iter::repeat_n(APEX, d)); // apex sentinel at index m
-    let hull = match quickhull(&pts, d, GEOM_EPS) {
-        Ok(h) => h,
-        Err(HullError::Degenerate) | Err(HullError::BadDimension) => return None,
-    };
+    scratch.hull.build(pts, d, GEOM_EPS).ok()?;
     let mut members: Vec<u32> = Vec::new();
     let mut facets: Vec<Vec<u32>> = Vec::new();
-    for f in &hull.facets {
-        if f.normal.iter().all(|&c| c < -GEOM_EPS) {
+    for (vertices, normal, _) in scratch.hull.facets() {
+        if normal.iter().all(|&c| c < -GEOM_EPS) {
             debug_assert!(
-                f.vertices.iter().all(|&v| (v as usize) < m),
+                vertices.iter().all(|&v| (v as usize) < m),
                 "apex can never lie on an all-negative facet"
             );
-            members.extend_from_slice(&f.vertices);
-            facets.push(f.vertices.clone());
+            members.extend_from_slice(vertices);
+            facets.push(vertices.to_vec());
         }
     }
     // Guarantee progress: the uniform-weight minimizer is always a convex
@@ -381,17 +395,24 @@ pub fn convex_layers(rel: &Relation, ids: &[TupleId]) -> Vec<ConvexLayer> {
     let mut remaining: Vec<TupleId> = ids.to_vec();
     let mut next: Vec<TupleId> = Vec::new();
     let mut layers = Vec::new();
+    let mut scratch = CskyScratch::default();
     while !remaining.is_empty() {
-        let cs = convex_skyline(rel, &remaining);
+        let cs = convex_skyline_with(rel, &remaining, &mut scratch);
         assert!(
             !cs.members.is_empty(),
             "convex skyline of a nonempty set is nonempty"
         );
         let members: Vec<TupleId> = cs.members.iter().map(|&p| remaining[p as usize]).collect();
+        // Positions become tuple ids in place (both are `u32`).
         let facets: Vec<Vec<TupleId>> = cs
             .facets
-            .iter()
-            .map(|f| f.iter().map(|&p| remaining[p as usize]).collect())
+            .into_iter()
+            .map(|mut f| {
+                for p in &mut f {
+                    *p = remaining[*p as usize];
+                }
+                f
+            })
             .collect();
         // Remove extracted members from the remainder. `cs.members` is
         // sorted ascending, so a single merge pass suffices.
@@ -589,7 +610,10 @@ mod tests {
         for seed in 0..5 {
             let rel = WorkloadSpec::new(Distribution::Independent, 3, 30, seed).generate();
             let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
-            let hull_members = ids_of(&csky_hull(&rel, &all).unwrap(), &all);
+            let hull_members = ids_of(
+                &csky_hull(&rel, &all, &mut CskyScratch::default()).unwrap(),
+                &all,
+            );
             let lp_members = ids_of(&csky_lp(&rel, &all), &all);
             // The hull path may (rarely) miss boundary-exposed members but
             // must never invent one; usually the sets coincide.

@@ -8,8 +8,15 @@
 //! `min_j F(t^j) ≤ F(v) < F(t')` — so at least one facet member always
 //! precedes `t'` in score order, which is exactly what Lemma 2 needs.
 
-use crate::lp::{Cmp, LpOutcome, Simplex};
+use crate::lp::{Cmp, Status, Tableau};
 use drtopk_common::{dominates, dominates_eq, Relation, TupleId};
+use std::cell::RefCell;
+
+thread_local! {
+    /// One tableau per thread, reused by every ∃-dominance test a build
+    /// runs on it.
+    static EDS_TABLEAU: RefCell<Tableau> = RefCell::new(Tableau::default());
+}
 
 /// Decides whether the facet `facet` (tuple ids) is an ∃-dominance set of
 /// tuple `target`: does `conv(facet)` contain a point dominating `target`?
@@ -49,29 +56,25 @@ pub fn facet_is_eds(rel: &Relation, facet: &[TupleId], target: TupleId) -> bool 
     //   Σ_j λ_j = 1, λ ≥ 0, s ≥ 0.
     // Feasible with positive optimum ⇔ a strictly dominating virtual tuple
     // exists (zero optimum means the only candidate equals t').
+    // Variables are λ_1..λ_m then s_1..s_d; every row is an equality, so
+    // normalizing a negative right-hand side never changes a relation.
     let m = facet.len();
-    let mut obj = vec![0.0; m + d];
-    for o in obj[m..].iter_mut() {
-        *o = 1.0;
-    }
-    let mut s = Simplex::maximize(obj);
-    for i in 0..d {
-        let mut row = vec![0.0; m + d];
-        for (j, &f) in facet.iter().enumerate() {
-            row[j] = rel.tuple(f)[i];
+    EDS_TABLEAU.with(|cell| {
+        let lp = &mut *cell.borrow_mut();
+        lp.layout(m + d, std::iter::repeat_n(Cmp::Eq, d + 1));
+        lp.objective_mut()[m..].fill(1.0);
+        for i in 0..d {
+            let row = lp.row_mut(i);
+            for (j, &f) in facet.iter().enumerate() {
+                row[j] = rel.tuple(f)[i];
+            }
+            row[m + i] = 1.0;
+            lp.set_rhs(i, t[i]);
         }
-        row[m + i] = 1.0;
-        s.constraint(&row, Cmp::Eq, t[i]);
-    }
-    let mut conv = vec![0.0; m + d];
-    for c in conv[..m].iter_mut() {
-        *c = 1.0;
-    }
-    s.constraint(&conv, Cmp::Eq, 1.0);
-    match s.solve() {
-        LpOutcome::Optimal { value, .. } => value > 1e-9,
-        _ => false,
-    }
+        lp.row_mut(d)[..m].fill(1.0);
+        lp.set_rhs(d, 1.0);
+        lp.solve() == Status::Optimal && lp.value() > 1e-9
+    })
 }
 
 /// Exact 2-d special case: does the segment between the facet's extreme

@@ -4,6 +4,12 @@
 //! normal, offset) with facet adjacency maintained during construction —
 //! the beneath–beyond structure QuickHull needs to walk horizons.
 //!
+//! The kernel keeps facets in flat stride-d arrays and marks the facets a
+//! step visits with epoch stamps, so a step allocates nothing once its
+//! buffers have grown. Its output is bit-stable: the index build takes
+//! the first qualifying facet in this enumeration order, so facet order,
+//! normals and offsets are part of every built index (DESIGN.md §4).
+//!
 //! The convex-skyline extraction in [`crate::csky`] consumes only the
 //! *origin-facing* facets (outward normal strictly negative in every
 //! component); per the soundness argument in DESIGN.md, downstream index
@@ -37,13 +43,49 @@ pub enum HullError {
     BadDimension,
 }
 
-struct FacetData {
+/// QuickHull's working state. Facet `f` owns `verts[f*d..(f+1)*d]`,
+/// `normals[f*d..(f+1)*d]` and `offsets[f]`; facets are numbered in
+/// creation order and never move. Every buffer survives between builds,
+/// so a caller that builds many hulls (a convex-layer peel) allocates only
+/// when a hull outgrows the ones before it.
+#[derive(Debug, Default)]
+pub(crate) struct HullScratch {
+    dims: usize,
     verts: Vec<u32>,
-    normal: Vec<f64>,
-    offset: f64,
-    neighbors: Vec<u32>,
-    conflicts: Vec<u32>,
-    alive: bool,
+    normals: Vec<f64>,
+    offsets: Vec<f64>,
+    alive: Vec<bool>,
+    neighbors: Vec<Vec<u32>>,
+    conflicts: Vec<Vec<u32>>,
+    /// Emptied neighbor and conflict lists of dead facets, for new ones.
+    spare: Vec<Vec<u32>>,
+    /// `seen[f] == epoch`: the current visibility walk has reached `f`.
+    seen: Vec<u32>,
+    /// `visible_at[f] == epoch`: `f` is visible from the current point.
+    visible_at: Vec<u32>,
+    epoch: u32,
+    pending: Vec<u32>,
+    visible: Vec<u32>,
+    stack: Vec<u32>,
+    /// Horizon ridge `h` is `ridges[h*(d-1)..(h+1)*(d-1)]`, shared with the
+    /// non-visible facet `horizon[h]`.
+    horizon: Vec<u32>,
+    ridges: Vec<u32>,
+    orphans: Vec<u32>,
+    interior: Vec<f64>,
+    simplex: Vec<u32>,
+    plane: PlaneScratch,
+}
+
+/// Buffers of [`plane_through`] and [`initial_simplex`].
+#[derive(Debug, Default)]
+struct PlaneScratch {
+    /// Row-major `(d-1) × d` elimination matrix.
+    rows: Vec<f64>,
+    pivot_cols: Vec<usize>,
+    /// Row-major orthonormal basis of the initial simplex's span.
+    basis: Vec<f64>,
+    v: Vec<f64>,
 }
 
 /// Computes the convex hull of `points` (flat row-major, `dims` columns).
@@ -52,276 +94,385 @@ struct FacetData {
 /// plane is treated as on/below it. [`crate::GEOM_EPS`] is a good default for
 /// unit-scale data.
 pub fn quickhull(points: &[f64], dims: usize, eps: f64) -> Result<Hull, HullError> {
-    if dims < 2 {
-        return Err(HullError::BadDimension);
-    }
-    let n = points.len() / dims;
-    debug_assert_eq!(points.len(), n * dims);
-    if n < dims + 1 {
-        return Err(HullError::Degenerate);
-    }
-    let pt = |i: u32| -> &[f64] { &points[i as usize * dims..(i as usize + 1) * dims] };
+    let mut scratch = HullScratch::default();
+    scratch.build(points, dims, eps)?;
+    Ok(scratch.to_hull())
+}
 
-    let simplex = initial_simplex(points, dims, eps).ok_or(HullError::Degenerate)?;
-
-    // Interior reference point: simplex centroid.
-    let mut interior = vec![0.0; dims];
-    for &v in &simplex {
-        for (acc, &x) in interior.iter_mut().zip(pt(v)) {
-            *acc += x;
+impl HullScratch {
+    /// Builds the hull of `points` as [`quickhull`] does; read it with
+    /// [`HullScratch::facets`].
+    ///
+    /// Every choice that fixes the output happens in a fixed order, so the
+    /// facets come out in the same order with the same bits on every run:
+    /// the furthest conflict point is the first strict maximum in conflict
+    /// order, the visibility walk is a stack, the horizon lists visible
+    /// facets as found (each one's neighbors in list order, ridge vertices
+    /// in that facet's order), cone facets are created in horizon order, a
+    /// neighbor patch replaces the first visible slot, and an orphan goes
+    /// to the first new facet it is above.
+    #[allow(clippy::needless_range_loop)] // a facet id indexes several parallel arrays
+    pub(crate) fn build(&mut self, points: &[f64], dims: usize, eps: f64) -> Result<(), HullError> {
+        self.reset(dims);
+        if dims < 2 {
+            return Err(HullError::BadDimension);
         }
-    }
-    for x in &mut interior {
-        *x /= (dims + 1) as f64;
-    }
-
-    let mut facets: Vec<FacetData> = Vec::new();
-    // The d+1 simplex facets: leave one vertex out each.
-    for leave in 0..=dims {
-        let verts: Vec<u32> = simplex
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != leave)
-            .map(|(_, &v)| v)
-            .collect();
-        let (normal, offset) =
-            plane_through(points, dims, &verts, &interior).ok_or(HullError::Degenerate)?;
-        facets.push(FacetData {
-            verts,
-            normal,
-            offset,
-            neighbors: Vec::new(),
-            conflicts: Vec::new(),
-            alive: true,
-        });
-    }
-    // Simplex facets are mutually adjacent.
-    for i in 0..facets.len() {
-        facets[i].neighbors = (0..facets.len() as u32)
-            .filter(|&j| j as usize != i)
-            .collect();
-    }
-
-    // Initial conflict assignment.
-    let in_simplex = |i: u32| simplex.contains(&i);
-    let mut pending: Vec<u32> = Vec::new();
-    for i in 0..n as u32 {
-        if in_simplex(i) {
-            continue;
-        }
-        let p = pt(i);
-        let mut assigned = false;
-        for (fi, f) in facets.iter_mut().enumerate() {
-            if dist(f, p) > eps {
-                f.conflicts.push(i);
-                if f.conflicts.len() == 1 {
-                    pending.push(fi as u32);
-                }
-                assigned = true;
-                break;
-            }
-        }
-        let _ = assigned; // unassigned => interior point, dropped
-    }
-
-    // Main loop: expand the hull by the furthest conflict point of some
-    // facet, replacing the visible region with a cone of new facets.
-    //
-    // Near-duplicate point clusters can drive eps-inconsistent horizon
-    // walks into combinatorial facet blow-up (or non-termination). A hull
-    // of n points in general position has far fewer than `n^(d/2) + 16n·d`
-    // facets; crossing that budget means the geometry is degenerate
-    // beyond what this tolerance-based algorithm can handle, so we bail
-    // to the callers' sound fallbacks instead of hanging.
-    let facet_budget = ((n as f64).powf(dims as f64 / 2.0) as usize)
-        .saturating_add(16 * n * dims)
-        .saturating_add(1024);
-    let mut visible: Vec<u32> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut seen: Vec<bool> = Vec::new();
-    while let Some(fi) = pending.pop() {
-        if facets.len() > facet_budget {
+        let n = points.len() / dims;
+        debug_assert_eq!(points.len(), n * dims);
+        if n < dims + 1 {
             return Err(HullError::Degenerate);
         }
-        let f = &facets[fi as usize];
-        if !f.alive || f.conflicts.is_empty() {
-            continue;
+        let HullScratch {
+            verts,
+            normals,
+            offsets,
+            alive,
+            neighbors,
+            conflicts,
+            spare,
+            seen,
+            visible_at,
+            epoch,
+            pending,
+            visible,
+            stack,
+            horizon,
+            ridges,
+            orphans,
+            interior,
+            simplex,
+            plane,
+            ..
+        } = self;
+        let pt = |i: u32| -> &[f64] { &points[i as usize * dims..(i as usize + 1) * dims] };
+
+        if !initial_simplex(points, dims, eps, simplex, plane) {
+            return Err(HullError::Degenerate);
         }
-        // Furthest conflict point (QuickHull's choice aids robustness).
-        let mut p_idx = f.conflicts[0];
-        let mut p_dist = dist(f, pt(p_idx));
-        for &c in &f.conflicts[1..] {
-            let d = dist(f, pt(c));
-            if d > p_dist {
-                p_idx = c;
-                p_dist = d;
+
+        // Interior reference point: simplex centroid.
+        interior.resize(dims, 0.0);
+        for &v in simplex.iter() {
+            for (acc, &x) in interior.iter_mut().zip(pt(v)) {
+                *acc += x;
             }
         }
-        let p = pt(p_idx);
+        for x in interior.iter_mut() {
+            *x /= (dims + 1) as f64;
+        }
 
-        // BFS over facets visible from p.
-        visible.clear();
-        stack.clear();
-        seen.clear();
-        seen.resize(facets.len(), false);
-        stack.push(fi);
-        seen[fi as usize] = true;
-        while let Some(g) = stack.pop() {
-            let gf = &facets[g as usize];
-            if !gf.alive || dist(gf, p) <= eps {
+        // The d+1 simplex facets: leave one vertex out each. They are
+        // mutually adjacent.
+        for leave in 0..=dims {
+            let f = alive.len();
+            verts.extend(
+                simplex
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != leave)
+                    .map(|(_, &v)| v),
+            );
+            normals.resize((f + 1) * dims, 0.0);
+            let offset = plane_through(
+                points,
+                dims,
+                &verts[f * dims..],
+                interior,
+                plane,
+                &mut normals[f * dims..],
+            )
+            .ok_or(HullError::Degenerate)?;
+            offsets.push(offset);
+            alive.push(true);
+            seen.push(0);
+            visible_at.push(0);
+            let mut adjacent = spare.pop().unwrap_or_default();
+            adjacent.extend((0..=dims as u32).filter(|&j| j as usize != leave));
+            neighbors.push(adjacent);
+            conflicts.push(spare.pop().unwrap_or_default());
+        }
+
+        // Initial conflict assignment: each outside point goes to the first
+        // facet it is above; interior points are dropped.
+        for i in 0..n as u32 {
+            if simplex.contains(&i) {
                 continue;
             }
-            visible.push(g);
-            for &nb in &facets[g as usize].neighbors {
-                if !seen[nb as usize] {
-                    seen[nb as usize] = true;
-                    stack.push(nb);
+            let p = pt(i);
+            for f in 0..alive.len() {
+                if dist(normals, offsets, f, p) > eps {
+                    conflicts[f].push(i);
+                    if conflicts[f].len() == 1 {
+                        pending.push(f as u32);
+                    }
+                    break;
                 }
             }
         }
-        if visible.is_empty() {
-            continue;
-        }
 
-        // Horizon ridges: (visible facet, non-visible neighbor, shared verts).
-        let mut horizon: Vec<(u32, Vec<u32>)> = Vec::new(); // (outside facet, ridge)
-        for &g in &visible {
-            let g_verts = facets[g as usize].verts.clone();
-            for nb in facets[g as usize].neighbors.clone() {
-                let nbf = &facets[nb as usize];
-                if !nbf.alive {
+        // Main loop: expand the hull by the furthest conflict point of some
+        // facet, replacing the visible region with a cone of new facets.
+        //
+        // Near-duplicate point clusters can drive eps-inconsistent horizon
+        // walks into combinatorial facet blow-up (or non-termination). A hull
+        // of n points in general position has far fewer than `n^(d/2) + 16n·d`
+        // facets; crossing that budget means the geometry is degenerate
+        // beyond what this tolerance-based algorithm can handle, so we bail
+        // to the callers' sound fallbacks instead of hanging.
+        let facet_budget = ((n as f64).powf(dims as f64 / 2.0) as usize)
+            .saturating_add(16 * n * dims)
+            .saturating_add(1024);
+        while let Some(fi) = pending.pop() {
+            if alive.len() > facet_budget {
+                return Err(HullError::Degenerate);
+            }
+            let fi = fi as usize;
+            if !alive[fi] || conflicts[fi].is_empty() {
+                continue;
+            }
+            // Furthest conflict point (QuickHull's choice aids robustness).
+            let mut p_idx = conflicts[fi][0];
+            let mut p_dist = dist(normals, offsets, fi, pt(p_idx));
+            for &c in &conflicts[fi][1..] {
+                let d = dist(normals, offsets, fi, pt(c));
+                if d > p_dist {
+                    p_idx = c;
+                    p_dist = d;
+                }
+            }
+            let p = pt(p_idx);
+
+            if *epoch == u32::MAX {
+                seen.fill(0);
+                visible_at.fill(0);
+                *epoch = 0;
+            }
+            *epoch += 1;
+            let now = *epoch;
+
+            // Walk the facets visible from p.
+            visible.clear();
+            stack.clear();
+            stack.push(fi as u32);
+            seen[fi] = now;
+            while let Some(g) = stack.pop() {
+                let g = g as usize;
+                if !alive[g] || dist(normals, offsets, g, p) <= eps {
                     continue;
                 }
-                let nb_visible = dist(nbf, p) > eps;
-                if !nb_visible {
-                    let ridge: Vec<u32> = g_verts
+                visible_at[g] = now;
+                visible.push(g as u32);
+                for &nb in &neighbors[g] {
+                    if seen[nb as usize] != now {
+                        seen[nb as usize] = now;
+                        stack.push(nb);
+                    }
+                }
+            }
+            if visible.is_empty() {
+                continue;
+            }
+
+            // Horizon ridges: the vertices a visible facet shares with a
+            // live, non-visible neighbor. The walk reached every neighbor
+            // of a visible facet, so `visible_at` is exact here.
+            horizon.clear();
+            ridges.clear();
+            for &g in visible.iter() {
+                let g = g as usize;
+                let g_verts = &verts[g * dims..(g + 1) * dims];
+                for &nb in &neighbors[g] {
+                    let nb = nb as usize;
+                    if !alive[nb] || visible_at[nb] == now {
+                        continue;
+                    }
+                    let nb_verts = &verts[nb * dims..(nb + 1) * dims];
+                    let start = ridges.len();
+                    ridges.extend(g_verts.iter().filter(|v| nb_verts.contains(v)));
+                    if ridges.len() - start == dims - 1 {
+                        horizon.push(nb as u32);
+                    } else {
+                        ridges.truncate(start);
+                    }
+                }
+            }
+
+            // Collect orphaned conflict points, retire visible facets and
+            // keep their lists for the cone.
+            orphans.clear();
+            for &g in visible.iter() {
+                let g = g as usize;
+                alive[g] = false;
+                orphans.append(&mut conflicts[g]);
+                for list in [&mut conflicts[g], &mut neighbors[g]] {
+                    if list.capacity() > 0 {
+                        let mut list = std::mem::take(list);
+                        list.clear();
+                        spare.push(list);
+                    }
+                }
+            }
+            orphans.retain(|&c| c != p_idx);
+
+            // Build the cone: one new facet per horizon ridge.
+            let first_new = alive.len();
+            for (h, &outside) in horizon.iter().enumerate() {
+                let id = alive.len();
+                verts.extend_from_slice(&ridges[h * (dims - 1)..(h + 1) * (dims - 1)]);
+                verts.push(p_idx);
+                normals.resize((id + 1) * dims, 0.0);
+                let offset = plane_through(
+                    points,
+                    dims,
+                    &verts[id * dims..],
+                    interior,
+                    plane,
+                    &mut normals[id * dims..],
+                )
+                .ok_or(HullError::Degenerate)?;
+                offsets.push(offset);
+                alive.push(true);
+                seen.push(0);
+                visible_at.push(0);
+                let mut adjacent = spare.pop().unwrap_or_default();
+                adjacent.push(outside);
+                neighbors.push(adjacent);
+                conflicts.push(spare.pop().unwrap_or_default());
+                // Patch the outside facet: replace its first dead (visible)
+                // neighbor with us.
+                let slots = &mut neighbors[outside as usize];
+                match slots.iter_mut().find(|s| visible_at[**s as usize] == now) {
+                    Some(slot) => *slot = id as u32,
+                    None => slots.push(id as u32),
+                }
+            }
+            let end = alive.len();
+
+            // Adjacency among new facets: two cone facets are neighbors iff
+            // they share d-1 vertices (their ridges both contain p).
+            for a in first_new..end {
+                for b in (a + 1)..end {
+                    let vb = &verts[b * dims..(b + 1) * dims];
+                    let shared = verts[a * dims..(a + 1) * dims]
                         .iter()
-                        .copied()
-                        .filter(|v| nbf.verts.contains(v))
-                        .collect();
-                    if ridge.len() == dims - 1 {
-                        horizon.push((nb, ridge));
+                        .filter(|v| vb.contains(v))
+                        .count();
+                    if shared == dims - 1 {
+                        neighbors[a].push(b as u32);
+                        neighbors[b].push(a as u32);
                     }
                 }
             }
-        }
 
-        // Collect orphaned conflict points, retire visible facets.
-        let mut orphans: Vec<u32> = Vec::new();
-        for &g in &visible {
-            let gf = &mut facets[g as usize];
-            gf.alive = false;
-            orphans.append(&mut gf.conflicts);
-        }
-        orphans.retain(|&c| c != p_idx);
-
-        // Build the cone: one new facet per horizon ridge.
-        let first_new = facets.len() as u32;
-        let mut ok = true;
-        for (outside, ridge) in &horizon {
-            let mut verts = ridge.clone();
-            verts.push(p_idx);
-            match plane_through(points, dims, &verts, &interior) {
-                Some((normal, offset)) => {
-                    let id = facets.len() as u32;
-                    facets.push(FacetData {
-                        verts,
-                        normal,
-                        offset,
-                        neighbors: vec![*outside],
-                        conflicts: Vec::new(),
-                        alive: true,
-                    });
-                    // Patch the outside facet: replace its dead neighbor with us.
-                    let of = &mut facets[*outside as usize];
-                    let mut patched = false;
-                    for slot in &mut of.neighbors {
-                        if visible.contains(slot) {
-                            *slot = id;
-                            patched = true;
-                            break;
-                        }
-                    }
-                    if !patched {
-                        of.neighbors.push(id);
+            // Reassign orphans to the new facets.
+            for &c in orphans.iter() {
+                let q = pt(c);
+                for nf in first_new..end {
+                    if dist(normals, offsets, nf, q) > eps {
+                        conflicts[nf].push(c);
+                        break;
                     }
                 }
-                None => {
-                    ok = false;
-                    break;
+            }
+            for nf in first_new..end {
+                if !conflicts[nf].is_empty() {
+                    pending.push(nf as u32);
                 }
             }
         }
-        if !ok {
-            return Err(HullError::Degenerate);
-        }
-        let new_ids: Vec<u32> = (first_new..facets.len() as u32).collect();
-
-        // Adjacency among new facets: two cone facets are neighbors iff they
-        // share d-1 vertices (their ridges both contain p).
-        for a in 0..new_ids.len() {
-            for b in (a + 1)..new_ids.len() {
-                let (fa, fb) = (new_ids[a], new_ids[b]);
-                let shared = facets[fa as usize]
-                    .verts
-                    .iter()
-                    .filter(|v| facets[fb as usize].verts.contains(v))
-                    .count();
-                if shared == dims - 1 {
-                    facets[fa as usize].neighbors.push(fb);
-                    facets[fb as usize].neighbors.push(fa);
-                }
-            }
-        }
-
-        // Reassign orphans to the new facets.
-        for c in orphans {
-            let q = pt(c);
-            for &nf in &new_ids {
-                if dist(&facets[nf as usize], q) > eps {
-                    facets[nf as usize].conflicts.push(c);
-                    break;
-                }
-            }
-        }
-        for &nf in &new_ids {
-            if !facets[nf as usize].conflicts.is_empty() {
-                pending.push(nf);
-            }
-        }
+        Ok(())
     }
 
-    // Harvest live facets.
-    let mut out_facets = Vec::new();
-    let mut verts: Vec<u32> = Vec::new();
-    for f in facets.into_iter().filter(|f| f.alive) {
-        verts.extend_from_slice(&f.verts);
-        out_facets.push(Facet {
-            vertices: f.verts,
-            normal: f.normal,
-            offset: f.offset,
-        });
+    /// Empties every buffer for a hull in `dims` dimensions, keeping the
+    /// allocations.
+    fn reset(&mut self, dims: usize) {
+        self.dims = dims;
+        self.verts.clear();
+        self.normals.clear();
+        self.offsets.clear();
+        self.alive.clear();
+        for mut list in self.neighbors.drain(..).chain(self.conflicts.drain(..)) {
+            if list.capacity() > 0 {
+                list.clear();
+                self.spare.push(list);
+            }
+        }
+        self.seen.clear();
+        self.visible_at.clear();
+        self.epoch = 0;
+        self.pending.clear();
+        self.interior.clear();
     }
-    verts.sort_unstable();
-    verts.dedup();
-    Ok(Hull {
-        vertices: verts,
-        facets: out_facets,
-    })
+
+    /// The last built hull's live facets in creation order, as
+    /// `(vertices, outward unit normal, offset)`.
+    pub(crate) fn facets(&self) -> impl Iterator<Item = (&[u32], &[f64], f64)> + '_ {
+        let d = self.dims;
+        (0..self.alive.len())
+            .filter(|&f| self.alive[f])
+            .map(move |f| {
+                (
+                    &self.verts[f * d..(f + 1) * d],
+                    &self.normals[f * d..(f + 1) * d],
+                    self.offsets[f],
+                )
+            })
+    }
+
+    fn to_hull(&self) -> Hull {
+        let mut facets = Vec::new();
+        let mut vertices: Vec<u32> = Vec::new();
+        for (verts, normal, offset) in self.facets() {
+            vertices.extend_from_slice(verts);
+            facets.push(Facet {
+                vertices: verts.to_vec(),
+                normal: normal.to_vec(),
+                offset,
+            });
+        }
+        vertices.sort_unstable();
+        vertices.dedup();
+        Hull { vertices, facets }
+    }
 }
 
+/// Signed distance of `p` above facet `f`'s plane.
 #[inline]
-fn dist(f: &FacetData, p: &[f64]) -> f64 {
-    dot(&f.normal, p) - f.offset
+fn dist(normals: &[f64], offsets: &[f64], f: usize, p: &[f64]) -> f64 {
+    let d = p.len();
+    dot(&normals[f * d..(f + 1) * d], p) - offsets[f]
 }
 
+/// The one dot product every plane test uses: left to right, no
+/// reassociation, so results are bit-stable.
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Finds d+1 affinely independent points, greedily maximizing spread.
-fn initial_simplex(points: &[f64], dims: usize, eps: f64) -> Option<Vec<u32>> {
+/// Writes `q - origin`, projected off the orthonormal rows of `basis`,
+/// into `v`.
+fn residual(q: &[f64], origin: &[f64], basis: &[f64], v: &mut [f64]) {
+    for ((x, a), b) in v.iter_mut().zip(q).zip(origin) {
+        *x = a - b;
+    }
+    for b in basis.chunks_exact(v.len()) {
+        let proj = dot(v, b);
+        for (x, y) in v.iter_mut().zip(b) {
+            *x -= proj * y;
+        }
+    }
+}
+
+/// Finds d+1 affinely independent points into `simplex`, greedily
+/// maximizing spread; `false` when the points span less than d dimensions.
+fn initial_simplex(
+    points: &[f64],
+    dims: usize,
+    eps: f64,
+    simplex: &mut Vec<u32>,
+    scratch: &mut PlaneScratch,
+) -> bool {
     let n = points.len() / dims;
     let pt = |i: usize| -> &[f64] { &points[i * dims..(i + 1) * dims] };
 
@@ -342,34 +493,34 @@ fn initial_simplex(points: &[f64], dims: usize, eps: f64) -> Option<Vec<u32>> {
             best = Some((lo, hi, spread));
         }
     }
-    let (lo, hi, spread) = best?;
+    let Some((lo, hi, spread)) = best else {
+        return false;
+    };
     if spread <= eps {
-        return None;
+        return false;
     }
-    let mut simplex = vec![lo as u32, hi as u32];
+    simplex.clear();
+    simplex.extend([lo as u32, hi as u32]);
 
     // Orthonormal basis of the current affine span (Gram–Schmidt).
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(dims);
-    let origin: Vec<f64> = pt(lo).to_vec();
-    let add_basis = |basis: &mut Vec<Vec<f64>>, q: &[f64]| -> bool {
-        let mut v: Vec<f64> = q.iter().zip(&origin).map(|(a, b)| a - b).collect();
-        for b in basis.iter() {
-            let proj = dot(&v, b);
-            for (x, y) in v.iter_mut().zip(b) {
-                *x -= proj * y;
-            }
-        }
-        let norm = dot(&v, &v).sqrt();
+    let PlaneScratch { basis, v, .. } = scratch;
+    basis.clear();
+    v.clear();
+    v.resize(dims, 0.0);
+    let origin = pt(lo);
+    let add_basis = |basis: &mut Vec<f64>, v: &mut [f64], q: &[f64]| -> bool {
+        residual(q, origin, basis, v);
+        let norm = dot(v, v).sqrt();
         if norm <= eps {
             return false;
         }
-        for x in &mut v {
+        for x in v.iter_mut() {
             *x /= norm;
         }
-        basis.push(v);
+        basis.extend_from_slice(v);
         true
     };
-    assert!(add_basis(&mut basis, pt(hi)));
+    assert!(add_basis(basis, v, pt(hi)));
 
     while simplex.len() < dims + 1 {
         // Farthest point from the current affine span.
@@ -378,32 +529,29 @@ fn initial_simplex(points: &[f64], dims: usize, eps: f64) -> Option<Vec<u32>> {
             if simplex.contains(&(i as u32)) {
                 continue;
             }
-            let mut v: Vec<f64> = pt(i).iter().zip(&origin).map(|(a, b)| a - b).collect();
-            for b in &basis {
-                let proj = dot(&v, b);
-                for (x, y) in v.iter_mut().zip(b) {
-                    *x -= proj * y;
-                }
-            }
-            let d2 = dot(&v, &v);
+            residual(pt(i), origin, basis, v);
+            let d2 = dot(v, v);
             if far.is_none_or(|(_, bd)| d2 > bd) {
                 far = Some((i, d2));
             }
         }
-        let (i, d2) = far?;
+        let Some((i, d2)) = far else {
+            return false;
+        };
         if d2.sqrt() <= eps {
-            return None;
+            return false;
         }
-        if !add_basis(&mut basis, pt(i)) {
-            return None;
+        if !add_basis(basis, v, pt(i)) {
+            return false;
         }
         simplex.push(i as u32);
     }
-    Some(simplex)
+    true
 }
 
-/// Computes the hyperplane through `verts` (d points), oriented so that
-/// `interior` lies strictly below it. Returns `None` when the points are
+/// Writes the unit normal of the hyperplane through `verts` (d points)
+/// into `normal`, oriented so that `interior` lies strictly below it, and
+/// returns the plane's offset. Returns `None` when the points are
 /// affinely dependent (normal collapses).
 #[allow(clippy::needless_range_loop)] // Gaussian elimination reads clearest with indices
 fn plane_through(
@@ -411,18 +559,26 @@ fn plane_through(
     dims: usize,
     verts: &[u32],
     interior: &[f64],
-) -> Option<(Vec<f64>, f64)> {
+    scratch: &mut PlaneScratch,
+    normal: &mut [f64],
+) -> Option<f64> {
     debug_assert_eq!(verts.len(), dims);
     let pt = |i: u32| -> &[f64] { &points[i as usize * dims..(i as usize + 1) * dims] };
     let p0 = pt(verts[0]);
     // Rows: p_i - p_0, i = 1..d-1. The normal spans their null space.
-    let mut m: Vec<Vec<f64>> = verts[1..]
-        .iter()
-        .map(|&v| pt(v).iter().zip(p0).map(|(a, b)| a - b).collect())
-        .collect();
+    let PlaneScratch {
+        rows: m,
+        pivot_cols,
+        ..
+    } = scratch;
+    m.clear();
+    for &v in &verts[1..] {
+        m.extend(pt(v).iter().zip(p0).map(|(a, b)| a - b));
+    }
+    let at = |i: usize, j: usize| i * dims + j;
     // Gaussian elimination with partial pivoting to row-echelon form.
-    let rows = m.len();
-    let mut pivot_cols = Vec::with_capacity(rows);
+    let rows = dims - 1;
+    pivot_cols.clear();
     let mut r = 0;
     for c in 0..dims {
         if r == rows {
@@ -431,24 +587,28 @@ fn plane_through(
         // Find pivot.
         let mut best = r;
         for i in (r + 1)..rows {
-            if m[i][c].abs() > m[best][c].abs() {
+            if m[at(i, c)].abs() > m[at(best, c)].abs() {
                 best = i;
             }
         }
-        if m[best][c].abs() < 1e-13 {
+        if m[at(best, c)].abs() < 1e-13 {
             continue;
         }
-        m.swap(r, best);
-        let piv = m[r][c];
-        for x in &mut m[r] {
+        if best != r {
+            for j in 0..dims {
+                m.swap(at(r, j), at(best, j));
+            }
+        }
+        let piv = m[at(r, c)];
+        for x in &mut m[at(r, 0)..at(r + 1, 0)] {
             *x /= piv;
         }
         for i in 0..rows {
             if i != r {
-                let f = m[i][c];
+                let f = m[at(i, c)];
                 if f != 0.0 {
                     for j in 0..dims {
-                        m[i][j] -= f * m[r][j];
+                        m[at(i, j)] -= f * m[at(r, j)];
                     }
                 }
             }
@@ -464,26 +624,26 @@ fn plane_through(
     }
     // Free column -> null vector.
     let free = (0..dims).find(|c| !pivot_cols.contains(c))?;
-    let mut normal = vec![0.0; dims];
+    normal.fill(0.0);
     normal[free] = 1.0;
     for (row, &pc) in pivot_cols.iter().enumerate() {
-        normal[pc] = -m[row][free];
+        normal[pc] = -m[at(row, free)];
     }
-    let len = dot(&normal, &normal).sqrt();
+    let len = dot(normal, normal).sqrt();
     if len < 1e-13 {
         return None;
     }
-    for x in &mut normal {
+    for x in normal.iter_mut() {
         *x /= len;
     }
-    let mut offset = dot(&normal, p0);
-    if dot(&normal, interior) > offset {
-        for x in &mut normal {
+    let mut offset = dot(normal, p0);
+    if dot(normal, interior) > offset {
+        for x in normal.iter_mut() {
             *x = -*x;
         }
         offset = -offset;
     }
-    Some((normal, offset))
+    Some(offset)
 }
 
 #[cfg(test)]

@@ -43,12 +43,24 @@ impl LpOutcome {
 
 const EPS: f64 = 1e-9;
 
+impl Cmp {
+    /// The relation after both sides are negated.
+    fn flipped(self) -> Cmp {
+        match self {
+            Cmp::Le => Cmp::Ge,
+            Cmp::Ge => Cmp::Le,
+            Cmp::Eq => Cmp::Eq,
+        }
+    }
+}
+
 /// A linear program under construction.
 #[derive(Debug, Clone)]
 pub struct Simplex {
     n: usize,
     objective: Vec<f64>,
-    rows: Vec<Vec<f64>>,
+    /// Row-major constraint coefficients, `n` per row.
+    coeffs: Vec<f64>,
     cmps: Vec<Cmp>,
     rhs: Vec<f64>,
 }
@@ -61,7 +73,7 @@ impl Simplex {
         Simplex {
             n,
             objective,
-            rows: Vec::new(),
+            coeffs: Vec::new(),
             cmps: Vec::new(),
             rhs: Vec::new(),
         }
@@ -73,7 +85,7 @@ impl Simplex {
     /// Panics if `coeffs.len()` differs from the variable count.
     pub fn constraint(&mut self, coeffs: &[f64], cmp: Cmp, rhs: f64) -> &mut Self {
         assert_eq!(coeffs.len(), self.n, "constraint arity mismatch");
-        self.rows.push(coeffs.to_vec());
+        self.coeffs.extend_from_slice(coeffs);
         self.cmps.push(cmp);
         self.rhs.push(rhs);
         self
@@ -81,14 +93,52 @@ impl Simplex {
 
     /// Solves the program.
     pub fn solve(&self) -> LpOutcome {
-        Tableau::new(self).solve()
+        let mut t = Tableau::default();
+        // A row with a negative right-hand side is negated (b >= 0).
+        t.layout(
+            self.n,
+            self.cmps
+                .iter()
+                .zip(&self.rhs)
+                .map(|(&c, &b)| if b < 0.0 { c.flipped() } else { c }),
+        );
+        t.objective_mut().copy_from_slice(&self.objective);
+        for (i, &b) in self.rhs.iter().enumerate() {
+            let row = &self.coeffs[i * self.n..(i + 1) * self.n];
+            t.row_mut(i).copy_from_slice(row);
+            t.set_rhs(i, b);
+        }
+        match t.solve() {
+            Status::Optimal => LpOutcome::Optimal {
+                x: t.solution(),
+                value: t.value(),
+            },
+            Status::Infeasible => LpOutcome::Infeasible,
+            Status::Unbounded => LpOutcome::Unbounded,
+        }
     }
 }
 
-/// Dense simplex tableau with explicit basis bookkeeping.
-struct Tableau {
-    /// `m x (width+1)` matrix; last column is the RHS.
-    a: Vec<Vec<f64>>,
+/// How [`Tableau::solve`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    Optimal,
+    Infeasible,
+    Unbounded,
+}
+
+/// Dense simplex tableau in one row-major buffer, with explicit basis
+/// bookkeeping. It keeps its buffers between programs, so a caller that
+/// solves many small programs allocates only for the largest.
+///
+/// To state a program: [`Tableau::layout`] fixes its shape, then
+/// [`Tableau::objective_mut`], [`Tableau::row_mut`] and
+/// [`Tableau::set_rhs`] fill it in.
+#[derive(Debug, Default)]
+pub(crate) struct Tableau {
+    /// `m × stride` matrix; column `stride - 1` is the RHS.
+    a: Vec<f64>,
+    stride: usize,
     /// Basic variable of each row.
     basis: Vec<usize>,
     /// Total structural + slack variables (artificials live past this).
@@ -97,145 +147,176 @@ struct Tableau {
     n: usize,
     /// Artificial variable columns (phase 1 only).
     artificial: Vec<usize>,
-    /// Original objective padded to `width`.
+    /// Original objective padded with zeros to every column.
     obj: Vec<f64>,
+    /// Phase-1 objective: -1 on artificial columns.
+    phase1: Vec<f64>,
 }
 
 impl Tableau {
-    fn new(p: &Simplex) -> Self {
-        let m = p.rows.len();
-        // Normalize rows to b >= 0, count slack/artificial needs.
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut cmps = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        for i in 0..m {
-            let (mut row, mut cmp, mut b) = (p.rows[i].clone(), p.cmps[i], p.rhs[i]);
-            if b < 0.0 {
-                for v in &mut row {
-                    *v = -*v;
-                }
-                b = -b;
-                cmp = match cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                };
-            }
-            rows.push(row);
-            cmps.push(cmp);
-            rhs.push(b);
-        }
-        let n_slack = cmps.iter().filter(|c| !matches!(c, Cmp::Eq)).count();
-        let width = p.n + n_slack;
-        let n_art = cmps.iter().filter(|c| !matches!(c, Cmp::Le)).count();
+    /// Shapes the tableau for `n` variables and one row per entry of
+    /// `cmps`, each already normalized to a non-negative right-hand side.
+    /// Zeroes every coefficient, the objective and every right-hand side;
+    /// places the slack and artificial columns.
+    pub(crate) fn layout(&mut self, n: usize, cmps: impl Iterator<Item = Cmp> + Clone) {
+        let m = cmps.clone().count();
+        let n_slack = cmps.clone().filter(|c| !matches!(c, Cmp::Eq)).count();
+        let width = n + n_slack;
+        let n_art = cmps.clone().filter(|c| !matches!(c, Cmp::Le)).count();
         let total = width + n_art;
-
-        let mut a = vec![vec![0.0; total + 1]; m];
-        let mut basis = vec![usize::MAX; m];
-        let mut artificial = Vec::with_capacity(n_art);
-        let mut slack_col = p.n;
+        self.n = n;
+        self.width = width;
+        self.stride = total + 1;
+        self.a.clear();
+        self.a.resize(m * self.stride, 0.0);
+        self.basis.clear();
+        self.basis.resize(m, usize::MAX);
+        self.artificial.clear();
+        self.obj.clear();
+        self.obj.resize(total, 0.0);
+        let mut slack_col = n;
         let mut art_col = width;
-        for i in 0..m {
-            a[i][..p.n].copy_from_slice(&rows[i]);
-            a[i][total] = rhs[i];
-            match cmps[i] {
+        for (i, cmp) in cmps.enumerate() {
+            let row = &mut self.a[i * self.stride..(i + 1) * self.stride];
+            match cmp {
                 Cmp::Le => {
-                    a[i][slack_col] = 1.0;
-                    basis[i] = slack_col;
+                    row[slack_col] = 1.0;
+                    self.basis[i] = slack_col;
                     slack_col += 1;
                 }
                 Cmp::Ge => {
-                    a[i][slack_col] = -1.0;
+                    row[slack_col] = -1.0;
                     slack_col += 1;
-                    a[i][art_col] = 1.0;
-                    basis[i] = art_col;
-                    artificial.push(art_col);
+                    row[art_col] = 1.0;
+                    self.basis[i] = art_col;
+                    self.artificial.push(art_col);
                     art_col += 1;
                 }
                 Cmp::Eq => {
-                    a[i][art_col] = 1.0;
-                    basis[i] = art_col;
-                    artificial.push(art_col);
+                    row[art_col] = 1.0;
+                    self.basis[i] = art_col;
+                    self.artificial.push(art_col);
                     art_col += 1;
                 }
             }
         }
-        let mut obj = p.objective.clone();
-        obj.resize(width, 0.0);
-        Tableau {
-            a,
-            basis,
-            width,
-            n: p.n,
-            artificial,
-            obj,
-        }
     }
 
-    fn solve(mut self) -> LpOutcome {
+    /// The objective's coefficients on the `n` original variables.
+    pub(crate) fn objective_mut(&mut self) -> &mut [f64] {
+        &mut self.obj[..self.n]
+    }
+
+    /// Row `i`'s coefficients on the `n` original variables.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.a[i * self.stride..i * self.stride + self.n]
+    }
+
+    /// Sets row `i`'s right-hand side to `b`. A negative `b` negates the
+    /// row's original coefficients (already written) and `b`; the row's
+    /// relation passed to [`Tableau::layout`] must be the flipped one.
+    pub(crate) fn set_rhs(&mut self, i: usize, b: f64) {
+        let rhs = if b < 0.0 {
+            for v in self.row_mut(i) {
+                *v = -*v;
+            }
+            -b
+        } else {
+            b
+        };
+        self.a[(i + 1) * self.stride - 1] = rhs;
+    }
+
+    fn rows(&self) -> usize {
+        self.basis.len()
+    }
+
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.a[i * self.stride + j]
+    }
+
+    /// Runs both phases on the program laid out in the tableau.
+    pub(crate) fn solve(&mut self) -> Status {
         let total = self.width + self.artificial.len();
+        let mut phase1 = std::mem::take(&mut self.phase1);
+        let mut status = Status::Optimal;
         if !self.artificial.is_empty() {
             // Phase 1: minimize the sum of artificials, i.e. maximize the
             // negated sum. Reduced costs are computed per pivot scan, so we
             // only need the objective vector.
-            let mut phase1 = vec![0.0; total];
+            phase1.clear();
+            phase1.resize(total, 0.0);
             for &c in &self.artificial {
                 phase1[c] = -1.0;
             }
-            match self.optimize(&phase1, total) {
-                Some(()) => {}
-                None => return LpOutcome::Unbounded, // cannot happen: bounded below by 0
-            }
-            let v = self.objective_value(&phase1);
-            if v < -1e-7 {
-                return LpOutcome::Infeasible;
-            }
-            // Pivot any artificial still in the basis out (degenerate rows),
-            // or drop its row if it is all-zero over structural columns.
-            for i in 0..self.a.len() {
-                if self.basis[i] >= self.width {
-                    let piv = (0..self.width).find(|&j| self.a[i][j].abs() > EPS);
-                    if let Some(j) = piv {
-                        self.pivot(i, j, total);
+            if self.optimize(&phase1, total).is_none() {
+                status = Status::Unbounded; // cannot happen: bounded below by 0
+            } else if self.objective_value(&phase1) < -1e-7 {
+                status = Status::Infeasible;
+            } else {
+                // Pivot any artificial still in the basis out (degenerate
+                // rows), or drop its row if it is all-zero over structural
+                // columns.
+                for i in 0..self.rows() {
+                    if self.basis[i] >= self.width {
+                        let piv = (0..self.width).find(|&j| self.at(i, j).abs() > EPS);
+                        if let Some(j) = piv {
+                            self.pivot(i, j);
+                        }
+                        // If no structural pivot exists the row is
+                        // redundant; its artificial stays basic at value 0,
+                        // which is harmless for phase 2 because artificial
+                        // columns are excluded from entering.
                     }
-                    // If no structural pivot exists the row is redundant;
-                    // its artificial stays basic at value 0, which is
-                    // harmless for phase 2 because artificial columns are
-                    // excluded from entering.
                 }
             }
         }
+        self.phase1 = phase1;
+        if status != Status::Optimal {
+            return status;
+        }
         // Phase 2 over structural columns only.
-        let mut obj = self.obj.clone();
-        obj.resize(total, 0.0);
-        match self.optimize(&obj, self.width) {
-            Some(()) => {
-                let mut x = vec![0.0; self.n];
-                for (i, &b) in self.basis.iter().enumerate() {
-                    if b < self.n {
-                        x[b] = self.a[i][total];
-                    }
-                }
-                let value = self.objective_value(&obj);
-                LpOutcome::Optimal { x, value }
-            }
-            None => LpOutcome::Unbounded,
+        let obj = std::mem::take(&mut self.obj);
+        let bounded = self.optimize(&obj, self.width).is_some();
+        self.obj = obj;
+        if bounded {
+            Status::Optimal
+        } else {
+            Status::Unbounded
         }
     }
 
+    /// The optimal objective value after [`Tableau::solve`] returned
+    /// [`Status::Optimal`].
+    pub(crate) fn value(&self) -> f64 {
+        self.objective_value(&self.obj)
+    }
+
+    /// The optimal point after [`Tableau::solve`] returned
+    /// [`Status::Optimal`].
+    fn solution(&self) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        for (i, &b) in self.basis.iter().enumerate() {
+            if b < self.n {
+                x[b] = self.at(i, self.stride - 1);
+            }
+        }
+        x
+    }
+
     fn objective_value(&self, obj: &[f64]) -> f64 {
-        let total = self.a.first().map_or(0, |r| r.len() - 1);
+        let rhs = self.stride - 1;
         self.basis
             .iter()
             .enumerate()
-            .map(|(i, &b)| obj.get(b).copied().unwrap_or(0.0) * self.a[i][total])
+            .map(|(i, &b)| obj.get(b).copied().unwrap_or(0.0) * self.at(i, rhs))
             .sum()
     }
 
     /// Runs primal simplex with Bland's rule; entering columns are limited
     /// to `[0, col_limit)`. Returns `None` on unboundedness.
     fn optimize(&mut self, obj: &[f64], col_limit: usize) -> Option<()> {
-        let total = self.a.first().map_or(0, |r| r.len() - 1);
+        let rhs = self.stride - 1;
         loop {
             // Reduced costs: rc_j = obj_j - obj_B · B^{-1} A_j. The tableau
             // is kept in canonical form, so rc_j = obj_j - Σ_i obj[basis_i]·a[i][j].
@@ -248,7 +329,7 @@ impl Tableau {
                 for (i, &b) in self.basis.iter().enumerate() {
                     let cb = obj.get(b).copied().unwrap_or(0.0);
                     if cb != 0.0 {
-                        rc -= cb * self.a[i][j];
+                        rc -= cb * self.at(i, j);
                     }
                 }
                 if rc > EPS {
@@ -259,10 +340,10 @@ impl Tableau {
             let Some(j) = entering else { return Some(()) };
             // Ratio test with Bland tie-break on the basic variable index.
             let mut leave: Option<(usize, f64)> = None;
-            for i in 0..self.a.len() {
-                let aij = self.a[i][j];
+            for i in 0..self.rows() {
+                let aij = self.at(i, j);
                 if aij > EPS {
-                    let ratio = self.a[i][total] / aij;
+                    let ratio = self.at(i, rhs) / aij;
                     match leave {
                         None => leave = Some((i, ratio)),
                         Some((li, lr)) => {
@@ -276,22 +357,23 @@ impl Tableau {
                 }
             }
             let (i, _) = leave?;
-            self.pivot(i, j, total);
+            self.pivot(i, j);
         }
     }
 
-    fn pivot(&mut self, row: usize, col: usize, total: usize) {
-        let p = self.a[row][col];
+    fn pivot(&mut self, row: usize, col: usize) {
+        let stride = self.stride;
+        let p = self.at(row, col);
         debug_assert!(p.abs() > EPS, "pivot on near-zero element");
-        for v in &mut self.a[row] {
+        for v in &mut self.a[row * stride..(row + 1) * stride] {
             *v /= p;
         }
-        for i in 0..self.a.len() {
+        for i in 0..self.rows() {
             if i != row {
-                let f = self.a[i][col];
+                let f = self.at(i, col);
                 if f != 0.0 {
-                    for j in 0..=total {
-                        self.a[i][j] -= f * self.a[row][j];
+                    for j in 0..stride {
+                        self.a[i * stride + j] -= f * self.a[row * stride + j];
                     }
                 }
             }

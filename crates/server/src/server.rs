@@ -763,6 +763,18 @@ fn admit_query(
     }
 
     let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
+    // One connection holds at most half the queue, so a client that
+    // pipelines without reading its replies cannot get every other client
+    // shed (§5.1). Only this connection's reader raises its count.
+    let conn_cap = (shared.cfg.queue_depth / 2).max(1);
+    if writer.outstanding.load(SeqCst) >= conn_cap {
+        drop(queue);
+        metrics().server_sheds.add(1);
+        return reject(
+            ErrorCode::Overloaded,
+            format!("connection cap: {conn_cap} queries in flight on this connection"),
+        );
+    }
     if queue.len() >= shared.cfg.queue_depth {
         drop(queue);
         metrics().server_sheds.add(1);

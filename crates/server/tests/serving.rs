@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -381,5 +382,80 @@ fn a_client_that_stops_reading_does_not_wedge_the_workers() {
     let want: Vec<u64> = idx.topk(&w, 5).ids.iter().map(|&x| u64::from(x)).collect();
     assert_eq!(reply.ids, want);
     drop(stalled);
+    handle.shutdown();
+}
+
+/// §5.1: one connection holds at most half the admission queue. A client
+/// that pipelines slow queries and never reads its replies used to fill
+/// the whole queue, and every other client was shed `Overloaded`.
+#[test]
+fn a_pipelining_connection_cannot_take_every_queue_slot() {
+    let (d, n) = (2, 20_000);
+    let idx = build_index(d, n, 31);
+    let handle = Server::start(
+        Arc::clone(&idx),
+        ServerConfig::new().workers(1).queue_depth(8),
+    )
+    .expect("start");
+    let addr = handle.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicUsize::new(0));
+    let flood = {
+        let (stop, sent) = (Arc::clone(&stop), Arc::clone(&sent));
+        std::thread::spawn(move || {
+            let mut stalled = TcpStream::connect(addr).expect("connect");
+            stalled.write_all(&HELLO).expect("hello");
+            let mut echo = [0u8; 8];
+            stalled.read_exact(&mut echo).expect("echo");
+            stalled
+                .set_write_timeout(Some(Duration::from_millis(50)))
+                .unwrap();
+            // Whole-relation queries: one worker answers each slowly.
+            let query = Message::Query {
+                deadline_ms: 0,
+                max_cost: 0,
+                k: n as u32,
+                weights: vec![0.4, 0.6],
+                scores: false,
+            };
+            let mut id = 0;
+            while !stop.load(SeqCst) {
+                id += 1;
+                if write_frame(&mut stalled, id, &query).is_ok() {
+                    sent.fetch_add(1, SeqCst);
+                } else {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+            stalled
+        })
+    };
+    // Far more frames than the queue holds, and time to read them: the
+    // flood now holds every slot it is allowed.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while sent.load(SeqCst) < 200 {
+        assert!(Instant::now() < give_up, "the flood stalled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    // Three queries pipelined at once fit beside the flood's capped
+    // slots; a queue the flood holds whole would shed them.
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for _ in 0..3 {
+        client.send_query(&[0.5, 0.5], 5, 0, 0).expect("send");
+    }
+    let w = Weights::new(vec![0.5, 0.5]).unwrap();
+    let want: Vec<u64> = idx.topk(&w, 5).ids.iter().map(|&x| u64::from(x)).collect();
+    for _ in 0..3 {
+        let (_, reply) = client
+            .recv_topk()
+            .expect("another client is answered, not shed");
+        assert_eq!(reply.ids, want);
+    }
+    stop.store(true, SeqCst);
+    drop(flood.join().expect("flood thread"));
     handle.shutdown();
 }

@@ -85,8 +85,8 @@ fn is_transient(e: &ClientError) -> bool {
 /// A blocking connection to a `drtopk serve` process.
 ///
 /// One `Client` is one TCP connection; it is not `Sync` — use one per
-/// thread (the server's workers answer every connection's requests from
-/// one shared queue).
+/// thread (the server answers each connection's requests one at a time,
+/// so parallelism comes from connections).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,

@@ -10,10 +10,11 @@
 //!   write-ahead log, a budget header per query, explicit error codes.
 //!   It declares the top-k vocabulary once: one [`Message::Query`], one
 //!   [`TopkReply`], core's `TruncateReason` and `ShardCoverage`.
-//! * [`server`] — the service: per-connection readers feed one bounded
-//!   admission queue; a fixed worker pool takes one request at a time
-//!   and answers it at once, under its own deadline, through the same
-//!   query bodies as the in-process API (for a cached index,
+//! * [`server`] — the service: each connection's reader thread answers
+//!   its own queries, one at a time, under one admission gate that
+//!   bounds how many are answered at once and how many wait for a turn.
+//!   Each query runs under its own deadline, through the same query
+//!   bodies as the in-process API (for a cached index,
 //!   [`ResultCache::answer`](drtopk_core::ResultCache::answer)).
 //!   Overload sheds fast (`Overloaded` replies) instead of queueing
 //!   without bound; shutdown drains gracefully; `/metrics` answers both

@@ -54,7 +54,8 @@ mod ty {
 pub enum ErrorCode {
     /// Malformed body, wrong dimensionality, invalid weights (§5 code 1).
     BadRequest = 1,
-    /// Admission queue at capacity; the request was shed (§5 code 2).
+    /// Too many queries waiting for a turn; the request was shed (§5
+    /// code 2).
     Overloaded = 2,
     /// Server is draining; the request was not admitted (§5 code 3).
     ShuttingDown = 3,

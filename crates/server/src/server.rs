@@ -1,15 +1,15 @@
-//! The index service: accept loop, admission control, a worker pool,
-//! graceful drain.
+//! The index service: accept loop, admission gate, graceful drain.
 //!
 //! Architecture (DESIGN.md §8): one reader thread per connection parses
-//! frames (`PROTOCOL.md` §2) and *admits* queries into a single bounded
-//! queue; a fixed pool of worker threads takes one request at a time out
-//! of that queue and answers it at once, under its own [`QueryBudget`]
-//! built from the frame's budget header (§3.1) at admission time — so
-//! time spent queued counts against the client's deadline. When the
-//! queue is full, admission sheds the request with a fast `Overloaded`
-//! reply (§5.1) instead of letting latency collapse. A request whose
-//! query panics is answered `Internal`; its worker lives on.
+//! frames (`PROTOCOL.md` §2) and answers each query itself, one at a
+//! time and in arrival order. Before it answers, a query passes one
+//! admission gate: at most `workers` queries are answered at once, at
+//! most `queue_depth` wait for a turn, and a query past both is shed with
+//! a fast `Overloaded` reply (§5.1) instead of letting latency collapse.
+//! Each query runs under its own [`QueryBudget`], built from the frame's
+//! budget header (§3.1) at admission — so the wait for a turn counts
+//! against the client's deadline. A query whose answer panics is
+//! answered `Internal`; its reader lives on.
 
 use crate::pinger::{HealthPinger, PingerConfig};
 use crate::protocol::{write_frame, ErrorCode, FrameBuf, Message, PollEvent, TopkReply, HELLO};
@@ -22,11 +22,9 @@ use drtopk_core::{
     ShardRouter, ShardedTopk,
 };
 use drtopk_obs::metrics;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,18 +35,25 @@ use std::time::{Duration, Instant};
 /// §5.2: `request_id = 0`), never a hang or a silent drop.
 pub const ACCEPT_FAILPOINT: &str = "server::accept";
 
-/// How often blocked connection readers wake to poll the shutdown flag.
+/// How often blocked connection readers wake to check the drain flag and
+/// [`PARTIAL_DEADLINE`].
 const READ_POLL: Duration = Duration::from_millis(25);
 
 /// How long one write to a connection may block on a client that does
-/// not read its replies. A reply write that fails shuts the connection
-/// down, so a client that stops reading loses only its own connection,
-/// never a worker.
+/// not read its replies. A reply write that fails closes the connection,
+/// so a client that stops reading loses only its own connection; it
+/// holds no turn while the write waits.
 const WRITE_DEADLINE: Duration = Duration::from_millis(500);
 
-/// Why the queue lock cannot be poisoned: no holder panics while it
-/// holds it (admission pushes, a worker pops or waits).
-const QUEUE_LOCK: &str = "queue lock poisoned, but no holder panics";
+/// How long a peer may take to finish what it began sending: the 8-byte
+/// hello (from accept), a frame (from when the reader first found it
+/// incomplete) and an HTTP request line (`PROTOCOL.md` §1.1, §2.2, §6).
+/// A connection idle between frames has no deadline.
+const PARTIAL_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Why the gate lock cannot be poisoned: no holder panics while it holds
+/// it (only counts, the flag and the scratch list change under it).
+const GATE_LOCK: &str = "gate lock poisoned, but no holder panics";
 
 /// Configuration for [`Server::start`], built fluently.
 ///
@@ -64,8 +69,8 @@ const QUEUE_LOCK: &str = "queue lock poisoned, but no holder panics";
 /// assert_eq!(cfg.get_queue_depth(), 512);
 /// ```
 ///
-/// Defaults favor a small host: 2 workers, each answering one request at
-/// a time, a queue of 1024, no cache.
+/// Defaults favor a small host: 2 queries answered at once, up to 1024
+/// waiting for a turn, no cache.
 ///
 /// ```
 /// let cfg = drtopk_server::ServerConfig::new();
@@ -105,23 +110,25 @@ impl ServerConfig {
         self
     }
 
-    /// Number of worker threads (minimum 1); each answers one request at
-    /// a time.
+    /// How many queries are answered at once (minimum 1). Each is
+    /// answered on the reader thread of the connection that sent it; the
+    /// server spawns no worker threads.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Admission bound: a query arriving while this many are already
-    /// queued is shed with a fast `Overloaded` reply (`PROTOCOL.md`
-    /// §5.1). `0` admits nothing — every query sheds (useful in tests).
+    /// Admission bound: how many admitted queries may wait for a turn. A
+    /// query arriving while this many wait is shed with a fast
+    /// `Overloaded` reply (`PROTOCOL.md` §5.1). `0` admits nothing —
+    /// every query sheds (useful in tests).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
     }
 
     /// Serve repeated weight vectors from a shared [`ResultCache`]: hits
-    /// are answered at admission time without ever touching the queue.
+    /// are answered at admission and take no turn.
     /// The cache serves single-index deployments ([`Server::start`])
     /// only; the sharded, shard-node and router servers ignore it.
     pub fn cache(mut self, on: bool) -> Self {
@@ -134,7 +141,7 @@ impl ServerConfig {
         &self.addr
     }
 
-    /// Configured worker count.
+    /// Configured number of queries answered at once.
     pub fn get_workers(&self) -> usize {
         self.workers
     }
@@ -150,43 +157,118 @@ impl ServerConfig {
     }
 }
 
-/// One admitted query waiting in the shared queue.
-struct Pending {
-    request_id: u64,
-    weights: Weights,
-    k: usize,
-    budget: QueryBudget,
-    admitted: Instant,
-    writer: Arc<ConnWriter>,
-    /// The request was a SHARD_QUERY (`PROTOCOL.md` §3.5): the reply
-    /// must carry per-id scores for the router's k-way merge.
-    want_scores: bool,
+/// The admission gate (DESIGN.md §8): at most `workers` queries are
+/// answered at once, at most `queue_depth` wait for a turn, and the rest
+/// are shed. A turn is never idle while a reader waits: a finished
+/// answer hands its turn to a waiting reader before it frees it.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Wakes a waiting reader that was handed a turn.
+    turn: Condvar,
+    /// Wakes [`Gate::wait_idle`] once the last admitted query finishes.
+    idle: Condvar,
+    queue_depth: usize,
 }
 
-/// The reply side of one connection: workers write frames under the
-/// stream lock (pipelined requests may be answered out of order by
-/// different workers; `request_id` pairs them back up, `PROTOCOL.md`
-/// §2.3).
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    /// Admitted-but-unanswered queries on this connection; the reader
-    /// thread lingers on shutdown until this drains to zero so every
-    /// admitted query gets its reply before the socket closes.
-    outstanding: AtomicUsize,
+#[derive(Default)]
+struct GateState {
+    /// Turns nobody holds; non-zero only while every waiting reader has
+    /// been handed a turn.
+    free: usize,
+    /// Admitted queries waiting for a turn.
+    waiting: usize,
+    /// Turns handed to waiting readers and not yet taken.
+    handed: usize,
+    /// Admitted queries whose reply is not yet written.
+    admitted: usize,
+    /// Once set, nothing more is admitted.
+    draining: bool,
+    /// The single backend's idle traversal scratches: each turn holds at
+    /// most one, so at most `workers` ever exist.
+    scratches: Vec<QueryScratch>,
 }
 
-impl ConnWriter {
-    fn send(&self, request_id: u64, msg: &Message) {
-        let mut stream = self
-            .stream
-            .lock()
-            .expect("stream lock poisoned, but writing a frame never panics");
-        // A client that vanished, or stopped reading past the write
-        // deadline, loses its connection: the shutdown fails its other
-        // replies at once and ends its reader. The server presses on.
-        if write_frame(&mut *stream, request_id, msg).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
+impl Gate {
+    fn new(workers: usize, queue_depth: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState {
+                free: workers,
+                ..GateState::default()
+            }),
+            turn: Condvar::new(),
+            idle: Condvar::new(),
+            queue_depth,
         }
+    }
+
+    /// Admits a query and blocks until it holds a turn, returning an idle
+    /// scratch if one is left; or refuses it, draining or shed.
+    fn enter(&self) -> Result<Option<QueryScratch>, (ErrorCode, &'static str)> {
+        let m = metrics();
+        let admitted = Instant::now();
+        let mut s = self.state.lock().expect(GATE_LOCK);
+        if s.draining {
+            return Err((ErrorCode::ShuttingDown, "server is draining"));
+        }
+        if s.waiting - s.handed >= self.queue_depth {
+            m.server_sheds.add(1);
+            return Err((ErrorCode::Overloaded, "queue full"));
+        }
+        s.admitted += 1;
+        m.server_enqueued.add(1);
+        if s.free > 0 {
+            s.free -= 1;
+        } else {
+            s.waiting += 1;
+            s = self.turn.wait_while(s, |s| s.handed == 0).expect(GATE_LOCK);
+            s.handed -= 1;
+            s.waiting -= 1;
+        }
+        let scratch = s.scratches.pop();
+        drop(s);
+        m.server_batch(1);
+        m.server_queue_wait_ns
+            .record(admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        Ok(scratch)
+    }
+
+    /// Gives up a turn: to one waiting reader that has none, else to the
+    /// free count. `scratch` goes back to the idle list.
+    fn leave(&self, scratch: Option<QueryScratch>) {
+        let mut s = self.state.lock().expect(GATE_LOCK);
+        s.scratches.extend(scratch);
+        if s.waiting > s.handed {
+            s.handed += 1;
+            drop(s);
+            self.turn.notify_one();
+        } else {
+            s.free += 1;
+        }
+    }
+
+    /// Marks an admitted query finished: its reply is written, or failed.
+    fn finish(&self) {
+        let mut s = self.state.lock().expect(GATE_LOCK);
+        s.admitted -= 1;
+        if s.draining && s.admitted == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Sets the drain flag; returns whether it was already set.
+    fn drain(&self) -> bool {
+        std::mem::replace(&mut self.state.lock().expect(GATE_LOCK).draining, true)
+    }
+
+    /// After [`drain`](Self::drain): blocks until every admitted query
+    /// has finished.
+    fn wait_idle(&self) {
+        let s = self.state.lock().expect(GATE_LOCK);
+        drop(
+            self.idle
+                .wait_while(s, |s| s.admitted > 0)
+                .expect(GATE_LOCK),
+        );
     }
 }
 
@@ -223,29 +305,24 @@ impl Backend {
     }
 }
 
-/// State shared by the accept loop, connection readers, and workers.
+/// State shared by the accept loop and the connection readers.
 struct Shared {
     backend: Backend,
-    cfg: ServerConfig,
-    queue: Mutex<VecDeque<Pending>>,
-    work_ready: Condvar,
-    shutdown: AtomicBool,
+    gate: Gate,
     local_addr: SocketAddr,
 }
 
 impl Shared {
     fn shutting_down(&self) -> bool {
-        self.shutdown.load(SeqCst)
+        self.gate.state.lock().expect(GATE_LOCK).draining
     }
 
-    /// Flips the shutdown flag and wakes everyone who might be blocked on
-    /// it: workers (condvar) and the accept loop (a self-connection).
+    /// Sets the gate's drain flag and wakes the accept loop with a
+    /// self-connection.
     fn begin_drain(&self) {
-        if self.shutdown.swap(true, SeqCst) {
-            return; // already draining
+        if !self.gate.drain() {
+            let _ = TcpStream::connect(self.local_addr);
         }
-        self.work_ready.notify_all();
-        let _ = TcpStream::connect(self.local_addr);
     }
 
     fn prometheus_text(&self) -> String {
@@ -363,8 +440,7 @@ fn shard_health_series(out: &mut String, health: &[ShardHealth]) {
 /// block until one happens.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     /// Background health pinger of a router node (stopped on shutdown).
     pinger: Option<HealthPinger>,
 }
@@ -407,36 +483,31 @@ impl ServerHandle {
 
     /// Graceful drain: stop accepting, answer everything already
     /// admitted, reply `ShuttingDown` to queries that arrive after the
-    /// flag flips, then join every thread. Idempotent.
-    pub fn shutdown(mut self) {
+    /// flag flips, then wait until every admitted query has its reply.
+    pub fn shutdown(self) {
         self.shared.begin_drain();
         self.join();
     }
 
     /// Blocks until the server drains (via [`shutdown`](Self::shutdown)
-    /// from another thread, or a client's DRAIN frame) and every thread
-    /// has exited.
-    pub fn wait(mut self) {
+    /// from another thread, or a client's DRAIN frame) and every admitted
+    /// query has its reply.
+    pub fn wait(self) {
         self.join();
     }
 
-    fn join(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Workers drain the queue before exiting; joining them guarantees
-        // every admitted query has been answered. Connection reader
-        // threads then observe `outstanding == 0` and exit on their next
-        // poll tick; they hold only an `Arc<Shared>` and their sockets,
-        // so letting the OS reap them after the listener is gone is safe.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    fn join(self) {
+        let _ = self.accept.join();
+        // The accept loop exits only once the gate admits nothing more;
+        // once it is idle every admitted query has its reply. Readers exit
+        // on their next poll tick, holding only an `Arc<Shared>` and their
+        // sockets, so letting the OS reap them is safe.
+        self.shared.gate.wait_idle();
         // The pinger outlives the serving threads: `wait()` routes
         // through here while the server is still live, and stopping the
         // pinger before the accept loop exits would silently disable
         // health tracking for the whole run.
-        if let Some(p) = self.pinger.take() {
+        if let Some(p) = self.pinger {
             p.stop();
         }
     }
@@ -444,8 +515,8 @@ impl ServerHandle {
 
 /// The index service entry point.
 ///
-/// [`Server::start`] binds, spawns the accept loop and worker pool, and
-/// returns immediately with a [`ServerHandle`].
+/// [`Server::start`] binds, spawns the accept loop, and returns
+/// immediately with a [`ServerHandle`].
 #[derive(Debug)]
 pub struct Server;
 
@@ -502,22 +573,9 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             backend,
-            cfg,
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            gate: Gate::new(cfg.workers, cfg.queue_depth),
             local_addr,
         });
-
-        let workers = (0..shared.cfg.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("drtopk-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
 
         let accept = {
             let shared = Arc::clone(&shared);
@@ -529,8 +587,7 @@ impl Server {
 
         Ok(ServerHandle {
             shared,
-            accept: Some(accept),
-            workers,
+            accept,
             pinger: None,
         })
     }
@@ -551,6 +608,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     metrics().server_connections.add(1);
+    let accepted = Instant::now();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
@@ -573,7 +631,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shared.shutting_down() {
+                // §1.1: a hello not complete in time is closed unanswered.
+                if shared.shutting_down() || accepted.elapsed() >= PARTIAL_DEADLINE {
                     return;
                 }
             }
@@ -604,120 +663,103 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
 
-    let writer = Arc::new(ConnWriter {
-        stream: match stream.try_clone() {
-            Ok(s) => Mutex::new(s),
-            Err(_) => return,
-        },
-        outstanding: AtomicUsize::new(0),
-    });
-
+    // A reply write that fails ends the loop, and dropping the stream
+    // closes the connection: a client that vanished, or stopped reading
+    // past the write deadline, loses only its own connection.
     let mut frames = sniff; // any bytes read past the hello stay buffered
-    loop {
-        match frames.poll(&mut stream) {
-            PollEvent::Frame(id, msg) => dispatch(id, msg, &writer, shared),
+    let mut partial_since = None; // when a buffered frame was first found incomplete
+    let detail = loop {
+        let sent = match frames.poll(&mut stream) {
+            PollEvent::Frame(id, msg) => dispatch(id, msg, &mut stream, shared),
             PollEvent::Unknown(id, type_byte) => {
                 // §5.3: sound framing, unknown type — the connection lives.
-                writer.send(
-                    id,
-                    &Message::Error {
-                        code: ErrorCode::Unsupported,
-                        message: format!("unknown message type 0x{type_byte:02x}"),
-                    },
-                );
+                let message = format!("unknown message type 0x{type_byte:02x}");
+                let code = ErrorCode::Unsupported;
+                write_frame(&mut stream, id, &Message::Error { code, message })
             }
             PollEvent::Timeout => {
-                if shared.shutting_down() && writer.outstanding.load(SeqCst) == 0 {
+                if shared.shutting_down() {
                     return;
                 }
+                // §2.2: idle between frames is fine; a stalled frame is not.
+                if frames.acc.is_empty()
+                    || partial_since.get_or_insert_with(Instant::now).elapsed() < PARTIAL_DEADLINE
+                {
+                    continue;
+                }
+                break format!("frame incomplete after {PARTIAL_DEADLINE:?}");
             }
-            PollEvent::Eof => {
-                // Clean disconnect; workers still answering this
-                // connection's admitted queries hold their own Arc and
-                // will fail the writes harmlessly.
-                return;
-            }
-            PollEvent::Corrupt(detail) => {
-                // §2.2: framing is untrustworthy past a corrupt frame.
-                metrics().server_protocol_errors.add(1);
-                writer.send(
-                    0,
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        message: detail,
-                    },
-                );
-                return;
-            }
-            PollEvent::Io(_) => return,
+            PollEvent::Eof | PollEvent::Io(_) => return,
+            // §2.2: framing is untrustworthy past a corrupt frame.
+            PollEvent::Corrupt(detail) => break detail,
+        };
+        if sent.is_err() {
+            return;
         }
-    }
+        partial_since = None;
+    };
+    metrics().server_protocol_errors.add(1);
+    let msg = Message::Error {
+        code: ErrorCode::BadRequest,
+        message: detail,
+    };
+    let _ = write_frame(&mut stream, 0, &msg);
 }
 
-/// Routes one sound frame (PROTOCOL.md §3).
-fn dispatch(request_id: u64, msg: Message, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) {
-    match msg {
-        Message::Query {
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-            scores,
-        } => admit_query(
-            request_id,
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-            scores,
-            writer,
-            shared,
-        ),
-        Message::MetricsRequest => {
-            writer.send(request_id, &Message::MetricsReply(shared.prometheus_text()));
-        }
-        Message::Ping => writer.send(request_id, &Message::Pong),
+/// Answers one sound frame (PROTOCOL.md §3) on the connection that sent
+/// it. An error means the reply could not be written.
+fn dispatch(
+    request_id: u64,
+    msg: Message,
+    stream: &mut TcpStream,
+    shared: &Shared,
+) -> io::Result<()> {
+    let reply = match msg {
+        query @ Message::Query { .. } => return serve_query(request_id, query, stream, shared),
+        Message::MetricsRequest => Message::MetricsReply(shared.prometheus_text()),
+        Message::Ping => Message::Pong,
         Message::Drain => {
-            writer.send(request_id, &Message::Draining);
+            // Acknowledge first: the drain may end the process.
+            let sent = write_frame(stream, request_id, &Message::Draining);
             shared.begin_drain();
+            return sent;
         }
         // A client sending response-typed messages is confused (§3).
         Message::Topk(_)
         | Message::MetricsReply(_)
         | Message::Pong
         | Message::Draining
-        | Message::Error { .. } => {
-            writer.send(
-                request_id,
-                &Message::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "response-typed message sent to the server".to_string(),
-                },
-            );
-        }
-    }
+        | Message::Error { .. } => Message::Error {
+            code: ErrorCode::BadRequest,
+            message: "response-typed message sent to the server".to_string(),
+        },
+    };
+    write_frame(stream, request_id, &reply)
 }
 
-/// Admission control (PROTOCOL.md §3.1, §5.1): validate, try the cache,
-/// then either enqueue under the depth bound or shed with `Overloaded`.
-#[allow(clippy::too_many_arguments)]
-fn admit_query(
+/// One query, start to reply (PROTOCOL.md §3.1, §5.1): validate, try the
+/// cache, enter the gate (or be refused), answer, leave the gate, write
+/// the reply.
+fn serve_query(
     request_id: u64,
-    deadline_ms: u32,
-    max_cost: u64,
-    k: u32,
-    weights: Vec<f64>,
-    want_scores: bool,
-    writer: &Arc<ConnWriter>,
-    shared: &Arc<Shared>,
-) {
-    metrics().server_requests.add(1);
-    let reject = |code: ErrorCode, message: String| {
-        writer.send(request_id, &Message::Error { code, message });
+    query: Message,
+    stream: &mut TcpStream,
+    shared: &Shared,
+) -> io::Result<()> {
+    let Message::Query {
+        deadline_ms,
+        max_cost,
+        k,
+        weights,
+        scores: want_scores,
+    } = query
+    else {
+        unreachable!("dispatch passes only QUERY frames");
     };
-    if shared.shutting_down() {
-        return reject(ErrorCode::ShuttingDown, "server is draining".to_string());
-    }
+    metrics().server_requests.add(1);
+    let mut reject = |code: ErrorCode, message: String| {
+        write_frame(stream, request_id, &Message::Error { code, message })
+    };
     if want_scores && !matches!(shared.backend, Backend::ShardNode { .. }) {
         // SHARD_QUERY is node-to-node traffic (§3.5); only a shard node
         // answers it.
@@ -739,8 +781,7 @@ fn admit_query(
     };
     let k = k as usize;
 
-    // Hot weight cells never touch the queue: a cache hit is a complete
-    // answer served on the reader thread.
+    // A cache hit is a complete answer, served without a turn.
     if let Backend::Single {
         index,
         cache: Some(cache),
@@ -748,12 +789,12 @@ fn admit_query(
     {
         if let Some(hit) = cache.probe(index, &w, k) {
             let reply = TopkReply::new(hit.ids.iter().map(|&id| u64::from(id)).collect(), hit.cost);
-            return writer.send(request_id, &Message::Topk(reply));
+            return write_frame(stream, request_id, &Message::Topk(reply));
         }
     }
 
-    // The budget clock starts here, at admission (§3.1): queue wait
-    // counts against the client's deadline.
+    // The budget clock starts here, at admission (§3.1): the wait for a
+    // turn counts against the client's deadline.
     let mut budget = QueryBudget::unlimited();
     if deadline_ms > 0 {
         budget = budget.with_timeout(Duration::from_millis(u64::from(deadline_ms)));
@@ -762,93 +803,47 @@ fn admit_query(
         budget = budget.with_max_cost(max_cost);
     }
 
-    let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
-    // One connection holds at most half the queue, so a client that
-    // pipelines without reading its replies cannot get every other client
-    // shed (§5.1). Only this connection's reader raises its count.
-    let conn_cap = (shared.cfg.queue_depth / 2).max(1);
-    if writer.outstanding.load(SeqCst) >= conn_cap {
-        drop(queue);
-        metrics().server_sheds.add(1);
-        return reject(
-            ErrorCode::Overloaded,
-            format!("connection cap: {conn_cap} queries in flight on this connection"),
-        );
-    }
-    if queue.len() >= shared.cfg.queue_depth {
-        drop(queue);
-        metrics().server_sheds.add(1);
-        return reject(ErrorCode::Overloaded, "queue full".to_string());
-    }
-    writer.outstanding.fetch_add(1, SeqCst);
-    queue.push_back(Pending {
-        request_id,
-        weights: w,
-        k,
-        budget,
-        admitted: Instant::now(),
-        writer: Arc::clone(writer),
-        want_scores,
+    let mut scratch = match shared.gate.enter() {
+        Ok(scratch) => scratch,
+        Err((code, message)) => return reject(code, message.to_string()),
+    };
+    // A panicking answer replies Internal; the reader lives on.
+    let reply = catch_unwind(AssertUnwindSafe(|| {
+        answer(&shared.backend, &w, k, &budget, want_scores, &mut scratch)
+    }))
+    .unwrap_or_else(|payload| {
+        // The unwind may have left the scratch mid-update.
+        scratch = None;
+        Message::Error {
+            code: ErrorCode::Internal,
+            message: panic_message(payload.as_ref()),
+        }
     });
-    metrics().server_enqueued.add(1);
-    drop(queue);
-    shared.work_ready.notify_one();
-}
-
-/// One worker: take one request, answer it, write the reply. Nothing
-/// waits for company: a request is answered as soon as a worker is free.
-fn worker_loop(shared: &Shared) {
-    let m = metrics();
-    // The single backend's traversal scratch, allocated on first use and
-    // reused by every later request on this worker.
-    let mut scratch = None;
-    while let Some(p) = next_request(shared) {
-        m.server_batch(1);
-        m.server_queue_wait_ns
-            .record(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        // A panicking request answers Internal; the worker lives on.
-        let reply = catch_unwind(AssertUnwindSafe(|| {
-            answer(&shared.backend, &p, &mut scratch)
-        }))
-        .unwrap_or_else(|payload| {
-            // The unwind may have left the scratch mid-update.
-            scratch = None;
-            Message::Error {
-                code: ErrorCode::Internal,
-                message: panic_message(payload.as_ref()),
-            }
-        });
-        p.writer.send(p.request_id, &reply);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
-    }
-}
-
-/// Blocks until a request is queued and takes it. Returns `None` once the
-/// server is draining and the queue is empty.
-fn next_request(shared: &Shared) -> Option<Pending> {
-    let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
-    loop {
-        if let Some(p) = queue.pop_front() {
-            return Some(p);
-        }
-        if shared.shutting_down() {
-            return None;
-        }
-        queue = shared.work_ready.wait(queue).expect(QUEUE_LOCK);
-    }
+    // The turn goes before the write, so a client that stops reading
+    // holds none.
+    shared.gate.leave(scratch);
+    let sent = write_frame(stream, request_id, &reply);
+    shared.gate.finish();
+    sent
 }
 
 /// Answers one request on `backend`: the one query path of every served
-/// request. `scratch` is the worker's traversal scratch for the single
+/// request. `scratch` is the turn's traversal scratch for the single
 /// backend.
-fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) -> Message {
+fn answer(
+    backend: &Backend,
+    w: &Weights,
+    k: usize,
+    budget: &QueryBudget,
+    want_scores: bool,
+    scratch: &mut Option<QueryScratch>,
+) -> Message {
     if let Err(e) = drtopk_failpoints::hit(WORKER_FAILPOINT) {
         return Message::Error {
             code: ErrorCode::Internal,
             message: e.to_string(),
         };
     }
-    let (w, k, budget) = (&p.weights, p.k, &p.budget);
     match backend {
         Backend::Single { index, cache } => {
             let scratch = scratch.get_or_insert_with(|| QueryScratch::for_index(index));
@@ -871,7 +866,7 @@ fn answer(backend: &Backend, p: &Pending, scratch: &mut Option<QueryScratch>) ->
             Ok((hits, cost)) => {
                 let (scores, ids): (Vec<f64>, Vec<u64>) = hits.into_iter().unzip();
                 Message::Topk(TopkReply {
-                    scores: p.want_scores.then_some(scores),
+                    scores: want_scores.then_some(scores),
                     ..TopkReply::new(ids, cost)
                 })
             }
@@ -904,7 +899,7 @@ const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Minimal HTTP answer for Prometheus scrapers (`PROTOCOL.md` §6): only
 /// the request line matters, only `/metrics` exists.
 fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
-    let deadline = Instant::now() + Duration::from_secs(2);
+    let deadline = Instant::now() + PARTIAL_DEADLINE;
     // Bytes of `acc` already scanned; the last one is scanned again, in
     // case a CRLF straddles two reads.
     let mut scanned = 0usize;
@@ -943,4 +938,131 @@ fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drtopk_common::{Distribution, WorkloadSpec};
+    use drtopk_core::DlOptions;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::thread;
+
+    /// Waits until the gate's counts satisfy `ready`, as other threads
+    /// reach their `wait`.
+    fn settle(gate: &Gate, ready: impl Fn(&GateState) -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !ready(&gate.state.lock().unwrap()) {
+            assert!(Instant::now() < give_up, "the gate never settled");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn refusal(r: Result<Option<QueryScratch>, (ErrorCode, &'static str)>) -> ErrorCode {
+        match r {
+            Err((code, _)) => code,
+            Ok(_) => panic!("admitted, want a refusal"),
+        }
+    }
+
+    fn done(gate: &Gate) {
+        gate.leave(None);
+        gate.finish();
+    }
+
+    #[test]
+    fn workers_run_queue_depth_wait_and_the_next_is_shed() {
+        let gate = Gate::new(2, 3);
+        for _ in 0..2 {
+            assert!(gate.enter().is_ok(), "a free turn is taken at once");
+        }
+        thread::scope(|s| {
+            let waiters: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| gate.enter().map(|_| done(&gate)).is_ok()))
+                .collect();
+            settle(&gate, |st| st.waiting == 3);
+            assert_eq!(refusal(gate.enter()), ErrorCode::Overloaded);
+            done(&gate);
+            done(&gate);
+            for w in waiters {
+                assert!(w.join().unwrap(), "every waiter gets a turn");
+            }
+        });
+        let st = gate.state.lock().unwrap();
+        assert_eq!((st.free, st.waiting, st.handed, st.admitted), (2, 0, 0, 0));
+    }
+
+    #[test]
+    fn queue_depth_zero_sheds_every_query() {
+        let gate = Gate::new(2, 0);
+        for _ in 0..5 {
+            assert_eq!(refusal(gate.enter()), ErrorCode::Overloaded);
+        }
+        assert_eq!(gate.state.lock().unwrap().free, 2);
+    }
+
+    #[test]
+    fn a_finished_turn_goes_to_a_waiter_not_the_free_count() {
+        let gate = Gate::new(1, 4);
+        assert!(gate.enter().is_ok());
+        thread::scope(|s| {
+            let waiter = s.spawn(|| gate.enter().is_ok());
+            settle(&gate, |st| st.waiting == 1);
+            gate.leave(None);
+            assert_eq!(gate.state.lock().unwrap().free, 0, "the turn was freed");
+            assert!(waiter.join().unwrap());
+            let st = gate.state.lock().unwrap();
+            assert_eq!((st.free, st.waiting, st.handed), (0, 0, 0));
+        });
+        gate.finish();
+        done(&gate);
+        assert_eq!(gate.state.lock().unwrap().free, 1);
+    }
+
+    #[test]
+    fn a_draining_gate_admits_nothing_and_goes_idle_after_the_last_finish() {
+        let gate = Gate::new(2, 2);
+        assert!(gate.enter().is_ok());
+        assert!(!gate.drain(), "first drain");
+        assert!(gate.drain(), "drain is idempotent");
+        assert_eq!(refusal(gate.enter()), ErrorCode::ShuttingDown);
+        let idle = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                gate.wait_idle();
+                idle.store(true, SeqCst);
+            });
+            thread::sleep(Duration::from_millis(30));
+            gate.leave(None);
+            thread::sleep(Duration::from_millis(30));
+            assert!(!idle.load(SeqCst), "idle before the reply was written");
+            gate.finish();
+        });
+        assert!(idle.load(SeqCst));
+    }
+
+    #[test]
+    fn at_most_workers_scratches_ever_exist() {
+        let rel = WorkloadSpec::new(Distribution::Independent, 2, 60, 5).generate();
+        let index = DualLayerIndex::build(&rel, DlOptions::dl_plus());
+        let gate = Gate::new(2, 16);
+        let made = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let scratch = gate.enter().expect("never shed").unwrap_or_else(|| {
+                            made.fetch_add(1, SeqCst);
+                            QueryScratch::for_index(&index)
+                        });
+                        thread::yield_now();
+                        gate.leave(Some(scratch));
+                        gate.finish();
+                    }
+                });
+            }
+        });
+        assert!(made.load(SeqCst) <= 2, "{} scratches", made.load(SeqCst));
+        assert!(gate.state.lock().unwrap().scratches.len() <= 2);
+    }
 }

@@ -1,6 +1,6 @@
 //! A cached single-index server counts one cache lookup per served
 //! request: the admission-time probe's miss is not a second miss next to
-//! the worker's own lookup. The metrics registry is process-wide, so this
+//! the answer's own lookup. The metrics registry is process-wide, so this
 //! check has a test binary of its own.
 
 use drtopk_common::{Distribution, WorkloadSpec};

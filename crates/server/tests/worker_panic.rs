@@ -1,6 +1,7 @@
-//! Served panic isolation: a request whose worker panics is answered
-//! with an `Internal` ERROR frame, and the connection, the worker and
-//! every later answer are unaffected. Run with `--features failpoints`.
+//! Served panic isolation: a request whose answer panics is answered
+//! with an `Internal` ERROR frame, and the connection, the reader that
+//! answered it and every later answer are unaffected. Run with
+//! `--features failpoints`.
 //!
 //! The failpoint registry is process-global, so this check has a test
 //! binary of its own (the accept-path chaos test resets the registry).
@@ -16,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Serves a one-worker single-index server, panics the worker on the
+/// Serves a one-worker single-index server, panics the answer to the
 /// second request, then checks the next 20 answers against the
 /// in-process guarded traversal. Without a cache the whole answer (ids
 /// and both cost components) must match; with one, only the ids, since
@@ -25,7 +26,7 @@ fn panic_then_serve(idx: &Arc<DualLayerIndex>, cache: bool) {
     let handle =
         Server::start(Arc::clone(idx), ServerConfig::new().workers(1).cache(cache)).expect("start");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    // A dead worker would leave the next reply unanswered forever.
+    // A dead reader would leave the next reply unanswered forever.
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
@@ -33,7 +34,7 @@ fn panic_then_serve(idx: &Arc<DualLayerIndex>, cache: bool) {
     drtopk_failpoints::arm(WORKER_FAILPOINT, 1, FailAction::Panic);
 
     // Far apart in weight space, so with a cache the second request
-    // misses and reaches the worker too.
+    // misses and is answered under a turn too.
     let first = client.query(&[0.2, 0.3, 0.5], 5, 0, 0).expect("request 1");
     assert_eq!(first.ids.len(), 5);
     match client.query(&[0.6, 0.2, 0.2], 5, 0, 0) {
@@ -75,7 +76,7 @@ fn panic_then_serve(idx: &Arc<DualLayerIndex>, cache: bool) {
         }
     }
     if !cache {
-        // The worker visits its failpoint exactly once per request.
+        // The failpoint is visited exactly once per answered request.
         assert_eq!(drtopk_failpoints::visits(WORKER_FAILPOINT), 22);
     }
     drtopk_failpoints::reset();

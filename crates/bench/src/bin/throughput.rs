@@ -3,8 +3,8 @@
 //! Measures, for each `(n, d, k)` cell:
 //!
 //! * per-query latency (p50/p99) and QPS of a sequential loop of
-//!   [`DualLayerIndex::topk`] calls (fresh scratch each query — the
-//!   baseline an application gets without the batch engine);
+//!   [`DualLayerIndex::topk`] calls (scratch from the index's own pool —
+//!   the baseline an application gets without the batch engine);
 //! * wall-clock QPS of [`BatchExecutor::run`] at each requested
 //!   thread count (pooled scratch, scoped-thread fan-out);
 //! * mean paper cost (Definition 9) per query, which is identical across
@@ -272,8 +272,8 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
 
     // Scratch split: the epoch-versioned reset must be O(1) — independent
     // of n — and the traversal O(nodes touched). Both are timed separately
-    // with one reused scratch; answers stay bit-identical to the fresh-
-    // scratch reference. (topk_with_scratch resets internally, so each
+    // with one reused scratch; answers stay bit-identical to the
+    // sequential pass's. (topk_with_scratch resets internally, so each
     // query pays the reset twice here; at single-digit nanoseconds that is
     // measurement noise.)
     let mut scratch = drtopk_core::QueryScratch::for_index(&idx);
@@ -339,9 +339,9 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
         let pool = cfg.zipf_pool;
         let zipf =
             ZipfWeightWorkload::new(d, pool, cfg.queries, skew, 0x21BF ^ n as u64).generate();
-        // Two uncached baselines: the plain convenience API (fresh
-        // scratch per query, what a cache hit actually replaces) and the
-        // reused-scratch loop (the tightest uncached configuration).
+        // Two uncached baselines: the plain convenience API (scratch from
+        // the index's pool, what a cache hit actually replaces) and the
+        // caller's reused-scratch loop.
         let mut uncached_us = Vec::with_capacity(zipf.len());
         let mut uncached_scratch_us = Vec::with_capacity(zipf.len());
         let mut oracle = Vec::with_capacity(zipf.len());

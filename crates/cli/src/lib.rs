@@ -449,19 +449,18 @@ fn stats_text(idx: &DualLayerIndex, path: &Path) -> String {
 fn run_probes(idx: &DualLayerIndex, n: usize, seed: u64, cache: Option<&drtopk_core::ResultCache>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let mut scratch = drtopk_core::QueryScratch::for_index(idx);
     match cache {
         Some(c) => {
             let pool = 16.min(n.max(1));
             for w in ZipfWeightWorkload::new(idx.dims(), pool, n, 1.0, seed).generate() {
-                c.topk_with_scratch(idx, &w, 10, &mut scratch);
+                c.topk(idx, &w, 10);
             }
         }
         None => {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..n {
                 let w = Weights::random(idx.dims(), &mut rng);
-                idx.topk_with_scratch(&w, 10, &mut scratch);
+                idx.topk(&w, 10);
             }
         }
     }
@@ -739,8 +738,9 @@ fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<St
 /// operators (and scripts) can connect before the command returns.
 fn cmd_serve(f: &Flags) -> Result<String, CliError> {
     let addr = f.get("addr").unwrap_or("127.0.0.1:7071");
-    let workers: usize = f.parse_num("workers", 2)?;
-    let queue_depth: usize = f.parse_num("queue-depth", 1024)?;
+    let defaults = drtopk_server::ServerConfig::new();
+    let workers: usize = f.parse_num("workers", defaults.get_workers())?;
+    let queue_depth: usize = f.parse_num("queue-depth", defaults.get_queue_depth())?;
     let duration_s: u64 = f.parse_num("duration-s", 0)?;
     if f.has("cache") && (f.get("shard-dir").is_some() || f.get("topology").is_some()) {
         return Err(CliError::usage(
@@ -749,7 +749,7 @@ fn cmd_serve(f: &Flags) -> Result<String, CliError> {
                 .to_string(),
         ));
     }
-    let cfg = drtopk_server::ServerConfig::new()
+    let cfg = defaults
         .addr(addr)
         .workers(workers)
         .queue_depth(queue_depth)
@@ -1201,28 +1201,14 @@ fn cmd_recover(f: &Flags) -> Result<String, CliError> {
 /// store directory — record counts, torn tails, and valid prefix sizes.
 fn cmd_wal(f: &Flags) -> Result<String, CliError> {
     let dir = PathBuf::from(f.require("dir")?);
-    let mut files: Vec<(u64, PathBuf)> = Vec::new();
-    let entries = std::fs::read_dir(&dir)
+    let files = drtopk_storage::wal_files(&dir)
         .map_err(|e| CliError::runtime(format!("{}: {e}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| CliError::runtime(e.to_string()))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(gen) = name
-            .strip_prefix("wal.")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|g| g.parse::<u64>().ok())
-        {
-            files.push((gen, entry.path()));
-        }
-    }
     if files.is_empty() {
         return Err(CliError::runtime(format!(
             "no WAL files found in {}",
             dir.display()
         )));
     }
-    files.sort();
     let mut out = String::new();
     for (gen, path) in files {
         match read_wal(&path, gen) {

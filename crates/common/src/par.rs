@@ -4,9 +4,7 @@
 //! All callers need the same shape: map a function over a slice of
 //! independent work items, one contiguous chunk per worker, writing each
 //! result into its item's slot so output order equals input order — which
-//! makes every parallel pass deterministic by construction. Build phases
-//! use stateless workers ([`parallel_map`]); the batch executor threads a
-//! per-worker state through every call ([`parallel_map_with`]).
+//! makes every parallel pass deterministic by construction.
 
 /// Resolves a requested worker count: `0` means "all available cores",
 /// anything else is taken literally but clamped to the host's cores
@@ -41,38 +39,21 @@ pub fn parallel_map<T: Sync, R: Send>(
     threads: usize,
     f: &(dyn Fn(&T) -> R + Sync),
 ) -> Vec<R> {
-    parallel_map_with(items, threads, &|| (), &|(), item| f(item))
-}
-
-/// Like [`parallel_map`], but each worker thread first builds one state
-/// with `init` and reuses it across every item of its chunk — the batch
-/// executor's scratch pool. `threads = 0` uses all available cores.
-///
-/// Order is preserved: result `i` always comes from item `i`, regardless
-/// of thread count, so callers get deterministic output by construction.
-pub fn parallel_map_with<T: Sync, R: Send, S>(
-    items: &[T],
-    threads: usize,
-    init: &(dyn Fn() -> S + Sync),
-    f: &(dyn Fn(&mut S, &T) -> R + Sync),
-) -> Vec<R> {
-    parallel_map_chunked(items, threads, 1, init, f)
+    parallel_map_chunked(items, threads, 1, f)
 }
 
 /// The general form: `min_chunk` sets the smallest number of items worth
 /// giving one worker (see [`resolve_workers_chunked`]). The batch executor
 /// uses this to amortize thread spawn over whole request chunks.
-pub fn parallel_map_chunked<T: Sync, R: Send, S>(
+pub fn parallel_map_chunked<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     min_chunk: usize,
-    init: &(dyn Fn() -> S + Sync),
-    f: &(dyn Fn(&mut S, &T) -> R + Sync),
+    f: &(dyn Fn(&T) -> R + Sync),
 ) -> Vec<R> {
     let workers = resolve_workers_chunked(threads, items.len(), min_chunk);
     if workers <= 1 || items.len() <= 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
+        return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
@@ -87,9 +68,8 @@ pub fn parallel_map_chunked<T: Sync, R: Send, S>(
             rest = tail;
             let items_chunk = &items[offset..offset + take];
             handles.push(scope.spawn(move || {
-                let mut state = init();
                 for (slot, item) in slice.iter_mut().zip(items_chunk) {
-                    *slot = Some(f(&mut state, item));
+                    *slot = Some(f(item));
                 }
             }));
             offset += take;
@@ -110,39 +90,13 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..103).collect();
-        let out = parallel_map(&items, 0, &|&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        for threads in [0, 1, 2, 8, 64] {
+            let out = parallel_map(&items, threads, &|&x| x * 2);
+            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        }
         let empty: Vec<usize> = Vec::new();
         assert!(parallel_map(&empty, 0, &|&x: &usize| x).is_empty());
         assert_eq!(parallel_map(&[7usize], 0, &|&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_with_threads_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<usize> = (0..57).collect();
-        for threads in [1, 2, 8, 64] {
-            let inits = AtomicUsize::new(0);
-            let out = parallel_map_with(
-                &items,
-                threads,
-                &|| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0usize // per-worker counter: items seen so far
-                },
-                &|seen, &x| {
-                    *seen += 1;
-                    x + 1
-                },
-            );
-            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-            let states = inits.load(Ordering::Relaxed);
-            assert!(
-                states <= resolve_workers(threads, items.len()),
-                "threads={threads}: {states} states"
-            );
-            assert!(states >= 1);
-        }
     }
 
     #[test]
@@ -167,7 +121,7 @@ mod tests {
         );
         // min_chunk = 0 is treated as 1 (no division by zero).
         assert_eq!(resolve_workers_chunked(1, 5, 0), 1);
-        let out = parallel_map_chunked(&[1, 2, 3], 4, 8, &|| (), &|(), &x| x * 10);
+        let out = parallel_map_chunked(&[1, 2, 3], 4, 8, &|&x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
     }
 }

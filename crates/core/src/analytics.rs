@@ -11,7 +11,6 @@
 //!   strictly monotone scoring function.
 
 use crate::index::{DualLayerIndex, NodeId};
-use crate::query::QueryScratch;
 use drtopk_common::{dominates, Cost, TupleId, Weights};
 
 impl DualLayerIndex {
@@ -33,29 +32,30 @@ impl DualLayerIndex {
         if k == 0 {
             return (hits, cost);
         }
-        let mut scratch = QueryScratch::for_index(self);
-        for (ui, w) in users.iter().enumerate() {
-            let t_score = w.score(self.relation().tuple(target));
-            // Count tuples strictly preceding `target` in (score, id)
-            // order; stop counting at k.
-            let mut better = 0usize;
-            let mut cursor = self.topk_iter(w, &mut scratch);
-            for (t, score) in cursor.by_ref() {
-                if score > t_score || (score == t_score && t >= target) {
-                    break;
-                }
-                if t != target {
-                    better += 1;
-                    if better >= k {
+        self.pooled(|scratch| {
+            for (ui, w) in users.iter().enumerate() {
+                let t_score = w.score(self.relation().tuple(target));
+                // Count tuples strictly preceding `target` in (score, id)
+                // order; stop counting at k.
+                let mut better = 0usize;
+                let mut cursor = self.topk_iter(w, scratch);
+                for (t, score) in cursor.by_ref() {
+                    if score > t_score || (score == t_score && t >= target) {
                         break;
                     }
+                    if t != target {
+                        better += 1;
+                        if better >= k {
+                            break;
+                        }
+                    }
+                }
+                cost.merge(&cursor.cost());
+                if better < k {
+                    hits.push(ui);
                 }
             }
-            cost.merge(&cursor.cost());
-            if better < k {
-                hits.push(ui);
-            }
-        }
+        });
         (hits, cost)
     }
 

@@ -11,6 +11,7 @@
 
 use crate::index::{CoarseLayer, Csr, DualLayerIndex, EdgeArena, IndexStats, NodeId};
 use crate::options::DlOptions;
+use crate::query::ScratchPool;
 use crate::zero::Zero2d;
 use drtopk_common::{Columns, Relation};
 
@@ -198,5 +199,6 @@ pub(crate) fn assemble(
         seeds,
         columns,
         stats,
+        pool: ScratchPool::default(),
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! A [`BatchExecutor`] answers many independent `(weights, k)` requests
 //! against one index by fanning contiguous chunks of the request slice
-//! across scoped worker threads. Each worker allocates a single
-//! [`QueryScratch`] and reuses it for every request of its chunk, so a
-//! batch of q queries costs O(threads) scratch allocations instead of
-//! O(q).
+//! across scoped worker threads. Each request draws its scratch from the
+//! index's pool, so a batch allocates at most one scratch per worker
+//! that ran at once, and none once the pool holds that many.
 //!
 //! Determinism: results come back in request order, and each individual
 //! result is bit-identical to a sequential [`DualLayerIndex::topk`] call —
@@ -16,14 +15,15 @@
 use crate::cache::ResultCache;
 use crate::index::DualLayerIndex;
 use crate::par::{parallel_map_chunked, resolve_workers_chunked};
-use crate::query::{GuardedTopk, QueryBudget, QueryScratch, TopkResult};
+use crate::query::{GuardedTopk, QueryBudget, TopkResult};
 use drtopk_common::Weights;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Failpoint visited once per request on the guarded path, before the
-/// query runs: by the batch executor and by every network server worker.
-/// The chaos suites arm it with a panic to prove one poisoned request
-/// takes down neither its batch nor its server worker.
+/// query runs: by the batch executor and by the network server for every
+/// query it answers under a turn. The chaos suites arm it with a panic
+/// to prove one poisoned request takes down neither its batch nor the
+/// server connection that sent it.
 pub const WORKER_FAILPOINT: &str = "batch::worker";
 
 /// A per-request failure inside [`BatchExecutor::run_guarded`]: the
@@ -127,17 +127,13 @@ impl<'a> BatchExecutor<'a> {
     /// index's.
     pub fn run(&self, requests: &[(Weights, usize)]) -> Vec<TopkResult> {
         let unlimited = QueryBudget::unlimited();
-        self.fan_out(
-            requests,
-            &|| QueryScratch::for_index(self.idx),
-            &|scratch, (w, k)| {
-                let g = self.answer(w, *k, &unlimited, scratch);
-                TopkResult {
-                    ids: g.ids,
-                    cost: g.cost,
-                }
-            },
-        )
+        self.fan_out(requests, &|(w, k)| {
+            let g = self.answer(w, *k, &unlimited);
+            TopkResult {
+                ids: g.ids,
+                cost: g.cost,
+            }
+        })
     }
 
     /// Fault-isolated batch execution: every `(weights, k)` request is
@@ -156,9 +152,8 @@ impl<'a> BatchExecutor<'a> {
     ///   batch cooperatively — each remaining request returns its
     ///   truncated prefix instead of running to completion.
     ///
-    /// A worker whose request panicked rebuilds its pooled scratch before
-    /// the next request: the panic may have unwound mid-update, and a
-    /// fresh scratch is the only state guaranteed clean.
+    /// A request that panicked drops its scratch rather than pooling it:
+    /// the panic may have unwound mid-update.
     ///
     /// With a cache attached, requests follow the cache rule (see
     /// [`crate::cache`]): a hit is served complete under any budget, and
@@ -180,63 +175,46 @@ impl<'a> BatchExecutor<'a> {
     /// Like [`run_guarded`](Self::run_guarded), but with a **per-request**
     /// budget: each `(weights, k, budget)` triple carries its own
     /// deadline/cost cap/cancel flag, so one request's budget never
-    /// governs another's. (The network server does not batch: each of its
-    /// workers answers one request at a time through the same per-request
-    /// body, [`ResultCache::answer`] or
-    /// [`DualLayerIndex::topk_guarded_with_scratch`].)
+    /// governs another's. (The network server does not batch: it answers
+    /// each query on the reader thread of the connection that sent it,
+    /// through the same per-request body, [`ResultCache::answer`] or
+    /// [`DualLayerIndex::topk_guarded`].)
     ///
     /// All `run_guarded` guarantees hold per slot.
     pub fn run_guarded_each(
         &self,
         requests: &[(Weights, usize, QueryBudget)],
     ) -> Vec<Result<GuardedTopk, RequestError>> {
-        self.fan_out(
-            requests,
-            &|| None,
-            &|slot: &mut Option<QueryScratch>, (w, k, budget)| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    drtopk_failpoints::hit(WORKER_FAILPOINT).map_err(|e| RequestError {
-                        message: e.to_string(),
-                    })?;
-                    let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(self.idx));
-                    Ok(self.answer(w, *k, budget, scratch))
-                }));
-                outcome.unwrap_or_else(|payload| {
-                    *slot = None;
-                    Err(RequestError {
-                        message: panic_message(payload.as_ref()),
-                    })
+        self.fan_out(requests, &|(w, k, budget)| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                drtopk_failpoints::hit(WORKER_FAILPOINT).map_err(|e| RequestError {
+                    message: e.to_string(),
+                })?;
+                Ok(self.answer(w, *k, budget))
+            }));
+            outcome.unwrap_or_else(|payload| {
+                Err(RequestError {
+                    message: panic_message(payload.as_ref()),
                 })
-            },
-        )
+            })
+        })
     }
 
     /// Answers one request: through the cache's static body when a cache
     /// is attached, the guarded traversal otherwise.
-    fn answer(
-        &self,
-        w: &Weights,
-        k: usize,
-        budget: &QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> GuardedTopk {
+    fn answer(&self, w: &Weights, k: usize, budget: &QueryBudget) -> GuardedTopk {
         match self.cache {
-            Some(c) => c.answer(self.idx, w, k, budget, scratch).0,
-            None => self.idx.topk_guarded_with_scratch(w, k, budget, scratch),
+            Some(c) => c.answer(self.idx, w, k, budget).0,
+            None => self.idx.topk_guarded(w, k, budget),
         }
     }
 
-    /// Maps `f` over `requests` on this executor's workers, each with its
-    /// own state from `init`, and counts the batch in the registry.
-    fn fan_out<T: Sync, R: Send, S>(
-        &self,
-        requests: &[T],
-        init: &(dyn Fn() -> S + Sync),
-        f: &(dyn Fn(&mut S, &T) -> R + Sync),
-    ) -> Vec<R> {
+    /// Maps `f` over `requests` on this executor's workers and counts the
+    /// batch in the registry.
+    fn fan_out<T: Sync, R: Send>(&self, requests: &[T], f: &(dyn Fn(&T) -> R + Sync)) -> Vec<R> {
         let m = drtopk_obs::metrics();
         m.batch_enqueued.add(requests.len() as u64);
-        let out = parallel_map_chunked(requests, self.threads, MIN_REQUESTS_PER_WORKER, init, f);
+        let out = parallel_map_chunked(requests, self.threads, MIN_REQUESTS_PER_WORKER, f);
         m.batch_drained.add(out.len() as u64);
         out
     }

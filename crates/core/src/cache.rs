@@ -343,15 +343,20 @@ impl ResultCache {
         }
     }
 
-    /// Answers `topk(w, k)` through the cache with an internal scratch.
+    /// Answers `topk(w, k)` through the cache; a miss traverses on
+    /// scratch from `idx`'s pool. The returned ids are bit-identical to
+    /// `idx.topk(w, k).ids`.
     pub fn topk(&self, idx: &DualLayerIndex, w: &Weights, k: usize) -> CachedTopk {
-        let mut scratch = QueryScratch::for_index(idx);
-        self.topk_with_scratch(idx, w, k, &mut scratch)
+        let (g, outcome) = self.answer(idx, w, k, &QueryBudget::unlimited());
+        CachedTopk {
+            ids: g.ids,
+            cost: g.cost,
+            outcome,
+        }
     }
 
-    /// Answers `topk(w, k)` through the cache, reusing the caller's
-    /// scratch for the fallback traversal. The returned ids are
-    /// bit-identical to `idx.topk(w, k).ids`.
+    /// Like [`topk`](Self::topk), but a miss traverses on the caller's
+    /// scratch.
     pub fn topk_with_scratch(
         &self,
         idx: &DualLayerIndex,
@@ -359,7 +364,7 @@ impl ResultCache {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> CachedTopk {
-        let (g, outcome) = self.answer(idx, w, k, &QueryBudget::unlimited(), scratch);
+        let (g, outcome) = self.answer_on(idx, w, k, &QueryBudget::unlimited(), Some(scratch));
         CachedTopk {
             ids: g.ids,
             cost: g.cost,
@@ -382,16 +387,29 @@ impl ResultCache {
     }
 
     /// The one static query body: the cache rule (module docs) around the
-    /// guarded traversal of `idx`, run on the caller's scratch. Returns
-    /// the answer and whether it was a hit, a miss or a bypass. The batch
-    /// executor and the network server's workers answer through it.
+    /// guarded traversal of `idx`, which a miss runs on scratch from
+    /// `idx`'s pool. Returns the answer and whether it was a hit, a miss
+    /// or a bypass. The batch executor and the network server answer
+    /// through it.
     pub fn answer(
         &self,
         idx: &DualLayerIndex,
         w: &Weights,
         k: usize,
         budget: &QueryBudget,
-        scratch: &mut QueryScratch,
+    ) -> (GuardedTopk, CacheOutcome) {
+        self.answer_on(idx, w, k, budget, None)
+    }
+
+    /// [`answer`](Self::answer), traversing on `scratch` when one is
+    /// given: a hit takes none.
+    fn answer_on(
+        &self,
+        idx: &DualLayerIndex,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+        scratch: Option<&mut QueryScratch>,
     ) -> (GuardedTopk, CacheOutcome) {
         let (ticket, outcome) = match self.lookup(idx, idx.len(), w, k, Some(budget)) {
             Lookup::Hit(hits, cost, outcome) => {
@@ -408,7 +426,10 @@ impl ResultCache {
         };
         // A fill fetches one extra answer: it is the new entry's barrier.
         let fetch = ticket.as_ref().map_or(k, |t| t.k + 1);
-        let mut g = idx.topk_guarded_with_scratch(w, fetch, budget, scratch);
+        let mut g = match scratch {
+            Some(scratch) => idx.topk_guarded_with_scratch(w, fetch, budget, scratch),
+            None => idx.topk_guarded(w, fetch, budget),
+        };
         if let Some(ticket) = ticket {
             let fetched = g.ids.iter().map(|&id| u64::from(id));
             self.fill(ticket, w, fetched, |id| idx.relation().tuple(id as TupleId));

@@ -26,7 +26,7 @@ use crate::snapshot::IndexSnapshot;
 use drtopk_common::{dominates, Cost, Error, Relation, Weights};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A stable handle to a tuple inserted into a [`DynamicIndex`].
 pub type Handle = u64;
@@ -36,7 +36,8 @@ pub type Handle = u64;
 #[derive(Debug)]
 pub struct DynamicIndex {
     opts: DlOptions,
-    index: DualLayerIndex,
+    /// The static index; its scratch pool serves every read.
+    pub(crate) index: DualLayerIndex,
     /// Handle of each tuple position in the indexed relation.
     indexed_handles: Vec<Handle>,
     /// Buffered (handle, row) inserts, not yet indexed, ascending by
@@ -53,49 +54,12 @@ pub struct DynamicIndex {
     rebuilds: usize,
     /// Optional weight-space result cache, invalidated by every mutation.
     cache: Option<Arc<ResultCache>>,
-    /// Traversal scratch reused across queries.
-    scratch: ScratchPool,
-}
-
-/// Idle [`QueryScratch`]es for the static index. A query takes one (or
-/// allocates one when none is idle) and puts it back when it finishes,
-/// so the pool holds at most one scratch per caller that ever queried
-/// concurrently. The lock is held only to take or put, never across a
-/// traversal; a query that panics drops the scratch it holds.
-#[derive(Default)]
-struct ScratchPool(Mutex<Vec<QueryScratch>>);
-
-impl ScratchPool {
-    fn take(&self, index: &DualLayerIndex) -> QueryScratch {
-        let idle = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        idle.unwrap_or_else(|| QueryScratch::for_index(index))
-    }
-
-    fn put(&self, scratch: QueryScratch) {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-    }
-
-    /// Drops every idle scratch (they are sized for a replaced index).
-    fn clear(&mut self) {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let idle = self.0.lock().unwrap_or_else(|e| e.into_inner()).len();
-        f.debug_struct("ScratchPool").field("idle", &idle).finish()
-    }
 }
 
 impl Clone for DynamicIndex {
     /// Clones the index *without* the attached cache: a shared cache would
     /// let one clone serve answers filled by the other after their live
-    /// sets diverge. Re-attach a cache to the clone if it needs one. The
-    /// clone starts with no pooled scratch.
+    /// sets diverge. Re-attach a cache to the clone if it needs one.
     fn clone(&self) -> Self {
         DynamicIndex {
             opts: self.opts.clone(),
@@ -108,7 +72,6 @@ impl Clone for DynamicIndex {
             rebuild_fraction: self.rebuild_fraction,
             rebuilds: self.rebuilds,
             cache: None,
-            scratch: ScratchPool::default(),
         }
     }
 }
@@ -279,7 +242,6 @@ impl DynamicIndex {
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
             cache: None,
-            scratch: ScratchPool::default(),
         })
     }
 
@@ -471,21 +433,20 @@ impl DynamicIndex {
             Some(Lookup::Bypass) | None => None,
         };
         let want = (k_eff + usize::from(ticket.is_some())).min(self.len());
-        let mut scratch = self.take_scratch();
-        let mut live = LiveCursor::new(self, w, &mut scratch);
-        let mut merged = Vec::with_capacity(want);
-        let mut truncated = None;
-        while merged.len() < want {
-            truncated = live.tripped(budget);
-            if truncated.is_some() {
-                break;
+        let (mut merged, cost, truncated) = self.index.pooled(|scratch| {
+            let mut live = LiveCursor::new(self, w, scratch);
+            let mut merged = Vec::with_capacity(want);
+            let mut truncated = None;
+            while merged.len() < want {
+                truncated = live.tripped(budget);
+                if truncated.is_some() {
+                    break;
+                }
+                let Some(hit) = live.step() else { break };
+                merged.extend(hit);
             }
-            let Some(hit) = live.step() else { break };
-            merged.extend(hit);
-        }
-        let cost = live.cost();
-        drop(live);
-        self.put_scratch(scratch);
+            (merged, live.cost(), truncated)
+        });
         if let (Some(t), Some(c)) = (ticket, cache) {
             let fetched = merged.iter().map(|&(_, h)| h);
             c.fill(t, w, fetched, |h| {
@@ -494,17 +455,6 @@ impl DynamicIndex {
         }
         merged.truncate(k_eff);
         (merged, cost, truncated)
-    }
-
-    /// An idle traversal scratch from the pool, or a new one.
-    pub(crate) fn take_scratch(&self) -> QueryScratch {
-        self.scratch.take(&self.index)
-    }
-
-    /// Returns a scratch to the pool once the read using it finished. A
-    /// read that panicked drops its scratch instead.
-    pub(crate) fn put_scratch(&self, scratch: QueryScratch) {
-        self.scratch.put(scratch);
     }
 
     /// Forces a rebuild now (compacts buffer and tombstones).
@@ -542,7 +492,6 @@ impl DynamicIndex {
         self.buffer.clear();
         self.forest = Forest::default();
         self.tombstones.clear();
-        self.scratch.clear();
         self.rebuilds += 1;
         drtopk_obs::metrics().dynamic_rebuilds.add(1);
         self.touch_cache();
@@ -651,7 +600,6 @@ impl DynamicIndex {
             rebuild_fraction: rebuild_fraction.clamp(0.01, 10.0),
             rebuilds: 0,
             cache: None,
-            scratch: ScratchPool::default(),
         })
     }
 

@@ -15,6 +15,7 @@
 //! at the API boundary: every public accessor speaks original `TupleId`s.
 
 use crate::options::DlOptions;
+use crate::query::ScratchPool;
 use crate::zero::Zero2d;
 use drtopk_common::{Columns, Relation, TupleId};
 
@@ -302,6 +303,8 @@ pub struct DualLayerIndex {
     /// the traversal's scoring kernel gathers near-sequential rows.
     pub(crate) columns: Columns,
     pub(crate) stats: IndexStats,
+    /// Idle query scratch, reused by every traversal of this index.
+    pub(crate) pool: ScratchPool,
 }
 
 impl DualLayerIndex {

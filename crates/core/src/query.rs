@@ -12,7 +12,7 @@ use drtopk_obs::{QueryCounters, QuerySpan};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-query execution limits, checked cooperatively at pop granularity.
@@ -230,8 +230,11 @@ impl Ord for Entry {
 }
 
 /// Reusable per-query working memory. One scratch serves any number of
-/// sequential queries against the index it was created for; reusing it
-/// avoids the O(n) allocations a fresh [`DualLayerIndex::topk`] call makes.
+/// sequential queries against the index it was created for. Every index
+/// keeps a pool of them, so its own entry points reuse scratch across
+/// calls; a caller that streams on a scratch of its own
+/// ([`DualLayerIndex::topk_iter`], [`TopkCursor::new`]) allocates one
+/// with [`QueryScratch::for_index`].
 ///
 /// Per-node state (`remaining`, `eblocked`, `enqueued`, `chain_wait`) is
 /// *epoch-versioned*: each node carries a stamp, and state is lazily
@@ -364,7 +367,45 @@ impl QueryScratch {
     }
 }
 
+/// Idle [`QueryScratch`]es of one index: every traversal of the index
+/// draws its scratch from here. A query takes one (or allocates one when
+/// none is idle) and puts it back when it finishes, so the pool holds at
+/// most one scratch per caller that ever queried concurrently. The lock
+/// is held only to take or put, never across a traversal; a query that
+/// panics drops the scratch it holds. A cloned index starts with an
+/// empty pool.
+#[derive(Debug, Default)]
+pub(crate) struct ScratchPool(Mutex<Vec<QueryScratch>>);
+
+impl Clone for ScratchPool {
+    fn clone(&self) -> Self {
+        ScratchPool::default()
+    }
+}
+
 impl DualLayerIndex {
+    /// An idle scratch from this index's pool, or a new one.
+    pub(crate) fn take_scratch(&self) -> QueryScratch {
+        let idle = self.pool.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        idle.unwrap_or_else(|| QueryScratch::for_index(self))
+    }
+
+    /// Returns a scratch to the pool once the query using it finished. A
+    /// query that panicked drops its scratch instead.
+    pub(crate) fn put_scratch(&self, scratch: QueryScratch) {
+        let mut idle = self.pool.0.lock().unwrap_or_else(|e| e.into_inner());
+        idle.push(scratch);
+    }
+
+    /// Runs `f` on a scratch from the pool and puts it back; if `f`
+    /// panics, the scratch unwinds with it.
+    pub(crate) fn pooled<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+        let mut scratch = self.take_scratch();
+        let out = f(&mut scratch);
+        self.put_scratch(scratch);
+        out
+    }
+
     /// Answers a top-k query (Definition 1): the `k` tuples with the
     /// smallest scores under `w`, ties broken by tuple id.
     ///
@@ -385,11 +426,11 @@ impl DualLayerIndex {
     /// # Panics
     /// Panics if `w`'s dimensionality differs from the index's.
     pub fn topk(&self, w: &Weights, k: usize) -> TopkResult {
-        self.topk_with_scratch(w, k, &mut QueryScratch::for_index(self))
+        self.pooled(|scratch| self.topk_with_scratch(w, k, scratch))
     }
 
-    /// Like [`DualLayerIndex::topk`], reusing caller-provided scratch to
-    /// avoid per-query allocation (for query-per-microsecond workloads).
+    /// Like [`DualLayerIndex::topk`], on the caller's scratch instead of
+    /// one from the index's pool.
     pub fn topk_with_scratch(
         &self,
         w: &Weights,
@@ -412,50 +453,52 @@ impl DualLayerIndex {
     /// `bound` is NaN.
     pub fn range_by_score(&self, w: &Weights, bound: f64) -> TopkResult {
         assert!(!bound.is_nan(), "score bound must not be NaN");
-        let mut scratch = QueryScratch::for_index(self);
-        let mut cursor = self.topk_iter(w, &mut scratch);
-        let mut ids = Vec::new();
-        // Stop on the raw head: a pseudo-tuple above the bound stays
-        // unpopped, so its cluster is never scored.
-        while ids.len() < self.len() && cursor.head().is_some_and(|e| e.score <= bound) {
-            if let Some(e) = cursor.step().filter(|e| e.real) {
-                ids.push(e.orig as TupleId);
+        self.pooled(|scratch| {
+            let mut cursor = self.topk_iter(w, scratch);
+            let mut ids = Vec::new();
+            // Stop on the raw head: a pseudo-tuple above the bound stays
+            // unpopped, so its cluster is never scored.
+            while ids.len() < self.len() && cursor.head().is_some_and(|e| e.score <= bound) {
+                if let Some(e) = cursor.step().filter(|e| e.real) {
+                    ids.push(e.orig as TupleId);
+                }
             }
-        }
-        TopkResult {
-            ids,
-            cost: cursor.cost(),
-        }
+            TopkResult {
+                ids,
+                cost: cursor.cost(),
+            }
+        })
     }
 
     /// Like [`DualLayerIndex::topk`], also recording a full traversal trace.
     pub fn topk_traced(&self, w: &Weights, k: usize) -> (TopkResult, QueryTrace) {
         let k = k.min(self.len());
-        let mut scratch = QueryScratch::for_index(self);
         let mut trace = QueryTrace::default();
         if k == 0 {
             // An empty query seeds nothing: the untraced path answers it.
-            return (self.topk_with_scratch(w, k, &mut scratch), trace);
+            return (self.topk(w, k), trace);
         }
-        let mut ids = Vec::new();
-        let mut cursor = self.topk_iter(w, &mut scratch);
-        trace.seeds = cursor.scratch.heap.iter().map(|e| e.orig).collect();
-        trace.seeds.sort_unstable();
-        while ids.len() < k {
-            let Some(entry) = cursor.step() else { break };
-            if entry.real {
-                ids.push(entry.orig as TupleId);
+        self.pooled(|scratch| {
+            let mut ids = Vec::new();
+            let mut cursor = self.topk_iter(w, scratch);
+            trace.seeds = cursor.scratch.heap.iter().map(|e| e.orig).collect();
+            trace.seeds.sort_unstable();
+            while ids.len() < k {
+                let Some(entry) = cursor.step() else { break };
+                if entry.real {
+                    ids.push(entry.orig as TupleId);
+                }
+                let mut q: Vec<Entry> = cursor.scratch.heap.iter().copied().collect();
+                q.sort_by(|a, b| b.cmp(a)); // Entry::cmp is reversed; re-reverse for pop order
+                trace.steps.push(TraceStep {
+                    popped: entry.orig,
+                    queue_after: q.into_iter().map(|e| e.orig).collect(),
+                    answers_after: ids.clone(),
+                });
             }
-            let mut q: Vec<Entry> = cursor.scratch.heap.iter().copied().collect();
-            q.sort_by(|a, b| b.cmp(a)); // Entry::cmp is reversed; re-reverse for pop order
-            trace.steps.push(TraceStep {
-                popped: entry.orig,
-                queue_after: q.into_iter().map(|e| e.orig).collect(),
-                answers_after: ids.clone(),
-            });
-        }
-        let cost = cursor.cost();
-        (TopkResult { ids, cost }, trace)
+            let cost = cursor.cost();
+            (TopkResult { ids, cost }, trace)
+        })
     }
 
     /// Like [`DualLayerIndex::topk`], also returning every node the query
@@ -465,15 +508,16 @@ impl DualLayerIndex {
     /// at any `k`, where a [`topk_traced`](Self::topk_traced) trace
     /// grows with the square of the pops.
     pub fn topk_evaluated(&self, w: &Weights, k: usize) -> (TopkResult, Vec<NodeId>) {
-        let mut scratch = QueryScratch::for_index(self);
-        let result = self.topk_with_scratch(w, k, &mut scratch);
-        // `mark_freed` sets `enqueued` exactly once per evaluated node.
-        let mut nodes: Vec<NodeId> = (0..self.total_nodes())
-            .filter(|&i| scratch.stamp[i] == scratch.epoch && scratch.enqueued[i])
-            .map(|i| self.node_orig[i])
-            .collect();
-        nodes.sort_unstable();
-        (result, nodes)
+        self.pooled(|scratch| {
+            let result = self.topk_with_scratch(w, k, scratch);
+            // `mark_freed` sets `enqueued` exactly once per evaluated node.
+            let mut nodes: Vec<NodeId> = (0..self.total_nodes())
+                .filter(|&i| scratch.stamp[i] == scratch.epoch && scratch.enqueued[i])
+                .map(|i| self.node_orig[i])
+                .collect();
+            nodes.sort_unstable();
+            (result, nodes)
+        })
     }
 
     /// Lazily streams answers in score order on `scratch`: a
@@ -501,18 +545,19 @@ impl DualLayerIndex {
         k: usize,
         mut pred: P,
     ) -> TopkResult {
-        let mut scratch = QueryScratch::for_index(self);
-        let mut cursor = self.topk_iter(w, &mut scratch);
-        let ids = cursor
-            .by_ref()
-            .map(|(t, _)| t)
-            .filter(|&t| pred(t, self.rel.tuple(t)))
-            .take(k.min(self.len()))
-            .collect();
-        TopkResult {
-            ids,
-            cost: cursor.cost(),
-        }
+        self.pooled(|scratch| {
+            let mut cursor = self.topk_iter(w, scratch);
+            let ids = cursor
+                .by_ref()
+                .map(|(t, _)| t)
+                .filter(|&t| pred(t, self.rel.tuple(t)))
+                .take(k.min(self.len()))
+                .collect();
+            TopkResult {
+                ids,
+                cost: cursor.cost(),
+            }
+        })
     }
 
     /// Resets scratch, applies the 2-d chain gating for `w`, and seeds the
@@ -608,13 +653,13 @@ impl DualLayerIndex {
     /// trips, otherwise the best-so-far prefix with a truncation marker
     /// (see [`GuardedTopk`] for the partial-result contract).
     pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> GuardedTopk {
-        self.topk_guarded_with_scratch(w, k, budget, &mut QueryScratch::for_index(self))
+        self.pooled(|scratch| self.topk_guarded_with_scratch(w, k, budget, scratch))
     }
 
-    /// Like [`DualLayerIndex::topk_guarded`], reusing caller-provided
-    /// scratch (the batch executor's per-worker pool). Every top-k entry
-    /// point but the threshold, filtered and traced ones answers here.
-    pub fn topk_guarded_with_scratch(
+    /// Like [`DualLayerIndex::topk_guarded`], on the given scratch. Every
+    /// top-k entry point but the threshold, filtered and traced ones
+    /// answers here.
+    pub(crate) fn topk_guarded_with_scratch(
         &self,
         w: &Weights,
         k: usize,
@@ -1281,5 +1326,77 @@ mod budget_tests {
         let g = idx.topk_guarded(&w, 0, &QueryBudget::unlimited().with_max_cost(0));
         assert!(g.is_complete());
         assert!(g.ids.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod pool_tests {
+    use super::*;
+    use crate::options::DlOptions;
+    use drtopk_common::{Distribution, WorkloadSpec};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::panic::AssertUnwindSafe;
+
+    fn fixture() -> DualLayerIndex {
+        let rel = WorkloadSpec::new(Distribution::AntiCorrelated, 3, 500, 23).generate();
+        DualLayerIndex::build(&rel, DlOptions::dl_plus())
+    }
+
+    /// Idle scratches in `idx`'s pool.
+    fn idle(idx: &DualLayerIndex) -> usize {
+        idx.pool.0.lock().unwrap().len()
+    }
+
+    #[test]
+    fn concurrent_queries_leave_one_idle_scratch_per_query_at_once() {
+        let idx = fixture();
+        let threads = 4;
+        let all_in = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (idx, all_in) = (&idx, &all_in);
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(t as u64);
+                    // The first query waits inside its traversal until
+                    // every thread is inside one: `threads` run at once.
+                    let mut waited = false;
+                    idx.topk_where(&Weights::random(3, &mut rng), 5, |_, _| {
+                        if !std::mem::replace(&mut waited, true) {
+                            all_in.wait();
+                        }
+                        true
+                    });
+                    let capped = QueryBudget::unlimited().with_max_cost(8);
+                    for _ in 0..100 {
+                        let w = Weights::random(3, &mut rng);
+                        idx.topk(&w, 10);
+                        idx.topk_guarded(&w, 10, &capped);
+                    }
+                });
+            }
+        });
+        assert_eq!(idle(&idx), threads, "one idle scratch per query at once");
+    }
+
+    #[test]
+    fn a_query_that_panics_drops_its_scratch() {
+        let idx = fixture();
+        let w = Weights::uniform(3);
+        let want = idx.topk_with_scratch(&w, 10, &mut QueryScratch::for_index(&idx));
+        // The predicate panics mid-traversal, with the pooled scratch
+        // half-updated.
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut seen = 0;
+            idx.topk_where(&w, 10, |_, _| {
+                seen += 1;
+                assert!(seen < 3, "injected predicate fault");
+                true
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(idle(&idx), 0, "the unwound scratch is dropped, not pooled");
+        assert_eq!(idx.topk(&w, 10), want);
+        assert_eq!(idle(&idx), 1);
     }
 }

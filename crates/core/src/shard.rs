@@ -862,7 +862,7 @@ impl<S: ShardProbe> ShardRouter<S> {
         }
         // Shards dropped from the merge, with the error that dropped them.
         let mut dropped: Vec<(usize, ShardError)> = Vec::new();
-        scratch.extend(lent.iter().map(|(_, index)| index.take_scratch()));
+        scratch.extend(lent.iter().map(|(_, index)| index.index.take_scratch()));
         for ((s, index), scratch) in lent.iter().zip(&mut scratch) {
             let open = || {
                 // Moved in, not reborrowed, so the cursor keeps the borrow.
@@ -888,7 +888,7 @@ impl<S: ShardProbe> ShardRouter<S> {
         let is_dropped = |s: usize| dropped.iter().any(|&(d, _)| d == s);
         for ((s, index), scratch) in lent.iter().zip(scratch) {
             if !is_dropped(*s) {
-                index.put_scratch(scratch);
+                index.index.put_scratch(scratch);
             }
         }
         let mut coverage = ShardCoverage::empty(p);

@@ -199,8 +199,8 @@ impl MetricsRegistry {
         self.recording.store(u64::from(on), Relaxed);
     }
 
-    /// `n` requests pulled from the server queue in one dequeue (a worker
-    /// takes one): counts them as dequeued and records one batch-size
+    /// `n` admitted queries answered in one turn (the server answers
+    /// one): counts them as dequeued and records one batch-size
     /// observation.
     #[inline]
     pub fn server_batch(&self, n: u64) {

@@ -166,8 +166,8 @@ impl MetricsSnapshot {
         self.batch_enqueued.saturating_sub(self.batch_drained)
     }
 
-    /// Requests currently waiting in the server's admission queue
-    /// (admitted but not yet taken by a worker).
+    /// Queries currently waiting at the server's admission gate
+    /// (admitted but not yet holding a turn).
     pub fn server_queue_depth(&self) -> u64 {
         self.server_enqueued.saturating_sub(self.server_dequeued)
     }

@@ -142,8 +142,8 @@ metric_table! {
         server_requests: "Well-formed request frames received by the network server",
         server_sheds: "Requests shed by admission control (answered Overloaded)",
         server_protocol_errors: "Protocol violations on server connections",
-        server_enqueued: "Requests admitted into the server queue",
-        server_dequeued: "Requests pulled from the server queue, one per worker dequeue",
+        server_enqueued: "Queries admitted by the server's admission gate",
+        server_dequeued: "Turns taken by admitted queries",
         shard_probes: "Shard probes attempted by the shard router",
         shard_probe_failures: "Shard probes that failed (error, panic, or timeout)",
         shard_retries: "Shard probes retried after a transient failure",
@@ -155,7 +155,7 @@ metric_table! {
     }
     derived_gauges {
         batch_queue_depth: "Batch requests currently in flight",
-        server_queue_depth: "Requests waiting in the server admission queue",
+        server_queue_depth: "Admitted queries waiting for a turn",
     }
     gauges {
         shards_up: "Shards currently healthy",
@@ -172,8 +172,8 @@ metric_table! {
         kernel_block_tuples: "drtopk_kernel_block_tuples", 1.0,
             "Tuples per scoring-kernel block";
         server_batch_size: "drtopk_server_batch_size", 1.0,
-            "Requests a server worker takes per dequeue (one)";
+            "Queries answered per turn (always one)";
         server_queue_wait_ns: "drtopk_server_queue_wait_seconds", 1e-9,
-            "Per-request wait in the server admission queue";
+            "Per-query wait from admission to turn";
     }
 }

@@ -228,7 +228,7 @@ impl Client {
     /// that times out (see [`set_read_timeout`](Self::set_read_timeout))
     /// keeps what it read of a frame, so a later `recv` resumes it.
     pub fn recv(&mut self) -> Result<(u64, Message), ClientError> {
-        match self.frames.poll(&mut self.stream) {
+        match self.frames.poll(&mut self.stream, None) {
             PollEvent::Frame(id, msg) => Ok((id, msg)),
             PollEvent::Unknown(request_id, type_byte) => {
                 Err(ClientError::Wire(WireError::UnknownType {

@@ -23,6 +23,7 @@ use drtopk_common::Cost;
 use drtopk_core::{ShardCoverage, TruncateReason};
 use drtopk_storage::format::crc32;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Connection hello (§1.1): 7 magic bytes + the protocol version.
 pub const HELLO: [u8; 8] = *b"DRTOPKN\x01";
@@ -536,6 +537,8 @@ pub fn write_frame<W: Write>(w: &mut W, request_id: u64, msg: &Message) -> io::R
 pub(crate) struct FrameBuf {
     /// Bytes read but not yet carved into a frame.
     pub(crate) acc: Vec<u8>,
+    /// When the first buffered byte of the incomplete frame arrived.
+    began: Option<Instant>,
 }
 
 /// What one [`FrameBuf::poll`] produced.
@@ -549,7 +552,8 @@ pub(crate) enum PollEvent {
     Timeout,
     /// The peer closed the stream between frames.
     Eof,
-    /// Untrustworthy framing, or the peer closed mid-frame.
+    /// Untrustworthy framing, the peer closed mid-frame, or a frame
+    /// outlasted its poll's limit.
     Corrupt(String),
     /// The read failed.
     Io(io::Error),
@@ -557,11 +561,21 @@ pub(crate) enum PollEvent {
 
 impl FrameBuf {
     /// Returns the next buffered frame, reading from `stream` (under its
-    /// read timeout) until one is complete.
-    pub(crate) fn poll<R: Read>(&mut self, stream: &mut R) -> PollEvent {
+    /// read timeout) until one is complete. With a `limit`, a frame still
+    /// incomplete that long after its first byte arrived is `Corrupt`,
+    /// however steadily its bytes trickle in.
+    pub(crate) fn poll<R: Read>(&mut self, stream: &mut R, limit: Option<Duration>) -> PollEvent {
         loop {
             if let Some(ev) = self.try_decode() {
                 return ev;
+            }
+            if self.acc.is_empty() {
+                self.began = None;
+            } else if let Some(limit) = limit {
+                let began = *self.began.get_or_insert_with(Instant::now);
+                if began.elapsed() >= limit {
+                    return PollEvent::Corrupt(format!("frame incomplete after {limit:?}"));
+                }
             }
             let mut tmp = [0u8; 4096];
             match stream.read(&mut tmp) {
@@ -599,6 +613,7 @@ impl FrameBuf {
             return None;
         }
         let frame: Vec<u8> = self.acc.drain(..8 + len).collect();
+        self.began = None;
         match read_frame(&mut &frame[..]) {
             Ok((id, msg)) => Some(PollEvent::Frame(id, msg)),
             Err(WireError::UnknownType {

@@ -18,12 +18,12 @@ use crate::shard::ServedShard;
 use drtopk_common::{Cost, Weights};
 use drtopk_core::batch::{panic_message, WORKER_FAILPOINT};
 use drtopk_core::{
-    DualLayerIndex, QueryBudget, QueryScratch, ResultCache, ShardError, ShardHealth, ShardProbe,
-    ShardRouter, ShardedTopk,
+    DualLayerIndex, QueryBudget, ResultCache, ShardError, ShardHealth, ShardProbe, ShardRouter,
+    ShardedTopk,
 };
 use drtopk_obs::metrics;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 pub const ACCEPT_FAILPOINT: &str = "server::accept";
 
 /// How often blocked connection readers wake to check the drain flag and
-/// [`PARTIAL_DEADLINE`].
+/// the hello's [`PARTIAL_DEADLINE`].
 const READ_POLL: Duration = Duration::from_millis(25);
 
 /// How long one write to a connection may block on a client that does
@@ -46,13 +46,13 @@ const READ_POLL: Duration = Duration::from_millis(25);
 const WRITE_DEADLINE: Duration = Duration::from_millis(500);
 
 /// How long a peer may take to finish what it began sending: the 8-byte
-/// hello (from accept), a frame (from when the reader first found it
-/// incomplete) and an HTTP request line (`PROTOCOL.md` §1.1, §2.2, §6).
-/// A connection idle between frames has no deadline.
+/// hello (from accept), a frame (from when its first byte arrived) and an
+/// HTTP request line (`PROTOCOL.md` §1.1, §2.2, §6). A connection idle
+/// between frames has no deadline.
 const PARTIAL_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Why the gate lock cannot be poisoned: no holder panics while it holds
-/// it (only counts, the flag and the scratch list change under it).
+/// it (only counts and the flag change under it).
 const GATE_LOCK: &str = "gate lock poisoned, but no holder panics";
 
 /// Configuration for [`Server::start`], built fluently.
@@ -183,9 +183,6 @@ struct GateState {
     admitted: usize,
     /// Once set, nothing more is admitted.
     draining: bool,
-    /// The single backend's idle traversal scratches: each turn holds at
-    /// most one, so at most `workers` ever exist.
-    scratches: Vec<QueryScratch>,
 }
 
 impl Gate {
@@ -201,9 +198,9 @@ impl Gate {
         }
     }
 
-    /// Admits a query and blocks until it holds a turn, returning an idle
-    /// scratch if one is left; or refuses it, draining or shed.
-    fn enter(&self) -> Result<Option<QueryScratch>, (ErrorCode, &'static str)> {
+    /// Admits a query and blocks until it holds a turn; or refuses it,
+    /// draining or shed.
+    fn enter(&self) -> Result<(), (ErrorCode, &'static str)> {
         let m = metrics();
         let admitted = Instant::now();
         let mut s = self.state.lock().expect(GATE_LOCK);
@@ -224,19 +221,17 @@ impl Gate {
             s.handed -= 1;
             s.waiting -= 1;
         }
-        let scratch = s.scratches.pop();
         drop(s);
         m.server_batch(1);
         m.server_queue_wait_ns
             .record(admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        Ok(scratch)
+        Ok(())
     }
 
     /// Gives up a turn: to one waiting reader that has none, else to the
-    /// free count. `scratch` goes back to the idle list.
-    fn leave(&self, scratch: Option<QueryScratch>) {
+    /// free count.
+    fn leave(&self) {
         let mut s = self.state.lock().expect(GATE_LOCK);
-        s.scratches.extend(scratch);
         if s.waiting > s.handed {
             s.handed += 1;
             drop(s);
@@ -667,9 +662,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // closes the connection: a client that vanished, or stopped reading
     // past the write deadline, loses only its own connection.
     let mut frames = sniff; // any bytes read past the hello stay buffered
-    let mut partial_since = None; // when a buffered frame was first found incomplete
     let detail = loop {
-        let sent = match frames.poll(&mut stream) {
+        // §2.2: idle between frames is fine; a stalled frame is not.
+        let sent = match frames.poll(&mut stream, Some(PARTIAL_DEADLINE)) {
             PollEvent::Frame(id, msg) => dispatch(id, msg, &mut stream, shared),
             PollEvent::Unknown(id, type_byte) => {
                 // §5.3: sound framing, unknown type — the connection lives.
@@ -677,26 +672,16 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let code = ErrorCode::Unsupported;
                 write_frame(&mut stream, id, &Message::Error { code, message })
             }
-            PollEvent::Timeout => {
-                if shared.shutting_down() {
-                    return;
-                }
-                // §2.2: idle between frames is fine; a stalled frame is not.
-                if frames.acc.is_empty()
-                    || partial_since.get_or_insert_with(Instant::now).elapsed() < PARTIAL_DEADLINE
-                {
-                    continue;
-                }
-                break format!("frame incomplete after {PARTIAL_DEADLINE:?}");
-            }
+            PollEvent::Timeout if shared.shutting_down() => return,
+            PollEvent::Timeout => continue,
             PollEvent::Eof | PollEvent::Io(_) => return,
-            // §2.2: framing is untrustworthy past a corrupt frame.
+            // §2.2: framing is untrustworthy past a corrupt or stalled
+            // frame.
             PollEvent::Corrupt(detail) => break detail,
         };
         if sent.is_err() {
             return;
         }
-        partial_since = None;
     };
     metrics().server_protocol_errors.add(1);
     let msg = Message::Error {
@@ -704,6 +689,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         message: detail,
     };
     let _ = write_frame(&mut stream, 0, &msg);
+    // The end of stream follows the error even when unread bytes turn
+    // the close into a reset.
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Answers one sound frame (PROTOCOL.md §3) on the connection that sent
@@ -803,40 +791,33 @@ fn serve_query(
         budget = budget.with_max_cost(max_cost);
     }
 
-    let mut scratch = match shared.gate.enter() {
-        Ok(scratch) => scratch,
-        Err((code, message)) => return reject(code, message.to_string()),
-    };
+    if let Err((code, message)) = shared.gate.enter() {
+        return reject(code, message.to_string());
+    }
     // A panicking answer replies Internal; the reader lives on.
     let reply = catch_unwind(AssertUnwindSafe(|| {
-        answer(&shared.backend, &w, k, &budget, want_scores, &mut scratch)
+        answer(&shared.backend, &w, k, &budget, want_scores)
     }))
-    .unwrap_or_else(|payload| {
-        // The unwind may have left the scratch mid-update.
-        scratch = None;
-        Message::Error {
-            code: ErrorCode::Internal,
-            message: panic_message(payload.as_ref()),
-        }
+    .unwrap_or_else(|payload| Message::Error {
+        code: ErrorCode::Internal,
+        message: panic_message(payload.as_ref()),
     });
     // The turn goes before the write, so a client that stops reading
     // holds none.
-    shared.gate.leave(scratch);
+    shared.gate.leave();
     let sent = write_frame(stream, request_id, &reply);
     shared.gate.finish();
     sent
 }
 
 /// Answers one request on `backend`: the one query path of every served
-/// request. `scratch` is the turn's traversal scratch for the single
-/// backend.
+/// request.
 fn answer(
     backend: &Backend,
     w: &Weights,
     k: usize,
     budget: &QueryBudget,
     want_scores: bool,
-    scratch: &mut Option<QueryScratch>,
 ) -> Message {
     if let Err(e) = drtopk_failpoints::hit(WORKER_FAILPOINT) {
         return Message::Error {
@@ -846,10 +827,9 @@ fn answer(
     }
     match backend {
         Backend::Single { index, cache } => {
-            let scratch = scratch.get_or_insert_with(|| QueryScratch::for_index(index));
             let g = match cache {
-                Some(cache) => cache.answer(index, w, k, budget, scratch).0,
-                None => index.topk_guarded_with_scratch(w, k, budget, scratch),
+                Some(cache) => cache.answer(index, w, k, budget).0,
+                None => index.topk_guarded(w, k, budget),
             };
             Message::Topk(TopkReply {
                 truncated: g.truncated,
@@ -943,9 +923,7 @@ fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drtopk_common::{Distribution, WorkloadSpec};
-    use drtopk_core::DlOptions;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::thread;
 
     /// Waits until the gate's counts satisfy `ready`, as other threads
@@ -958,7 +936,7 @@ mod tests {
         }
     }
 
-    fn refusal(r: Result<Option<QueryScratch>, (ErrorCode, &'static str)>) -> ErrorCode {
+    fn refusal(r: Result<(), (ErrorCode, &'static str)>) -> ErrorCode {
         match r {
             Err((code, _)) => code,
             Ok(_) => panic!("admitted, want a refusal"),
@@ -966,7 +944,7 @@ mod tests {
     }
 
     fn done(gate: &Gate) {
-        gate.leave(None);
+        gate.leave();
         gate.finish();
     }
 
@@ -1008,7 +986,7 @@ mod tests {
         thread::scope(|s| {
             let waiter = s.spawn(|| gate.enter().is_ok());
             settle(&gate, |st| st.waiting == 1);
-            gate.leave(None);
+            gate.leave();
             assert_eq!(gate.state.lock().unwrap().free, 0, "the turn was freed");
             assert!(waiter.join().unwrap());
             let st = gate.state.lock().unwrap();
@@ -1033,36 +1011,11 @@ mod tests {
                 idle.store(true, SeqCst);
             });
             thread::sleep(Duration::from_millis(30));
-            gate.leave(None);
+            gate.leave();
             thread::sleep(Duration::from_millis(30));
             assert!(!idle.load(SeqCst), "idle before the reply was written");
             gate.finish();
         });
         assert!(idle.load(SeqCst));
-    }
-
-    #[test]
-    fn at_most_workers_scratches_ever_exist() {
-        let rel = WorkloadSpec::new(Distribution::Independent, 2, 60, 5).generate();
-        let index = DualLayerIndex::build(&rel, DlOptions::dl_plus());
-        let gate = Gate::new(2, 16);
-        let made = AtomicUsize::new(0);
-        thread::scope(|s| {
-            for _ in 0..6 {
-                s.spawn(|| {
-                    for _ in 0..200 {
-                        let scratch = gate.enter().expect("never shed").unwrap_or_else(|| {
-                            made.fetch_add(1, SeqCst);
-                            QueryScratch::for_index(&index)
-                        });
-                        thread::yield_now();
-                        gate.leave(Some(scratch));
-                        gate.finish();
-                    }
-                });
-            }
-        });
-        assert!(made.load(SeqCst) <= 2, "{} scratches", made.load(SeqCst));
-        assert!(gate.state.lock().unwrap().scratches.len() <= 2);
     }
 }

@@ -430,6 +430,48 @@ fn half_sent_requests_are_cut_off_and_idle_connections_live() {
     handle.shutdown();
 }
 
+/// A peer that trickles a frame a byte at a time, so that no read ever
+/// times out, is cut off 2 s after the frame's first byte like one that
+/// stalls (PROTOCOL.md §2.2).
+#[test]
+fn a_trickled_frame_is_cut_off() {
+    let idx = build_index(2, 100, 43);
+    let handle = Server::start(Arc::clone(&idx), ServerConfig::new()).expect("start");
+    let mut peer = TcpStream::connect(handle.addr()).expect("connect");
+    peer.write_all(&HELLO).expect("hello");
+    let mut echo = [0u8; 8];
+    peer.read_exact(&mut echo).expect("echo");
+
+    // A frame header declaring a 1 MiB payload, then one payload byte
+    // every 5 ms until the server hangs up.
+    let start = Instant::now();
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    peer.write_all(&header).expect("frame header");
+    let mut trickle = peer.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        while start.elapsed() < Duration::from_secs(5) && trickle.write_all(&[0]).is_ok() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+
+    peer.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    match read_frame(&mut peer).expect("a connection-scoped error, not a timeout") {
+        (0, Message::Error { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("want BadRequest for id 0, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    let n = peer.read_to_end(&mut rest).expect("EOF, not a timeout");
+    assert_eq!(n, 0, "nothing follows the error");
+    assert!(
+        start.elapsed() < Duration::from_secs(3),
+        "cut off after {:?}",
+        start.elapsed()
+    );
+    writer.join().expect("trickle writer");
+    handle.shutdown();
+}
+
 /// Pipelining: many queries in flight on one connection, replies paired
 /// by request id regardless of arrival order.
 #[test]

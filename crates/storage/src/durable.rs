@@ -32,6 +32,7 @@ use crate::wal::{self, WalRecord, WalWriter};
 use drtopk_common::{Cost, Error, Relation, Weights};
 use drtopk_core::{DlOptions, DynamicGuardedTopk, DynamicIndex, Handle, QueryBudget, ResultCache};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -108,12 +109,19 @@ fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal.{generation:016}.log"))
 }
 
+/// The WAL files of the store in `dir`: each `wal.<generation>.log` it
+/// holds, as `(generation, path)` pairs in ascending order.
+pub fn wal_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    generation_files(dir, "wal.", ".log")
+}
+
 /// Scans a directory for generation-numbered files with `prefix.`…`.suffix`
-/// names, returning the generations in ascending order.
-fn list_generations(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, FormatError> {
-    let mut gens = Vec::new();
+/// names, returning `(generation, path)` pairs in ascending order.
+fn generation_files(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
+        let entry = entry?;
+        let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(rest) = name.strip_prefix(prefix) else {
             continue;
@@ -122,11 +130,17 @@ fn list_generations(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, 
             continue;
         };
         if let Ok(g) = middle.parse::<u64>() {
-            gens.push(g);
+            files.push((g, entry.path()));
         }
     }
-    gens.sort_unstable();
-    Ok(gens)
+    files.sort_unstable();
+    Ok(files)
+}
+
+/// The generations of [`generation_files`], ascending.
+fn list_generations(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, FormatError> {
+    let files = generation_files(dir, prefix, suffix)?;
+    Ok(files.into_iter().map(|(g, _)| g).collect())
 }
 
 impl DurableDynamicIndex {

@@ -31,7 +31,7 @@ pub mod shards;
 pub mod wal;
 
 pub use blocks::{BlockLayout, Placement};
-pub use durable::{DurableDynamicIndex, DurableOptions, RecoveryReport};
+pub use durable::{wal_files, DurableDynamicIndex, DurableOptions, RecoveryReport};
 pub use format::{
     load_dynamic_state, load_index, load_relation, save_dynamic_state, save_index, save_relation,
     FormatError,

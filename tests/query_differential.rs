@@ -7,11 +7,13 @@
 //! `QueryExplain` breakdowns on every cell of the matrix (dimensionality,
 //! size, options variant, build thread count). A separate seeded property
 //! test pins the epoch-scratch contract: reusing one scratch across an
-//! arbitrary query history never changes any answer versus a fresh
-//! scratch.
+//! arbitrary query history, the caller's or the index's own pool, never
+//! changes any answer versus a fresh scratch.
 
 use drtopk::common::{Distribution, Weights, WorkloadSpec};
-use drtopk::core::{DlOptions, DualLayerIndex, EdsPolicy, QueryScratch, ZeroMode};
+use drtopk::core::{
+    DlOptions, DualLayerIndex, EdsPolicy, QueryBudget, QueryScratch, TopkCursor, ZeroMode,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -202,10 +204,13 @@ fn peak_rss_kib() -> u64 {
 /// epoch scratch, the next query is indistinguishable from one answered on
 /// a brand-new scratch — same ids, same cost — for arbitrary interleavings
 /// of weights and k. This is the O(1)-reset correctness contract: stale
-/// stamped state from query Q must never leak into query Q+1.
+/// stamped state from query Q must never leak into query Q+1. The index's
+/// pooled `topk` and `topk_guarded` run in between, with cost caps that
+/// trip mid-traversal and leave their pooled scratch half-used.
 #[test]
 fn epoch_scratch_reuse_is_indistinguishable_from_fresh() {
     let mut rng = StdRng::seed_from_u64(20_240_808);
+    let mut tripped = 0;
     for d in [2usize, 3, 5] {
         let n = if cfg!(debug_assertions) { 300 } else { 2_000 };
         let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, 88 + d as u64).generate();
@@ -215,12 +220,33 @@ fn epoch_scratch_reuse_is_indistinguishable_from_fresh() {
             let w = Weights::random(d, &mut rng);
             let k = rng.gen_range(1..=n);
             let with_reused = idx.topk_with_scratch(&w, k, &mut reused);
+            let pooled = idx.topk(&w, k);
+            let cap = rng.gen_range(0..=with_reused.cost.total());
+            let capped = QueryBudget::unlimited().with_max_cost(cap);
+            let guarded = idx.topk_guarded(&w, k, &capped);
             let mut fresh = QueryScratch::for_index(&idx);
             let with_fresh = idx.topk_with_scratch(&w, k, &mut fresh);
             assert_eq!(
                 with_reused, with_fresh,
                 "d={d} query {q}: reused scratch diverged from fresh"
             );
+            assert_eq!(pooled, with_fresh, "d={d} query {q}: pooled topk diverged");
+            let unlimited = idx.topk_guarded(&w, k, &QueryBudget::unlimited());
+            assert!(unlimited.is_complete());
+            assert_eq!(
+                (&unlimited.ids, unlimited.cost),
+                (&with_fresh.ids, with_fresh.cost),
+                "d={d} query {q}: pooled topk_guarded diverged"
+            );
+            let mut fresh = QueryScratch::for_index(&idx);
+            let mut cursor = TopkCursor::new(&idx, &w, &mut fresh, Some(&capped));
+            let ids: Vec<_> = cursor.by_ref().take(k).map(|(t, _)| t).collect();
+            assert_eq!(
+                (guarded.ids, guarded.cost, guarded.truncated),
+                (ids, cursor.cost(), cursor.truncated()),
+                "d={d} query {q}: capped pooled topk_guarded diverged"
+            );
+            tripped += usize::from(cursor.truncated().is_some());
         }
         // Rebinding: the same scratch object must also serve an index of a
         // different size (it rebuilds itself on first reset).
@@ -233,4 +259,5 @@ fn epoch_scratch_reuse_is_indistinguishable_from_fresh() {
             "d={d}: rebound scratch diverged"
         );
     }
+    assert!(tripped > 0, "no cost cap tripped");
 }

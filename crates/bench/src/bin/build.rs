@@ -155,7 +155,6 @@ fn run_cell(dist: Distribution, n: usize, d: usize, cfg: &Config) -> Value {
     let mut rows = Vec::new();
     for &t in &cfg.threads {
         let opts = DlOptions {
-            parallel: true,
             build_threads: t,
             ..DlOptions::dl_plus()
         };

@@ -4,7 +4,9 @@
 //!
 //! * per-query latency (p50/p99) and QPS of a sequential loop of
 //!   [`DualLayerIndex::topk`] calls (scratch from the index's own pool —
-//!   the baseline an application gets without the batch engine);
+//!   the baseline an application gets without the batch engine): one
+//!   pass, each weight once, with QPS from the wall clock as for the
+//!   executor;
 //! * wall-clock QPS of [`BatchExecutor::run`] at each requested
 //!   thread count (pooled scratch, scoped-thread fan-out);
 //! * mean paper cost (Definition 9) per query, which is identical across
@@ -14,11 +16,10 @@
 //!   [`drtopk_core::QueryBudget`] — the no-op fast path of the budget
 //!   guard, which must stay within 2 % of the plain path's p50 and return
 //!   bit-identical answers;
-//! * observability overhead: the sequential pass runs each query twice,
-//!   back to back, once with the metrics registry's runtime recording gate
-//!   off and once on, alternating which goes first; the report carries
-//!   both paired p50s plus the relative overhead (budget: ≤ 2 %). The
-//!   sequential latency and QPS are the recording-on calls'. Each cell
+//! * observability overhead: a second pass runs each query twice, back
+//!   to back, once with the metrics registry's runtime recording gate off
+//!   and once on, alternating which goes first; the report carries both
+//!   paired p50s plus the relative overhead (budget: ≤ 2 %). Each cell
 //!   also embeds the registry snapshot its instrumented passes produced.
 //!   Building with `--no-default-features` compiles recording out
 //!   entirely (`obs.compiled = false` in the report).
@@ -32,8 +33,8 @@
 //!   from a small weight pool (`--zipf-pool`) replays at each requested
 //!   skew (`--zipf-skews`), once uncached and once through a
 //!   [`drtopk_core::ResultCache`]; answers must stay bit-identical, and
-//!   the report records hit rate, cached/uncached p50, hit-path p50 and
-//!   QPS per skew under `zipf_cache`.
+//!   the report records hit rate, cached/uncached p50, the hit and miss
+//!   p50s of the cached pass and QPS per skew under `zipf_cache`.
 //!
 //! * dynamic reads: one fixed section (`dynamic`), independent of the
 //!   cell flags, in the churn workload's shape: a [`DynamicIndex`] over
@@ -168,13 +169,33 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     // Warmup: touch the index and fault in the columns once.
     let _ = idx.topk(&weights[0], k);
 
-    // Sequential pass, recording off and on, paired: each query runs once
-    // with the metrics registry's recording gate off and once on, back to
-    // back, order alternating, so host noise hits both sides equally (as
-    // in the guarded pass below). The recording-off answers become the
-    // reference every later pass is checked against. The registry is
-    // reset first, so the cell's snapshot covers exactly its recording-on
-    // calls.
+    // Sequential pass: each weight once, so no call runs right after the
+    // same query warmed the caches; QPS from the wall clock, as for the
+    // executor rows. Its answers are the reference every later pass is
+    // checked against.
+    let mut latencies_us = Vec::with_capacity(weights.len());
+    let mut reference = Vec::with_capacity(weights.len());
+    let s_t0 = Instant::now();
+    for w in &weights {
+        let q0 = Instant::now();
+        let r = idx.topk(w, k);
+        latencies_us.push(q0.elapsed().as_secs_f64() * 1e6);
+        reference.push(r);
+    }
+    let seq_qps = weights.len() as f64 / s_t0.elapsed().as_secs_f64();
+    let total_cost: u64 = reference.iter().map(|r| r.cost.total()).sum();
+    let mean_cost = total_cost as f64 / weights.len() as f64;
+    latencies_us.sort_by(|a, b| a.total_cmp(b));
+    let (p50, p99) = (
+        percentile(&latencies_us, 0.50),
+        percentile(&latencies_us, 0.99),
+    );
+
+    // Observability overhead, recording off and on, paired: each query
+    // runs once with the metrics registry's recording gate off and once
+    // on, back to back, order alternating, so host noise hits both sides
+    // equally (as in the guarded pass below). The registry is reset
+    // first, so the cell's snapshot covers exactly its recording-on calls.
     let m = drtopk_obs::metrics();
     m.reset();
     let timed = |on: bool, w: &Weights| {
@@ -184,10 +205,8 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
         (r, q0.elapsed().as_secs_f64() * 1e6)
     };
     let mut off_lat_us = Vec::with_capacity(weights.len());
-    let mut latencies_us = Vec::with_capacity(weights.len());
-    let mut reference = Vec::with_capacity(weights.len());
-    let mut total_cost = 0u64;
-    for (i, w) in weights.iter().enumerate() {
+    let mut on_lat_us = Vec::with_capacity(weights.len());
+    for (i, (w, s)) in weights.iter().zip(&reference).enumerate() {
         let ((off, off_us), (on, on_us)) = if i % 2 == 0 {
             let off = timed(false, w);
             (off, timed(true, w))
@@ -195,31 +214,27 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
             let on = timed(true, w);
             (timed(false, w), on)
         };
-        assert_eq!(on.ids, off.ids, "recording on/off changed answers");
-        assert_eq!(on.cost, off.cost, "recording on/off changed costs");
-        total_cost += on.cost.total();
+        for r in [&off, &on] {
+            assert_eq!(r.ids, s.ids, "recording on/off changed answers");
+            assert_eq!(r.cost, s.cost, "recording on/off changed costs");
+        }
         off_lat_us.push(off_us);
-        latencies_us.push(on_us);
-        reference.push(off);
+        on_lat_us.push(on_us);
     }
     m.set_recording(true);
     off_lat_us.sort_by(|a, b| a.total_cmp(b));
+    on_lat_us.sort_by(|a, b| a.total_cmp(b));
     let p50_off = percentile(&off_lat_us, 0.50);
-    let seq_secs = latencies_us.iter().sum::<f64>() / 1e6;
-    let seq_qps = weights.len() as f64 / seq_secs;
-    let mean_cost = total_cost as f64 / weights.len() as f64;
-    let mut sorted = latencies_us.clone();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let (p50, p99) = (percentile(&sorted, 0.50), percentile(&sorted, 0.99));
+    let p50_on = percentile(&on_lat_us, 0.50);
     let overhead_pct = if p50_off > 0.0 {
-        (p50 - p50_off) / p50_off * 100.0
+        (p50_on - p50_off) / p50_off * 100.0
     } else {
         f64::NAN
     };
     eprintln!(
         "  sequential: {seq_qps:.0} q/s, p50 {p50:.1}µs p99 {p99:.1}µs, mean cost {mean_cost:.1}"
     );
-    eprintln!("  obs overhead: p50 off {p50_off:.2}µs on {p50:.2}µs ({overhead_pct:+.2}%)");
+    eprintln!("  obs overhead: p50 off {p50_off:.2}µs on {p50_on:.2}µs ({overhead_pct:+.2}%)");
 
     // Guarded-path overhead: the same queries through topk_guarded with
     // an unlimited budget (the guard's no-op fast path), measured PAIRED
@@ -357,9 +372,12 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
             uncached_scratch_us.push(q0.elapsed().as_secs_f64() * 1e6);
             assert_eq!(r.ids, o.ids, "scratch reuse diverged at skew {skew}");
         }
+        // A miss pays the lookup, the k + 1 traversal and the fill: the
+        // reference a hit's p50 is judged against.
         let cache = ResultCache::default();
         let mut cached_us = Vec::with_capacity(zipf.len());
         let mut hit_us = Vec::new();
+        let mut miss_us = Vec::new();
         let c_t0 = Instant::now();
         for (w, o) in zipf.iter().zip(&oracle) {
             let q0 = Instant::now();
@@ -369,6 +387,8 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
             assert_eq!(r.ids, o.ids, "cached answers diverged at skew {skew}");
             if r.is_hit() {
                 hit_us.push(us);
+            } else {
+                miss_us.push(us);
             }
         }
         let cached_qps = zipf.len() as f64 / c_t0.elapsed().as_secs_f64();
@@ -383,14 +403,16 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
         uncached_scratch_us.sort_by(|a, b| a.total_cmp(b));
         cached_us.sort_by(|a, b| a.total_cmp(b));
         hit_us.sort_by(|a, b| a.total_cmp(b));
+        miss_us.sort_by(|a, b| a.total_cmp(b));
         let p50_uncached = percentile(&uncached_us, 0.50);
         let p50_uncached_scratch = percentile(&uncached_scratch_us, 0.50);
         let p50_cached = percentile(&cached_us, 0.50);
         let hit_p50 = percentile(&hit_us, 0.50);
+        let miss_p50 = percentile(&miss_us, 0.50);
         eprintln!(
             "  zipf cache skew={skew}: {:.1}% hit rate ({} hits / {} misses, \
-             {} cert rejects), hit p50 {hit_p50:.2}µs vs uncached \
-             {p50_uncached:.2}µs plain / {p50_uncached_scratch:.2}µs \
+             {} cert rejects), hit p50 {hit_p50:.2}µs vs miss {miss_p50:.2}µs, \
+             uncached {p50_uncached:.2}µs plain / {p50_uncached_scratch:.2}µs \
              reused-scratch, {cached_qps:.0} q/s cached",
             hit_rate * 100.0,
             s.hits,
@@ -411,12 +433,13 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
                 Value::float(p50_uncached_scratch),
             ),
             ("hit_p50_us", Value::float(hit_p50)),
+            ("miss_p50_us", Value::float(miss_p50)),
             ("qps_cached", Value::float(cached_qps)),
         ]));
     }
 
-    // Registry snapshot for this cell: the instrumented sequential pass
-    // plus every executor and cache pass.
+    // Registry snapshot for this cell: the paired pass's recording-on
+    // calls plus every executor and cache pass.
     let snap = m.snapshot();
     let cell = Value::object([
         ("n", Value::uint(n)),
@@ -458,7 +481,7 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
             "obs",
             Value::object([
                 ("p50_us_recording_off", Value::float(p50_off)),
-                ("p50_us_recording_on", Value::float(p50)),
+                ("p50_us_recording_on", Value::float(p50_on)),
                 ("overhead_pct", Value::float(overhead_pct)),
                 ("metrics", metrics_json(&snap)),
             ]),
@@ -621,8 +644,9 @@ fn main() {
                 (
                     "methodology",
                     Value::str(
-                        "per cell: identical sequential pass with runtime recording \
-                         off then on; overhead_pct compares the p50s (budget <= 2%)",
+                        "per cell: each query runs twice back to back, runtime recording \
+                         off and on, order alternating; overhead_pct compares the p50s \
+                         (budget <= 2%)",
                     ),
                 ),
             ]),

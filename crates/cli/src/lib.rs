@@ -7,7 +7,7 @@
 //! ```text
 //! drtopk generate --dist ant --dims 4 --n 20000 --seed 7 --out data.drt
 //! drtopk import   --csv hotels.csv --columns 1:low,2:high,3:low --out data.drt
-//! drtopk build    --data data.drt --out index.drt [--variant dl+|dl|dg|dg+] [--parallel] [--threads T] [--stats]
+//! drtopk build    --data data.drt --out index.drt [--variant dl+|dl|dg|dg+] [--threads T] [--stats]
 //! drtopk stats    --index index.drt
 //! drtopk query    --index index.drt --weights 0.3,0.3,0.4 --k 10
 //! drtopk batch    --index index.drt --weights-file queries.txt --k 10 [--threads T]
@@ -117,12 +117,7 @@ impl Flags {
                 )));
             };
             // Boolean switches take no value.
-            if name == "parallel"
-                || name == "stats"
-                || name == "partial"
-                || name == "checkpoint"
-                || name == "cache"
-            {
+            if name == "stats" || name == "partial" || name == "checkpoint" || name == "cache" {
                 switches.push(name.to_string());
                 i += 1;
                 continue;
@@ -235,8 +230,8 @@ drtopk — dual-resolution layer indexing for top-k queries
 commands:
   generate  --dist ind|ant|cor --dims D --n N [--seed S] --out FILE
   import    --csv FILE --columns IDX:low|high[,...] --out FILE
-  build     --data FILE --out FILE [--variant dl+|dl|dg|dg+] [--parallel]
-            [--threads T] [--stats]
+  build     --data FILE --out FILE [--variant dl+|dl|dg|dg+] [--threads T]
+            [--stats]
   stats     --index FILE [--format text|json|prom] [--probe N] [--seed S]
             [--cache]
   query     --index FILE --weights W1,W2,... [--k K]
@@ -259,6 +254,8 @@ commands:
   drain     --connect HOST:PORT
   help
 
+build --threads T builds on T workers: 1 (the default) is sequential and
+0 uses every core; the index is byte-identical at every T.
 serve listens on --addr (default 127.0.0.1:7071; port 0 picks a free
 port) and answers the wire protocol in PROTOCOL.md plus HTTP GET
 /metrics on the same port. With --shard-dir it serves a sharded durable
@@ -396,8 +393,7 @@ fn cmd_build(f: &Flags) -> Result<String, CliError> {
     let data = PathBuf::from(f.require("data")?);
     let out = PathBuf::from(f.require("out")?);
     let mut opts = variant_options(f.get("variant").unwrap_or("dl+"))?;
-    opts.parallel = f.has("parallel");
-    opts.build_threads = f.parse_num("threads", 0)?;
+    opts.build_threads = f.parse_num("threads", 1)?;
     if let Some(c) = f.get("clusters") {
         let clusters: usize = c
             .parse()
@@ -1278,7 +1274,6 @@ mod tests {
             index.to_str().unwrap(),
             "--variant",
             "dl+",
-            "--parallel",
             "--threads",
             "2",
             "--stats",
@@ -1608,6 +1603,14 @@ mod tests {
         .is_err());
         let e = run(&argv(&["generate", "--dist", "ind", "--out", "/tmp/x"])).unwrap_err();
         assert_eq!(e.code, 2);
+        // The build's worker count is `--threads` alone.
+        let e = run(&argv(&["build", "--data", "d", "--out", "o", "--parallel"])).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(
+            e.message.contains("unknown flag --parallel"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! to byte-equal snapshots.
 
 use crate::index::{CoarseLayer, DualLayerIndex, NodeId};
-use crate::options::{DlOptions, EdsPolicy, ZeroMode};
+use crate::options::{DlOptions, EdsPolicy, ZeroMode, CLUSTER_SEED};
 use crate::par::parallel_map;
 use crate::profile::BuildProfile;
 use crate::zero::Zero2d;
@@ -19,7 +19,7 @@ use drtopk_cluster::{cluster_min_corners, kmeans};
 use drtopk_common::{dominates, Relation, TupleId};
 use drtopk_geometry::csky::{convex_layers, ConvexLayer};
 use drtopk_geometry::facet_is_eds;
-use drtopk_skyline::{skyline_layers, skyline_layers_incremental, SkylineAlgo};
+use drtopk_skyline::skyline_layers_incremental;
 use std::time::Instant;
 
 /// Sources per ∀-edge pruning block: for each block of the sum-sorted
@@ -61,21 +61,13 @@ impl DualLayerIndex {
         let n = rel.len();
         let d = rel.dims();
         let all: Vec<TupleId> = (0..n as TupleId).collect();
-        let threads = if opts.parallel { opts.build_threads } else { 1 };
+        let threads = opts.build_threads;
 
-        // Phase 1: coarse layers (iterated skylines). The sort-based
-        // algorithms peel incrementally — one sorted pass assigns every
-        // tuple its layer; the nested-loop baselines keep the literal
-        // peel-per-layer definition (they exist as ablation contrast).
+        // Phase 1: coarse layers (iterated skylines), peeled
+        // incrementally: one sorted pass assigns every tuple its layer.
         let t0 = Instant::now();
-        let coarse = match opts.skyline_algo {
-            SkylineAlgo::BSkyTree | SkylineAlgo::DivideConquer | SkylineAlgo::Sfs => {
-                let (layers, tests) = skyline_layers_incremental(rel, &all, threads);
-                profile.coarse_peel.dominance_tests = tests;
-                layers
-            }
-            algo => skyline_layers(rel, &all, algo),
-        };
+        let (coarse, tests) = skyline_layers_incremental(rel, &all, threads);
+        profile.coarse_peel.dominance_tests = tests;
         profile.coarse_peel.seconds = t0.elapsed().as_secs_f64();
 
         // Phase 2: fine sublayers (iterated convex skylines per layer).
@@ -213,7 +205,7 @@ impl DualLayerIndex {
                     clusters
                 }
                 .clamp(1, l1.len());
-                let clustering = kmeans(rel, &l1, c, opts.cluster_seed, 40);
+                let clustering = kmeans(rel, &l1, c, CLUSTER_SEED, 40);
                 let corners = cluster_min_corners(rel, &l1, &clustering);
                 pseudo_count = corners.len();
                 for corner in &corners {
@@ -511,6 +503,7 @@ mod tests {
     use super::*;
     use crate::build_reference::{exists_edges_reference, forall_edges_reference};
     use drtopk_common::{Distribution, Weights, WorkloadSpec};
+    use drtopk_skyline::{skyline_layers, SkylineAlgo};
 
     #[test]
     fn pruned_forall_edges_match_pairwise_reference() {
@@ -620,7 +613,6 @@ mod tests {
                         let par = DualLayerIndex::build(
                             &rel,
                             DlOptions {
-                                parallel: true,
                                 build_threads,
                                 ..base.clone()
                             },

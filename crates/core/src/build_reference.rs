@@ -12,26 +12,26 @@
 //! [`build`]: DualLayerIndex::build
 
 use crate::index::{CoarseLayer, DualLayerIndex, NodeId};
-use crate::options::{DlOptions, EdsPolicy, ZeroMode};
+use crate::options::{DlOptions, EdsPolicy, ZeroMode, CLUSTER_SEED};
 use crate::zero::Zero2d;
 use drtopk_cluster::{cluster_min_corners, kmeans};
 use drtopk_common::{dominates, Relation, TupleId};
 use drtopk_geometry::csky::{convex_skyline, ConvexLayer};
 use drtopk_geometry::facet_is_eds;
-use drtopk_skyline::skyline_layers;
+use drtopk_skyline::{skyline_layers, SkylineAlgo};
 
 impl DualLayerIndex {
     /// Sequential reference build. Produces an index the optimized
     /// [`DualLayerIndex::build`] must replicate bit for bit (the
-    /// `parallel` and `build_threads` options are ignored here — this
-    /// path is always single-threaded and unpruned).
+    /// `build_threads` option is ignored here — this path is always
+    /// single-threaded and unpruned).
     pub fn build_reference(rel: &Relation, opts: DlOptions) -> DualLayerIndex {
         let n = rel.len();
         let d = rel.dims();
         let all: Vec<TupleId> = (0..n as TupleId).collect();
 
-        // Phase 1: coarse layers by repeated whole-set skyline peels.
-        let coarse = skyline_layers(rel, &all, opts.skyline_algo);
+        // Phase 1: coarse layers by repeated whole-set BSkyTree peels.
+        let coarse = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
 
         // Phase 2: fine sublayers by repeated convex-skyline peels.
         let mut layers: Vec<CoarseLayer> = Vec::with_capacity(coarse.len());
@@ -126,7 +126,7 @@ impl DualLayerIndex {
                     clusters
                 }
                 .clamp(1, l1.len());
-                let clustering = kmeans(rel, &l1, c, opts.cluster_seed, 40);
+                let clustering = kmeans(rel, &l1, c, CLUSTER_SEED, 40);
                 let corners = cluster_min_corners(rel, &l1, &clustering);
                 pseudo_count = corners.len();
                 for corner in &corners {

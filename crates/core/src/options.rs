@@ -1,6 +1,8 @@
 //! Build-time configuration of the dual-resolution index.
 
-use drtopk_skyline::SkylineAlgo;
+/// Seed of the zero layer's k-means run over L¹ (Section V-B). Fixed, so
+/// a build is a function of the relation and the options alone.
+pub(crate) const CLUSTER_SEED: u64 = 0x5eed;
 
 /// How ∃-dominance edges are chosen when several facets of the previous
 /// fine sublayer qualify as ∃-dominance sets of a tuple.
@@ -55,19 +57,12 @@ pub struct DlOptions {
     pub eds_policy: EdsPolicy,
     /// Zero-layer construction.
     pub zero: ZeroMode,
-    /// Skyline algorithm for coarse-layer peeling.
-    pub skyline_algo: SkylineAlgo,
-    /// Seed for the zero layer's k-means.
-    pub cluster_seed: u64,
     /// Cap on fine sublayers per coarse layer (0 = unlimited). Ablation
     /// knob: 1 reproduces coarse-only behaviour with fine bookkeeping.
     pub max_fine_layers: usize,
-    /// Parallelize construction across independent layers with scoped
-    /// threads (identical output; wall-clock only).
-    pub parallel: bool,
-    /// Worker threads for parallel construction (`0` = all available
-    /// cores). Ignored unless `parallel` is set. The built index is
-    /// bit-identical at every thread count.
+    /// Worker threads that build independent layers with scoped threads:
+    /// `1` (the default) builds sequentially, `0` uses all available
+    /// cores. The built index is bit-identical at every thread count.
     pub build_threads: usize,
 }
 
@@ -78,11 +73,8 @@ impl Default for DlOptions {
             split_fine: true,
             eds_policy: EdsPolicy::default(),
             zero: ZeroMode::Auto,
-            skyline_algo: SkylineAlgo::BSkyTree,
-            cluster_seed: 0x5eed,
             max_fine_layers: 0,
-            parallel: false,
-            build_threads: 0,
+            build_threads: 1,
         }
     }
 }
@@ -126,8 +118,8 @@ impl DlOptions {
     /// Heuristic tuning from a sample of the relation, applying the
     /// ablation findings recorded in EXPERIMENTS.md:
     ///
-    /// * parallel construction once the input is large enough to amortize
-    ///   thread startup;
+    /// * construction on all cores once the input is large enough to
+    ///   amortize thread startup;
     /// * the exact 2-d zero layer when applicable (always wins there);
     /// * a fine-sublayer cap for large anti-correlated inputs — the
     ///   selectivity win saturates after a handful of sublayers while
@@ -136,7 +128,7 @@ impl DlOptions {
         let n = rel.len();
         let d = rel.dims();
         let mut opts = DlOptions {
-            parallel: n >= 10_000,
+            build_threads: if n >= 10_000 { 0 } else { 1 },
             ..DlOptions::default()
         };
         if n == 0 {
@@ -175,12 +167,12 @@ mod tests {
     fn tuned_options_are_sensible() {
         let small = WorkloadSpec::new(Distribution::Independent, 3, 500, 1).generate();
         let t = DlOptions::tuned_for(&small);
-        assert!(!t.parallel);
+        assert_eq!(t.build_threads, 1);
         assert_eq!(t.max_fine_layers, 0);
 
         let big_ant = WorkloadSpec::new(Distribution::AntiCorrelated, 4, 60_000, 2).generate();
         let t = DlOptions::tuned_for(&big_ant);
-        assert!(t.parallel);
+        assert_eq!(t.build_threads, 0);
         assert_eq!(
             t.max_fine_layers, 16,
             "large anti-correlated input caps fine peeling"
@@ -188,7 +180,7 @@ mod tests {
 
         let big_ind = WorkloadSpec::new(Distribution::Independent, 4, 60_000, 3).generate();
         let t = DlOptions::tuned_for(&big_ind);
-        assert!(t.parallel);
+        assert_eq!(t.build_threads, 0);
         assert_eq!(
             t.max_fine_layers, 0,
             "independent data keeps full fine peeling"

@@ -13,6 +13,7 @@
 use crate::protocol::{
     write_frame, ErrorCode, FrameBuf, Message, PollEvent, TopkReply, WireError, HELLO,
 };
+use drtopk_core::RetryPolicy;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -141,31 +142,31 @@ impl Client {
 
     /// [`connect`](Self::connect) with bounded retry: up to `retries`
     /// re-attempts after *transient* failures (refused/reset/timed-out
-    /// connections, or an interrupted hello), sleeping a jittered
-    /// exponential backoff between attempts (base `backoff`, doubling,
-    /// capped at 32× base). Non-transient failures — a listener that
-    /// answers with a bad hello, an unresolvable address — surface
-    /// immediately: retrying cannot fix those.
+    /// connections, or an interrupted hello), sleeping the router's
+    /// jittered exponential backoff ([`RetryPolicy::backoff`]) between
+    /// attempts (base `backoff`, doubling, capped at 32× base).
+    /// Non-transient failures — a listener that answers with a bad hello,
+    /// an unresolvable address — surface immediately: retrying cannot fix
+    /// those.
     pub fn connect_with_retry(
         addr: impl ToSocketAddrs + Clone,
         retries: u32,
         backoff: Duration,
     ) -> Result<Self, ClientError> {
+        let policy = RetryPolicy {
+            max_retries: retries,
+            base_backoff: backoff,
+            max_backoff: backoff.saturating_mul(32),
+            ..RetryPolicy::default()
+        };
         let mut attempt = 0u32;
         loop {
             match Self::connect(addr.clone()) {
                 Ok(c) => return Ok(c),
-                Err(e) if attempt < retries && is_transient(&e) => {
-                    let exp = backoff.saturating_mul(1u32 << attempt.min(5));
-                    // Deterministic ±50% jitter keyed off the attempt so
-                    // concurrent reconnectors don't stampede in lockstep.
-                    let salt = std::process::id() as u64 ^ ((attempt as u64) << 32);
-                    let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    let frac = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64;
-                    std::thread::sleep(exp.mul_f64(frac));
+                Err(e) if attempt < policy.max_retries && is_transient(&e) => {
+                    // Salted by process so concurrent reconnectors don't
+                    // stampede in lockstep.
+                    std::thread::sleep(policy.backoff(attempt, u64::from(std::process::id())));
                     attempt += 1;
                 }
                 Err(e) => return Err(e),

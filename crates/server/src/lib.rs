@@ -55,7 +55,7 @@ pub mod topology;
 pub use client::{Client, ClientError};
 pub use pinger::{HealthPinger, PingerConfig};
 pub use protocol::{ErrorCode, Message, TopkReply, WireError, HELLO, MAX_PAYLOAD};
-pub use remote::{RemoteProbeConfig, RemoteRouter, RemoteShardProbe};
+pub use remote::{RemoteRouter, RemoteShardProbe};
 pub use server::{Server, ServerConfig, ServerHandle, ACCEPT_FAILPOINT};
 pub use shard::ServedShard;
 pub use topology::Topology;

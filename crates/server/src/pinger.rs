@@ -7,7 +7,7 @@
 //! accepts TCP connects, so liveness means an answered PONG, not an
 //! accepted SYN. Outcomes feed two levels of state:
 //!
-//! * **Endpoint beliefs** ([`ReplicaSet::set_up`](drtopk_core::ReplicaSet::set_up)): `down_after`
+//! * **Endpoint beliefs** ([`ReplicaSet::set_up`](drtopk_core::ReplicaSet::set_up)): two
 //!   consecutive ping failures mark an endpoint down (probes stop
 //!   preferring it); one answered PONG marks it up again.
 //! * **Router health slots**: all endpoints of a shard down →
@@ -25,6 +25,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Consecutive ping failures after which an endpoint is believed down.
+const DOWN_AFTER: u32 = 2;
+
 /// Pinger tunables.
 #[derive(Debug, Clone)]
 pub struct PingerConfig {
@@ -33,9 +36,6 @@ pub struct PingerConfig {
     /// Read timeout on each PING — a node that accepts but does not
     /// answer within this window counts as a failure.
     pub timeout: Duration,
-    /// Consecutive ping failures after which an endpoint is believed
-    /// down. Minimum 1.
-    pub down_after: u32,
 }
 
 impl Default for PingerConfig {
@@ -43,7 +43,6 @@ impl Default for PingerConfig {
         PingerConfig {
             interval: Duration::from_millis(200),
             timeout: Duration::from_millis(100),
-            down_after: 2,
         }
     }
 }
@@ -59,10 +58,6 @@ pub struct HealthPinger {
 impl HealthPinger {
     /// Spawns the pinger thread over every endpoint `router` routes to.
     pub fn start(router: Arc<RemoteRouter>, cfg: PingerConfig) -> Self {
-        let cfg = PingerConfig {
-            down_after: cfg.down_after.max(1),
-            ..cfg
-        };
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
@@ -127,7 +122,7 @@ fn pinger_loop(router: &Arc<RemoteRouter>, cfg: &PingerConfig, stop: &AtomicBool
                     m.endpoint_ping_failures.add(1);
                     slot.client = None; // reconnect next sweep
                     slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-                    if slot.consecutive_failures >= cfg.down_after {
+                    if slot.consecutive_failures >= DOWN_AFTER {
                         set.set_up(i, false);
                     }
                 }

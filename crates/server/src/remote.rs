@@ -10,16 +10,23 @@
 //!
 //! The router's carved per-shard [`QueryBudget`] travels on the wire as
 //! the SHARD_QUERY budget header (`PROTOCOL.md` §3.5), and the reply is
-//! due within that remaining budget plus a small slack — so a stalled
+//! due within that remaining budget plus a 20 ms slack — so a stalled
 //! node surfaces as [`ShardError::Timeout`] inside the carved window
 //! instead of eating the whole request deadline. Wire failures
 //! map onto the same [`ShardError`] fault classes the in-process router
 //! already distinguishes, which is what lets the existing
-//! retry/backoff/health machinery drive remote nodes unchanged:
+//! retry/backoff/health machinery drive remote nodes unchanged.
+//!
+//! A probe dials at most once per attempt. A refused or reset connect is
+//! an `Io` fault like any other: the [`ReplicaSet`] fails over to the
+//! next endpoint at once, and with no replica left the router's
+//! [`RetryPolicy`](drtopk_core::RetryPolicy) retries the shard on its
+//! jittered backoff.
 //!
 //! | wire outcome                        | fault class                   |
 //! |-------------------------------------|-------------------------------|
-//! | connect failure                     | `Io` (retryable)              |
+//! | connect or hello failure            | `Io` (fail over, then retry)  |
+//! | connect or hello timed out          | `Timeout`                     |
 //! | read timed out                      | `Timeout` (shard stalled)     |
 //! | TOPK with truncation flag           | `Truncated` (router classifies: carved → `Timeout`, request → stop) |
 //! | ERROR `ShuttingDown` (draining)     | `Unavailable` (try a replica) |
@@ -48,28 +55,9 @@ use std::time::{Duration, Instant};
 /// shard is a replica set of remote endpoints.
 pub type RemoteRouter = ShardRouter<ReplicaSet<RemoteShardProbe>>;
 
-/// Tunables for one remote endpoint.
-#[derive(Debug, Clone)]
-pub struct RemoteProbeConfig {
-    /// Re-attempts after transient connect failures (refused / reset —
-    /// a node mid-restart); hello timeouts are never retried.
-    pub connect_retries: u32,
-    /// Base backoff between connect attempts.
-    pub connect_backoff: Duration,
-    /// Slack added to the carved budget's remaining time when pinning
-    /// the socket read timeout, covering the reply's own wire time.
-    pub read_slack: Duration,
-}
-
-impl Default for RemoteProbeConfig {
-    fn default() -> Self {
-        RemoteProbeConfig {
-            connect_retries: 2,
-            connect_backoff: Duration::from_millis(5),
-            read_slack: Duration::from_millis(20),
-        }
-    }
-}
+/// Slack added to the carved budget's remaining time when pinning the
+/// socket read timeout, covering the reply's own wire time.
+const READ_SLACK: Duration = Duration::from_millis(20);
 
 /// One shard-node endpoint, probed over TCP with a small connection
 /// pool (checked-out per probe, checked back in after clean replies, so
@@ -77,7 +65,6 @@ impl Default for RemoteProbeConfig {
 pub struct RemoteShardProbe {
     addr: String,
     dims: usize,
-    cfg: RemoteProbeConfig,
     pool: Mutex<Vec<Client>>,
 }
 
@@ -95,11 +82,10 @@ impl RemoteShardProbe {
     /// tuples (declared by the topology file — dimensionality must be
     /// known without a network round trip because [`ShardProbe::dims`]
     /// is synchronous and infallible).
-    pub fn new(addr: impl Into<String>, dims: usize, cfg: RemoteProbeConfig) -> Self {
+    pub fn new(addr: impl Into<String>, dims: usize) -> Self {
         RemoteShardProbe {
             addr: addr.into(),
             dims,
-            cfg,
             pool: Mutex::new(Vec::new()),
         }
     }
@@ -109,35 +95,22 @@ impl RemoteShardProbe {
         &self.addr
     }
 
-    /// Pops a pooled connection or dials a fresh one. `read_timeout` is
-    /// applied *before* the hello exchange on fresh dials — a node that
+    /// Pops a pooled connection or dials a fresh one, once. `read_timeout`
+    /// is applied *before* the hello exchange on fresh dials — a node that
     /// accepts TCP but never answers (SIGSTOP'd, wedged) must cost this
-    /// probe its carved window, not hang its thread forever. Transient
-    /// connect failures (refused/reset — a node mid-restart) are retried
-    /// on a short fixed backoff; a hello timeout is not, because the
-    /// budget that set it is already burning.
+    /// probe its carved window, not hang its thread forever.
     fn checkout(&self, read_timeout: Option<Duration>) -> Result<Client, ShardError> {
         if let Some(c) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             return Ok(c);
         }
-        let mut attempt = 0u32;
-        loop {
-            let res = match read_timeout {
-                Some(t) => Client::connect_timeout(self.addr.as_str(), t),
-                None => Client::connect(self.addr.as_str()),
-            };
-            return match res {
-                Ok(c) => Ok(c),
-                Err(ClientError::Io(e))
-                    if attempt < self.cfg.connect_retries && is_retryable_connect(&e) =>
-                {
-                    attempt += 1;
-                    std::thread::sleep(self.cfg.connect_backoff);
-                    continue;
-                }
-                Err(ClientError::Io(e)) if is_timeout(&e) => Err(ShardError::Timeout),
-                Err(other) => Err(ShardError::Io(format!("connect {}: {other}", self.addr))),
-            };
+        let res = match read_timeout {
+            Some(t) => Client::connect_timeout(self.addr.as_str(), t),
+            None => Client::connect(self.addr.as_str()),
+        };
+        match res {
+            Ok(c) => Ok(c),
+            Err(ClientError::Io(e)) if is_timeout(&e) => Err(ShardError::Timeout),
+            Err(other) => Err(ShardError::Io(format!("connect {}: {other}", self.addr))),
         }
     }
 
@@ -156,19 +129,6 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-    )
-}
-
-/// Connect failures a node restart produces — worth a short retry.
-/// Timeouts are excluded: they already spent the carved window.
-fn is_retryable_connect(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::ConnectionRefused
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::BrokenPipe
     )
 }
 
@@ -201,7 +161,7 @@ impl RemoteShardProbe {
         // fault here, not a whole-request stall.
         let deadline_ms =
             remaining.map_or(0, |r| r.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
-        let read_timeout = remaining.map(|r| r + self.cfg.read_slack);
+        let read_timeout = remaining.map(|r| r + READ_SLACK);
         let mut client = self.checkout(read_timeout)?;
         let max_cost = budget.max_cost().unwrap_or(0);
         let id = client

@@ -343,19 +343,7 @@ impl Shared {
                     "Live tuples across all shards",
                     tuples as f64,
                 );
-                drtopk_obs::snapshot::prom_gauge(
-                    &mut out,
-                    "drtopk_index_dims",
-                    "Attribute dimensionality",
-                    router.dims() as f64,
-                );
-                drtopk_obs::snapshot::prom_gauge(
-                    &mut out,
-                    "drtopk_shards",
-                    "Shard count of the deployment",
-                    router.shards() as f64,
-                );
-                shard_health_series(&mut out, &router.health());
+                router_gauges(&mut out, router);
             }
             Backend::ShardNode { shard } => {
                 let tuples = shard.with_store(|st| st.len()).unwrap_or(0);
@@ -379,19 +367,7 @@ impl Shared {
                 );
             }
             Backend::Remote { router } => {
-                drtopk_obs::snapshot::prom_gauge(
-                    &mut out,
-                    "drtopk_index_dims",
-                    "Attribute dimensionality",
-                    router.dims() as f64,
-                );
-                drtopk_obs::snapshot::prom_gauge(
-                    &mut out,
-                    "drtopk_shards",
-                    "Shard count of the deployment",
-                    router.shards() as f64,
-                );
-                shard_health_series(&mut out, &router.health());
+                router_gauges(&mut out, router);
                 // Per-endpoint liveness as the pinger/prober believes it.
                 // The health CLI and the runbook's endpoint table key off
                 // this series (OPERATIONS.md §10).
@@ -414,12 +390,25 @@ impl Shared {
     }
 }
 
-/// Per-shard health as labeled gauges: 0 = up, 1 = degraded, 2 = down.
-/// The runbook's alerting keys off this series (OPERATIONS.md).
-fn shard_health_series(out: &mut String, health: &[ShardHealth]) {
+/// A router's gauges: dimensionality, shard count and per-shard health as
+/// labeled gauges (0 = up, 1 = degraded, 2 = down). The runbook's
+/// alerting keys off the health series (OPERATIONS.md).
+fn router_gauges<P: ShardProbe>(out: &mut String, router: &ShardRouter<P>) {
+    drtopk_obs::snapshot::prom_gauge(
+        out,
+        "drtopk_index_dims",
+        "Attribute dimensionality",
+        router.dims() as f64,
+    );
+    drtopk_obs::snapshot::prom_gauge(
+        out,
+        "drtopk_shards",
+        "Shard count of the deployment",
+        router.shards() as f64,
+    );
     out.push_str("# HELP drtopk_shard_health Shard health (0 up, 1 degraded, 2 down)\n");
     out.push_str("# TYPE drtopk_shard_health gauge\n");
-    for (s, h) in health.iter().enumerate() {
+    for (s, h) in router.health().iter().enumerate() {
         let v = match h {
             ShardHealth::Up => 0,
             ShardHealth::Degraded => 1,

@@ -13,19 +13,20 @@
 //! ping-interval-ms 200     # health pinger sweep interval
 //! ping-timeout-ms 100      # PING read timeout per endpoint
 //! hedge-ms 0               # hedged second probe threshold (0 = off)
-//! connect-retries 2        # transient connect retries per probe
-//! connect-backoff-ms 5     # base backoff between connect attempts
 //! ```
 //!
 //! `dims` and a contiguous set of `shard` lines are required; every
-//! tunable has the default shown by [`Topology::parse`]'s docs. The
+//! tunable has the default shown by [`Topology::parse`]'s docs, and any
+//! other directive is refused with its line number. A probe dials each
+//! endpoint once per attempt: a refused connect fails over to the next
+//! endpoint, and with none left the router retries the shard. The
 //! router node loads this file (`drtopk serve --topology FILE`), builds
 //! a [`RemoteRouter`] with one [`ReplicaSet`] per `shard` line
 //! (endpoint order = preference order: first endpoint is the primary),
 //! and `drtopk topology check FILE` validates without serving.
 
 use crate::pinger::PingerConfig;
-use crate::remote::{RemoteProbeConfig, RemoteRouter, RemoteShardProbe};
+use crate::remote::{RemoteRouter, RemoteShardProbe};
 use drtopk_common::Error;
 use drtopk_core::shard::MAX_SHARDS;
 use drtopk_core::{ReplicaConfig, ReplicaSet, RetryPolicy, RouterConfig};
@@ -53,17 +54,12 @@ pub struct Topology {
     pub ping_timeout: Duration,
     /// Hedged second probe threshold; `None` = hedging off.
     pub hedge_after: Option<Duration>,
-    /// Transient connect retries per probe.
-    pub connect_retries: u32,
-    /// Base backoff between connect attempts.
-    pub connect_backoff: Duration,
 }
 
 impl Topology {
     /// Parses the line format. Defaults when a directive is absent:
     /// `probe-timeout-ms 50`, `down-after 3`, `ping-interval-ms 200`,
-    /// `ping-timeout-ms 100`, `hedge-ms 0` (off), `connect-retries 2`,
-    /// `connect-backoff-ms 5`.
+    /// `ping-timeout-ms 100`, `hedge-ms 0` (off).
     pub fn parse(text: &str) -> Result<Self, Error> {
         let invalid = |m: String| Error::Invalid(m);
         let mut dims: Option<usize> = None;
@@ -73,8 +69,6 @@ impl Topology {
         let mut ping_interval_ms = 200u64;
         let mut ping_timeout_ms = 100u64;
         let mut hedge_ms = 0u64;
-        let mut connect_retries = 2u32;
-        let mut connect_backoff_ms = 5u64;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -89,11 +83,6 @@ impl Topology {
                     .ok_or_else(|| invalid(format!("line {n}: {what} needs a value")))?;
                 v.parse::<u64>()
                     .map_err(|_| invalid(format!("line {n}: bad {what} value {v:?}")))
-            };
-            // A u32 setting past u32::MAX is refused, never wrapped.
-            let narrow = |v: u64, what: &str| {
-                u32::try_from(v)
-                    .map_err(|_| invalid(format!("line {n}: {what} {v} exceeds {}", u32::MAX)))
             };
             match key {
                 "dims" => {
@@ -129,7 +118,11 @@ impl Topology {
                 }
                 "probe-timeout-ms" => probe_timeout_ms = one_u64("probe-timeout-ms")?,
                 "down-after" => {
-                    down_after = narrow(one_u64("down-after")?, "down-after")?;
+                    // Past u32::MAX is refused, never wrapped.
+                    let v = one_u64("down-after")?;
+                    down_after = u32::try_from(v).map_err(|_| {
+                        invalid(format!("line {n}: down-after {v} exceeds {}", u32::MAX))
+                    })?;
                     if down_after == 0 {
                         return Err(invalid(format!("line {n}: down-after must be positive")));
                     }
@@ -137,10 +130,6 @@ impl Topology {
                 "ping-interval-ms" => ping_interval_ms = one_u64("ping-interval-ms")?.max(1),
                 "ping-timeout-ms" => ping_timeout_ms = one_u64("ping-timeout-ms")?.max(1),
                 "hedge-ms" => hedge_ms = one_u64("hedge-ms")?,
-                "connect-retries" => {
-                    connect_retries = narrow(one_u64("connect-retries")?, "connect-retries")?
-                }
-                "connect-backoff-ms" => connect_backoff_ms = one_u64("connect-backoff-ms")?,
                 other => {
                     return Err(invalid(format!("line {n}: unknown directive {other:?}")));
                 }
@@ -169,8 +158,6 @@ impl Topology {
             ping_interval: Duration::from_millis(ping_interval_ms),
             ping_timeout: Duration::from_millis(ping_timeout_ms),
             hedge_after: (hedge_ms > 0).then(|| Duration::from_millis(hedge_ms)),
-            connect_retries,
-            connect_backoff: Duration::from_millis(connect_backoff_ms),
         })
     }
 
@@ -207,19 +194,10 @@ impl Topology {
             self.probe_timeout, self.down_after, self.hedge_after
         ));
         out.push_str(&format!(
-            "  ping every {:?} (timeout {:?}), connect retries {} (backoff {:?})\n",
-            self.ping_interval, self.ping_timeout, self.connect_retries, self.connect_backoff
+            "  ping every {:?} (timeout {:?})\n",
+            self.ping_interval, self.ping_timeout
         ));
         out
-    }
-
-    /// The per-endpoint probe configuration this topology prescribes.
-    pub fn probe_config(&self) -> RemoteProbeConfig {
-        RemoteProbeConfig {
-            connect_retries: self.connect_retries,
-            connect_backoff: self.connect_backoff,
-            ..RemoteProbeConfig::default()
-        }
     }
 
     /// The health pinger configuration this topology prescribes.
@@ -227,7 +205,6 @@ impl Topology {
         PingerConfig {
             interval: self.ping_interval,
             timeout: self.ping_timeout,
-            ..PingerConfig::default()
         }
     }
 
@@ -235,7 +212,6 @@ impl Topology {
     /// [`RemoteShardProbe`]s per shard line. Purely local — no
     /// connections are opened until the first probe.
     pub fn build_router(&self) -> Result<Arc<RemoteRouter>, Error> {
-        let probe_cfg = self.probe_config();
         let replica_cfg = ReplicaConfig {
             hedge_after: self.hedge_after,
         };
@@ -245,7 +221,7 @@ impl Topology {
             .map(|endpoints| {
                 let replicas = endpoints
                     .iter()
-                    .map(|addr| Arc::new(RemoteShardProbe::new(addr, self.dims, probe_cfg.clone())))
+                    .map(|addr| Arc::new(RemoteShardProbe::new(addr, self.dims)))
                     .collect();
                 ReplicaSet::new(replicas, replica_cfg.clone())
             })
@@ -306,16 +282,23 @@ mod tests {
                 "down-after past u32",
             ),
             (
-                "dims 2\nshard 0 a:1\nconnect-retries 4294967296\n",
-                "retries past u32",
+                "dims 2\nshard 0 a:1\ndown-after 4294967296\n",
+                "down-after one past u32",
             ),
         ] {
             assert!(Topology::parse(text).is_err(), "{why}");
         }
         let err = Topology::parse("dims 2\nshard 0 a:1\ndown-after 4294967297\n").unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
-        let max = Topology::parse("dims 2\nshard 0 a:1\nconnect-retries 4294967295\n").unwrap();
-        assert_eq!(max.connect_retries, u32::MAX);
+        let max = Topology::parse("dims 2\nshard 0 a:1\ndown-after 4294967295\n").unwrap();
+        assert_eq!(max.down_after, u32::MAX);
+        // The connect retry directives are gone: a file that still names
+        // one is refused as unknown, at its line.
+        for directive in ["connect-retries 2", "connect-backoff-ms 5"] {
+            let text = format!("dims 2\nshard 0 a:1\n{directive}\n");
+            let err = Topology::parse(&text).unwrap_err().to_string();
+            assert!(err.contains("line 3: unknown directive"), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   [`ShardError::Unavailable`] and the replica set walks on to the
 //!   next endpoint instead of failing the request;
 //! * a listener that violates the hello exchange is *not* transient —
-//!   `connect_with_retry` surfaces it immediately, no backoff burned.
+//!   `connect_with_retry` surfaces it immediately, no backoff burned;
+//! * a probe dials an endpoint once per attempt: an endpoint that drops
+//!   the connection costs one connect and a failover, never a private
+//!   retry loop inside the probe.
 
 use drtopk_common::{Cost, Distribution, Relation, Weights, WorkloadSpec};
 use drtopk_core::shard::ShardError;
@@ -21,8 +24,8 @@ use drtopk_core::{
 };
 use drtopk_server::protocol::{read_frame, write_frame};
 use drtopk_server::{
-    Client, ErrorCode, Message, RemoteProbeConfig, RemoteRouter, RemoteShardProbe, ServedShard,
-    Server, ServerConfig, ServerHandle, TopkReply, Topology, HELLO,
+    Client, ErrorCode, Message, RemoteRouter, RemoteShardProbe, ServedShard, Server, ServerConfig,
+    ServerHandle, TopkReply, Topology, HELLO,
 };
 use drtopk_storage::{create_sharded, shards::shard_dir, DurableDynamicIndex, DurableOptions};
 use std::fs;
@@ -201,10 +204,9 @@ fn draining_primary_fails_over_as_transient() {
     let node = start_shard_node(0, &shard_dir(&root, 0));
     let stub = draining_stub();
 
-    let cfg = RemoteProbeConfig::default();
     // Alone, the draining endpoint is Unavailable — a failover-class
     // fault, not a request abort and not distrust of the data.
-    let probe = RemoteShardProbe::new(&stub, 2, cfg.clone());
+    let probe = RemoteShardProbe::new(&stub, 2);
     let w = Weights::new(vec![0.5, 0.5]).unwrap();
     match probe.probe(&w, 5, &QueryBudget::unlimited()) {
         Err(ShardError::Unavailable(msg)) => assert!(msg.contains("draining"), "{msg}"),
@@ -215,8 +217,8 @@ fn draining_primary_fails_over_as_transient() {
     // failover, never an answer.
     let set = ReplicaSet::new(
         vec![
-            Arc::new(RemoteShardProbe::new(&stub, 2, cfg.clone())),
-            Arc::new(RemoteShardProbe::new(node.addr().to_string(), 2, cfg)),
+            Arc::new(RemoteShardProbe::new(&stub, 2)),
+            Arc::new(RemoteShardProbe::new(node.addr().to_string(), 2)),
         ],
         ReplicaConfig::default(),
     )
@@ -316,7 +318,7 @@ fn shard_reply(hits: &[(f64, u64)]) -> Message {
 #[test]
 fn reply_to_another_request_id_is_an_io_fault() {
     let (addr, accepted) = stub_node(Duration::ZERO, 1000, shard_reply(&[(0.1, 4)]));
-    let probe = RemoteShardProbe::new(&addr, 2, RemoteProbeConfig::default());
+    let probe = RemoteShardProbe::new(&addr, 2);
     let w = Weights::new(vec![0.5, 0.5]).unwrap();
     for round in 1..=2 {
         match probe.probe(&w, 1, &QueryBudget::unlimited()) {
@@ -342,7 +344,7 @@ fn remote_router_overlaps_slow_shards() {
     let sets: Vec<ReplicaSet<RemoteShardProbe>> = [a, b]
         .into_iter()
         .map(|addr| {
-            let probe = RemoteShardProbe::new(addr, 2, RemoteProbeConfig::default());
+            let probe = RemoteShardProbe::new(addr, 2);
             ReplicaSet::new(vec![Arc::new(probe)], ReplicaConfig::default()).unwrap()
         })
         .collect();
@@ -384,13 +386,12 @@ fn unordered_or_oversized_replies_are_io_faults_that_fail_over() {
     ];
     for (name, reply) in bad_replies {
         let (stub, _) = stub_node(Duration::ZERO, 0, reply);
-        let cfg = RemoteProbeConfig::default();
-        let bad = RemoteShardProbe::new(&stub, 2, cfg.clone());
+        let bad = RemoteShardProbe::new(&stub, 2);
         match bad.probe(&w, k, &QueryBudget::unlimited()) {
             Err(ShardError::Io(_)) => {}
             other => panic!("{name}: an unorderable reply must be an Io fault, got {other:?}"),
         }
-        let good = RemoteShardProbe::new(node.addr().to_string(), 2, cfg);
+        let good = RemoteShardProbe::new(node.addr().to_string(), 2);
         let set = ReplicaSet::new(
             vec![Arc::new(bad), Arc::new(good)],
             ReplicaConfig::default(),
@@ -404,6 +405,72 @@ fn unordered_or_oversized_replies_are_io_faults_that_fail_over() {
         assert!(!router.shard(0).is_up(0), "{name}: the bad node is down");
         assert!(router.shard(0).is_up(1), "{name}: the good node is up");
     }
+    node.shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A stub endpoint that accepts TCP and closes each connection at once,
+/// before the hello: a node mid-restart. Returns its address and the
+/// count of connections it accepted.
+fn dropping_stub() -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&accepted);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            count.fetch_add(1, SeqCst);
+            drop(stream);
+        }
+    });
+    (addr, accepted)
+}
+
+/// A primary that drops every connection costs one connect, not a retry
+/// loop: the probe dials it once, the failed hello is an Io fault, and
+/// the replica set fails over to the real node, whose answer comes back
+/// bit-identically. (Retrying a refused or reset connect is the router's
+/// job, under its `RetryPolicy`, once no replica is left.)
+#[test]
+fn a_primary_that_drops_connections_costs_one_connect() {
+    let rel = WorkloadSpec::new(Distribution::Independent, 2, 150, 41).generate();
+    let root = tmpdir("dropping");
+    drop(create_sharded(&root, &rel, 1, &DurableOptions::default()).unwrap());
+    let node = start_shard_node(0, &shard_dir(&root, 0));
+    let (stub, accepted) = dropping_stub();
+    let set = ReplicaSet::new(
+        vec![
+            Arc::new(RemoteShardProbe::new(&stub, 2)),
+            Arc::new(RemoteShardProbe::new(node.addr().to_string(), 2)),
+        ],
+        ReplicaConfig::default(),
+    )
+    .unwrap();
+    let w = Weights::new(vec![0.4, 0.6]).unwrap();
+    let k = 5;
+    let budget = QueryBudget::unlimited();
+    let want = RemoteShardProbe::new(node.addr().to_string(), 2)
+        .probe(&w, k, &budget)
+        .unwrap();
+    let (hits, cost) = set.probe(&w, k, &budget).unwrap();
+    let bits = |hits: &[(f64, Handle)]| -> Vec<(u64, Handle)> {
+        hits.iter().map(|&(s, h)| (s.to_bits(), h)).collect()
+    };
+    assert_eq!(
+        bits(&hits),
+        bits(&want.0),
+        "the replica's answer, bit for bit"
+    );
+    assert_eq!(cost, want.1, "the replica's cost");
+    let ids: Vec<Handle> = hits.iter().map(|&(_, h)| h).collect();
+    assert_eq!(ids, full_oracle(&rel).topk(&w, k).0, "the unsharded answer");
+    assert_eq!(
+        accepted.load(SeqCst),
+        1,
+        "one connect to the dropping primary"
+    );
+    assert!(!set.is_up(0), "the dropping primary is believed down");
     node.shutdown();
     let _ = fs::remove_dir_all(&root);
 }

@@ -9,9 +9,9 @@
 //! wal.0000000000000007.log        every mutation after that snapshot
 //! ```
 //!
-//! * **Mutations** are validated, appended to the current WAL (optionally
-//!   fsynced), and only then applied in memory. An acknowledged operation
-//!   is therefore always on disk before the caller sees it succeed.
+//! * **Mutations** are validated, appended to the current WAL and fsynced,
+//!   and only then applied in memory. An acknowledged operation is
+//!   therefore always on stable storage before the caller sees it succeed.
 //! * **Checkpoints** rotate generations: create `wal.(g+1)` first, then
 //!   write `snapshot.(g+1)` via temp-file + fsync + rename — the rename is
 //!   the commit point — then prune generations below `g`, keeping the
@@ -50,12 +50,6 @@ pub struct DurableOptions {
     pub opts: DlOptions,
     /// Pending-update fraction that triggers an in-memory rebuild.
     pub rebuild_fraction: f64,
-    /// Fsync the WAL after every append. On by default: an acknowledged
-    /// operation survives power loss. Turning it off trades that for
-    /// throughput — acknowledged operations then survive process crashes
-    /// (the OS holds the bytes) but not power loss since the last
-    /// [`DurableDynamicIndex::sync`].
-    pub sync_every_append: bool,
     /// Append count that triggers an automatic checkpoint (0 = never; use
     /// [`DurableDynamicIndex::checkpoint`] manually).
     pub checkpoint_every: u64,
@@ -66,7 +60,6 @@ impl Default for DurableOptions {
         DurableOptions {
             opts: DlOptions::default(),
             rebuild_fraction: 0.2,
-            sync_every_append: true,
             checkpoint_every: 0,
         }
     }
@@ -366,18 +359,11 @@ impl DurableDynamicIndex {
         }
     }
 
-    /// Appends to the WAL, poisoning the store on failure: after an error
-    /// it is unknowable how much of the record reached the disk, so the
-    /// only safe continuation is recovery from the log itself.
+    /// Appends to the WAL and fsyncs it, poisoning the store on failure:
+    /// after an error it is unknowable how much of the record reached the
+    /// disk, so the only safe continuation is recovery from the log itself.
     fn log(&mut self, rec: &WalRecord) -> Result<(), Error> {
-        let result = self.wal.append(rec).and_then(|()| {
-            if self.options.sync_every_append {
-                self.wal.sync()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = result {
+        if let Err(e) = self.wal.append(rec).and_then(|()| self.wal.sync()) {
             let msg = e.to_string();
             self.poisoned = Some(msg.clone());
             return Err(Error::Io(format!("wal append failed: {msg}")));
@@ -443,18 +429,6 @@ impl DurableDynamicIndex {
     /// [`DynamicIndex::topk_guarded`]).
     pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
         self.inner.topk_guarded(w, k, budget)
-    }
-
-    /// Forces buffered WAL appends to stable storage (no-op after
-    /// fsync-per-append operation).
-    pub fn sync(&mut self) -> Result<(), Error> {
-        self.check_usable()?;
-        if let Err(e) = self.wal.sync() {
-            let msg = e.to_string();
-            self.poisoned = Some(msg.clone());
-            return Err(Error::Io(format!("wal sync failed: {msg}")));
-        }
-        Ok(())
     }
 
     fn maybe_checkpoint(&mut self) {

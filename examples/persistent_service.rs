@@ -24,7 +24,7 @@ fn main() {
     let index = DualLayerIndex::build(
         &data,
         DlOptions {
-            parallel: true,
+            build_threads: 0,
             ..DlOptions::default()
         },
     );

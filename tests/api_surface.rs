@@ -20,7 +20,7 @@ fn end_to_end_service_lifecycle() {
     let index = DualLayerIndex::build(
         &data,
         DlOptions {
-            parallel: true,
+            build_threads: 0,
             ..DlOptions::default()
         },
     );

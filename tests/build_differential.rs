@@ -22,7 +22,6 @@ fn optimized_bytes(rel: &drtopk::common::Relation, base: &DlOptions, threads: us
     let idx = DualLayerIndex::build(
         rel,
         DlOptions {
-            parallel: true,
             build_threads: threads,
             ..base.clone()
         },

@@ -56,7 +56,6 @@ fn assert_matrix_cell(rel: &drtopk::common::Relation, base: &DlOptions, seed: u6
         let idx = DualLayerIndex::build(
             rel,
             DlOptions {
-                parallel: true,
                 build_threads: threads,
                 ..base.clone()
             },
@@ -169,7 +168,6 @@ fn large_sample_matches_reference() {
         let idx = DualLayerIndex::build(
             &rel,
             DlOptions {
-                parallel: true,
                 build_threads: 4,
                 ..DlOptions::dl_plus()
             },

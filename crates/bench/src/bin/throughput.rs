@@ -7,15 +7,15 @@
 //!   the baseline an application gets without the batch engine): one
 //!   pass, each weight once, with QPS from the wall clock as for the
 //!   executor;
-//! * wall-clock QPS of [`BatchExecutor::run`] at each requested
-//!   thread count (pooled scratch, scoped-thread fan-out);
+//! * wall-clock QPS of [`BatchExecutor::run_guarded_each`] at each
+//!   requested thread count, each request under an unlimited budget
+//!   (pooled scratch, scoped-thread fan-out);
 //! * mean paper cost (Definition 9) per query, which is identical across
 //!   all execution modes — the executor is bit-deterministic;
 //! * guarded-path overhead: the same sequential loop again through
-//!   [`DualLayerIndex::topk_guarded`] with an unlimited
-//!   [`drtopk_core::QueryBudget`] — the no-op fast path of the budget
-//!   guard, which must stay within 2 % of the plain path's p50 and return
-//!   bit-identical answers;
+//!   [`DualLayerIndex::topk_guarded`] with an unlimited [`QueryBudget`] —
+//!   the no-op fast path of the budget guard, which must stay within 2 %
+//!   of the plain path's p50 and return bit-identical answers;
 //! * observability overhead: a second pass runs each query twice, back
 //!   to back, once with the metrics registry's runtime recording gate off
 //!   and once on, alternating which goes first; the report carries both
@@ -59,7 +59,9 @@
 use drtopk_bench::json::Value;
 use drtopk_bench::{dataset, query_weights};
 use drtopk_common::{topk_bruteforce, Distribution, Relation, Weights, ZipfWeightWorkload};
-use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, DynamicIndex, ResultCache};
+use drtopk_core::{
+    BatchExecutor, DlOptions, DualLayerIndex, DynamicIndex, QueryBudget, ResultCache,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -241,7 +243,7 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     // with a plain call — back-to-back per query, order alternating — so
     // clock drift and thermal noise hit both sides equally. The p50s of
     // the paired samples must stay within 2 % and answers bit-identical.
-    let unlimited = drtopk_core::QueryBudget::unlimited();
+    let unlimited = QueryBudget::unlimited();
     let mut plain_paired_us = Vec::with_capacity(weights.len());
     let mut guarded_lat_us = Vec::with_capacity(weights.len());
     let g_t0 = Instant::now();
@@ -320,14 +322,18 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
     // against the sequential reference (the determinism contract).
     let mut executor_rows = Vec::new();
     let mut single_qps = seq_qps;
-    let requests: Vec<(Weights, usize)> = weights.iter().map(|w| (w.clone(), k)).collect();
+    let requests: Vec<(Weights, usize, QueryBudget)> = weights
+        .iter()
+        .map(|w| (w.clone(), k, QueryBudget::unlimited()))
+        .collect();
     for &t in &cfg.threads {
         let exec = BatchExecutor::with_threads(&idx, t);
         let e0 = Instant::now();
-        let results = exec.run(&requests);
+        let results = exec.run_guarded_each(&requests);
         let secs = e0.elapsed().as_secs_f64();
         let qps = weights.len() as f64 / secs;
         for (r, s) in results.iter().zip(&reference) {
+            let r = r.as_ref().expect("executor request failed");
             assert_eq!(r.ids, s.ids, "executor answers diverged at threads={t}");
             assert_eq!(r.cost, s.cost, "executor costs diverged at threads={t}");
         }

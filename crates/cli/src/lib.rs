@@ -32,7 +32,9 @@ use drtopk_common::{
     relation_from_csv, ColumnSpec, Direction, Distribution, Weights, WorkloadSpec,
     ZipfWeightWorkload,
 };
-use drtopk_core::{BatchExecutor, DlOptions, DualLayerIndex, TruncateReason, ZeroMode};
+use drtopk_core::{
+    BatchExecutor, DlOptions, DualLayerIndex, QueryBudget, TruncateReason, ZeroMode,
+};
 use drtopk_storage::{
     load_index, load_relation, read_wal, save_index, save_relation, DurableDynamicIndex,
     DurableOptions, WalRecord,
@@ -274,28 +276,25 @@ exit codes: 0 ok, 1 runtime error, 2 usage, 3 corrupt data,
     .to_string()
 }
 
-/// Builds the optional query budget from `--deadline-ms` / `--max-cost`.
-/// `None` when neither flag was given (use the unguarded fast path).
-fn parse_budget(f: &Flags) -> Result<Option<drtopk_core::QueryBudget>, CliError> {
+/// Builds the query budget from `--deadline-ms` / `--max-cost`; it is
+/// unlimited when neither flag was given.
+fn parse_budget(f: &Flags) -> Result<QueryBudget, CliError> {
     let deadline_ms: u64 = f.parse_num("deadline-ms", 0)?;
     let max_cost: u64 = f.parse_num("max-cost", 0)?;
-    if f.get("deadline-ms").is_none() && f.get("max-cost").is_none() {
-        return Ok(None);
-    }
     if f.get("deadline-ms").is_some() && deadline_ms == 0 {
         return Err(CliError::usage("--deadline-ms must be > 0".to_string()));
     }
     if f.get("max-cost").is_some() && max_cost == 0 {
         return Err(CliError::usage("--max-cost must be > 0".to_string()));
     }
-    let mut budget = drtopk_core::QueryBudget::unlimited();
+    let mut budget = QueryBudget::unlimited();
     if deadline_ms > 0 {
         budget = budget.with_timeout(std::time::Duration::from_millis(deadline_ms));
     }
     if max_cost > 0 {
         budget = budget.with_max_cost(max_cost);
     }
-    Ok(Some(budget))
+    Ok(budget)
 }
 
 fn cmd_generate(f: &Flags) -> Result<String, CliError> {
@@ -584,21 +583,12 @@ fn cmd_query(f: &Flags) -> Result<String, CliError> {
     }
     let budget = parse_budget(f)?;
     let t0 = std::time::Instant::now();
-    let (ids, cost, truncated) = match &budget {
-        None => {
-            let res = idx.topk(&w, k);
-            (res.ids, res.cost, None)
-        }
-        Some(b) => {
-            let res = idx.topk_guarded(&w, k, b);
-            (res.ids, res.cost, res.truncated)
-        }
-    };
+    let res = idx.topk_guarded(&w, k, &budget);
     let micros = t0.elapsed().as_micros();
-    let truncation = truncation_note(f, truncated, ids.len(), k)?;
+    let truncation = truncation_note(f, res.truncated, res.ids.len(), k)?;
     let mut out = String::new();
     let _ = writeln!(out, "rank  tuple        score  attributes");
-    for (rank, &t) in ids.iter().enumerate() {
+    for (rank, &t) in res.ids.iter().enumerate() {
         let tv = idx.relation().tuple(t);
         let attrs: Vec<String> = tv.iter().map(|x| format!("{x:.4}")).collect();
         let _ = writeln!(
@@ -614,9 +604,9 @@ fn cmd_query(f: &Flags) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "evaluated {} of {} tuples ({} pseudo) in {micros} µs",
-        cost.total(),
+        res.cost.total(),
         idx.len(),
-        cost.pseudo_evaluated
+        res.cost.pseudo_evaluated
     );
     Ok(out)
 }
@@ -1081,15 +1071,20 @@ fn cmd_batch(f: &Flags) -> Result<String, CliError> {
     let text = std::fs::read_to_string(&weights_path)
         .map_err(|e| CliError::runtime(format!("{}: {e}", weights_path.display())))?;
     let queries = parse_weights_file(&text, idx.dims())?;
-    let budget = parse_budget(f)?.unwrap_or_default();
+    let budget = parse_budget(f)?;
     let cache = f.has("cache").then(drtopk_core::ResultCache::default);
     let mut exec = BatchExecutor::with_threads(&idx, threads);
     if let Some(c) = &cache {
         exec = exec.with_cache(c);
     }
-    let requests: Vec<(Weights, usize)> = queries.into_iter().map(|w| (w, k)).collect();
+    // Each request gets a clone of the one budget: the clones share its
+    // cancel flag, so tripping it drains the whole batch.
+    let requests: Vec<(Weights, usize, QueryBudget)> = queries
+        .into_iter()
+        .map(|w| (w, k, budget.clone()))
+        .collect();
     let t0 = std::time::Instant::now();
-    let results = exec.run_guarded(&requests, &budget);
+    let results = exec.run_guarded_each(&requests);
     let secs = t0.elapsed().as_secs_f64();
     let mut out = String::new();
     let mut total_cost = 0u64;

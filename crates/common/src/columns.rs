@@ -30,38 +30,9 @@ impl Columns {
         Columns::from_flat_rows(rel.dims(), rel.flat())
     }
 
-    /// Transposes a relation followed by extra row-major rows (the index's
-    /// zero-layer pseudo-tuples), so node ids `0..n+p` index directly.
-    ///
-    /// # Panics
-    /// Panics if `extra.len()` is not a multiple of the relation's arity.
-    pub fn from_relation_with_extra(rel: &Relation, extra: &[f64]) -> Self {
-        let dims = rel.dims();
-        assert_eq!(
-            extra.len() % dims,
-            0,
-            "extra rows must match the relation's arity"
-        );
-        let n = rel.len();
-        let p = extra.len() / dims;
-        let len = n + p;
-        let mut data = vec![0.0; dims * len];
-        if len == 0 {
-            return Columns { dims, len, data };
-        }
-        for (j, col) in data.chunks_exact_mut(len).enumerate() {
-            let (real, pseudo) = col.split_at_mut(n);
-            for (i, v) in real.iter_mut().enumerate() {
-                *v = rel.flat()[i * dims + j];
-            }
-            for (i, v) in pseudo.iter_mut().enumerate() {
-                *v = extra[i * dims + j];
-            }
-        }
-        Columns { dims, len, data }
-    }
-
-    /// Transposes a flat row-major buffer.
+    /// Transposes a flat row-major buffer. The index builds its scoring
+    /// columns this way: one row per node in traversal order, zero-layer
+    /// pseudo-tuples included.
     ///
     /// # Panics
     /// Panics if `dims` is zero or `rows.len()` is not a multiple of it.
@@ -316,9 +287,11 @@ mod tests {
 
     #[test]
     fn extra_rows_are_addressable_past_n() {
+        // The index's layout: the relation's rows, then two pseudo rows.
         let rel = Relation::from_rows(2, &[vec![0.1, 0.9], vec![0.5, 0.5]]).unwrap();
-        let extra = [0.2, 0.3, 0.8, 0.7]; // two pseudo rows
-        let cols = Columns::from_relation_with_extra(&rel, &extra);
+        let mut rows = rel.flat().to_vec();
+        rows.extend_from_slice(&[0.2, 0.3, 0.8, 0.7]);
+        let cols = Columns::from_flat_rows(2, &rows);
         assert_eq!(cols.len(), 4);
         let w = Weights::new(vec![0.25, 0.75]).unwrap();
         assert_eq!(

@@ -4,18 +4,6 @@
 //! smaller attribute values are better, and top-k queries return the k
 //! tuples with the smallest scores.
 
-/// Three-way outcome of a pairwise dominance comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DomOrd {
-    /// The left tuple dominates the right one (`t ≺ t'`).
-    Dominates,
-    /// The right tuple dominates the left one (`t' ≺ t`).
-    DominatedBy,
-    /// Neither dominates the other (including exact equality of all
-    /// attributes, which is *not* dominance under Definition 2).
-    Incomparable,
-}
-
 /// Returns `true` iff `t` dominates `t'`: `t_i <= t'_i` for all `i` and
 /// `t_j < t'_j` for some `j` (Definition 2).
 #[inline]
@@ -41,35 +29,6 @@ pub fn dominates_eq(t: &[f64], u: &[f64]) -> bool {
     t.iter().zip(u).all(|(a, b)| a <= b)
 }
 
-/// Compares two tuples under the dominance partial order in a single pass.
-#[inline]
-pub fn dom_compare(t: &[f64], u: &[f64]) -> DomOrd {
-    debug_assert_eq!(t.len(), u.len());
-    let mut le = true; // t <= u so far
-    let mut ge = true; // t >= u so far
-    let mut lt = false;
-    let mut gt = false;
-    for (a, b) in t.iter().zip(u) {
-        if a < b {
-            ge = false;
-            lt = true;
-        } else if a > b {
-            le = false;
-            gt = true;
-        }
-        if !le && !ge {
-            return DomOrd::Incomparable;
-        }
-    }
-    if le && lt {
-        DomOrd::Dominates
-    } else if ge && gt {
-        DomOrd::DominatedBy
-    } else {
-        DomOrd::Incomparable
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +50,6 @@ mod tests {
         assert!(dominates_eq(&[0.1, 0.2], &[0.1, 0.2]));
         assert!(dominates_eq(&[0.1, 0.2], &[0.1, 0.3]));
         assert!(!dominates_eq(&[0.1, 0.4], &[0.2, 0.3]));
-    }
-
-    #[test]
-    fn three_way() {
-        assert_eq!(dom_compare(&[0.1, 0.2], &[0.2, 0.3]), DomOrd::Dominates);
-        assert_eq!(dom_compare(&[0.2, 0.3], &[0.1, 0.2]), DomOrd::DominatedBy);
-        assert_eq!(dom_compare(&[0.1, 0.4], &[0.2, 0.3]), DomOrd::Incomparable);
-        assert_eq!(dom_compare(&[0.5, 0.5], &[0.5, 0.5]), DomOrd::Incomparable);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod weights;
 
 pub use columns::Columns;
 pub use cost::Cost;
-pub use dominance::{dominates, dominates_eq, DomOrd};
+pub use dominance::{dominates, dominates_eq};
 pub use error::Error;
 pub use generator::{Distribution, WorkloadSpec, ZipfWeightWorkload};
 pub use ingest::{relation_from_csv, ColumnSpec, Direction, Normalizer};

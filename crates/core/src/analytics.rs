@@ -11,6 +11,7 @@
 //!   strictly monotone scoring function.
 
 use crate::index::{DualLayerIndex, NodeId};
+use crate::query::TopkCursor;
 use drtopk_common::{dominates, Cost, TupleId, Weights};
 
 impl DualLayerIndex {
@@ -38,7 +39,7 @@ impl DualLayerIndex {
                 // Count tuples strictly preceding `target` in (score, id)
                 // order; stop counting at k.
                 let mut better = 0usize;
-                let mut cursor = self.topk_iter(w, scratch);
+                let mut cursor = TopkCursor::new(self, w, scratch, None);
                 for (t, score) in cursor.by_ref() {
                     if score > t_score || (score == t_score && t >= target) {
                         break;

@@ -92,7 +92,7 @@
 //! invalidation is a single atomic bump.
 
 use crate::index::DualLayerIndex;
-use crate::query::{GuardedTopk, QueryBudget, QueryScratch};
+use crate::query::{QueryBudget, QueryScratch, TopkResult};
 use drtopk_common::{Cost, TupleId, Weights};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -397,7 +397,7 @@ impl ResultCache {
         w: &Weights,
         k: usize,
         budget: &QueryBudget,
-    ) -> (GuardedTopk, CacheOutcome) {
+    ) -> (TopkResult, CacheOutcome) {
         self.answer_on(idx, w, k, budget, None)
     }
 
@@ -410,16 +410,11 @@ impl ResultCache {
         k: usize,
         budget: &QueryBudget,
         scratch: Option<&mut QueryScratch>,
-    ) -> (GuardedTopk, CacheOutcome) {
+    ) -> (TopkResult, CacheOutcome) {
         let (ticket, outcome) = match self.lookup(idx, idx.len(), w, k, Some(budget)) {
             Lookup::Hit(hits, cost, outcome) => {
                 let ids = hits.into_iter().map(|(_, id)| id as TupleId).collect();
-                let g = GuardedTopk {
-                    ids,
-                    cost,
-                    truncated: None,
-                };
-                return (g, outcome);
+                return (TopkResult::complete(ids, cost), outcome);
             }
             Lookup::Miss(ticket) => (ticket, CacheOutcome::Miss),
             Lookup::Bypass => (None, CacheOutcome::Bypass),

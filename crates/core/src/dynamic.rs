@@ -10,18 +10,19 @@
 //!   children only once that row is merged into the answer, so the rows
 //!   a read never reaches cost it nothing (DESIGN.md §4);
 //! * deletes are *tombstones*, which the cursor skips as it pops them;
-//! * once the buffer or tombstone set outgrows `rebuild_threshold`
-//!   (a fraction of the indexed size), the index is rebuilt from the live
-//!   tuple set.
+//! * once the buffer or tombstone set outgrows `rebuild_fraction` of the
+//!   indexed size, the index is rebuilt from the live tuple set.
 //!
 //! Answers are always exact: differential tests pin them against a
 //! brute-force oracle over the live multiset. Ids returned are *handles*
-//! (stable across rebuilds), not positions in the current index.
+//! (stable across rebuilds), not positions in the current index, so a
+//! guarded read answers in the static index's answer type as
+//! [`TopkResult<Handle>`].
 
 use crate::cache::{Lookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{Entry, QueryBudget, QueryScratch, TopkCursor, TruncateReason};
+use crate::query::{Entry, QueryBudget, QueryScratch, TopkCursor, TopkResult, TruncateReason};
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{dominates, Cost, Error, Relation, Weights};
 use std::cmp::{Ordering, Reverse};
@@ -176,21 +177,6 @@ pub struct DynamicState {
     pub tombstones: Vec<Handle>,
     /// The next handle to assign.
     pub next_handle: Handle,
-}
-
-/// Result of one budget-guarded top-k query over a [`DynamicIndex`]:
-/// the same true-prefix contract as [`crate::query::GuardedTopk`], with
-/// stable handles for ids.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicGuardedTopk {
-    /// Answer prefix, ascending by `(score, handle)`. When `truncated` is
-    /// `None` this is the full top-k; otherwise it is the exact top-m for
-    /// some m ≤ k.
-    pub ids: Vec<Handle>,
-    /// Tuples scored before the query stopped (Definition 9).
-    pub cost: Cost,
-    /// `None` when the query completed; otherwise the tripped limit.
-    pub truncated: Option<TruncateReason>,
 }
 
 impl DynamicIndex {
@@ -396,9 +382,9 @@ impl DynamicIndex {
     /// partial-result contract of [`DualLayerIndex::topk_guarded`]. With a
     /// cache attached, a hit is served complete under any budget and a
     /// budgeted miss never fills (see [`crate::cache`]).
-    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
+    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> TopkResult<Handle> {
         let (hits, cost, truncated) = self.topk_scored(w, k, budget);
-        DynamicGuardedTopk {
+        TopkResult {
             ids: hits.into_iter().map(|(_, h)| h).collect(),
             cost,
             truncated,

@@ -61,12 +61,6 @@ impl Csr {
         let e = self.offsets[node as usize + 1] as usize;
         &self.targets[s..e]
     }
-
-    /// Total edge count.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 /// Shared adjacency arena in internal (traversal-ordered) node space.
@@ -364,15 +358,6 @@ impl DualLayerIndex {
         }
     }
 
-    /// Column-major (SoA) view of all node coordinates in *internal*
-    /// (traversal) order — row `i` holds the coordinates of internal node
-    /// `i`; translate with [`DualLayerIndex::node_original`]. This is the
-    /// traversal's scoring-kernel operand.
-    #[inline]
-    pub fn columns(&self) -> &Columns {
-        &self.columns
-    }
-
     /// Whether a node is a real tuple (vs. a zero-layer pseudo-tuple).
     /// Real nodes occupy `0..n` in both the original and the internal
     /// numbering, so this predicate is valid in either space.
@@ -394,21 +379,6 @@ impl DualLayerIndex {
     #[inline]
     pub fn node_permutation(&self) -> &[NodeId] {
         &self.node_perm
-    }
-
-    /// The inverse permutation: `node_original()[internal]` is the
-    /// original id of internal node `internal`.
-    #[inline]
-    pub fn node_original(&self) -> &[NodeId] {
-        &self.node_orig
-    }
-
-    /// The zero layer's pseudo-tuples grouped by fine sublayer (original
-    /// local pseudo indices: node id = `len() + local`). Empty without a
-    /// clustered zero layer.
-    #[inline]
-    pub fn pseudo_fine_layers(&self) -> &[Vec<u32>] {
-        &self.pseudo_fine
     }
 
     /// ∀-dominance out-edges of a node, original ids ascending.
@@ -474,15 +444,13 @@ mod tests {
         assert_eq!(csr.out(2), &[3]);
         assert!(csr.out(3).is_empty());
         assert_eq!(indeg, vec![0, 1, 1, 2]);
-        assert_eq!(csr.edge_count(), 4);
     }
 
     #[test]
     fn csr_empty() {
         let (csr, indeg) = Csr::from_edges(3, &mut Vec::new());
-        assert_eq!(csr.edge_count(), 0);
         assert_eq!(indeg, vec![0, 0, 0]);
-        assert!(csr.out(2).is_empty());
+        assert!((0..3).all(|node| csr.out(node).is_empty()));
     }
 
     #[test]

@@ -48,15 +48,14 @@ pub mod zero;
 
 pub use batch::{BatchExecutor, RequestError};
 pub use cache::{CacheOutcome, CacheStats, CachedTopk, ResultCache};
-pub use dynamic::{DynamicGuardedTopk, DynamicIndex, DynamicState, Handle};
+pub use dynamic::{DynamicIndex, DynamicState, Handle};
 pub use explain::QueryExplain;
 pub use index::{DualLayerIndex, IndexStats, NodeId};
 pub use monotone::{LogSum, MonotoneScore, WeightedChebyshev, WeightedPower};
 pub use options::{DlOptions, EdsPolicy, ZeroMode};
 pub use profile::{BuildProfile, PhaseProfile};
 pub use query::{
-    GuardedTopk, QueryBudget, QueryScratch, QueryTrace, TopkCursor, TopkResult, TraceStep,
-    TruncateReason,
+    QueryBudget, QueryScratch, QueryTrace, TopkCursor, TopkResult, TraceStep, TruncateReason,
 };
 pub use shard::{
     partition_relation, shard_of, ReplicaConfig, ReplicaSet, RetryPolicy, RouterConfig,

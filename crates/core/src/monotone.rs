@@ -115,7 +115,7 @@ impl DualLayerIndex {
         let mut cost = Cost::new();
         let mut ids: Vec<TupleId> = Vec::with_capacity(k_eff);
         if k_eff == 0 {
-            return TopkResult { ids, cost };
+            return TopkResult::complete(ids, cost);
         }
         // Traverses in internal (traversal-ordered) node space, like the
         // linear path; `Entry::orig` keeps the id tie-break public.
@@ -166,7 +166,7 @@ impl DualLayerIndex {
                 }
             }
         }
-        TopkResult { ids, cost }
+        TopkResult::complete(ids, cost)
     }
 }
 

@@ -5,6 +5,12 @@
 //! Theorem 3); popping a node relaxes its out-edges, possibly freeing —
 //! and scoring — further nodes. The paper's cost metric (Definition 9) is
 //! exactly the number of scoring calls, tracked in [`TopkResult::cost`].
+//!
+//! One [`TopkCursor`] runs every traversal, and every top-k answers in
+//! one type, [`TopkResult`], whose `truncated` field marks an answer a
+//! [`QueryBudget`] cut short. [`DualLayerIndex::topk`] is
+//! [`DualLayerIndex::topk_guarded`] under an unlimited budget; a caller
+//! that streams answers constructs a cursor with [`TopkCursor::new`].
 
 use crate::index::{DualLayerIndex, NodeId};
 use drtopk_common::{Cost, TupleId, Weights};
@@ -29,7 +35,7 @@ use std::time::{Duration, Instant};
 /// violation (the cost cap can overshoot by at most one pop's fan-out).
 /// When a budget trips, the query returns its best-so-far answer prefix —
 /// pops happen in ascending score order, so the prefix is exactly the true
-/// top-m for some m ≤ k — with a [`GuardedTopk::truncated`] marker naming
+/// top-m for some m ≤ k — with a [`TopkResult::truncated`] marker naming
 /// the tripped limit.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBudget {
@@ -140,36 +146,38 @@ impl std::fmt::Display for TruncateReason {
     }
 }
 
-/// Result of one budget-guarded top-k query (the partial-result contract).
+/// Result of one top-k query: the answer, what it cost, and whether a
+/// budget cut it short. `Id` is [`TupleId`] for a static index and
+/// [`Handle`](crate::Handle) for a dynamic one.
 ///
 /// `ids` is always a correct prefix of the exact answer: when `truncated`
 /// is `None` it is the full top-k; when a budget tripped it is the true
 /// top-m for the m answers found before the trip, in the same order a
 /// completed query would return them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GuardedTopk {
-    /// Answer prefix, ascending by `(score, id)`.
-    pub ids: Vec<TupleId>,
-    /// Tuples scored before the query stopped (Definition 9).
+pub struct TopkResult<Id = TupleId> {
+    /// Answer ids, ascending by `(score, id)`.
+    pub ids: Vec<Id>,
+    /// Tuples (and pseudo-tuples) scored while answering (Definition 9).
     pub cost: Cost,
     /// `None` when the query completed; otherwise the tripped limit.
     pub truncated: Option<TruncateReason>,
 }
 
-impl GuardedTopk {
+impl<Id> TopkResult<Id> {
     /// Whether the full top-k was produced.
     pub fn is_complete(&self) -> bool {
         self.truncated.is_none()
     }
-}
 
-/// Result of one top-k query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopkResult {
-    /// Answer tuple ids, ascending by `(score, id)`.
-    pub ids: Vec<TupleId>,
-    /// Tuples (and pseudo-tuples) scored while answering (Definition 9).
-    pub cost: Cost,
+    /// A result no budget cut short.
+    pub(crate) fn complete(ids: Vec<Id>, cost: Cost) -> Self {
+        TopkResult {
+            ids,
+            cost,
+            truncated: None,
+        }
+    }
 }
 
 /// One step of a traced query: the popped node and the queue/answer state
@@ -233,8 +241,7 @@ impl Ord for Entry {
 /// sequential queries against the index it was created for. Every index
 /// keeps a pool of them, so its own entry points reuse scratch across
 /// calls; a caller that streams on a scratch of its own
-/// ([`DualLayerIndex::topk_iter`], [`TopkCursor::new`]) allocates one
-/// with [`QueryScratch::for_index`].
+/// ([`TopkCursor::new`]) allocates one with [`QueryScratch::for_index`].
 ///
 /// Per-node state (`remaining`, `eblocked`, `enqueued`, `chain_wait`) is
 /// *epoch-versioned*: each node carries a stamp, and state is lazily
@@ -426,7 +433,7 @@ impl DualLayerIndex {
     /// # Panics
     /// Panics if `w`'s dimensionality differs from the index's.
     pub fn topk(&self, w: &Weights, k: usize) -> TopkResult {
-        self.pooled(|scratch| self.topk_with_scratch(w, k, scratch))
+        self.topk_guarded(w, k, &QueryBudget::unlimited())
     }
 
     /// Like [`DualLayerIndex::topk`], on the caller's scratch instead of
@@ -437,11 +444,7 @@ impl DualLayerIndex {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> TopkResult {
-        let g = self.topk_guarded_with_scratch(w, k, &QueryBudget::unlimited(), scratch);
-        TopkResult {
-            ids: g.ids,
-            cost: g.cost,
-        }
+        self.topk_guarded_with_scratch(w, k, &QueryBudget::unlimited(), scratch)
     }
 
     /// Threshold query: every tuple with score ≤ `bound`, ascending. Uses
@@ -454,7 +457,7 @@ impl DualLayerIndex {
     pub fn range_by_score(&self, w: &Weights, bound: f64) -> TopkResult {
         assert!(!bound.is_nan(), "score bound must not be NaN");
         self.pooled(|scratch| {
-            let mut cursor = self.topk_iter(w, scratch);
+            let mut cursor = TopkCursor::new(self, w, scratch, None);
             let mut ids = Vec::new();
             // Stop on the raw head: a pseudo-tuple above the bound stays
             // unpopped, so its cluster is never scored.
@@ -463,10 +466,7 @@ impl DualLayerIndex {
                     ids.push(e.orig as TupleId);
                 }
             }
-            TopkResult {
-                ids,
-                cost: cursor.cost(),
-            }
+            TopkResult::complete(ids, cursor.cost())
         })
     }
 
@@ -480,7 +480,7 @@ impl DualLayerIndex {
         }
         self.pooled(|scratch| {
             let mut ids = Vec::new();
-            let mut cursor = self.topk_iter(w, scratch);
+            let mut cursor = TopkCursor::new(self, w, scratch, None);
             trace.seeds = cursor.scratch.heap.iter().map(|e| e.orig).collect();
             trace.seeds.sort_unstable();
             while ids.len() < k {
@@ -496,8 +496,7 @@ impl DualLayerIndex {
                     answers_after: ids.clone(),
                 });
             }
-            let cost = cursor.cost();
-            (TopkResult { ids, cost }, trace)
+            (TopkResult::complete(ids, cursor.cost()), trace)
         })
     }
 
@@ -520,20 +519,6 @@ impl DualLayerIndex {
         })
     }
 
-    /// Lazily streams answers in score order on `scratch`: a
-    /// *progressive* top-k that lets callers stop whenever enough results
-    /// arrived, paying only for what was consumed.
-    ///
-    /// # Panics
-    /// Panics if `w`'s dimensionality differs from the index's.
-    pub fn topk_iter<'a>(
-        &'a self,
-        w: &'a Weights,
-        scratch: &'a mut QueryScratch,
-    ) -> TopkCursor<'a> {
-        TopkCursor::new(self, w, scratch, None)
-    }
-
     /// Filtered top-k: the k best tuples *satisfying `pred`*, streamed in
     /// score order until enough matches are found. Because the traversal
     /// enumerates globally by score, cost tracks the number of tuples
@@ -546,17 +531,14 @@ impl DualLayerIndex {
         mut pred: P,
     ) -> TopkResult {
         self.pooled(|scratch| {
-            let mut cursor = self.topk_iter(w, scratch);
+            let mut cursor = TopkCursor::new(self, w, scratch, None);
             let ids = cursor
                 .by_ref()
                 .map(|(t, _)| t)
                 .filter(|&t| pred(t, self.rel.tuple(t)))
                 .take(k.min(self.len()))
                 .collect();
-            TopkResult {
-                ids,
-                cost: cursor.cost(),
-            }
+            TopkResult::complete(ids, cursor.cost())
         })
     }
 
@@ -651,8 +633,9 @@ impl DualLayerIndex {
 
     /// Answers a budget-guarded top-k query: the full answer when no limit
     /// trips, otherwise the best-so-far prefix with a truncation marker
-    /// (see [`GuardedTopk`] for the partial-result contract).
-    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> GuardedTopk {
+    /// (see [`TopkResult`] for the partial-result contract). Under an
+    /// unlimited budget this is [`DualLayerIndex::topk`].
+    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> TopkResult {
         self.pooled(|scratch| self.topk_guarded_with_scratch(w, k, budget, scratch))
     }
 
@@ -665,22 +648,18 @@ impl DualLayerIndex {
         k: usize,
         budget: &QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> GuardedTopk {
+    ) -> TopkResult {
         let k = k.min(self.len());
         if k == 0 {
             // An empty query seeds nothing, so it costs nothing.
             assert_eq!(w.dims(), self.dims(), "weight dimensionality mismatch");
-            return GuardedTopk {
-                ids: Vec::new(),
-                cost: Cost::new(),
-                truncated: None,
-            };
+            return TopkResult::complete(Vec::new(), Cost::new());
         }
         let mut cursor = TopkCursor::new(self, w, scratch, Some(budget));
         let ids: Vec<TupleId> = cursor.by_ref().take(k).map(|(t, _)| t).collect();
         // Only a tripped budget ends the stream before k answers.
         debug_assert!(ids.len() == k || cursor.truncated().is_some());
-        GuardedTopk {
+        TopkResult {
             ids,
             cost: cursor.cost(),
             truncated: cursor.truncated(),
@@ -707,7 +686,8 @@ impl DualLayerIndex {
 /// let w = Weights::uniform(3);
 /// let mut scratch = QueryScratch::for_index(&idx);
 /// // Take answers until a score threshold is crossed, without fixing k.
-/// let cheap: Vec<_> = idx.topk_iter(&w, &mut scratch).take_while(|&(_, s)| s < 0.2).collect();
+/// let cursor = TopkCursor::new(&idx, &w, &mut scratch, None);
+/// let cheap: Vec<_> = cursor.take_while(|&(_, s)| s < 0.2).collect();
 /// # let _ = cheap;
 /// // The same scratch serves the next cursor. A cost cap ends the stream
 /// // early, after a true prefix of the answer.
@@ -766,16 +746,6 @@ impl<'a> TopkCursor<'a> {
     /// The limit that ended the stream, or `None` while the budget holds.
     pub fn truncated(&self) -> Option<TruncateReason> {
         self.truncated
-    }
-
-    /// The score of the next answer, without consuming it; `None` once
-    /// the stream has ended. Pseudo-tuples at the queue head are drained
-    /// first, under the budget like every pop.
-    pub fn peek_score(&mut self) -> Option<f64> {
-        while !self.head()?.real {
-            self.step();
-        }
-        self.head().map(|e| e.score)
     }
 
     /// The raw queue head, pseudo-tuple or real: the entry the next
@@ -1108,7 +1078,7 @@ mod tests {
                 let w = Weights::random(3, &mut rng);
                 let want = idx.topk(&w, 25);
                 let mut scratch = QueryScratch::for_index(&idx);
-                let mut cursor = idx.topk_iter(&w, &mut scratch);
+                let mut cursor = TopkCursor::new(&idx, &w, &mut scratch, None);
                 let got: Vec<TupleId> = cursor.by_ref().take(25).map(|(t, _)| t).collect();
                 assert_eq!(got, want.ids);
                 // Consuming exactly k answers costs exactly what topk(k) costs.
@@ -1123,7 +1093,7 @@ mod tests {
         let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         let w = Weights::new(vec![0.7, 0.3]).unwrap();
         let mut scratch = QueryScratch::for_index(&idx);
-        let all: Vec<(TupleId, f64)> = idx.topk_iter(&w, &mut scratch).collect();
+        let all: Vec<(TupleId, f64)> = TopkCursor::new(&idx, &w, &mut scratch, None).collect();
         assert_eq!(all.len(), 150);
         assert!(all.windows(2).all(|p| p[0].1 <= p[1].1 + 1e-12));
         let ids: Vec<TupleId> = all.iter().map(|&(t, _)| t).collect();
@@ -1131,16 +1101,20 @@ mod tests {
     }
 
     #[test]
-    fn cursor_peek_does_not_consume() {
+    fn cursor_head_is_the_next_pop() {
         let rel = WorkloadSpec::new(Distribution::Independent, 3, 100, 2).generate();
         let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         let w = Weights::uniform(3);
         let mut scratch = QueryScratch::for_index(&idx);
-        let mut cursor = idx.topk_iter(&w, &mut scratch);
-        let peeked = cursor.peek_score().unwrap();
-        let (first, score) = cursor.next().unwrap();
-        assert_eq!(peeked, score);
-        assert_eq!(first, topk_bruteforce(&rel, &w, 1)[0]);
+        let mut cursor = TopkCursor::new(&idx, &w, &mut scratch, None);
+        let mut first = None;
+        while first.is_none() {
+            let head = cursor.head().unwrap();
+            let popped = cursor.step().unwrap();
+            assert_eq!(head, popped, "the head is what the next step pops");
+            first = popped.real.then_some(popped.orig as TupleId);
+        }
+        assert_eq!(first, Some(topk_bruteforce(&rel, &w, 1)[0]));
     }
 
     /// End-to-end wiring: one topk call must land in the global registry.

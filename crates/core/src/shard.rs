@@ -1,10 +1,10 @@
 //! Sharded serving: partition → one best-first merge over the shards →
 //! fault-tolerant answer.
 //!
-//! ROADMAP item 2(a): one monolithic index becomes a routing layer over
-//! `P` partitions, so build time, rebuild amortization, and churn
-//! isolation all drop by ~P. A routing layer is exactly where failures
-//! live, so this one is born fault-tolerant:
+//! One monolithic index becomes a routing layer over `P` partitions, so
+//! build time, rebuild amortization, and churn isolation all drop by ~P.
+//! A routing layer is exactly where failures live, so this one is born
+//! fault-tolerant:
 //!
 //! * **Partitioning** is by tuple id: shard `s` of `P` holds the tuples
 //!   whose *global* handle `h` satisfies `h % P == s`, and each shard's
@@ -253,8 +253,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Cap on the (pre-jitter) backoff.
     pub max_backoff: Duration,
-    /// Seed for the jitter; fixed seed → reproducible schedules.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -263,10 +261,13 @@ impl Default for RetryPolicy {
             max_retries: 2,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(50),
-            jitter_seed: 0x5EED_CAFE,
         }
     }
 }
+
+/// Seed of every backoff's jitter: a fixed seed makes schedules
+/// reproducible, and the per-probe salt de-synchronizes them.
+const JITTER_SEED: u64 = 0x5EED_CAFE;
 
 /// One step of xorshift64* — cheap deterministic pseudo-randomness for
 /// jitter (no RNG dependency on the serving path).
@@ -286,7 +287,7 @@ impl RetryPolicy {
         let exp = self.base_backoff.saturating_mul(1u32 << attempt.min(16));
         let capped = exp.min(self.max_backoff);
         let bits = xorshift(
-            self.jitter_seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) + 1),
+            JITTER_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) + 1),
         );
         let frac = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         capped.mul_f64(0.5 + frac)
@@ -1441,7 +1442,6 @@ mod tests {
                 max_retries: 2,
                 base_backoff: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(1),
-                jitter_seed: 1,
             },
             ..RouterConfig::default()
         };
@@ -1606,7 +1606,6 @@ mod tests {
             max_retries: 8,
             base_backoff: Duration::from_micros(800),
             max_backoff: Duration::from_millis(40),
-            jitter_seed: 0xA5A5,
         };
         for attempt in 0..10u32 {
             let exp = p.base_backoff.saturating_mul(1u32 << attempt.min(16));
@@ -1625,7 +1624,6 @@ mod tests {
             max_retries: 32,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(8),
-            jitter_seed: 7,
         };
         // Past the cap, the pre-jitter schedule is flat at max_backoff.
         for attempt in 4..12u32 {

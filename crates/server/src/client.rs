@@ -157,7 +157,6 @@ impl Client {
             max_retries: retries,
             base_backoff: backoff,
             max_backoff: backoff.saturating_mul(32),
-            ..RetryPolicy::default()
         };
         let mut attempt = 0u32;
         loop {

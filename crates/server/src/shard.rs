@@ -75,14 +75,6 @@ impl ServedShard {
         guard.as_ref().ok().map(f)
     }
 
-    /// Runs `f` under the write lock if the store is available — the
-    /// admin mutation path (inserts, deletes, checkpoints) for a single
-    /// shard; probes on other shards are unaffected.
-    pub fn with_store_mut<T>(&self, f: impl FnOnce(&mut DurableDynamicIndex) -> T) -> Option<T> {
-        let mut guard = self.store.write().unwrap_or_else(|e| e.into_inner());
-        guard.as_mut().ok().map(f)
-    }
-
     /// Swaps in a re-recovered store (the rejoin path after `drtopk
     /// recover --shard N`): takes the write lock, so it waits out
     /// in-flight probes and every later probe sees the new store.

@@ -333,18 +333,16 @@ fn rejoin_serves_no_stale_cached_answers() {
     let before = router.topk(&weights, 8, &QueryBudget::unlimited());
     assert!(before.coverage.is_full());
 
-    // Mutate shard 0: insert a tuple that dominates everything, logged
-    // to its WAL (acked), then crash the shard (drop without
-    // checkpoint) and recover it from disk.
-    let h = router
-        .shard(0)
-        .with_store_mut(|st| {
-            let h = st.index().next_handle();
-            let h = h + (p as u64 - h % p as u64) % p as u64;
-            st.insert_with_handle(h, &[0.0, 0.0]).unwrap();
-            h
-        })
-        .unwrap();
+    // Mutate shard 0's directory the way an operator tool in another
+    // process would: open it, insert a tuple that dominates everything,
+    // logged to its WAL (acked), then crash (drop without checkpoint).
+    // The served store never sees the insert until it is recovered from
+    // disk.
+    let (mut writer, _) = DurableDynamicIndex::open(&shard_dir(&root, 0), opts()).unwrap();
+    let h = writer.index().next_handle();
+    let h = h + (p as u64 - h % p as u64) % p as u64;
+    writer.insert_with_handle(h, &[0.0, 0.0]).unwrap();
+    drop(writer);
     assert_eq!(shard_of(h, p), 0);
     let (recovered, report) = DurableDynamicIndex::open(&shard_dir(&root, 0), opts()).unwrap();
     assert!(report.replayed > 0, "the insert must come back via the WAL");

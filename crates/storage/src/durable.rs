@@ -30,7 +30,7 @@
 use crate::format::{self, FormatError};
 use crate::wal::{self, WalRecord, WalWriter};
 use drtopk_common::{Cost, Error, Relation, Weights};
-use drtopk_core::{DlOptions, DynamicGuardedTopk, DynamicIndex, Handle, QueryBudget, ResultCache};
+use drtopk_core::{DlOptions, DynamicIndex, Handle, ResultCache};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -89,6 +89,8 @@ pub struct DurableDynamicIndex {
     inner: DynamicIndex,
     wal: WalWriter,
     generation: u64,
+    /// Appends since the last checkpoint (replayed records count after a
+    /// recovery).
     appends_since_checkpoint: u64,
     poisoned: Option<String>,
     options: DurableOptions,
@@ -344,12 +346,6 @@ impl DurableDynamicIndex {
         self.poisoned.as_deref()
     }
 
-    /// Appends since the last checkpoint (replayed records count after a
-    /// recovery).
-    pub fn wal_backlog(&self) -> u64 {
-        self.appends_since_checkpoint
-    }
-
     fn check_usable(&self) -> Result<(), Error> {
         match &self.poisoned {
             Some(msg) => Err(Error::Io(format!(
@@ -423,12 +419,6 @@ impl DurableDynamicIndex {
     /// when poisoned — reads never touch the log).
     pub fn topk(&self, w: &Weights, k: usize) -> (Vec<Handle>, Cost) {
         self.inner.topk(w, k)
-    }
-
-    /// Budget-guarded top-k (the serving path's shard probe; see
-    /// [`DynamicIndex::topk_guarded`]).
-    pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
-        self.inner.topk_guarded(w, k, budget)
     }
 
     fn maybe_checkpoint(&mut self) {
@@ -708,7 +698,10 @@ mod tests {
         let mut store = DurableDynamicIndex::create(&dir, &rel, auto).unwrap();
         for i in 0..30 {
             store.insert(&[0.2 + 0.01 * (i % 10) as f64, 0.5]).unwrap();
-            assert!(store.wal_backlog() < 8, "backlog bounded by checkpoints");
+            assert!(
+                store.appends_since_checkpoint < 8,
+                "backlog bounded by checkpoints"
+            );
         }
         assert!(store.generation() >= 3);
     }

@@ -290,12 +290,15 @@ fn worker_panic_is_isolated_to_its_request() {
     let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, 400, 31).generate();
     let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
     let mut rng = StdRng::seed_from_u64(41);
-    let requests: Vec<(Weights, usize)> = (0..24)
-        .map(|_| (Weights::random(d, &mut rng), rng.gen_range(1..=15)))
+    let requests: Vec<(Weights, usize, QueryBudget)> = (0..24)
+        .map(|_| {
+            let w = Weights::random(d, &mut rng);
+            (w, rng.gen_range(1..=15), QueryBudget::unlimited())
+        })
         .collect();
     // Single worker thread: request i is the i-th visit to the failpoint.
     let exec = BatchExecutor::with_threads(&idx, 1);
-    let clean = exec.run_guarded(&requests, &QueryBudget::unlimited());
+    let clean = exec.run_guarded_each(&requests);
     assert!(clean.iter().all(|r| r.is_ok()));
 
     let victim = 17;
@@ -304,7 +307,7 @@ fn worker_panic_is_isolated_to_its_request() {
         victim as u64,
         FailAction::Panic,
     );
-    let faulted = exec.run_guarded(&requests, &QueryBudget::unlimited());
+    let faulted = exec.run_guarded_each(&requests);
     reset();
     for (i, (clean_r, faulted_r)) in clean.iter().zip(&faulted).enumerate() {
         if i == victim {

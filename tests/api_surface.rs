@@ -1,12 +1,15 @@
 //! Locks the public facade API: everything README advertises must work
 //! through `drtopk::` paths — persistence, dynamic updates, monotone and
-//! threshold queries, the list-based baselines, ingestion.
+//! threshold queries, batches and the streaming cursor, the list-based
+//! baselines, ingestion.
 
 use drtopk::common::{
-    relation_from_csv, topk_bruteforce, ColumnSpec, Direction, Distribution, Weights, WorkloadSpec,
+    relation_from_csv, topk_bruteforce, ColumnSpec, Direction, Distribution, TupleId, Weights,
+    WorkloadSpec,
 };
 use drtopk::core::{
-    DlOptions, DualLayerIndex, DynamicIndex, QueryScratch, WeightedPower, ZeroMode,
+    BatchExecutor, DlOptions, DualLayerIndex, DynamicIndex, QueryBudget, QueryScratch, TopkCursor,
+    TruncateReason, WeightedPower, ZeroMode,
 };
 use drtopk::lists::{nra_topk, ta_topk};
 use drtopk::storage::{
@@ -61,6 +64,52 @@ fn end_to_end_service_lifecycle() {
     let h = dynamic.insert(&[0.001, 0.001, 0.001]).unwrap();
     assert_eq!(dynamic.topk(&w, 1).0, vec![h]);
     assert!(dynamic.delete(h));
+}
+
+#[test]
+fn batch_and_streaming_cursor_through_facade() {
+    let data = WorkloadSpec::new(Distribution::AntiCorrelated, 3, 600, 17).generate();
+    let index = DualLayerIndex::build(&data, DlOptions::default());
+    let weights = [
+        Weights::new(vec![0.2, 0.5, 0.3]).unwrap(),
+        Weights::new(vec![0.6, 0.1, 0.3]).unwrap(),
+        Weights::uniform(3),
+    ];
+
+    // A batch answers each request as a sequential `topk` would, at two
+    // values of k; the last request's cost cap trips mid-traversal.
+    let mut requests: Vec<(Weights, usize, QueryBudget)> = Vec::new();
+    for k in [1, 25] {
+        for w in &weights {
+            requests.push((w.clone(), k, QueryBudget::unlimited()));
+        }
+    }
+    let capped = QueryBudget::unlimited().with_max_cost(8);
+    requests.push((weights[0].clone(), 25, capped));
+    let out = BatchExecutor::with_threads(&index, 2).run_guarded_each(&requests);
+    assert_eq!(out.len(), requests.len());
+    let (last, complete) = out.split_last().unwrap();
+    for ((w, k, _), got) in requests.iter().zip(complete) {
+        let got = got.as_ref().expect("no request fails");
+        assert!(got.is_complete());
+        assert_eq!(got, &index.topk(w, *k), "k={k}");
+    }
+    let last = last.as_ref().expect("a tripped budget is not an error");
+    assert_eq!(last.truncated, Some(TruncateReason::CostExceeded));
+    let full = index.topk(&weights[0], 25);
+    assert!(last.ids.len() < full.ids.len());
+    assert_eq!(last.ids, full.ids[..last.ids.len()], "a true prefix");
+
+    // The streaming cursor yields the same answers, in order, on the
+    // caller's scratch.
+    let mut scratch = QueryScratch::for_index(&index);
+    for w in &weights {
+        for k in [1, 25] {
+            let cursor = TopkCursor::new(&index, w, &mut scratch, None);
+            let streamed: Vec<TupleId> = cursor.take(k).map(|(t, _)| t).collect();
+            assert_eq!(streamed, index.topk(w, k).ids, "k={k}");
+        }
+    }
 }
 
 #[test]

@@ -64,11 +64,6 @@ impl PliIndex {
         }
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Answers a top-k query by best-first merging of partition layers.
     pub fn topk(&self, w: &Weights, k: usize) -> (Vec<TupleId>, Cost) {
         assert_eq!(w.dims(), self.rel.dims());

@@ -75,11 +75,6 @@ impl PreferIndex {
         Self::build(rel, &weights)
     }
 
-    /// Number of materialized views.
-    pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
     /// Total materialized entries (the storage overhead the paper notes).
     pub fn materialized_entries(&self) -> usize {
         self.views.len() * self.rel.len()

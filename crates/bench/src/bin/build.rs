@@ -21,8 +21,8 @@
 //!       [--threads 1,2,4] [--reference-max-n 100000] [--out FILE]
 //! ```
 
-use drtopk_bench::dataset;
 use drtopk_bench::json::Value;
+use drtopk_bench::{dataset, parse_list};
 use drtopk_common::Distribution;
 use drtopk_core::{BuildProfile, DlOptions, DualLayerIndex};
 use std::time::Instant;
@@ -66,14 +66,6 @@ impl Config {
             i += 2;
         }
         Ok(cfg)
-    }
-}
-
-fn parse_list(s: &str) -> Result<Vec<usize>, String> {
-    let v: Result<Vec<usize>, _> = s.split(',').map(|p| p.trim().parse::<usize>()).collect();
-    match v {
-        Ok(list) if !list.is_empty() => Ok(list),
-        _ => Err(format!("cannot parse list {s:?}")),
     }
 }
 

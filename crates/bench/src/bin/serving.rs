@@ -54,8 +54,8 @@
 //!         [--out BENCH_serving.json] [--min-qps F]
 //! ```
 
-use drtopk_bench::dataset;
 use drtopk_bench::json::Value;
+use drtopk_bench::{dataset, percentile};
 use drtopk_common::{Distribution, ZipfWeightWorkload};
 use drtopk_core::{DlOptions, DualLayerIndex};
 use drtopk_server::{
@@ -186,15 +186,6 @@ impl Config {
         }
         Ok(cfg)
     }
-}
-
-/// Nearest-rank percentile of a sorted slice (q in 0..=1).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// What one generator thread observed.

@@ -57,7 +57,7 @@
 //! ```
 
 use drtopk_bench::json::Value;
-use drtopk_bench::{dataset, query_weights};
+use drtopk_bench::{dataset, parse_list, percentile, query_weights};
 use drtopk_common::{topk_bruteforce, Distribution, Relation, Weights, ZipfWeightWorkload};
 use drtopk_core::{
     BatchExecutor, DlOptions, DualLayerIndex, DynamicIndex, QueryBudget, ResultCache,
@@ -133,29 +133,12 @@ impl Config {
     }
 }
 
-fn parse_list(s: &str) -> Result<Vec<usize>, String> {
-    let v: Result<Vec<usize>, _> = s.split(',').map(|p| p.trim().parse::<usize>()).collect();
-    match v {
-        Ok(list) if !list.is_empty() => Ok(list),
-        _ => Err(format!("cannot parse list {s:?}")),
-    }
-}
-
 fn parse_float_list(s: &str) -> Result<Vec<f64>, String> {
     let v: Result<Vec<f64>, _> = s.split(',').map(|p| p.trim().parse::<f64>()).collect();
     match v {
         Ok(list) if !list.is_empty() => Ok(list),
         _ => Err(format!("cannot parse float list {s:?}")),
     }
-}
-
-/// Nearest-rank percentile of a sorted slice (q in 0..=1).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Runs one `(n, d, k)` cell; returns its report object plus the

@@ -180,6 +180,24 @@ pub fn dataset(dist: Distribution, d: usize, n: usize) -> drtopk_common::Relatio
     WorkloadSpec::new(dist, d, n, 0xDA7A).generate()
 }
 
+/// Nearest-rank percentile of a sorted slice (q in 0..=1).
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Parses a harness flag's non-empty, comma-separated list of counts.
+pub fn parse_list(s: &str) -> Result<Vec<usize>, String> {
+    let v: Result<Vec<usize>, _> = s.split(',').map(|p| p.trim().parse::<usize>()).collect();
+    match v {
+        Ok(list) if !list.is_empty() => Ok(list),
+        _ => Err(format!("cannot parse list {s:?}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

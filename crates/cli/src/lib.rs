@@ -22,11 +22,11 @@
 //! drtopk drain    --connect HOST:PORT
 //! ```
 //!
-//! Query and batch accept `--deadline-ms` / `--max-cost` budgets; a
-//! tripped budget exits with code 4 unless `--partial` accepts the
-//! truncated answer prefix. Corrupt persisted data exits with code 3.
-//! `serve` / `query --connect` speak the wire protocol documented in
-//! `PROTOCOL.md`; operational guidance lives in `OPERATIONS.md`.
+//! Both query paths and batch accept `--deadline-ms` / `--max-cost`
+//! budgets, validated alike; a tripped budget exits with code 4 unless
+//! `--partial` accepts the truncated answer prefix. Corrupt persisted
+//! data exits with code 3. `serve` / `query --connect` speak the wire
+//! protocol in `PROTOCOL.md`; operational guidance is in `OPERATIONS.md`.
 
 use drtopk_common::{
     relation_from_csv, ColumnSpec, Direction, Distribution, Weights, WorkloadSpec,
@@ -155,8 +155,6 @@ impl Flags {
                 "shard",
                 "shard-id",
                 "topology",
-                "connect-retries",
-                "connect-backoff-ms",
             ];
             if !KNOWN.contains(&name) {
                 return Err(CliError::usage(format!("unknown flag --{name}")));
@@ -240,7 +238,6 @@ commands:
             [--deadline-ms MS] [--max-cost C] [--partial]
   query     --connect HOST:PORT --weights W1,W2,... [--k K]
             [--deadline-ms MS] [--max-cost C] [--partial]
-            [--connect-retries R] [--connect-backoff-ms MS]
   batch     --index FILE --weights-file FILE [--k K] [--threads T]
             [--deadline-ms MS] [--max-cost C] [--partial] [--cache]
   recover   --dir DIR [--shard N] [--variant dl+|dl|dg|dg+] [--checkpoint]
@@ -276,9 +273,9 @@ exit codes: 0 ok, 1 runtime error, 2 usage, 3 corrupt data,
     .to_string()
 }
 
-/// Builds the query budget from `--deadline-ms` / `--max-cost`; it is
-/// unlimited when neither flag was given.
-fn parse_budget(f: &Flags) -> Result<QueryBudget, CliError> {
+/// Reads and validates `--deadline-ms` / `--max-cost` for both query
+/// paths: `0` when absent, a usage error when given as `0`.
+fn budget_flags(f: &Flags) -> Result<(u64, u64), CliError> {
     let deadline_ms: u64 = f.parse_num("deadline-ms", 0)?;
     let max_cost: u64 = f.parse_num("max-cost", 0)?;
     if f.get("deadline-ms").is_some() && deadline_ms == 0 {
@@ -287,6 +284,13 @@ fn parse_budget(f: &Flags) -> Result<QueryBudget, CliError> {
     if f.get("max-cost").is_some() && max_cost == 0 {
         return Err(CliError::usage("--max-cost must be > 0".to_string()));
     }
+    Ok((deadline_ms, max_cost))
+}
+
+/// Builds the query budget from `--deadline-ms` / `--max-cost`; it is
+/// unlimited when neither flag was given.
+fn parse_budget(f: &Flags) -> Result<QueryBudget, CliError> {
+    let (deadline_ms, max_cost) = budget_flags(f)?;
     let mut budget = QueryBudget::unlimited();
     if deadline_ms > 0 {
         budget = budget.with_timeout(std::time::Duration::from_millis(deadline_ms));
@@ -647,21 +651,17 @@ fn truncation_note(
     Ok(format!("TRUNCATED after {got} of {k} answers: {reason}\n"))
 }
 
-/// Connects per the CLI's reconnect policy: `--connect-retries` bounded
-/// re-attempts (default 3) after transient connect/hello failures, with
-/// jittered exponential backoff from `--connect-backoff-ms` (default
-/// 100). `--connect-retries 0` restores single-attempt behavior. The
-/// exit-code contract is unchanged: a connection that never comes up is
-/// still a runtime error (code 1).
-fn connect_with_policy(f: &Flags, addr: &str) -> Result<drtopk_server::Client, CliError> {
-    let retries: u32 = f.parse_num("connect-retries", 3)?;
-    let backoff_ms: u64 = f.parse_num("connect-backoff-ms", 100)?;
-    drtopk_server::Client::connect_with_retry(
-        addr,
-        retries,
-        std::time::Duration::from_millis(backoff_ms),
-    )
-    .map_err(|e| CliError::runtime(format!("{addr}: {e}")))
+/// A refused or reset connect is re-attempted up to `CONNECT_RETRIES`
+/// times, backing off from `CONNECT_BACKOFF` (jittered, doubling), so a
+/// server that is still starting is waited out.
+const CONNECT_RETRIES: u32 = 3;
+const CONNECT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
+
+/// Connects per the constants above. A connection that never comes up
+/// is a runtime error (code 1).
+fn connect(addr: &str) -> Result<drtopk_server::Client, CliError> {
+    drtopk_server::Client::connect_with_retry(addr, CONNECT_RETRIES, CONNECT_BACKOFF)
+        .map_err(|e| CliError::runtime(format!("{addr}: {e}")))
 }
 
 /// `query --connect HOST:PORT`: ship the raw weight vector to a running
@@ -669,12 +669,11 @@ fn connect_with_policy(f: &Flags, addr: &str) -> Result<drtopk_server::Client, C
 /// server normalises weights exactly as the in-process path does, so the
 /// answer ids are bit-identical to `query --index` on the same data.
 fn query_over_network(f: &Flags, addr: &str, raw: &[f64], k: usize) -> Result<String, CliError> {
-    let deadline_ms: u64 = f.parse_num("deadline-ms", 0)?;
-    let max_cost: u64 = f.parse_num("max-cost", 0)?;
+    let (deadline_ms, max_cost) = budget_flags(f)?;
     let deadline_ms = u32::try_from(deadline_ms)
         .map_err(|_| CliError::usage("--deadline-ms too large for the wire format"))?;
     let k32 = u32::try_from(k).map_err(|_| CliError::usage("--k too large for the wire format"))?;
-    let mut client = connect_with_policy(f, addr)?;
+    let mut client = connect(addr)?;
     let t0 = std::time::Instant::now();
     let reply = client
         .query(raw, k32, deadline_ms, max_cost)
@@ -958,7 +957,7 @@ fn prom_label<'a>(labels: &'a str, key: &str) -> Option<&'a str> {
 /// healthy by definition.
 fn cmd_health(f: &Flags) -> Result<String, CliError> {
     let addr = f.require("connect")?;
-    let mut client = connect_with_policy(f, addr)?;
+    let mut client = connect(addr)?;
     let text = client.metrics_text().map_err(client_error)?;
     let mut out = String::new();
     let mut shards = 0usize;
@@ -1019,7 +1018,7 @@ fn cmd_health(f: &Flags) -> Result<String, CliError> {
 /// work, finish its queue, and exit (PROTOCOL.md §3.4).
 fn cmd_drain(f: &Flags) -> Result<String, CliError> {
     let addr = f.require("connect")?;
-    let mut client = connect_with_policy(f, addr)?;
+    let mut client = connect(addr)?;
     client.drain().map_err(client_error)?;
     Ok(format!("drain acknowledged by {addr}\n"))
 }
@@ -1903,21 +1902,31 @@ mod tests {
         assert!(out.contains("2 queries on"), "{out}");
     }
 
+    /// Both query paths refuse a zero budget as a usage error; the
+    /// network path does so before it tries to connect (nothing listens
+    /// on `dead`, so a connect attempt would exit 1).
     #[test]
     fn budget_flags_are_validated() {
         let index = build_index("budgetval", 2, 50);
-        for bad in [["--deadline-ms", "0"], ["--max-cost", "0"]] {
-            let err = run(&argv(&[
-                "query",
-                "--index",
-                index.to_str().unwrap(),
-                "--weights",
-                "0.5,0.5",
-                bad[0],
-                bad[1],
-            ]))
-            .unwrap_err();
-            assert_eq!(err.code, 2, "{}", err.message);
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string();
+        for target in [["--index", index.to_str().unwrap()], ["--connect", &dead]] {
+            for bad in [["--deadline-ms", "0"], ["--max-cost", "0"]] {
+                let err = run(&argv(&[
+                    "query",
+                    target[0],
+                    target[1],
+                    "--weights",
+                    "0.5,0.5",
+                    bad[0],
+                    bad[1],
+                ]))
+                .unwrap_err();
+                assert_eq!(err.code, 2, "{target:?} {bad:?}: {}", err.message);
+            }
         }
     }
 
@@ -2390,10 +2399,11 @@ mod tests {
         assert_eq!(err.code, 2, "{}", err.message);
     }
 
-    /// `--connect-retries` rides out a server that is still starting:
-    /// the client backs off and reconnects instead of failing the first
-    /// refused connection, and `--connect-retries 0` restores the old
-    /// single-attempt contract (runtime error, exit 1).
+    /// `query --connect` rides out a server that is still starting: the
+    /// client backs off and reconnects instead of failing the first
+    /// refused connection. The server binds about 100 ms in, and the
+    /// three backoffs sleep at least 50 + 100 + 200 ms, so the last
+    /// attempt comes well after it.
     #[test]
     fn query_connect_retries_until_the_server_appears() {
         let data = tmp("retry.data.drt");
@@ -2427,19 +2437,6 @@ mod tests {
             .port();
         let addr = format!("127.0.0.1:{port}");
 
-        // No listener yet: zero retries fails immediately with exit 1.
-        let err = run(&argv(&[
-            "query",
-            "--connect",
-            &addr,
-            "--weights",
-            "0.5,0.5",
-            "--connect-retries",
-            "0",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code, 1, "{}", err.message);
-
         // Start the server late; the retrying client waits it out.
         let serve_args = argv(&[
             "serve",
@@ -2451,7 +2448,7 @@ mod tests {
             "1",
         ]);
         let server = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(300));
+            std::thread::sleep(std::time::Duration::from_millis(100));
             run(&serve_args)
         });
         let out = run(&argv(&[
@@ -2462,10 +2459,6 @@ mod tests {
             "0.5,0.5",
             "--k",
             "5",
-            "--connect-retries",
-            "10",
-            "--connect-backoff-ms",
-            "50",
         ]))
         .unwrap();
         assert!(out.contains("rank  tuple"), "{out}");

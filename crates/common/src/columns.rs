@@ -1,7 +1,8 @@
-//! Column-major (SoA) mirror of a [`Relation`] with a fused scoring kernel.
+//! Column-major (SoA) mirror of a [`Relation`](crate::Relation) with a
+//! fused scoring kernel.
 //!
 //! The traversal engine scores tuples in blocks — a seed set or a batch of
-//! newly freed nodes per pop — and the row-major [`Relation`] layout makes
+//! newly freed nodes per pop — and the row-major `Relation` layout makes
 //! that a strided gather per attribute. [`Columns`] transposes the data
 //! once at build time so [`Columns::score_block`] can sweep one contiguous
 //! column per dimension with an auto-vectorizable inner loop.
@@ -11,7 +12,6 @@
 //! accumulates per row in the same dimension order (`0.0 + w_0·x_0 +
 //! w_1·x_1 + …`), so batching never perturbs score-based orderings.
 
-use crate::relation::Relation;
 use crate::weights::Weights;
 
 /// Column-major copy of a set of rows (a relation, optionally followed by
@@ -25,11 +25,6 @@ pub struct Columns {
 }
 
 impl Columns {
-    /// Transposes a relation into column-major layout.
-    pub fn from_relation(rel: &Relation) -> Self {
-        Columns::from_flat_rows(rel.dims(), rel.flat())
-    }
-
     /// Transposes a flat row-major buffer. The index builds its scoring
     /// columns this way: one row per node in traversal order, zero-layer
     /// pseudo-tuples included.
@@ -176,22 +171,12 @@ impl Columns {
             }
         }
     }
-
-    /// Scores a single row, through the same per-row accumulation order as
-    /// [`Columns::score_block`].
-    pub fn score_one(&self, w: &Weights, id: u32) -> f64 {
-        assert_eq!(w.dims(), self.dims, "weight dimensionality mismatch");
-        let mut acc = 0.0;
-        for (j, &wj) in w.as_slice().iter().enumerate() {
-            acc += wj * self.col(j)[id as usize];
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -206,7 +191,7 @@ mod tests {
     fn transpose_roundtrip() {
         let rel =
             Relation::from_rows(2, &[vec![0.1, 0.2], vec![0.3, 0.4], vec![0.5, 0.6]]).unwrap();
-        let cols = Columns::from_relation(&rel);
+        let cols = Columns::from_flat_rows(rel.dims(), rel.flat());
         assert_eq!((cols.dims(), cols.len()), (2, 3));
         assert_eq!(cols.col(0), &[0.1, 0.3, 0.5]);
         assert_eq!(cols.col(1), &[0.2, 0.4, 0.6]);
@@ -222,7 +207,7 @@ mod tests {
         for d in 1..=10 {
             for n in [61usize, 64] {
                 let rel = random_relation(&mut rng, d, n);
-                let cols = Columns::from_relation(&rel);
+                let cols = Columns::from_flat_rows(rel.dims(), rel.flat());
                 let w = Weights::random(d, &mut rng);
                 let ids: Vec<u32> = (0..rel.len() as u32).collect();
                 let mut out = Vec::new();
@@ -234,7 +219,6 @@ mod tests {
                         want.to_bits(),
                         "d={d} n={n} id={id}: {got} vs {want}"
                     );
-                    assert_eq!(cols.score_one(&w, id).to_bits(), want.to_bits());
                 }
             }
         }
@@ -247,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xC3);
         for d in 1..=8 {
             let rel = random_relation(&mut rng, d, 37);
-            let cols = Columns::from_relation(&rel);
+            let cols = Columns::from_flat_rows(rel.dims(), rel.flat());
             let w = Weights::random(d, &mut rng);
             let ids: Vec<u32> = (0..rel.len() as u32).rev().collect();
             let mut fixed = vec![0.0; ids.len()];
@@ -274,7 +258,7 @@ mod tests {
     fn kernel_handles_duplicate_and_unordered_ids() {
         let mut rng = StdRng::seed_from_u64(0xC1);
         let rel = random_relation(&mut rng, 3, 32);
-        let cols = Columns::from_relation(&rel);
+        let cols = Columns::from_flat_rows(rel.dims(), rel.flat());
         let w = Weights::random(3, &mut rng);
         let ids = [7u32, 7, 0, 31, 7, 2, 2];
         let mut out = Vec::new();
@@ -294,14 +278,10 @@ mod tests {
         let cols = Columns::from_flat_rows(2, &rows);
         assert_eq!(cols.len(), 4);
         let w = Weights::new(vec![0.25, 0.75]).unwrap();
-        assert_eq!(
-            cols.score_one(&w, 2).to_bits(),
-            w.score(&[0.2, 0.3]).to_bits()
-        );
-        assert_eq!(
-            cols.score_one(&w, 3).to_bits(),
-            w.score(&[0.8, 0.7]).to_bits()
-        );
+        let mut out = Vec::new();
+        cols.score_block(&w, &[2, 3], &mut out);
+        assert_eq!(out[0].to_bits(), w.score(&[0.2, 0.3]).to_bits());
+        assert_eq!(out[1].to_bits(), w.score(&[0.8, 0.7]).to_bits());
     }
 
     #[test]
@@ -318,7 +298,7 @@ mod tests {
     fn reuses_output_capacity() {
         let mut rng = StdRng::seed_from_u64(0xC2);
         let rel = random_relation(&mut rng, 2, 16);
-        let cols = Columns::from_relation(&rel);
+        let cols = Columns::from_flat_rows(rel.dims(), rel.flat());
         let w = Weights::uniform(2);
         let mut out = Vec::new();
         cols.score_block(&w, &[0, 1, 2, 3], &mut out);

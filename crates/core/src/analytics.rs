@@ -10,7 +10,7 @@
 //!   weight-independent superset of every possible top-k answer under any
 //!   strictly monotone scoring function.
 
-use crate::index::{DualLayerIndex, NodeId};
+use crate::index::DualLayerIndex;
 use crate::query::TopkCursor;
 use drtopk_common::{dominates, Cost, TupleId, Weights};
 
@@ -102,22 +102,6 @@ impl DualLayerIndex {
     }
 }
 
-/// Verifies (for tests) that the skyband candidate restriction is sound:
-/// a tuple outside the first k coarse layers has ≥ k dominators.
-#[doc(hidden)]
-pub fn chain_length_lower_bounds_dominators(idx: &DualLayerIndex, t: NodeId) -> bool {
-    let rel = idx.relation();
-    let layer_of = idx
-        .coarse_layers()
-        .iter()
-        .position(|l| l.members().any(|m| m == t))
-        .expect("tuple is in some layer");
-    let dominators = (0..rel.len() as TupleId)
-        .filter(|&s| s != t && dominates(rel.tuple(s), rel.tuple(t)))
-        .count();
-    dominators >= layer_of
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +166,22 @@ mod tests {
         let mut l1: Vec<TupleId> = idx.coarse_layers()[0].members().collect();
         l1.sort_unstable();
         assert_eq!(band, l1);
+    }
+
+    /// Whether tuple `t` has at least as many dominators as the number of
+    /// coarse layers before its own: the bound that lets `skyband` skip
+    /// every layer past the k-th.
+    fn chain_length_lower_bounds_dominators(idx: &DualLayerIndex, t: TupleId) -> bool {
+        let rel = idx.relation();
+        let layer_of = idx
+            .coarse_layers()
+            .iter()
+            .position(|l| l.members().any(|m| m == t))
+            .expect("tuple is in some layer");
+        let dominators = (0..rel.len() as TupleId)
+            .filter(|&s| s != t && dominates(rel.tuple(s), rel.tuple(t)))
+            .count();
+        dominators >= layer_of
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! sequential reference) and snapshot loading produce the same public-space
 //! intermediate — layers, edge lists, pseudo-tuples, zero layer — and hand
 //! it here. Assembly computes the traversal-order renumbering, packs the
-//! [`EdgeArena`](crate::index::EdgeArena), builds the reverse CSRs, seeds,
-//! chain tables, internal-order scoring columns, and stats. Because every
+//! [`EdgeArena`](crate::index::EdgeArena), and derives seeds, chain
+//! tables, internal-order scoring columns, and stats. Because every
 //! producer funnels through this one function, the optimized and reference
 //! builds are byte-identical *by construction* at the assembly stage.
 
-use crate::index::{CoarseLayer, Csr, DualLayerIndex, EdgeArena, IndexStats, NodeId};
+use crate::index::{CoarseLayer, DualLayerIndex, EdgeArena, IndexStats, NodeId};
 use crate::options::DlOptions;
 use crate::query::ScratchPool;
 use crate::zero::Zero2d;
@@ -120,12 +120,6 @@ pub(crate) fn assemble(
     let (arena, forall_indeg, exists_indeg) =
         EdgeArena::build(total, &internal_forall, &internal_exists);
 
-    // Reverse CSRs (internal space) for O(degree) in-neighbor queries.
-    let mut rev_f: Vec<(NodeId, NodeId)> = internal_forall.iter().map(|&(s, t)| (t, s)).collect();
-    let mut rev_e: Vec<(NodeId, NodeId)> = internal_exists.iter().map(|&(s, t)| (t, s)).collect();
-    let (rev_forall, _) = Csr::from_edges(total, &mut rev_f);
-    let (rev_exists, _) = Csr::from_edges(total, &mut rev_e);
-
     // Chain tables (2-d exact zero layer): position ↔ internal id.
     let (chain_internal, chain_pos_of) = match &zero2d {
         Some(z) => {
@@ -186,8 +180,6 @@ pub(crate) fn assemble(
         arena,
         forall_indeg,
         exists_indeg,
-        rev_forall,
-        rev_exists,
         node_perm,
         node_orig,
         pseudo,

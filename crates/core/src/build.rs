@@ -276,8 +276,8 @@ impl DualLayerIndex {
         profile.zero_layer.seconds = t0.elapsed().as_secs_f64();
 
         // Final assembly (shared with the reference build and snapshot
-        // loading): traversal-order renumbering, edge arena, reverse CSRs,
-        // seeds, stats, internal-order scoring columns.
+        // loading): traversal-order renumbering, edge arena, seeds, stats,
+        // internal-order scoring columns.
         let t0 = Instant::now();
         let idx = crate::assemble::assemble(
             rel,

@@ -245,11 +245,6 @@ impl DynamicIndex {
         self.cache = Some(cache);
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
-    }
-
     /// Invalidates the attached cache (every mutation calls this).
     fn touch_cache(&self) {
         if let Some(c) = &self.cache {

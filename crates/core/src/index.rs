@@ -25,44 +25,6 @@ use drtopk_common::{Columns, Relation, TupleId};
 /// type; public APIs always speak the original numbering.
 pub type NodeId = u32;
 
-/// Compressed sparse row adjacency over index nodes.
-#[derive(Debug, Clone, Default)]
-pub struct Csr {
-    offsets: Vec<u32>,
-    targets: Vec<NodeId>,
-}
-
-impl Csr {
-    /// Builds a CSR from an edge list, also returning per-node in-degrees.
-    pub fn from_edges(node_count: usize, edges: &mut [(NodeId, NodeId)]) -> (Csr, Vec<u32>) {
-        let mut offsets = vec![0u32; node_count + 1];
-        let mut indeg = vec![0u32; node_count];
-        for &(s, t) in edges.iter() {
-            offsets[s as usize + 1] += 1;
-            indeg[t as usize] += 1;
-        }
-        for i in 0..node_count {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut targets = vec![0u32; edges.len()];
-        let mut cursor = offsets.clone();
-        for &(s, t) in edges.iter() {
-            let c = &mut cursor[s as usize];
-            targets[*c as usize] = t;
-            *c += 1;
-        }
-        (Csr { offsets, targets }, indeg)
-    }
-
-    /// Out-neighbors of `node`.
-    #[inline]
-    pub fn out(&self, node: NodeId) -> &[NodeId] {
-        let s = self.offsets[node as usize] as usize;
-        let e = self.offsets[node as usize + 1] as usize;
-        &self.targets[s..e]
-    }
-}
-
 /// Shared adjacency arena in internal (traversal-ordered) node space.
 ///
 /// Each node's ∀ and ∃ out-targets live in one contiguous region of a
@@ -267,11 +229,6 @@ pub struct DualLayerIndex {
     pub(crate) forall_indeg: Vec<u32>,
     /// Per-node ∃ in-degree, internal-indexed.
     pub(crate) exists_indeg: Vec<u32>,
-    /// Reverse ∀ adjacency (internal space), built once so in-neighbor
-    /// queries are O(degree) instead of a full edge scan.
-    pub(crate) rev_forall: Csr,
-    /// Reverse ∃ adjacency (internal space).
-    pub(crate) rev_exists: Csr,
     /// Original (public) id → internal id.
     pub(crate) node_perm: Vec<NodeId>,
     /// Internal id → original (public) id.
@@ -403,16 +360,35 @@ impl DualLayerIndex {
         self.exists_indeg[self.node_perm[node as usize] as usize]
     }
 
-    /// ∀ in-neighbors of `node`, original ids ascending. O(in-degree) via
-    /// the prebuilt reverse CSR.
+    /// ∀ in-neighbors of `node`, original ids ascending. The index stores
+    /// only out-edges, so this binary-searches every node's ∀ segment:
+    /// O(nodes + edges).
     pub fn forall_in(&self, node: NodeId) -> Vec<NodeId> {
-        self.translate_sorted(self.rev_forall.out(self.node_perm[node as usize]))
+        self.in_neighbors(node, EdgeArena::forall_out)
     }
 
-    /// ∃ in-neighbors of `node`, original ids ascending. O(in-degree) via
-    /// the prebuilt reverse CSR.
+    /// ∃ in-neighbors of `node`, original ids ascending. The index stores
+    /// only out-edges, so this binary-searches every node's ∃ segment:
+    /// O(nodes + edges).
     pub fn exists_in(&self, node: NodeId) -> Vec<NodeId> {
-        self.translate_sorted(self.rev_exists.out(self.node_perm[node as usize]))
+        self.in_neighbors(node, EdgeArena::exists_out)
+    }
+
+    /// The sources whose `segment` holds `node`, once per edge.
+    fn in_neighbors(
+        &self,
+        node: NodeId,
+        segment: fn(&EdgeArena, NodeId) -> &[NodeId],
+    ) -> Vec<NodeId> {
+        let target = self.node_perm[node as usize];
+        let mut sources = Vec::new();
+        for s in 0..self.total_nodes() as NodeId {
+            let seg = segment(&self.arena, s);
+            let lo = seg.partition_point(|&t| t < target);
+            let hits = seg[lo..].iter().take_while(|&&t| t == target).count();
+            sources.extend(std::iter::repeat_n(s, hits));
+        }
+        self.translate_sorted(&sources)
     }
 
     fn translate_sorted(&self, internal: &[NodeId]) -> Vec<NodeId> {
@@ -434,24 +410,6 @@ impl DualLayerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csr_roundtrip() {
-        let mut edges = vec![(0u32, 2u32), (0, 1), (2, 3), (1, 3)];
-        let (csr, indeg) = Csr::from_edges(4, &mut edges);
-        assert_eq!(csr.out(0), &[2, 1]);
-        assert_eq!(csr.out(1), &[3]);
-        assert_eq!(csr.out(2), &[3]);
-        assert!(csr.out(3).is_empty());
-        assert_eq!(indeg, vec![0, 1, 1, 2]);
-    }
-
-    #[test]
-    fn csr_empty() {
-        let (csr, indeg) = Csr::from_edges(3, &mut Vec::new());
-        assert_eq!(indeg, vec![0, 0, 0]);
-        assert!((0..3).all(|node| csr.out(node).is_empty()));
-    }
 
     #[test]
     fn arena_packs_and_sorts_segments() {

@@ -616,11 +616,6 @@ impl<S: ShardProbe> ShardRouter<S> {
         self.dims
     }
 
-    /// Router configuration.
-    pub fn config(&self) -> &RouterConfig {
-        &self.cfg
-    }
-
     /// Current health, indexed by shard.
     pub fn health(&self) -> Vec<ShardHealth> {
         self.health

@@ -112,19 +112,25 @@ pub fn verify_edge_soundness(idx: &DualLayerIndex, w: &Weights) {
     let n = idx.len();
     let total = n + idx.stats().pseudo_tuples;
     let score = |v: NodeId| w.score(idx.node_coords(v));
-    for t in 0..total as NodeId {
-        let st = score(t);
-        let f_in = idx.forall_in(t);
-        for &s in &f_in {
+    // The lowest ∃ in-neighbor score of every node, from one pass over
+    // the out-edges.
+    let mut min_exists_in = vec![f64::INFINITY; total];
+    for s in 0..total as NodeId {
+        let ss = score(s);
+        for t in idx.forall_out(s) {
+            let st = score(t);
             assert!(
-                score(s) <= st + 1e-12,
-                "∀ in-neighbor {s} of {t} scores higher ({} > {st})",
-                score(s)
+                ss <= st + 1e-12,
+                "∀ in-neighbor {s} of {t} scores higher ({ss} > {st})"
             );
         }
-        let e_in = idx.exists_in(t);
-        if !e_in.is_empty() {
-            let min_in = e_in.iter().map(|&s| score(s)).fold(f64::INFINITY, f64::min);
+        for t in idx.exists_out(s) {
+            min_exists_in[t as usize] = min_exists_in[t as usize].min(ss);
+        }
+    }
+    for t in 0..total as NodeId {
+        if idx.exists_in_degree(t) > 0 {
+            let (min_in, st) = (min_exists_in[t as usize], score(t));
             assert!(
                 min_in < st + 1e-12,
                 "no ∃ in-neighbor of {t} precedes it (min {min_in} vs {st})"
@@ -174,9 +180,64 @@ mod tests {
                     for _ in 0..3 {
                         verify_edge_soundness(&idx, &Weights::random(d, &mut rng));
                     }
+                    assert_in_neighbors_transpose_out_edges(&idx);
                 }
             }
         }
+    }
+
+    /// `forall_in`/`exists_in` of every node are the transpose of
+    /// `forall_out`/`exists_out`.
+    fn assert_in_neighbors_transpose_out_edges(idx: &DualLayerIndex) {
+        let total = idx.len() + idx.stats().pseudo_tuples;
+        let mut forall_in = vec![Vec::new(); total];
+        let mut exists_in = vec![Vec::new(); total];
+        for s in 0..total as NodeId {
+            for t in idx.forall_out(s) {
+                forall_in[t as usize].push(s);
+            }
+            for t in idx.exists_out(s) {
+                exists_in[t as usize].push(s);
+            }
+        }
+        for t in 0..total as NodeId {
+            assert_eq!(idx.forall_in(t), forall_in[t as usize], "∀ into {t}");
+            assert_eq!(idx.exists_in(t), exists_in[t as usize], "∃ into {t}");
+        }
+    }
+
+    /// The toy DL index with one edge `d → a` forged into its snapshot: a
+    /// dominates d, so d neither dominates a nor scores below it under
+    /// any weight. The layers are untouched, so the snapshot still loads
+    /// (the node permutation depends on layers, not edges).
+    fn toy_index_with_forged_edge(exists: bool) -> DualLayerIndex {
+        use drtopk_common::relation::toy_id;
+        let idx = DualLayerIndex::build(&toy_dataset(), DlOptions::dl());
+        let (a, d) = (toy_id('a') as NodeId, toy_id('d') as NodeId);
+        assert_eq!(idx.exists_in_degree(a), 0, "a has no ∃ in-edges");
+        let mut snap = idx.to_snapshot();
+        if exists {
+            snap.exists_edges.push((d, a));
+        } else {
+            snap.forall_edges.push((d, a));
+        }
+        let forged = DualLayerIndex::from_snapshot(&snap).expect("structurally sound");
+        verify_structure(&forged);
+        forged
+    }
+
+    #[test]
+    #[should_panic(expected = "without dominance")]
+    fn a_forged_forall_edge_fails_verify_edges() {
+        verify_edges(&toy_index_with_forged_edge(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes it")]
+    fn a_forged_exists_edge_fails_verify_edge_soundness() {
+        let idx = toy_index_with_forged_edge(true);
+        verify_edges(&idx);
+        verify_edge_soundness(&idx, &Weights::new(vec![0.5, 0.5]).unwrap());
     }
 
     #[test]

@@ -243,17 +243,6 @@ impl Client {
         }
     }
 
-    /// Reads the next reply and interprets it as a top-k answer,
-    /// returning `(request_id, reply)`. ERROR frames become
-    /// [`ClientError::Server`].
-    pub fn recv_topk(&mut self) -> Result<(u64, TopkReply), ClientError> {
-        match self.recv()? {
-            (id, Message::Topk(reply)) => Ok((id, reply)),
-            (_, Message::Error { code, message }) => Err(ClientError::Server { code, message }),
-            (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
     /// Reads replies until the one to request `want`, skipping replies to
     /// requests abandoned earlier on this connection. An ERROR for `want`,
     /// or a connection-scoped one (request id 0, §5.2), ends the wait as

@@ -489,7 +489,9 @@ fn pipelined_queries_pair_up_by_request_id() {
         expected.insert(id, want);
     }
     for _ in 0..pool.len() {
-        let (id, reply) = client.recv_topk().expect("recv");
+        let (id, Message::Topk(reply)) = client.recv().expect("recv") else {
+            panic!("not a TOPK reply");
+        };
         let want = expected.remove(&id).expect("unknown or duplicate id");
         assert_eq!(reply.ids, want, "request {id}");
     }
@@ -618,9 +620,10 @@ fn a_pipelining_connection_cannot_take_every_queue_slot() {
     let w = Weights::new(vec![0.5, 0.5]).unwrap();
     let want: Vec<u64> = idx.topk(&w, 5).ids.iter().map(|&x| u64::from(x)).collect();
     for _ in 0..3 {
-        let (_, reply) = client
-            .recv_topk()
-            .expect("another client is answered, not shed");
+        let reply = client.recv().expect("recv");
+        let (_, Message::Topk(reply)) = reply else {
+            panic!("another client is answered, not shed: {reply:?}");
+        };
         assert_eq!(reply.ids, want);
     }
     stop.store(true, SeqCst);

@@ -2,10 +2,11 @@
 //!
 //! Measures, for each `(dist, n, d)` cell:
 //!
-//! * wall-clock seconds of the retained sequential reference build
-//!   (`DualLayerIndex::build_reference` — repeated whole-set peels,
+//! * wall-clock seconds of the reference build
+//!   (`DualLayerIndex::build_reference` — the construction pipeline on
+//!   one worker with the reference kernels: repeated whole-set peels,
 //!   pairwise edge generation, no pruning);
-//! * wall-clock seconds of the optimized pipeline at each requested
+//! * wall-clock seconds of the optimized build at each requested
 //!   worker count, with the per-phase breakdown from
 //!   [`DualLayerIndex::build_with_profile`] (seconds *and* dominance-test
 //!   counts, so pruning effectiveness is visible independently of machine

@@ -482,14 +482,7 @@ fn stats_json(idx: &DualLayerIndex, snap: &drtopk_obs::MetricsSnapshot) -> Strin
 
 fn stats_prometheus(idx: &DualLayerIndex, snap: &drtopk_obs::MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, help, value) in idx.stats().gauge_rows() {
-        drtopk_obs::snapshot::prom_gauge(
-            &mut out,
-            &format!("drtopk_index_{name}"),
-            help,
-            value as f64,
-        );
-    }
+    idx.stats().prom_gauges(&mut out);
     out.push_str(&snap.to_prometheus());
     out
 }
@@ -1825,6 +1818,29 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.code, 3, "{}", err.message);
+    }
+
+    #[test]
+    fn structurally_invalid_index_exits_1_with_one_prefix() {
+        // The checksum holds, but the snapshot puts one tuple in two layers.
+        let path = build_index("twolayers", 2, 80);
+        let mut snap = load_index(&path).unwrap().to_snapshot();
+        let t = snap.fine_layers[0].2[0];
+        let next = snap.fine_layers.last().unwrap().0 + 1;
+        snap.fine_layers.push((next, 0, vec![t]));
+        std::fs::write(&path, drtopk_storage::format::index_to_bytes(&snap)).unwrap();
+        let index = path.to_str().unwrap();
+        for args in [
+            vec!["stats", "--index", index],
+            vec!["query", "--index", index, "--weights", "0.5,0.5"],
+        ] {
+            let err = run(&argv(&args)).unwrap_err();
+            assert_eq!(err.code, 1, "{}", err.message);
+            assert_eq!(
+                err.message,
+                format!("invalid content: tuple {t} in two layers")
+            );
+        }
     }
 
     #[test]

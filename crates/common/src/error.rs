@@ -27,8 +27,6 @@ pub enum Error {
         /// The rejected value.
         value: f64,
     },
-    /// A query was issued against an empty relation or with k = 0.
-    EmptyQuery(String),
     /// An underlying I/O operation failed (message carries the OS error).
     Io(String),
     /// Persisted bytes failed integrity checks: bad magic, truncation, or
@@ -51,7 +49,6 @@ impl fmt::Display for Error {
             Error::InvalidValue { tuple, dim, value } => {
                 write!(f, "invalid value {value} at tuple {tuple}, dim {dim}")
             }
-            Error::EmptyQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::Io(msg) => write!(f, "io error: {msg}"),
             Error::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             Error::Invalid(msg) => write!(f, "invalid content: {msg}"),

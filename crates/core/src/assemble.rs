@@ -1,13 +1,15 @@
 //! Shared final assembly of a [`DualLayerIndex`] from public-space parts.
 //!
-//! Both construction paths ([`DualLayerIndex::build`] and the retained
-//! sequential reference) and snapshot loading produce the same public-space
+//! The construction pipeline (both [`DualLayerIndex::build`] and the
+//! reference build) and snapshot loading produce the same public-space
 //! intermediate — layers, edge lists, pseudo-tuples, zero layer — and hand
 //! it here. Assembly computes the traversal-order renumbering, packs the
-//! [`EdgeArena`](crate::index::EdgeArena), and derives seeds, chain
-//! tables, internal-order scoring columns, and stats. Because every
-//! producer funnels through this one function, the optimized and reference
-//! builds are byte-identical *by construction* at the assembly stage.
+//! [`EdgeArena`](crate::index::EdgeArena) straight from the public-space
+//! edge lists (translating ids as it packs, with no internal-space copy),
+//! and derives seeds, chain tables, internal-order scoring columns, and
+//! stats. Because every producer funnels through this one function, the
+//! optimized and reference builds are byte-identical *by construction* at
+//! the assembly stage.
 
 use crate::index::{CoarseLayer, DualLayerIndex, EdgeArena, IndexStats, NodeId};
 use crate::options::DlOptions;
@@ -109,16 +111,9 @@ pub(crate) fn assemble(
     let total = n + pseudo_count;
     let (node_perm, node_orig) = traversal_order(rel, &layers, &pseudo, pseudo_count, &pseudo_fine);
 
-    // Translate edges into internal space and pack the shared arena.
-    let map = |e: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId)> {
-        e.iter()
-            .map(|&(s, t)| (node_perm[s as usize], node_perm[t as usize]))
-            .collect()
-    };
-    let internal_forall = map(forall_edges);
-    let internal_exists = map(exists_edges);
+    // Pack the shared arena, translating edges into internal space.
     let (arena, forall_indeg, exists_indeg) =
-        EdgeArena::build(total, &internal_forall, &internal_exists);
+        EdgeArena::build(&node_perm, forall_edges, exists_edges);
 
     // Chain tables (2-d exact zero layer): position ↔ internal id.
     let (chain_internal, chain_pos_of) = match &zero2d {

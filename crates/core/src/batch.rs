@@ -16,8 +16,8 @@
 
 use crate::cache::ResultCache;
 use crate::index::DualLayerIndex;
-use crate::par::{parallel_map_chunked, resolve_workers_chunked};
 use crate::query::{QueryBudget, TopkResult};
+use drtopk_common::par::{parallel_map_chunked, resolve_workers_chunked};
 use drtopk_common::Weights;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

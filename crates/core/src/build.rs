@@ -1,21 +1,31 @@
 //! Index construction (Algorithm 1 plus edge and zero-layer building).
 //!
-//! This is the optimized construction pipeline: an incremental sorted
-//! skyline peel for the coarse layers, sort-merge ∀-edge generation with
-//! per-dimension min/max block pruning, min-sum-pruned ∃-edge generation,
-//! and scoped-thread fan-out over independent layer jobs. Every pruning
-//! rule is *order-preserving*: it only skips work whose outcome is forced,
-//! so the built index is bit-identical to the retained sequential
-//! reference ([`DualLayerIndex::build_reference`]) at every thread count —
-//! the differential suite in `tests/build_differential.rs` holds the two paths
-//! to byte-equal snapshots.
+//! One pipeline, `run`, builds every index. It peels the coarse layers,
+//! splits each into fine sublayers, connects adjacent coarse layers with ∀
+//! edges and adjacent fine sublayers with ∃ edges, attaches the zero layer
+//! and hands the parts to assembly. It takes a worker count and the four
+//! phase kernels, and the two builds differ only there:
+//!
+//! * [`DualLayerIndex::build`] runs the optimized kernels on
+//!   `build_threads` workers: an incremental sorted skyline peel, the
+//!   incremental convex peel, sort-merge ∀-edge generation with
+//!   per-dimension min/max block pruning, and min-sum-pruned ∃-edge
+//!   generation;
+//! * [`DualLayerIndex::build_reference`] runs the plain reference kernels
+//!   of `core::build_reference` on one worker.
+//!
+//! Every pruning rule is *order-preserving*: it only skips work whose
+//! outcome is forced, and the fan-out keeps item order, so the built index
+//! is bit-identical to the reference at every thread count. The
+//! differential suite in `tests/build_differential.rs` holds the two to
+//! byte-equal snapshots.
 
 use crate::index::{CoarseLayer, DualLayerIndex, NodeId};
 use crate::options::{DlOptions, EdsPolicy, ZeroMode, CLUSTER_SEED};
-use crate::par::parallel_map;
 use crate::profile::BuildProfile;
 use crate::zero::Zero2d;
 use drtopk_cluster::{cluster_min_corners, kmeans};
+use drtopk_common::par::parallel_map;
 use drtopk_common::{dominates, Relation, TupleId};
 use drtopk_geometry::csky::{convex_layers, ConvexLayer};
 use drtopk_geometry::facet_is_eds;
@@ -41,6 +51,43 @@ const EXISTS_BLOCK: usize = 32;
 /// exactly equivalent even under worst-case rounding.
 const EXISTS_SUM_MARGIN: f64 = 1e-7;
 
+/// Dominance edges as (source, target) pairs in public (original-id) space.
+pub(crate) type Edges = Vec<(NodeId, NodeId)>;
+
+/// The facets of one fine sublayer, each a list of member ids.
+type Facets = Vec<Vec<TupleId>>;
+
+/// Signature of [`Kernels::coarse`].
+type CoarseKernel = fn(&Relation, &[TupleId], usize) -> (Vec<Vec<TupleId>>, u64);
+
+/// Signature of [`Kernels::exists`].
+type ExistsKernel = fn(&Relation, &[Vec<TupleId>], &[TupleId], EdsPolicy, &mut Edges) -> u64;
+
+/// The four phase kernels [`run`] calls. An edge kernel appends its edges
+/// in the reference's order and returns the dominance tests it ran
+/// (`dominates` calls or `facet_is_eds` evaluations) for the profile; the
+/// reference kernels count none.
+pub(crate) struct Kernels {
+    /// Coarse layers (iterated skylines) of `ids` on up to the given
+    /// number of workers, and the dominance tests the peel ran.
+    pub(crate) coarse: CoarseKernel,
+    /// Convex-layer peel of one coarse layer, or of the pseudo-tuples.
+    pub(crate) convex: fn(&Relation, &[TupleId]) -> Vec<ConvexLayer>,
+    /// ∀ edges from each of `sources` to every target it dominates.
+    pub(crate) forall: fn(&Relation, &[TupleId], &[TupleId], &mut Edges) -> u64,
+    /// ∃ edges to each target from the members of the facets that cover
+    /// it, chosen by the EDS policy.
+    pub(crate) exists: ExistsKernel,
+}
+
+/// The kernels [`DualLayerIndex::build`] runs.
+const OPTIMIZED: Kernels = Kernels {
+    coarse: skyline_layers_incremental,
+    convex: convex_layers,
+    forall: forall_edges_between,
+    exists: exists_edges_between,
+};
+
 impl DualLayerIndex {
     /// Builds the dual-resolution layer index over `rel`.
     ///
@@ -56,244 +103,202 @@ impl DualLayerIndex {
     /// Like [`DualLayerIndex::build`], additionally returning per-phase
     /// wall-clock and dominance-test counts (see [`BuildProfile`]).
     pub fn build_with_profile(rel: &Relation, opts: DlOptions) -> (DualLayerIndex, BuildProfile) {
-        let build_start = Instant::now();
-        let mut profile = BuildProfile::default();
-        let n = rel.len();
-        let d = rel.dims();
-        let all: Vec<TupleId> = (0..n as TupleId).collect();
         let threads = opts.build_threads;
-
-        // Phase 1: coarse layers (iterated skylines), peeled
-        // incrementally: one sorted pass assigns every tuple its layer.
-        let t0 = Instant::now();
-        let (coarse, tests) = skyline_layers_incremental(rel, &all, threads);
-        profile.coarse_peel.dominance_tests = tests;
-        profile.coarse_peel.seconds = t0.elapsed().as_secs_f64();
-
-        // Phase 2: fine sublayers (iterated convex skylines per layer).
-        // Coarse layers are independent, so this parallelizes cleanly.
-        let t0 = Instant::now();
-        let split_one = |members: &Vec<TupleId>| -> (CoarseLayer, Vec<Vec<Vec<TupleId>>>) {
-            if opts.split_fine {
-                let mut peeled: Vec<ConvexLayer> = convex_layers(rel, members);
-                if opts.max_fine_layers > 0 && peeled.len() > opts.max_fine_layers {
-                    // Merge the tail into the last allowed sublayer.
-                    let tail: Vec<TupleId> = peeled
-                        .drain(opts.max_fine_layers - 1..)
-                        .flat_map(|l| l.members)
-                        .collect();
-                    peeled.push(ConvexLayer {
-                        members: tail,
-                        facets: Vec::new(),
-                    });
-                }
-                let facets = peeled.iter().map(|l| l.facets.clone()).collect();
-                (
-                    CoarseLayer {
-                        fine: peeled.into_iter().map(|l| l.members).collect(),
-                    },
-                    facets,
-                )
-            } else {
-                (
-                    CoarseLayer {
-                        fine: vec![members.clone()],
-                    },
-                    vec![Vec::new()],
-                )
-            }
-        };
-        let split: Vec<(CoarseLayer, Vec<Vec<Vec<TupleId>>>)> =
-            parallel_map(&coarse, threads, &split_one);
-        let mut layers: Vec<CoarseLayer> = Vec::with_capacity(coarse.len());
-        let mut fine_facets: Vec<Vec<Vec<Vec<TupleId>>>> = Vec::with_capacity(coarse.len());
-        for (layer, facets) in split {
-            layers.push(layer);
-            fine_facets.push(facets);
-        }
-        profile.fine_split.seconds = t0.elapsed().as_secs_f64();
-
-        // Phase 3: ∀-dominance edges between adjacent coarse layers. Each
-        // pair is independent; parallelized per pair.
-        let t0 = Instant::now();
-        let pairs: Vec<(Vec<TupleId>, Vec<TupleId>)> = layers
-            .windows(2)
-            .map(|w| (w[0].members().collect(), w[1].members().collect()))
-            .collect();
-        let forall_one = |(sources, targets): &(Vec<TupleId>, Vec<TupleId>)| {
-            let mut edges = Vec::new();
-            let tests = forall_edges_between(rel, sources, targets, &mut edges);
-            (edges, tests)
-        };
-        let mut forall_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (edges, tests) in parallel_map(&pairs, threads, &forall_one) {
-            forall_edges.extend(edges);
-            profile.forall_edges.dominance_tests += tests;
-        }
-        profile.forall_edges.seconds = t0.elapsed().as_secs_f64();
-
-        // Phase 4: ∃-dominance edges between adjacent fine sublayers
-        // (independent per fine pair).
-        let t0 = Instant::now();
-        let mut exists_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        if opts.split_fine {
-            let fine_pairs: Vec<(usize, usize)> = layers
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, layer)| {
-                    (0..layer.fine.len().saturating_sub(1)).map(move |j| (ci, j))
-                })
-                .collect();
-            let exists_one = |&(ci, j): &(usize, usize)| {
-                let mut edges = Vec::new();
-                let tests = exists_edges_between(
-                    rel,
-                    &fine_facets[ci][j],
-                    &layers[ci].fine[j + 1],
-                    opts.eds_policy,
-                    &mut edges,
-                );
-                (edges, tests)
-            };
-            for (edges, tests) in parallel_map(&fine_pairs, threads, &exists_one) {
-                exists_edges.extend(edges);
-                profile.exists_edges.dominance_tests += tests;
-            }
-        }
-        profile.exists_edges.seconds = t0.elapsed().as_secs_f64();
-
-        // Phase 5: zero layer (skipped for empty relations).
-        let t0 = Instant::now();
-        let zero = if n == 0 {
-            ZeroMode::None
-        } else {
-            match opts.zero {
-                ZeroMode::Auto => {
-                    if d == 2 && opts.split_fine {
-                        ZeroMode::Exact2d
-                    } else {
-                        ZeroMode::Clustered { clusters: 0 }
-                    }
-                }
-                ZeroMode::Exact2d if d != 2 || !opts.split_fine => {
-                    ZeroMode::Clustered { clusters: 0 }
-                }
-                other => other,
-            }
-        };
-        let mut pseudo: Vec<f64> = Vec::new();
-        let mut pseudo_count = 0usize;
-        let mut pseudo_fine: Vec<Vec<u32>> = Vec::new();
-        let mut zero2d: Option<Zero2d> = None;
-        match zero {
-            ZeroMode::None => {}
-            ZeroMode::Exact2d => {
-                zero2d = Some(Zero2d::build(rel, &layers[0].fine[0]));
-            }
-            ZeroMode::Clustered { clusters } => {
-                // Sort so the clustering is independent of fine-sublayer
-                // order: DL+ and DG+ then share identical pseudo-tuples,
-                // which the Theorem-5-style cost inclusion relies on.
-                let l1: Vec<TupleId> = {
-                    let mut v: Vec<TupleId> = layers[0].members().collect();
-                    v.sort_unstable();
-                    v
-                };
-                let c = if clusters == 0 {
-                    (l1.len() as f64).sqrt().ceil() as usize
-                } else {
-                    clusters
-                }
-                .clamp(1, l1.len());
-                let clustering = kmeans(rel, &l1, c, CLUSTER_SEED, 40);
-                let corners = cluster_min_corners(rel, &l1, &clustering);
-                pseudo_count = corners.len();
-                for corner in &corners {
-                    pseudo.extend_from_slice(corner);
-                }
-                // ∀ edges: each pseudo-tuple dominates (weakly) its cluster.
-                for (pos, &cl) in clustering.assignment.iter().enumerate() {
-                    forall_edges.push((n as NodeId + cl as NodeId, l1[pos] as NodeId));
-                }
-                if opts.split_fine {
-                    // DL+: peel the pseudo-tuples into their own fine
-                    // sublayers with ∃ edges, and connect the last pseudo
-                    // sublayer's facets to L¹¹.
-                    let prel = Relation::from_flat_unchecked(d, pseudo.clone());
-                    let plocal: Vec<TupleId> = (0..pseudo_count as TupleId).collect();
-                    let players = convex_layers(&prel, &plocal);
-                    let to_node = |local: TupleId| -> NodeId { n as NodeId + local };
-                    pseudo_fine = players.iter().map(|l| l.members.to_vec()).collect();
-                    for j in 0..players.len().saturating_sub(1) {
-                        let mut edges_local: Vec<(NodeId, NodeId)> = Vec::new();
-                        profile.zero_layer.dominance_tests += exists_edges_between(
-                            &prel,
-                            &players[j].facets,
-                            &players[j + 1].members,
-                            opts.eds_policy,
-                            &mut edges_local,
-                        );
-                        exists_edges.extend(
-                            edges_local
-                                .into_iter()
-                                .map(|(s, t)| (to_node(s), to_node(t))),
-                        );
-                    }
-                    // Boundary ∃ edges: last pseudo sublayer facets → L¹¹.
-                    // EDS feasibility must be tested in one coordinate space,
-                    // so build a throwaway relation holding pseudo corners
-                    // followed by the L¹¹ tuples.
-                    let last = players.len() - 1;
-                    let l11 = &layers[0].fine[0];
-                    let mut combined = pseudo.clone();
-                    for &t in l11 {
-                        combined.extend_from_slice(rel.tuple(t));
-                    }
-                    let crel = Relation::from_flat_unchecked(d, combined);
-                    let facets: Vec<Vec<TupleId>> = players[last].facets.clone();
-                    let ctargets: Vec<TupleId> = (0..l11.len())
-                        .map(|i| (pseudo_count + i) as TupleId)
-                        .collect();
-                    let mut edges_local: Vec<(NodeId, NodeId)> = Vec::new();
-                    profile.zero_layer.dominance_tests += exists_edges_between(
-                        &crel,
-                        &facets,
-                        &ctargets,
-                        opts.eds_policy,
-                        &mut edges_local,
-                    );
-                    for (s, t) in edges_local {
-                        let src = n as NodeId + s; // facet members are pseudo-locals
-                        let dst = l11[t as usize - pseudo_count] as NodeId;
-                        exists_edges.push((src, dst));
-                    }
-                } else {
-                    pseudo_fine = vec![(0..pseudo_count as u32).collect()];
-                }
-            }
-            ZeroMode::Auto => unreachable!("resolved above"),
-        }
-        profile.zero_layer.seconds = t0.elapsed().as_secs_f64();
-
-        // Final assembly (shared with the reference build and snapshot
-        // loading): traversal-order renumbering, edge arena, seeds, stats,
-        // internal-order scoring columns.
-        let t0 = Instant::now();
-        let idx = crate::assemble::assemble(
-            rel,
-            opts,
-            layers,
-            &forall_edges,
-            &exists_edges,
-            pseudo,
-            pseudo_count,
-            pseudo_fine,
-            zero2d,
-        );
-        profile.assemble_seconds = t0.elapsed().as_secs_f64();
-        profile.total_seconds = build_start.elapsed().as_secs_f64();
-        (idx, profile)
+        run(rel, opts, threads, &OPTIMIZED)
     }
+}
+
+/// The construction pipeline: Algorithm 1 and the zero layer with the
+/// kernels `k` on up to `threads` workers, then assembly. Independent jobs
+/// (coarse layers, adjacent layer pairs) fan out in item order.
+pub(crate) fn run(
+    rel: &Relation,
+    opts: DlOptions,
+    threads: usize,
+    k: &Kernels,
+) -> (DualLayerIndex, BuildProfile) {
+    let build_start = Instant::now();
+    let mut profile = BuildProfile::default();
+    let n = rel.len();
+    let d = rel.dims();
+    let all: Vec<TupleId> = (0..n as TupleId).collect();
+
+    // Phase 1: coarse layers (iterated skylines).
+    let t0 = Instant::now();
+    let (coarse, tests) = (k.coarse)(rel, &all, threads);
+    profile.coarse_peel.dominance_tests = tests;
+    profile.coarse_peel.seconds = t0.elapsed().as_secs_f64();
+
+    // Phase 2: fine sublayers (iterated convex skylines per coarse layer),
+    // each with the facets its ∃ edges start from.
+    let t0 = Instant::now();
+    let split_one = |members: &Vec<TupleId>| -> (CoarseLayer, Vec<Facets>) {
+        if !opts.split_fine {
+            let fine = vec![members.clone()];
+            return (CoarseLayer { fine }, vec![Vec::new()]);
+        }
+        let mut peeled = (k.convex)(rel, members);
+        if opts.max_fine_layers > 0 && peeled.len() > opts.max_fine_layers {
+            // Merge the tail into the last allowed sublayer.
+            let tail: Vec<TupleId> = peeled
+                .drain(opts.max_fine_layers - 1..)
+                .flat_map(|l| l.members)
+                .collect();
+            peeled.push(ConvexLayer {
+                members: tail,
+                facets: Vec::new(),
+            });
+        }
+        // Clone rather than move the facets: the clones are exactly sized,
+        // while the peel's own lists carry spare capacity until phase 4.
+        let facets = peeled.iter().map(|l| l.facets.clone()).collect();
+        let fine = peeled.into_iter().map(|l| l.members).collect();
+        (CoarseLayer { fine }, facets)
+    };
+    let (layers, fine_facets): (Vec<CoarseLayer>, Vec<Vec<Facets>>) =
+        parallel_map(&coarse, threads, &split_one)
+            .into_iter()
+            .unzip();
+    profile.fine_split.seconds = t0.elapsed().as_secs_f64();
+
+    // Phase 3: ∀-dominance edges between adjacent coarse layers.
+    let t0 = Instant::now();
+    let pairs: Vec<(Vec<TupleId>, Vec<TupleId>)> = layers
+        .windows(2)
+        .map(|w| (w[0].members().collect(), w[1].members().collect()))
+        .collect();
+    let forall_one = |(sources, targets): &(Vec<TupleId>, Vec<TupleId>)| {
+        let mut edges = Vec::new();
+        let tests = (k.forall)(rel, sources, targets, &mut edges);
+        (edges, tests)
+    };
+    let mut forall_edges: Edges = Vec::new();
+    for (edges, tests) in parallel_map(&pairs, threads, &forall_one) {
+        forall_edges.extend(edges);
+        profile.forall_edges.dominance_tests += tests;
+    }
+    profile.forall_edges.seconds = t0.elapsed().as_secs_f64();
+
+    // Phase 4: ∃-dominance edges between adjacent fine sublayers (none
+    // without a fine split: every coarse layer is then one sublayer).
+    let t0 = Instant::now();
+    let fine_pairs: Vec<(usize, usize)> = layers
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, layer)| (0..layer.fine.len().saturating_sub(1)).map(move |j| (ci, j)))
+        .collect();
+    let exists_one = |&(ci, j): &(usize, usize)| {
+        let mut edges = Vec::new();
+        let (facets, targets) = (&fine_facets[ci][j], &layers[ci].fine[j + 1]);
+        let tests = (k.exists)(rel, facets, targets, opts.eds_policy, &mut edges);
+        (edges, tests)
+    };
+    let mut exists_edges: Edges = Vec::new();
+    for (edges, tests) in parallel_map(&fine_pairs, threads, &exists_one) {
+        exists_edges.extend(edges);
+        profile.exists_edges.dominance_tests += tests;
+    }
+    profile.exists_edges.seconds = t0.elapsed().as_secs_f64();
+
+    // Phase 5: zero layer (skipped for empty relations).
+    let t0 = Instant::now();
+    let zero = match opts.zero {
+        _ if n == 0 => ZeroMode::None,
+        ZeroMode::Auto | ZeroMode::Exact2d if d == 2 && opts.split_fine => ZeroMode::Exact2d,
+        ZeroMode::Auto | ZeroMode::Exact2d => ZeroMode::Clustered { clusters: 0 },
+        other => other,
+    };
+    let mut pseudo: Vec<f64> = Vec::new();
+    let mut pseudo_count = 0usize;
+    let mut pseudo_fine: Vec<Vec<u32>> = Vec::new();
+    let mut zero2d: Option<Zero2d> = None;
+    match zero {
+        ZeroMode::None => {}
+        ZeroMode::Exact2d => zero2d = Some(Zero2d::build(rel, &layers[0].fine[0])),
+        ZeroMode::Clustered { clusters } => {
+            // Sort so the clustering is independent of fine-sublayer
+            // order: DL+ and DG+ then share identical pseudo-tuples,
+            // which the Theorem-5-style cost inclusion relies on.
+            let mut l1: Vec<TupleId> = layers[0].members().collect();
+            l1.sort_unstable();
+            let c = match clusters {
+                0 => (l1.len() as f64).sqrt().ceil() as usize,
+                c => c,
+            };
+            let clustering = kmeans(rel, &l1, c.clamp(1, l1.len()), CLUSTER_SEED, 40);
+            let corners = cluster_min_corners(rel, &l1, &clustering);
+            pseudo_count = corners.len();
+            pseudo = corners.concat();
+            let to_node = |local: TupleId| -> NodeId { n as NodeId + local };
+            // ∀ edges: each pseudo-tuple dominates (weakly) its cluster.
+            for (pos, &cl) in clustering.assignment.iter().enumerate() {
+                forall_edges.push((to_node(cl as TupleId), l1[pos] as NodeId));
+            }
+            let plocal: Vec<TupleId> = (0..pseudo_count as TupleId).collect();
+            if !opts.split_fine {
+                pseudo_fine = vec![plocal];
+            } else {
+                // DL+: peel the pseudo-tuples into their own fine
+                // sublayers with ∃ edges, and connect the last pseudo
+                // sublayer's facets to L¹¹.
+                let prel = Relation::from_flat_unchecked(d, pseudo.clone());
+                let players = (k.convex)(&prel, &plocal);
+                for w in players.windows(2) {
+                    let mut local = Vec::new();
+                    profile.zero_layer.dominance_tests += (k.exists)(
+                        &prel,
+                        &w[0].facets,
+                        &w[1].members,
+                        opts.eds_policy,
+                        &mut local,
+                    );
+                    exists_edges.extend(local.into_iter().map(|(s, t)| (to_node(s), to_node(t))));
+                }
+                // Boundary ∃ edges: last pseudo sublayer facets → L¹¹.
+                // EDS feasibility must be tested in one coordinate space,
+                // so build a throwaway relation holding pseudo corners
+                // followed by the L¹¹ tuples.
+                let l11 = &layers[0].fine[0];
+                let mut combined = pseudo.clone();
+                for &t in l11 {
+                    combined.extend_from_slice(rel.tuple(t));
+                }
+                let crel = Relation::from_flat_unchecked(d, combined);
+                let ctargets: Vec<TupleId> = (0..l11.len())
+                    .map(|i| (pseudo_count + i) as TupleId)
+                    .collect();
+                let last = &players[players.len() - 1].facets;
+                let mut local = Vec::new();
+                profile.zero_layer.dominance_tests +=
+                    (k.exists)(&crel, last, &ctargets, opts.eds_policy, &mut local);
+                // Facet members are pseudo-locals, targets offset L¹¹ slots.
+                for (s, t) in local {
+                    exists_edges.push((to_node(s), l11[t as usize - pseudo_count] as NodeId));
+                }
+                pseudo_fine = players.into_iter().map(|l| l.members).collect();
+            }
+        }
+        ZeroMode::Auto => unreachable!("resolved above"),
+    }
+    profile.zero_layer.seconds = t0.elapsed().as_secs_f64();
+
+    // Final assembly (shared with snapshot loading): traversal-order
+    // renumbering, edge arena, seeds, stats, internal-order scoring columns.
+    let t0 = Instant::now();
+    let idx = crate::assemble::assemble(
+        rel,
+        opts,
+        layers,
+        &forall_edges,
+        &exists_edges,
+        pseudo,
+        pseudo_count,
+        pseudo_fine,
+        zero2d,
+    );
+    profile.assemble_seconds = t0.elapsed().as_secs_f64();
+    profile.total_seconds = build_start.elapsed().as_secs_f64();
+    (idx, profile)
 }
 
 /// Adds an edge `(s, t)` for every `s ∈ sources` dominating `t ∈ targets`;

@@ -43,22 +43,26 @@ pub(crate) struct EdgeArena {
 }
 
 impl EdgeArena {
-    /// Packs internal-space ∀/∃ edge lists into one arena, also returning
-    /// per-node (∀, ∃) in-degrees.
+    /// Packs public-space ∀/∃ edge lists into one internal-space arena,
+    /// translating each endpoint through `perm` (`perm[public] =
+    /// internal`, one entry per node) as it packs. Also returns per-node
+    /// (∀, ∃) in-degrees, indexed by internal id.
     pub(crate) fn build(
-        node_count: usize,
+        perm: &[NodeId],
         forall_edges: &[(NodeId, NodeId)],
         exists_edges: &[(NodeId, NodeId)],
     ) -> (EdgeArena, Vec<u32>, Vec<u32>) {
+        let node_count = perm.len();
+        let internal = |&(s, t): &(NodeId, NodeId)| (perm[s as usize], perm[t as usize]);
         let mut fdeg = vec![0u32; node_count];
         let mut edeg = vec![0u32; node_count];
         let mut findeg = vec![0u32; node_count];
         let mut eindeg = vec![0u32; node_count];
-        for &(s, t) in forall_edges {
+        for (s, t) in forall_edges.iter().map(internal) {
             fdeg[s as usize] += 1;
             findeg[t as usize] += 1;
         }
-        for &(s, t) in exists_edges {
+        for (s, t) in exists_edges.iter().map(internal) {
             edeg[s as usize] += 1;
             eindeg[t as usize] += 1;
         }
@@ -70,13 +74,13 @@ impl EdgeArena {
         }
         let mut targets = vec![0u32; forall_edges.len() + exists_edges.len()];
         let mut fcur: Vec<u32> = (0..node_count).map(|i| node_off[i]).collect();
-        for &(s, t) in forall_edges {
+        for (s, t) in forall_edges.iter().map(internal) {
             let c = &mut fcur[s as usize];
             targets[*c as usize] = t;
             *c += 1;
         }
         let mut ecur: Vec<u32> = forall_end.clone();
-        for &(s, t) in exists_edges {
+        for (s, t) in exists_edges.iter().map(internal) {
             let c = &mut ecur[s as usize];
             targets[*c as usize] = t;
             *c += 1;
@@ -171,8 +175,7 @@ pub struct IndexStats {
 
 impl IndexStats {
     /// The structural gauges as `(name, help, value)` rows, exported as
-    /// `drtopk_index_<name>` by `drtopk stats` and by a single-index
-    /// server's `/metrics`.
+    /// `drtopk_index_<name>` by [`IndexStats::prom_gauges`].
     pub fn gauge_rows(&self) -> [(&'static str, &'static str, u64); 10] {
         [
             ("tuples", "Tuples in the indexed relation", self.n as u64),
@@ -210,6 +213,16 @@ impl IndexStats {
                 self.seeds as u64,
             ),
         ]
+    }
+
+    /// Appends the structural gauges to `out` as Prometheus gauges named
+    /// `drtopk_index_<name>`: the index block of `drtopk stats --format
+    /// prom` and of a single-index server's `/metrics`.
+    pub fn prom_gauges(&self, out: &mut String) {
+        for (name, help, value) in self.gauge_rows() {
+            let name = format!("drtopk_index_{name}");
+            drtopk_obs::snapshot::prom_gauge(out, &name, help, value as f64);
+        }
     }
 }
 
@@ -415,7 +428,7 @@ mod tests {
     fn arena_packs_and_sorts_segments() {
         let forall = vec![(0u32, 3u32), (0, 1), (2, 3)];
         let exists = vec![(0u32, 2u32), (1, 3), (0, 1)];
-        let (arena, findeg, eindeg) = EdgeArena::build(4, &forall, &exists);
+        let (arena, findeg, eindeg) = EdgeArena::build(&[0, 1, 2, 3], &forall, &exists);
         assert_eq!(arena.forall_out(0), &[1, 3]);
         assert_eq!(arena.exists_out(0), &[1, 2]);
         assert_eq!(arena.both(0), (&[1u32, 3u32][..], &[1u32, 2u32][..]));
@@ -429,7 +442,7 @@ mod tests {
 
     #[test]
     fn arena_empty() {
-        let (arena, findeg, eindeg) = EdgeArena::build(2, &[], &[]);
+        let (arena, findeg, eindeg) = EdgeArena::build(&[0, 1], &[], &[]);
         assert!(arena.forall_out(1).is_empty());
         assert!(arena.exists_out(0).is_empty());
         assert_eq!(findeg, vec![0, 0]);

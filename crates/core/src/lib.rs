@@ -38,7 +38,6 @@ pub mod explain;
 pub mod index;
 pub mod monotone;
 pub mod options;
-mod par;
 pub mod profile;
 pub mod query;
 pub mod shard;

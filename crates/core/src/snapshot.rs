@@ -140,9 +140,9 @@ impl DualLayerIndex {
     /// Reconstructs an index from a snapshot.
     ///
     /// Validates structural consistency (layer partition, edge endpoints in
-    /// range) and returns an error on malformed input; edge *semantics*
-    /// (that each edge reflects a true dominance relationship) can be
-    /// checked separately with [`crate::verify`].
+    /// range) and returns [`Error::Invalid`] on malformed input; edge
+    /// *semantics* (that each edge reflects a true dominance relationship)
+    /// can be checked separately with [`crate::verify`].
     pub fn from_snapshot(snap: &IndexSnapshot) -> Result<DualLayerIndex, Error> {
         if snap.dims == 0 {
             return Err(Error::InvalidDimension(0));
@@ -169,33 +169,33 @@ impl DualLayerIndex {
         for &(ci, fi, ref members) in &snap.fine_layers {
             if ci as usize >= layers.len() {
                 if ci as usize != layers.len() {
-                    return Err(Error::EmptyQuery("non-contiguous coarse layer ids".into()));
+                    return Err(Error::Invalid("non-contiguous coarse layer ids".into()));
                 }
                 layers.push(CoarseLayer { fine: Vec::new() });
             }
             let layer = &mut layers[ci as usize];
             if fi as usize != layer.fine.len() {
-                return Err(Error::EmptyQuery("non-contiguous fine layer ids".into()));
+                return Err(Error::Invalid("non-contiguous fine layer ids".into()));
             }
             for &t in members {
                 let Some(slot) = covered.get_mut(t as usize) else {
-                    return Err(Error::EmptyQuery(format!("tuple id {t} out of range")));
+                    return Err(Error::Invalid(format!("tuple id {t} out of range")));
                 };
                 if *slot {
-                    return Err(Error::EmptyQuery(format!("tuple {t} in two layers")));
+                    return Err(Error::Invalid(format!("tuple {t} in two layers")));
                 }
                 *slot = true;
             }
             layer.fine.push(members.clone());
         }
         if covered.iter().any(|&c| !c) {
-            return Err(Error::EmptyQuery("layers do not cover the relation".into()));
+            return Err(Error::Invalid("layers do not cover the relation".into()));
         }
 
         let check_edges = |edges: &[(NodeId, NodeId)]| -> Result<(), Error> {
             for &(s, t) in edges {
                 if s as usize >= total || t as usize >= total {
-                    return Err(Error::EmptyQuery(format!("edge ({s},{t}) out of range")));
+                    return Err(Error::Invalid(format!("edge ({s},{t}) out of range")));
                 }
             }
             Ok(())
@@ -204,23 +204,23 @@ impl DualLayerIndex {
         check_edges(&snap.exists_edges)?;
         for group in &snap.pseudo_fine {
             if group.iter().any(|&g| g as usize >= pseudo_count) {
-                return Err(Error::EmptyQuery("pseudo_fine index out of range".into()));
+                return Err(Error::Invalid("pseudo_fine index out of range".into()));
             }
         }
         let zero2d = match &snap.zero2d_chain {
             Some(chain) => {
                 if chain.iter().any(|&t| t as usize >= n) {
-                    return Err(Error::EmptyQuery("zero-layer chain id out of range".into()));
+                    return Err(Error::Invalid("zero-layer chain id out of range".into()));
                 }
                 if snap.zero2d_breakpoints.len() + 1 != chain.len() {
-                    return Err(Error::EmptyQuery(
+                    return Err(Error::Invalid(
                         "breakpoint count must be |chain| - 1".into(),
                     ));
                 }
                 if snap.zero2d_breakpoints.windows(2).any(|w| w[0] < w[1])
                     || snap.zero2d_breakpoints.iter().any(|b| !b.is_finite())
                 {
-                    return Err(Error::EmptyQuery(
+                    return Err(Error::Invalid(
                         "zero-layer breakpoints must be finite and non-increasing".into(),
                     ));
                 }
@@ -336,36 +336,30 @@ mod tests {
         let idx = DualLayerIndex::build(&rel, DlOptions::dl());
         let snap = idx.to_snapshot();
 
+        // Every structural check reports `Error::Invalid`.
+        let invalid = |snap: &IndexSnapshot| match DualLayerIndex::from_snapshot(snap) {
+            Err(Error::Invalid(msg)) => msg,
+            other => panic!("expected Error::Invalid, got {:?}", other.err()),
+        };
+
         let mut missing = snap.clone();
         missing.fine_layers.pop();
-        assert!(
-            DualLayerIndex::from_snapshot(&missing).is_err(),
-            "uncovered tuples"
-        );
+        assert_eq!(invalid(&missing), "layers do not cover the relation");
 
         let mut bad_edge = snap.clone();
         bad_edge.forall_edges.push((9999, 0));
-        assert!(
-            DualLayerIndex::from_snapshot(&bad_edge).is_err(),
-            "edge out of range"
-        );
+        assert_eq!(invalid(&bad_edge), "edge (9999,0) out of range");
 
         let mut dup = snap.clone();
         let members = dup.fine_layers[0].2.clone();
+        let first = members[0];
         dup.fine_layers
             .push((dup.fine_layers.last().unwrap().0 + 1, 0, members));
-        assert!(
-            DualLayerIndex::from_snapshot(&dup).is_err(),
-            "duplicated tuples"
-        );
+        assert_eq!(invalid(&dup), format!("tuple {first} in two layers"));
 
-        let mut bad_zero = snap.clone();
-        if bad_zero.zero2d_chain.is_some() {
-            bad_zero.zero2d_breakpoints.push(0.5);
-            assert!(
-                DualLayerIndex::from_snapshot(&bad_zero).is_err(),
-                "breakpoint arity"
-            );
-        }
+        let mut bad_zero = DualLayerIndex::build(&rel, DlOptions::dl_plus()).to_snapshot();
+        assert!(bad_zero.zero2d_chain.is_some(), "2-d DL+ has a chain");
+        bad_zero.zero2d_breakpoints.push(0.5);
+        assert_eq!(invalid(&bad_zero), "breakpoint count must be |chain| - 1");
     }
 }

@@ -44,9 +44,10 @@
 //!
 //! Even when compiled in, recording can be switched off per process with
 //! [`MetricsRegistry::set_recording`]: spans skip the clock read and
-//! recording calls skip the atomic traffic. The residual cost is the
-//! plain-integer increments, which the throughput bench measures at well
-//! under the 2 % budget (see `BENCH_throughput.json`).
+//! recording calls skip the atomic traffic. The throughput bench times
+//! every query with recording off and on; the committed
+//! `BENCH_throughput.json` reads +0.20 to +0.29 µs per query, 5.1 % to
+//! 15.9 % of its 1.35–3.81 µs p50s, above the 2 % budget.
 //!
 //! ```
 //! use drtopk_obs::metrics;

@@ -323,16 +323,7 @@ impl Shared {
     fn prometheus_text(&self) -> String {
         let mut out = String::new();
         match &self.backend {
-            Backend::Single { index, .. } => {
-                for (name, help, value) in index.stats().gauge_rows() {
-                    drtopk_obs::snapshot::prom_gauge(
-                        &mut out,
-                        &format!("drtopk_index_{name}"),
-                        help,
-                        value as f64,
-                    );
-                }
-            }
+            Backend::Single { index, .. } => index.stats().prom_gauges(&mut out),
             Backend::Sharded { router } => {
                 let tuples: usize = (0..router.shards())
                     .filter_map(|s| router.shard(s).with_store(|st| st.len()))

@@ -441,7 +441,10 @@ pub fn save_index(idx: &DualLayerIndex, path: &Path) -> Result<(), FormatError> 
 /// Reads and reconstructs an index from `path`, validating structure.
 pub fn load_index(path: &Path) -> Result<DualLayerIndex, FormatError> {
     let snap = index_from_bytes(&read_file(path)?)?;
-    DualLayerIndex::from_snapshot(&snap).map_err(|e| FormatError::Invalid(e.to_string()))
+    DualLayerIndex::from_snapshot(&snap).map_err(|e| match e {
+        drtopk_common::Error::Invalid(msg) => FormatError::Invalid(msg),
+        other => FormatError::Invalid(other.to_string()),
+    })
 }
 
 /// Writes a dynamic-index state to `path` atomically.

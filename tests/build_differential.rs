@@ -1,9 +1,15 @@
-//! Build differential suite: the optimized construction pipeline
-//! (incremental sorted peeling, block-pruned sort-merge edge generation,
-//! thread fan-out) must produce an index *byte-identical* to the retained
-//! sequential reference (`DualLayerIndex::build_reference`) — not just
-//! query-equivalent. Equality is checked on the serialized snapshot, so
-//! any drift in layer order, edge order, seeds, or pseudo-tuples fails.
+//! Build differential suite. Both builds run one construction pipeline and
+//! differ only in its four phase kernels: `DualLayerIndex::build` runs the
+//! optimized kernels (incremental sorted peeling, block-pruned sort-merge
+//! edge generation) with thread fan-out, `DualLayerIndex::build_reference`
+//! the plain reference kernels on one worker. The two must produce
+//! *byte-identical* indexes — not just query-equivalent ones — so these
+//! tests check the pruned kernels and the fan-out. Equality is checked on
+//! the serialized snapshot, so any drift in layer order, edge order,
+//! seeds, or pseudo-tuples fails. The shared pipeline itself (phase order,
+//! the fine-layer cap, zero-mode resolution, both zero layers, assembly)
+//! is the same code on both sides, so golden digests of built snapshots
+//! over every arm it branches on guard its bytes.
 
 use drtopk::common::{Distribution, WorkloadSpec};
 use drtopk::core::{DlOptions, DualLayerIndex, EdsPolicy, ZeroMode};
@@ -169,8 +175,10 @@ fn quantized_near_duplicates(d: usize, n: usize, seed: u64) -> drtopk::common::R
     drtopk::common::Relation::from_flat(d, flat).expect("coordinates stay in [0, 1]")
 }
 
-/// Snapshot digests of `DualLayerIndex::build` over a fixed matrix. The
-/// hull and simplex kernels must keep every built index byte-identical:
+/// Snapshot digests of `DualLayerIndex::build` over a fixed matrix whose
+/// eight option sets cover every arm the shared pipeline branches on. The
+/// pipeline and the hull and simplex kernels must keep every built index
+/// byte-identical:
 /// `EdsPolicy::FirstFacet` takes the first qualifying facet in QuickHull's
 /// enumeration order, so even a reordered facet list changes the bytes.
 /// A change that moves a digest on purpose must say why in its log.
@@ -179,82 +187,107 @@ fn build_bytes_match_golden_digests() {
     const GOLDEN: &[(&str, u64)] = &[
         ("DL+ IND d=2", 0x2f05335b4b3312cd),
         ("DL IND d=2", 0xde1029bc495b30ad),
+        ("DG IND d=2", 0x59000682f03b41a7),
         ("DG+ IND d=2", 0xd949c82f4a80ba3e),
         ("DL+/AllFacets IND d=2", 0x2f05335b4b3312cd),
         ("DL+/BestUniform IND d=2", 0x2f05335b4b3312cd),
         ("DL+/fine<=4 IND d=2", 0x3a0bbcc7ae9099f1),
+        ("DL+/clusters=7 IND d=2", 0xb8ea7153ddd44392),
         ("DL+ ANT d=2", 0x1d8c666c352a5a53),
         ("DL ANT d=2", 0x4d0103b45cf9ff25),
+        ("DG ANT d=2", 0x3d1f14f7e2c60a8a),
         ("DG+ ANT d=2", 0x9eb03e2d64a67ecd),
         ("DL+/AllFacets ANT d=2", 0x1d8c666c352a5a53),
         ("DL+/BestUniform ANT d=2", 0x1d8c666c352a5a53),
         ("DL+/fine<=4 ANT d=2", 0xe20bd2aba2082931),
+        ("DL+/clusters=7 ANT d=2", 0x0838703dbf5cca9e),
         ("DL+ COR d=2", 0x734b374f49b50918),
         ("DL COR d=2", 0x0d11cdd40393301b),
+        ("DG COR d=2", 0xd10ca7bfc5ac8861),
         ("DG+ COR d=2", 0xdd67f57478cba409),
         ("DL+/AllFacets COR d=2", 0x734b374f49b50918),
         ("DL+/BestUniform COR d=2", 0x734b374f49b50918),
         ("DL+/fine<=4 COR d=2", 0x7391968ed8e7b9ac),
+        ("DL+/clusters=7 COR d=2", 0x158c26b07c092eca),
         ("DL+ IND d=3", 0x3d7ea3925d7765cf),
         ("DL IND d=3", 0x723ad473d9df91d8),
+        ("DG IND d=3", 0xbcd00b1a30ac4c57),
         ("DG+ IND d=3", 0x5a632cf454cc4053),
         ("DL+/AllFacets IND d=3", 0x637363d8f3a86ba8),
         ("DL+/BestUniform IND d=3", 0xbbe2b9b716faf44c),
         ("DL+/fine<=4 IND d=3", 0x98503eb907b8dda4),
+        ("DL+/clusters=7 IND d=3", 0x3c820c4f0ac938aa),
         ("DL+ ANT d=3", 0x4a5149c78ae957fe),
         ("DL ANT d=3", 0x614331a3df0c3bcb),
+        ("DG ANT d=3", 0x93af50eca439e176),
         ("DG+ ANT d=3", 0xc018f3054cf0c429),
         ("DL+/AllFacets ANT d=3", 0x60297536a0c7ba8d),
         ("DL+/BestUniform ANT d=3", 0x3d86de740f248e2b),
         ("DL+/fine<=4 ANT d=3", 0x66351693a21e426e),
+        ("DL+/clusters=7 ANT d=3", 0x0ccfbadcbd6721f9),
         ("DL+ COR d=3", 0xa42d613bfb9d8dee),
         ("DL COR d=3", 0x7881a3cf1c2809e9),
+        ("DG COR d=3", 0x2a21f98d70cf1385),
         ("DG+ COR d=3", 0x8fdcbec06c8a9da9),
         ("DL+/AllFacets COR d=3", 0xa50d087b374a601e),
         ("DL+/BestUniform COR d=3", 0xfb909ef19a04edcb),
         ("DL+/fine<=4 COR d=3", 0xa16d5e6604d1fbaa),
+        ("DL+/clusters=7 COR d=3", 0xb91e066b42722918),
         ("DL+ IND d=4", 0xe8c2601e861c0f3e),
         ("DL IND d=4", 0x0ab4b55a2ac059e8),
+        ("DG IND d=4", 0xa887470fbbe77ea2),
         ("DG+ IND d=4", 0xa2f724ab481bc7ba),
         ("DL+/AllFacets IND d=4", 0x4bc3eea47072995b),
         ("DL+/BestUniform IND d=4", 0x1ce3dd6459339b38),
         ("DL+/fine<=4 IND d=4", 0x8dc9e1eeaeb49e84),
+        ("DL+/clusters=7 IND d=4", 0x67708487cf91be46),
         ("DL+ ANT d=4", 0x52463a2433265276),
         ("DL ANT d=4", 0x2759fe683d8c5a54),
+        ("DG ANT d=4", 0x48e50a369136d412),
         ("DG+ ANT d=4", 0x55b81887129d33a9),
         ("DL+/AllFacets ANT d=4", 0xf68b69878cd712fc),
         ("DL+/BestUniform ANT d=4", 0xd2f518debef44705),
         ("DL+/fine<=4 ANT d=4", 0xf53b2681f51f629c),
+        ("DL+/clusters=7 ANT d=4", 0xb9f8603a299ac095),
         ("DL+ COR d=4", 0x37d6a7facfa56266),
         ("DL COR d=4", 0x7ada012506b7abdd),
+        ("DG COR d=4", 0x30d26f88d6ff9d9f),
         ("DG+ COR d=4", 0x45fdc4ffd8520048),
         ("DL+/AllFacets COR d=4", 0x1a0648aa032b36ad),
         ("DL+/BestUniform COR d=4", 0x27737e71fc6669ee),
         ("DL+/fine<=4 COR d=4", 0xf8a06b4cce966f70),
+        ("DL+/clusters=7 COR d=4", 0xc98907b30d6f1fed),
         ("DL+ IND d=5", 0xa47ed2159af1d504),
         ("DL IND d=5", 0x9ffae41e18e80668),
+        ("DG IND d=5", 0x45e8bebf608157df),
         ("DG+ IND d=5", 0xd4608902d63e8782),
         ("DL+/AllFacets IND d=5", 0x2cd26d06539e1d20),
         ("DL+/BestUniform IND d=5", 0xcfeb18ab150fdb9d),
         ("DL+/fine<=4 IND d=5", 0x87497f9cc082f11d),
+        ("DL+/clusters=7 IND d=5", 0xa47ed2159af1d504),
         ("DL+ ANT d=5", 0x748d8e811eb3fc82),
         ("DL ANT d=5", 0xb6f051fa64707427),
+        ("DG ANT d=5", 0x6561eb233029e01c),
         ("DG+ ANT d=5", 0x800c7c98bf05e11d),
         ("DL+/AllFacets ANT d=5", 0xe2d2114de3e519c2),
         ("DL+/BestUniform ANT d=5", 0x3518dc881e3cbec6),
         ("DL+/fine<=4 ANT d=5", 0xe42fb24c2ed2ffc6),
+        ("DL+/clusters=7 ANT d=5", 0x83f3d08566656433),
         ("DL+ COR d=5", 0x121c4185dbefa3e7),
         ("DL COR d=5", 0xf0259aeb8d961975),
+        ("DG COR d=5", 0x9bdbbd825b44f549),
         ("DG+ COR d=5", 0x8283c1755886781b),
         ("DL+/AllFacets COR d=5", 0xfb2df0e55060d89b),
         ("DL+/BestUniform COR d=5", 0x40c6fb49de1c4bb3),
         ("DL+/fine<=4 COR d=5", 0x3d757ac136e7d2c0),
+        ("DL+/clusters=7 COR d=5", 0x297d9404c6d09fd7),
         ("DL+ quantized d=3", 0xd5b535605c6486a0),
         ("DL+ quantized d=4", 0xc972a4fdc4b154cb),
     ];
-    let variants: [(&str, DlOptions); 6] = [
+    let variants: [(&str, DlOptions); 8] = [
         ("DL+", DlOptions::dl_plus()),
         ("DL", DlOptions::dl()),
+        ("DG", DlOptions::dg()),
         ("DG+", DlOptions::dg_plus()),
         (
             "DL+/AllFacets",
@@ -274,6 +307,13 @@ fn build_bytes_match_golden_digests() {
             "DL+/fine<=4",
             DlOptions {
                 max_fine_layers: 4,
+                ..DlOptions::dl_plus()
+            },
+        ),
+        (
+            "DL+/clusters=7",
+            DlOptions {
+                zero: ZeroMode::Clustered { clusters: 7 },
                 ..DlOptions::dl_plus()
             },
         ),

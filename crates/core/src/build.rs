@@ -7,10 +7,10 @@
 //! phase kernels, and the two builds differ only there:
 //!
 //! * [`DualLayerIndex::build`] runs the optimized kernels on
-//!   `build_threads` workers: an incremental sorted skyline peel, the
-//!   incremental convex peel, sort-merge ∀-edge generation with
-//!   per-dimension min/max block pruning, and min-sum-pruned ∃-edge
-//!   generation;
+//!   `build_threads` workers: an incremental sorted skyline peel (a
+//!   staircase probe per layer at d = 2 and 3), the incremental convex
+//!   peel, ∀-edge generation over a kd-tree of each layer's sum-sorted
+//!   sources, and min-sum-pruned ∃-edge generation;
 //! * [`DualLayerIndex::build_reference`] runs the plain reference kernels
 //!   of `core::build_reference` on one worker.
 //!
@@ -26,17 +26,14 @@ use crate::profile::BuildProfile;
 use crate::zero::Zero2d;
 use drtopk_cluster::{cluster_min_corners, kmeans};
 use drtopk_common::par::parallel_map;
-use drtopk_common::{dominates, Relation, TupleId};
+use drtopk_common::{Relation, TupleId};
 use drtopk_geometry::csky::{convex_layers, ConvexLayer};
 use drtopk_geometry::facet_is_eds;
 use drtopk_skyline::skyline_layers_incremental;
 use std::time::Instant;
 
-/// Sources per ∀-edge pruning block: for each block of the sum-sorted
-/// source list the per-dimension min and max are precomputed, so whole
-/// blocks are skipped (min-corner incomparable) or bulk-accepted
-/// (max-corner dominated) without a single pairwise test.
-const FORALL_BLOCK: usize = 64;
+/// Most sources in one leaf of the ∀-edge kernel's [`SourceTree`].
+const FORALL_LEAF: usize = 8;
 
 /// Facets per ∃-edge pruning block (same idea over facet min-corners and
 /// minimum member sums).
@@ -149,10 +146,7 @@ pub(crate) fn run(
                 facets: Vec::new(),
             });
         }
-        // Clone rather than move the facets: the clones are exactly sized,
-        // while the peel's own lists carry spare capacity until phase 4.
-        let facets = peeled.iter().map(|l| l.facets.clone()).collect();
-        let fine = peeled.into_iter().map(|l| l.members).collect();
+        let (fine, facets) = peeled.into_iter().map(|l| (l.members, l.facets)).unzip();
         (CoarseLayer { fine }, facets)
     };
     let (layers, fine_facets): (Vec<CoarseLayer>, Vec<Vec<Facets>>) =
@@ -304,15 +298,17 @@ pub(crate) fn run(
 /// Adds an edge `(s, t)` for every `s ∈ sources` dominating `t ∈ targets`;
 /// returns the number of dominance tests performed.
 ///
-/// Sources are sorted by attribute sum (dominance implies a strictly
-/// smaller sum), so each target only considers the prefix of sources below
-/// its own sum — found by binary search instead of a scan — and that
-/// prefix is walked in [`FORALL_BLOCK`]-sized blocks with per-dimension
-/// min/max summaries: a block whose min-corner fails to weakly dominate
-/// the target is skipped whole, a block whose max-corner is weakly
-/// dominated by the target is accepted whole (a smaller sum rules out
-/// equality, so weak dominance is strict). Both rules force the outcome of
-/// every test they skip, so the emitted edge sequence is exactly the
+/// Sources are sorted by attribute sum exactly as the reference sorts
+/// them (same input order, same sum-only comparator), so equal-sum sources
+/// keep the reference's relative order. The reference's predicate links a
+/// source to a target when the source's sum is smaller and it is ≤ the
+/// target in every coordinate (a smaller sum rules out equality, so the
+/// source dominates). The sources are then bucketed spatially by a
+/// [`SourceTree`], and each target walks only the nodes whose min-corner
+/// weakly dominates it: leaves, and nodes whose max-corner it weakly
+/// dominates, test each source with that predicate. Every skipped source
+/// is one the predicate rejects, and each target's matches are emitted in
+/// ascending sum-sorted position, so the edge sequence is exactly the
 /// pairwise reference's.
 fn forall_edges_between(
     rel: &Relation,
@@ -320,67 +316,166 @@ fn forall_edges_between(
     targets: &[TupleId],
     edges: &mut Vec<(NodeId, NodeId)>,
 ) -> u64 {
-    let d = rel.dims();
-    // Collected and sorted exactly as the reference path does (same input
-    // order, same sum-only comparator) so that equal-sum sources keep the
-    // same relative order and edges come out in the same sequence.
+    if sources.is_empty() || targets.is_empty() {
+        return 0;
+    }
     let mut by_sum: Vec<(f64, TupleId)> = sources
         .iter()
         .map(|&s| (rel.tuple(s).iter().sum::<f64>(), s))
         .collect();
     by_sum.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-
-    let blocks = by_sum.len().div_ceil(FORALL_BLOCK);
-    let mut bmin = vec![f64::INFINITY; blocks * d];
-    let mut bmax = vec![f64::NEG_INFINITY; blocks * d];
-    for (i, &(_, s)) in by_sum.iter().enumerate() {
-        let base = (i / FORALL_BLOCK) * d;
-        for (k, &x) in rel.tuple(s).iter().enumerate() {
-            if x < bmin[base + k] {
-                bmin[base + k] = x;
-            }
-            if x > bmax[base + k] {
-                bmax[base + k] = x;
-            }
-        }
-    }
+    let tree = SourceTree::new(rel, &by_sum);
 
     let mut tests = 0u64;
+    let mut hits: Vec<u32> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
     for &t in targets {
         let tv = rel.tuple(t);
         let t_sum: f64 = tv.iter().sum();
-        // First source whose sum is not below the target's: sources from
-        // here on can never dominate.
-        let cut = by_sum.partition_point(|&(s_sum, _)| s_sum < t_sum);
-        let mut i = 0;
-        while i < cut {
-            let b = i / FORALL_BLOCK;
-            let end = ((b + 1) * FORALL_BLOCK).min(cut);
-            // Block min/max summaries cover the whole block; the prefix
-            // below `cut` inherits both bounds.
-            let lo = &bmin[b * d..(b + 1) * d];
-            if lo.iter().zip(tv).any(|(m, x)| m > x) {
-                i = end;
-                continue;
-            }
-            let hi = &bmax[b * d..(b + 1) * d];
-            if hi.iter().zip(tv).all(|(m, x)| m <= x) {
-                for &(_, s) in &by_sum[i..end] {
-                    edges.push((s as NodeId, t as NodeId));
-                }
-                i = end;
-                continue;
-            }
-            for &(_, s) in &by_sum[i..end] {
-                tests += 1;
-                if dominates(rel.tuple(s), tv) {
-                    edges.push((s as NodeId, t as NodeId));
-                }
-            }
-            i = end;
-        }
+        hits.clear();
+        tests += tree.dominators(tv, t_sum, &mut stack, &mut hits);
+        hits.sort_unstable();
+        edges.extend(
+            hits.iter()
+                .map(|&p| (by_sum[p as usize].1 as NodeId, t as NodeId)),
+        );
     }
     tests
+}
+
+/// One [`SourceTree`] node: it covers the sources at tree positions
+/// `lo..hi`. An inner node's left child follows it; `right` is the index
+/// of its right child, and 0 marks a leaf.
+struct KdNode {
+    lo: u32,
+    hi: u32,
+    right: u32,
+}
+
+/// The sum-sorted sources of [`forall_edges_between`] as a kd-tree: each
+/// node splits its sources at the median of one dimension, the next one
+/// at each level, until at most [`FORALL_LEAF`] remain, and keeps their
+/// min- and max-corners.
+struct SourceTree {
+    d: usize,
+    nodes: Vec<KdNode>,
+    /// Min-corner then max-corner, `2 * d` values per node.
+    corners: Vec<f64>,
+    /// Each tree position's index into the sum-sorted source list.
+    pos: Vec<u32>,
+    /// Sums and flat coordinates in tree order.
+    sums: Vec<f64>,
+    coords: Vec<f64>,
+}
+
+impl SourceTree {
+    fn new(rel: &Relation, by_sum: &[(f64, TupleId)]) -> SourceTree {
+        let d = rel.dims();
+        let m = by_sum.len();
+        // Coordinates in sum-sorted order.
+        let mut pts = Vec::with_capacity(m * d);
+        for &(_, s) in by_sum {
+            pts.extend_from_slice(rel.tuple(s));
+        }
+        let mut pos: Vec<u32> = (0..m as u32).collect();
+        // A split run holds more than FORALL_LEAF sources, so every leaf
+        // holds at least half that many.
+        let nodes = 2 * m.div_ceil(FORALL_LEAF / 2);
+        let mut tree = SourceTree {
+            d,
+            nodes: Vec::with_capacity(nodes),
+            corners: Vec::with_capacity(nodes * 2 * d),
+            pos: Vec::new(),
+            sums: Vec::new(),
+            coords: Vec::with_capacity(m * d),
+        };
+        tree.split(&pts, &mut pos, 0, 0);
+        tree.sums = pos.iter().map(|&p| by_sum[p as usize].0).collect();
+        for &p in &pos {
+            tree.coords
+                .extend_from_slice(&pts[p as usize * d..(p as usize + 1) * d]);
+        }
+        tree.pos = pos;
+        tree
+    }
+
+    /// Appends the node covering `run` (sum-sorted positions into `pts`,
+    /// at tree positions from `lo`, split on dimension `k`) and, unless it
+    /// is a leaf, its subtrees, reordering `run` into tree order.
+    fn split(&mut self, pts: &[f64], run: &mut [u32], lo: usize, k: usize) {
+        let d = self.d;
+        let point = |p: u32| &pts[p as usize * d..(p as usize + 1) * d];
+        let id = self.nodes.len();
+        self.nodes.push(KdNode {
+            lo: lo as u32,
+            hi: (lo + run.len()) as u32,
+            right: 0,
+        });
+        let base = self.corners.len();
+        self.corners.extend(std::iter::repeat_n(f64::INFINITY, d));
+        self.corners
+            .extend(std::iter::repeat_n(f64::NEG_INFINITY, d));
+        if run.len() <= FORALL_LEAF {
+            let (mins, maxs) = self.corners[base..].split_at_mut(d);
+            for &p in run.iter() {
+                for ((m, x), &v) in mins.iter_mut().zip(maxs.iter_mut()).zip(point(p)) {
+                    *m = m.min(v);
+                    *x = x.max(v);
+                }
+            }
+            return;
+        }
+        let mid = run.len() / 2;
+        run.select_nth_unstable_by(mid, |&a, &b| point(a)[k].total_cmp(&point(b)[k]));
+        let (left, right) = run.split_at_mut(mid);
+        self.split(pts, left, lo, (k + 1) % d);
+        let r = self.nodes.len();
+        self.nodes[id].right = r as u32;
+        self.split(pts, right, lo + mid, (k + 1) % d);
+        // The box is the union of the children's.
+        let (l, r) = ((id + 1) * 2 * d, r * 2 * d);
+        for j in 0..d {
+            self.corners[base + j] = self.corners[l + j].min(self.corners[r + j]);
+            self.corners[base + d + j] = self.corners[l + d + j].max(self.corners[r + d + j]);
+        }
+    }
+
+    /// Appends to `hits` the sum-sorted position of every source with a
+    /// smaller sum than `t_sum` and ≤ `tv` in every coordinate, in no
+    /// particular order; returns the number of sources tested.
+    fn dominators(
+        &self,
+        tv: &[f64],
+        t_sum: f64,
+        stack: &mut Vec<usize>,
+        hits: &mut Vec<u32>,
+    ) -> u64 {
+        let d = self.d;
+        let mut tests = 0u64;
+        stack.clear();
+        stack.push(0);
+        while let Some(ni) = stack.pop() {
+            let node = &self.nodes[ni];
+            let c = &self.corners[ni * 2 * d..(ni + 1) * 2 * d];
+            if c[..d].iter().zip(tv).any(|(m, x)| m > x) {
+                continue;
+            }
+            let covered = c[d..].iter().zip(tv).all(|(m, x)| m <= x);
+            if !covered && node.right != 0 {
+                stack.push(node.right as usize);
+                stack.push(ni + 1);
+                continue;
+            }
+            for i in node.lo as usize..node.hi as usize {
+                tests += 1;
+                let sv = &self.coords[i * d..(i + 1) * d];
+                if self.sums[i] < t_sum && (covered || sv.iter().zip(tv).all(|(a, b)| a <= b)) {
+                    hits.push(self.pos[i]);
+                }
+            }
+        }
+        tests
+    }
 }
 
 /// Adds ∃-dominance edges from facet members of the previous fine sublayer
@@ -510,25 +605,109 @@ mod tests {
     use drtopk_common::{Distribution, Weights, WorkloadSpec};
     use drtopk_skyline::{skyline_layers, SkylineAlgo};
 
+    /// IND rows snapped to a 1/16 grid, so many coordinates, sums and
+    /// whole rows tie.
+    fn quantized(d: usize, n: usize, seed: u64) -> Relation {
+        let base = WorkloadSpec::new(Distribution::Independent, d, n, seed).generate();
+        let flat = base
+            .iter()
+            .flat_map(|(_, row)| row.iter().map(|&x| (x * 16.0).round() / 16.0))
+            .collect();
+        Relation::from_flat(d, flat).unwrap()
+    }
+
+    /// IND rows, each repeated about three times under scattered ids.
+    fn duplicated(d: usize, n: usize, seed: u64) -> Relation {
+        let base = WorkloadSpec::new(Distribution::Independent, d, n, seed).generate();
+        let distinct = n.div_ceil(3);
+        let flat = (0..n)
+            .flat_map(|i| base.tuple((i * 7919 % distinct) as TupleId).iter().copied())
+            .collect();
+        Relation::from_flat(d, flat).unwrap()
+    }
+
+    /// `n` sources on a 1/16 grid that all sum to exactly `d / 4` (every
+    /// sum is exact in binary), then `n` grid targets above them.
+    fn equal_sum_sources(d: usize, n: usize, seed: u64) -> (Relation, Vec<TupleId>, Vec<TupleId>) {
+        let base = WorkloadSpec::new(Distribution::Independent, d, n, seed).generate();
+        let mut flat = Vec::with_capacity(2 * n * d);
+        for (_, row) in base.iter() {
+            // Spread d * 4 sixteenths over the columns, led by the row.
+            let mut cells: Vec<u32> = row.iter().map(|&x| (x * 8.0) as u32).collect();
+            let mut total: u32 = cells.iter().sum();
+            let mut k = 0;
+            while total != 4 * d as u32 {
+                if total < 4 * d as u32 && cells[k] < 16 {
+                    cells[k] += 1;
+                    total += 1;
+                } else if total > 4 * d as u32 && cells[k] > 0 {
+                    cells[k] -= 1;
+                    total -= 1;
+                }
+                k = (k + 1) % d;
+            }
+            flat.extend(cells.iter().map(|&c| f64::from(c) / 16.0));
+        }
+        for (_, row) in base.iter() {
+            flat.extend(
+                row.iter()
+                    .map(|&x| (0.25 + x * 0.75) * 16.0)
+                    .map(|x| x.round() / 16.0),
+            );
+        }
+        let rel = Relation::from_flat(d, flat).unwrap();
+        let sources = (0..n as TupleId).collect();
+        let targets = (n as TupleId..2 * n as TupleId).collect();
+        (rel, sources, targets)
+    }
+
     #[test]
     fn pruned_forall_edges_match_pairwise_reference() {
-        for dist in [
-            Distribution::Independent,
-            Distribution::Correlated,
-            Distribution::AntiCorrelated,
-        ] {
-            for d in [2, 3, 4] {
-                let rel = WorkloadSpec::new(dist, d, 500, 13).generate();
-                let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
-                let layers = skyline_layers(&rel, &all, SkylineAlgo::BSkyTree);
-                for w in layers.windows(2) {
-                    let mut fast = Vec::new();
-                    forall_edges_between(&rel, &w[0], &w[1], &mut fast);
-                    let mut slow = Vec::new();
-                    forall_edges_reference(&rel, &w[0], &w[1], &mut slow);
-                    assert_eq!(fast, slow, "{dist:?} d={d}: edge sequences must match");
-                }
+        let check = |rel: &Relation, sources: &[TupleId], targets: &[TupleId], ctx: &str| {
+            let mut fast = Vec::new();
+            forall_edges_between(rel, sources, targets, &mut fast);
+            let mut slow = Vec::new();
+            forall_edges_reference(rel, sources, targets, &mut slow);
+            assert_eq!(fast, slow, "{ctx}: edge sequences must match");
+        };
+        for d in 2..=5 {
+            let mut rels: Vec<(String, Relation)> = Vec::new();
+            for dist in [
+                Distribution::Independent,
+                Distribution::Correlated,
+                Distribution::AntiCorrelated,
+            ] {
+                rels.push((
+                    format!("{dist:?}"),
+                    WorkloadSpec::new(dist, d, 500, 13).generate(),
+                ));
             }
+            rels.push(("quantized".into(), quantized(d, 500, 17)));
+            rels.push(("duplicated".into(), duplicated(d, 500, 19)));
+            for (name, rel) in &rels {
+                let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
+                let layers = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
+                for w in layers.windows(2) {
+                    check(rel, &w[0], &w[1], &format!("{name} d={d} adjacent layers"));
+                }
+                // Every tuple against every tuple: equal rows on both sides.
+                check(rel, &all, &all, &format!("{name} d={d} all pairs"));
+                check(rel, &[], &all, &format!("{name} d={d} no sources"));
+                check(rel, &all, &[], &format!("{name} d={d} no targets"));
+            }
+            let (rel, sources, targets) = equal_sum_sources(d, 300, 23);
+            let mut fast = Vec::new();
+            forall_edges_between(&rel, &sources, &targets, &mut fast);
+            assert!(
+                !fast.is_empty(),
+                "d={d}: equal-sum sources dominate no target"
+            );
+            check(
+                &rel,
+                &sources,
+                &targets,
+                &format!("equal-sum sources d={d}"),
+            );
         }
     }
 

@@ -4,11 +4,16 @@
 //! [`DualLayerIndex::build_with_profile`], the wall-clock seconds spent
 //! and the number of dominance tests performed — the `Cost`-style counter
 //! that makes pruning effectiveness observable independently of machine
-//! speed. A "dominance test" is one unit of pairwise work: a `dominates`
-//! call, a staircase probe in the incremental skyline peel, or an
-//! `facet_is_eds` evaluation in the ∃-edge phase. Work avoided by sorting
-//! and min/max prefix pruning simply never shows up in the counters,
-//! which is exactly the point.
+//! speed. A "dominance test" is one unit of pairwise work:
+//!
+//! * in the coarse peel, one staircase probe (d = 2 and 3) or one member
+//!   compared against the tuple (d ≥ 4);
+//! * in the ∀ phase, one source tested against a target in a kd-tree
+//!   leaf, or in a node whose max-corner the target weakly dominates;
+//! * in the ∃ phases, one `facet_is_eds` evaluation.
+//!
+//! Work avoided by sorting and pruning simply never shows up in the
+//! counters, which is exactly the point.
 //!
 //! [`DualLayerIndex::build_with_profile`]: crate::DualLayerIndex::build_with_profile
 

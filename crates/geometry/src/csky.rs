@@ -403,8 +403,10 @@ pub fn convex_layers(rel: &Relation, ids: &[TupleId]) -> Vec<ConvexLayer> {
             "convex skyline of a nonempty set is nonempty"
         );
         let members: Vec<TupleId> = cs.members.iter().map(|&p| remaining[p as usize]).collect();
-        // Positions become tuple ids in place (both are `u32`).
-        let facets: Vec<Vec<TupleId>> = cs
+        // Positions become tuple ids in place (both are `u32`). The list
+        // grew by pushes, so it is trimmed to size: the build keeps it
+        // until its ∃ edges are done.
+        let mut facets: Vec<Vec<TupleId>> = cs
             .facets
             .into_iter()
             .map(|mut f| {
@@ -414,6 +416,7 @@ pub fn convex_layers(rel: &Relation, ids: &[TupleId]) -> Vec<ConvexLayer> {
                 f
             })
             .collect();
+        facets.shrink_to_fit();
         // Remove extracted members from the remainder. `cs.members` is
         // sorted ascending, so a single merge pass suffices.
         next.clear();

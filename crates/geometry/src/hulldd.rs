@@ -222,6 +222,12 @@ impl HullScratch {
         let facet_budget = ((n as f64).powf(dims as f64 / 2.0) as usize)
             .saturating_add(16 * n * dims)
             .saturating_add(1024);
+        // The same clusters can also make one cone link tens of millions
+        // of facet pairs before the facet count is checked again: a real
+        // hull gives each facet d neighbors, so more than `facet_budget ×
+        // d` links in one build is that blow-up, and bails the same way.
+        let link_budget = facet_budget.saturating_mul(dims);
+        let mut links = 0usize;
         while let Some(fi) = pending.pop() {
             if alive.len() > facet_budget {
                 return Err(HullError::Degenerate);
@@ -358,6 +364,10 @@ impl HullScratch {
                         .filter(|v| vb.contains(v))
                         .count();
                     if shared == dims - 1 {
+                        links += 1;
+                        if links > link_budget {
+                            return Err(HullError::Degenerate);
+                        }
                         neighbors[a].push(b as u32);
                         neighbors[b].push(a as u32);
                     }

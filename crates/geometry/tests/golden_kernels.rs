@@ -16,6 +16,7 @@ use drtopk_geometry::lp::{Cmp, LpOutcome, Simplex};
 use drtopk_geometry::GEOM_EPS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 /// Incremental FNV-1a 64.
 struct Fnv(u64);
@@ -121,41 +122,88 @@ fn quickhull_output_matches_golden_digests() {
         for dims in 2..=5 {
             let mut rng = StdRng::seed_from_u64(0x4811 + dims as u64);
             let mut h = Fnv::new();
-            // Larger 5-d near-duplicate clouds run QuickHull into its facet
-            // budget, which takes seconds per hull to reach.
+            // The 5-d near-duplicate digest covers the clouds of up to 30
+            // points, the table it was recorded with; the larger ones have
+            // their own digest and time bound in
+            // `near_duplicate_5d_hulls_end_within_their_budget`.
             let sizes: &[usize] = if shape == "near-dup" && dims == 5 {
-                &[6, 12, 30]
+                SMALL_SIZES
             } else {
                 &[6, 12, 30, 60, 120, 180]
             };
             for &n in sizes {
                 for _ in 0..4 {
                     let pts = cloud(shape, dims, n, &mut rng);
-                    match quickhull(&pts, dims, GEOM_EPS) {
-                        Ok(hull) => {
-                            h.u64(hull.vertices.len() as u64);
-                            for &v in &hull.vertices {
-                                h.u64(u64::from(v));
-                            }
-                            h.u64(hull.facets.len() as u64);
-                            for f in &hull.facets {
-                                for &v in &f.vertices {
-                                    h.u64(u64::from(v));
-                                }
-                                for &c in &f.normal {
-                                    h.f64(c);
-                                }
-                                h.f64(f.offset);
-                            }
-                        }
-                        Err(e) => h.bytes(format!("{e:?}").as_bytes()),
-                    }
+                    hash_hull(&mut h, &pts, dims);
                 }
             }
             got.push((format!("{shape} d={dims}"), h.0));
         }
     }
     check("quickhull", &got, GOLDEN);
+}
+
+/// Cloud sizes the 5-d near-duplicate row of the QuickHull table covers.
+const SMALL_SIZES: &[usize] = &[6, 12, 30];
+
+/// Hashes QuickHull's output on `pts`: vertex ids, then facet vertex ids,
+/// normal and offset bits in enumeration order, or the error.
+fn hash_hull(h: &mut Fnv, pts: &[f64], dims: usize) {
+    match quickhull(pts, dims, GEOM_EPS) {
+        Ok(hull) => {
+            h.u64(hull.vertices.len() as u64);
+            for &v in &hull.vertices {
+                h.u64(u64::from(v));
+            }
+            h.u64(hull.facets.len() as u64);
+            for f in &hull.facets {
+                for &v in &f.vertices {
+                    h.u64(u64::from(v));
+                }
+                for &c in &f.normal {
+                    h.f64(c);
+                }
+                h.f64(f.offset);
+            }
+        }
+        Err(e) => h.bytes(format!("{e:?}").as_bytes()),
+    }
+}
+
+/// The 5-d near-duplicate sequence continued past its 30-point clouds:
+/// four clouds each of 60, 120 and 180 points. QuickHull ends these
+/// quickly only because it bounds its cone-adjacency links: without that
+/// bound five of the twelve run for more than a minute each. Each hull
+/// must end within `PER_HULL`, and the outputs keep their digest.
+#[test]
+fn near_duplicate_5d_hulls_end_within_their_budget() {
+    const GOLDEN: u64 = 0xaf93dbb05fea9231;
+    const PER_HULL: Duration = Duration::from_secs(10);
+    let dims = 5;
+    let mut rng = StdRng::seed_from_u64(0x4811 + dims as u64);
+    for &n in SMALL_SIZES {
+        for _ in 0..4 {
+            cloud("near-dup", dims, n, &mut rng);
+        }
+    }
+    let mut h = Fnv::new();
+    for n in [60, 120, 180] {
+        for i in 0..4 {
+            let pts = cloud("near-dup", dims, n, &mut rng);
+            let start = Instant::now();
+            hash_hull(&mut h, &pts, dims);
+            let took = start.elapsed();
+            assert!(
+                took < PER_HULL,
+                "{n}-point cloud {i} took {took:?}, over {PER_HULL:?}"
+            );
+        }
+    }
+    check(
+        "5-d near-duplicate quickhull",
+        &[("near-dup d=5, n = 60..180".to_string(), h.0)],
+        &[("near-dup d=5, n = 60..180", GOLDEN)],
+    );
 }
 
 /// Seeded ∃-dominance tests: random facets of 1..=d members and targets

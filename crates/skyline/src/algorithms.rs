@@ -5,6 +5,7 @@
 //! under Definition 2 equal tuples do not dominate each other.
 
 use drtopk_common::{dominates, Relation, TupleId};
+use std::cmp::Ordering;
 
 /// Selector for the skyline algorithm used by index builders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,15 +74,32 @@ pub fn bnl(rel: &Relation, ids: &[TupleId]) -> Vec<TupleId> {
     window
 }
 
+/// Lexicographic order of two tuples. A tuple that dominates another is
+/// ≤ it everywhere and differs somewhere, so it sorts first. Orders by a
+/// floating-point attribute sum break ties with this: a dominator's sum
+/// is never larger, but it can be equal (`(0.5, 1e-17)` and
+/// `(0.5, 2e-17)` both sum to 0.5).
+pub(crate) fn lex_cmp(u: &[f64], v: &[f64]) -> Ordering {
+    u.iter()
+        .zip(v)
+        .map(|(a, b)| a.partial_cmp(b).expect("coordinates are finite"))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
 /// Sort-filter-skyline: presort by attribute sum (a monotone preference
-/// function), so a tuple can only be dominated by tuples earlier in the
-/// order — the window never needs cleaning.
+/// function), ties broken lexicographically, so a tuple can only be
+/// dominated by tuples earlier in the order — the window never needs
+/// cleaning.
 pub fn sfs(rel: &Relation, ids: &[TupleId]) -> Vec<TupleId> {
     let mut order: Vec<TupleId> = ids.to_vec();
     order.sort_unstable_by(|&a, &b| {
         let sa: f64 = rel.tuple(a).iter().sum();
         let sb: f64 = rel.tuple(b).iter().sum();
-        sa.partial_cmp(&sb).unwrap().then(a.cmp(&b))
+        sa.partial_cmp(&sb)
+            .unwrap()
+            .then_with(|| lex_cmp(rel.tuple(a), rel.tuple(b)))
+            .then(a.cmp(&b))
     });
     let mut skyline: Vec<TupleId> = Vec::new();
     'outer: for &t in &order {
@@ -125,7 +143,9 @@ fn bskytree_rec(rel: &Relation, ids: &[TupleId], out: &mut Vec<TupleId>) {
     let d = rel.dims();
 
     // Balanced pivot: min-sum point after normalizing each dimension to the
-    // subset's own range, so no single dimension skews the lattice.
+    // subset's own range, so no single dimension skews the lattice. The
+    // normalization is monotone, so with ties broken by `lex_cmp` no tuple
+    // dominates the pivot.
     let mut lo = vec![f64::INFINITY; d];
     let mut hi = vec![f64::NEG_INFINITY; d];
     for &t in ids.iter() {
@@ -153,6 +173,7 @@ fn bskytree_rec(rel: &Relation, ids: &[TupleId], out: &mut Vec<TupleId>) {
             norm_sum(a)
                 .partial_cmp(&norm_sum(b))
                 .unwrap()
+                .then_with(|| lex_cmp(rel.tuple(a), rel.tuple(b)))
                 .then(a.cmp(&b))
         })
         .expect("nonempty");

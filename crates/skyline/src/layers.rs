@@ -4,20 +4,28 @@
 //!
 //! * [`skyline_layers`] — the literal definition: re-run a skyline
 //!   algorithm on the remainder once per layer. O(L) full skyline passes.
-//! * [`skyline_layers_incremental`] — sort once by attribute sum and
-//!   assign every tuple its layer in one pass. Dominance implies a
-//!   strictly smaller sum, so by the time a tuple is processed all of its
-//!   dominators already sit in the structure; its layer is
+//! * [`skyline_layers_incremental`] — sort once in an order that puts
+//!   every dominator before the tuples it dominates, and assign every
+//!   tuple its layer in one pass. A tuple's layer is
 //!   `1 + max{layer(s) : s dominates t}` (the longest-dominance-chain
 //!   characterization of skyline peeling), and because that dominator
 //!   predicate is downward-closed across layers — layer j's members are
 //!   dominated from layer j−1, so dominance chains extend all the way
 //!   down — the maximum is found by *binary search* over layers instead
-//!   of a scan. Each layer answers "do you contain a dominator of t?" in
-//!   O(log |layer|) for d = 2 (a staircase probe) and with a
-//!   sum-cutoff + min-corner-pruned scan for d ≥ 3.
+//!   of a scan. How a layer answers "do you contain a dominator of t?"
+//!   depends on d:
+//!   - d = 2: attribute-sum order, ties broken lexicographically (a
+//!     dominator's floating-point sum can equal the dominated tuple's),
+//!     and each layer is an x-sorted staircase (one O(log |layer|) probe);
+//!   - d = 3: lexicographic `(x, y, z, id)` order, so every member already
+//!     placed has x ≤ t's x and the question is 2-d on `(y, z)`. Each
+//!     layer keeps the staircase of its members' `(y, z)` minima, each
+//!     step with the smallest x at exactly that `(y, z)` to tell a
+//!     dominator from an exact duplicate (one O(log |layer|) probe);
+//!   - d ≥ 4: the d = 2 order, and each layer scans its members up to
+//!     t's sum behind whole-layer and per-block min-corner filters.
 
-use crate::algorithms::SkylineAlgo;
+use crate::algorithms::{lex_cmp, SkylineAlgo};
 use drtopk_common::par::{parallel_map, resolve_workers};
 use drtopk_common::{Relation, TupleId};
 
@@ -83,55 +91,111 @@ impl Staircase {
     }
 }
 
+/// A 3-d skyline layer under lexicographic `(x, y, z)` processing: the
+/// staircase of its members' `(y, z)` minima, y ascending and z strictly
+/// decreasing, each step with the smallest x seen at exactly that
+/// `(y, z)`. Every member was placed before the probed tuple, so it has
+/// x ≤ the tuple's x, and one binary search answers the dominator probe.
+#[derive(Debug, Default)]
+struct YzStaircase {
+    /// `(y, z, min x)` per step.
+    steps: Vec<(f64, f64, f64)>,
+}
+
+impl YzStaircase {
+    /// Does a member dominate `(x, y, z)`? The best candidate is the
+    /// rightmost step with y' ≤ y (its z is minimal among all members
+    /// with y' ≤ y); it dominates iff z' < z, or z' == z with y' < y, or
+    /// it sits at exactly `(y, z)` with a smaller x (a member there with
+    /// the same x is an exact duplicate, which does not dominate).
+    fn has_dominator(&self, x: f64, y: f64, z: f64) -> bool {
+        let k = self.steps.partition_point(|s| s.0 <= y);
+        if k == 0 {
+            return false;
+        }
+        let (sy, sz, sx) = self.steps[k - 1];
+        sz < z || (sz == z && (sy < y || sx < x))
+    }
+
+    /// Adds a member. A point that a step weakly dominates in `(y, z)`
+    /// adds no step: at exactly the step's `(y, z)` it is an exact
+    /// duplicate of the step's members (one with a larger x would have had
+    /// them as dominators), so the step's x stays the smallest. Otherwise
+    /// the point replaces every step it dominates in `(y, z)`; it
+    /// dominates, in 3-d, every later tuple those steps would.
+    fn insert(&mut self, x: f64, y: f64, z: f64) {
+        let k = self.steps.partition_point(|s| s.0 <= y);
+        let mut start = k;
+        if k > 0 {
+            let (sy, sz, _) = self.steps[k - 1];
+            if sz <= z {
+                return;
+            }
+            if sy == y {
+                start = k - 1;
+            }
+        }
+        // Steps right of `y` with z' ≥ z are a prefix (z decreases).
+        let end = k + self.steps[k..].partition_point(|s| s.1 >= z);
+        self.steps.splice(start..end, [(y, z, x)]);
+    }
+}
+
 /// Members per pruning block in an [`NdLayer`]: each block of the
 /// sum-ordered member list carries its componentwise min-corner, so a
 /// dominator probe skips whole blocks that cannot contain one.
 const ND_BLOCK: usize = 64;
 
-/// A d ≥ 3 layer: members in insertion (= attribute-sum) order with their
+/// A d ≥ 4 layer: members in insertion (= attribute-sum) order with their
 /// sums and a cache-friendly copy of their coordinates, plus min-corners
 /// (whole-layer and per [`ND_BLOCK`]-member block) for pruning.
 #[derive(Debug)]
 struct NdLayer {
     d: usize,
     sums: Vec<f64>,
-    members: Vec<TupleId>,
-    /// Member coordinates, flat, insertion order (`members.len() * d`).
+    /// Member coordinates, flat, insertion order (`sums.len() * d`).
     coords: Vec<f64>,
     corner: Vec<f64>,
     /// Componentwise min per block of `ND_BLOCK` members.
     block_corners: Vec<f64>,
 }
 
-/// Per-layer dominator-probe state for the incremental peel.
+/// Per-layer dominator-probe state for the incremental peel: d = 2, d = 3
+/// and d ≥ 4 each have their own (see the module doc).
 enum PeelState {
     Two(Vec<Staircase>),
+    Three(Vec<YzStaircase>),
     General(Vec<NdLayer>),
 }
 
 impl PeelState {
     fn new(d: usize) -> PeelState {
-        if d == 2 {
-            PeelState::Two(Vec::new())
-        } else {
-            PeelState::General(Vec::new())
+        match d {
+            2 => PeelState::Two(Vec::new()),
+            3 => PeelState::Three(Vec::new()),
+            _ => PeelState::General(Vec::new()),
         }
     }
 
     fn len(&self) -> usize {
         match self {
             PeelState::Two(s) => s.len(),
+            PeelState::Three(s) => s.len(),
             PeelState::General(l) => l.len(),
         }
     }
 
     /// Does layer `j` contain a dominator of the tuple? Counts dominance
-    /// tests into `tests` (one per staircase probe / `dominates` call).
+    /// tests into `tests` (one per staircase probe / member test).
     fn has_dominator(&self, j: usize, tv: &[f64], t_sum: f64, tests: &mut u64) -> bool {
         match self {
             PeelState::Two(stairs) => {
                 *tests += 1;
                 stairs[j].has_dominator(tv[0], tv[1])
+            }
+            PeelState::Three(stairs) => {
+                *tests += 1;
+                stairs[j].has_dominator(tv[0], tv[1], tv[2])
             }
             PeelState::General(layers) => {
                 let layer = &layers[j];
@@ -141,11 +205,11 @@ impl PeelState {
                 if layer.corner.iter().zip(tv).any(|(c, x)| c > x) {
                     return false;
                 }
-                // Dominators have strictly smaller sums; the sums are in
-                // insertion order (non-decreasing), so the scan stops at
-                // the binary-searched cutoff — walked block-wise, skipping
-                // blocks whose min-corner fails weak dominance.
-                let cut = layer.sums.partition_point(|&s| s < t_sum);
+                // Dominators have sums no larger than the tuple's; the sums
+                // are in insertion order (non-decreasing), so the scan
+                // stops at the binary-searched cutoff — walked block-wise,
+                // skipping blocks whose min-corner fails weak dominance.
+                let cut = layer.sums.partition_point(|&s| s <= t_sum);
                 let mut i = 0;
                 while i < cut {
                     let b = i / ND_BLOCK;
@@ -158,9 +222,8 @@ impl PeelState {
                     for m in i..end {
                         *tests += 1;
                         let mv = &layer.coords[m * d..(m + 1) * d];
-                        // Weak dominance suffices: these members have a
-                        // strictly smaller sum, which rules out equality.
-                        if mv.iter().zip(tv).all(|(a, b)| a <= b) {
+                        // An equal sum does not rule out an exact duplicate.
+                        if mv.iter().zip(tv).all(|(a, b)| a <= b) && mv != tv {
                             return true;
                         }
                     }
@@ -172,7 +235,7 @@ impl PeelState {
     }
 
     /// Adds the tuple to layer `j`, creating the layer when `j == len()`.
-    fn insert(&mut self, j: usize, t: TupleId, tv: &[f64], t_sum: f64) {
+    fn insert(&mut self, j: usize, tv: &[f64], t_sum: f64) {
         match self {
             PeelState::Two(stairs) => {
                 if j == stairs.len() {
@@ -180,22 +243,27 @@ impl PeelState {
                 }
                 stairs[j].insert(tv[0], tv[1]);
             }
+            PeelState::Three(stairs) => {
+                if j == stairs.len() {
+                    stairs.push(YzStaircase::default());
+                }
+                stairs[j].insert(tv[0], tv[1], tv[2]);
+            }
             PeelState::General(layers) => {
                 if j == layers.len() {
                     layers.push(NdLayer {
                         d: tv.len(),
                         sums: Vec::new(),
-                        members: Vec::new(),
                         coords: Vec::new(),
                         corner: tv.to_vec(),
                         block_corners: Vec::new(),
                     });
                 }
                 let layer = &mut layers[j];
-                if layer.members.len() % ND_BLOCK == 0 {
+                if layer.sums.len() % ND_BLOCK == 0 {
                     layer.block_corners.extend_from_slice(tv);
                 } else {
-                    let b = layer.members.len() / ND_BLOCK;
+                    let b = layer.sums.len() / ND_BLOCK;
                     let d = layer.d;
                     for (c, &x) in layer.block_corners[b * d..(b + 1) * d].iter_mut().zip(tv) {
                         if x < *c {
@@ -204,7 +272,6 @@ impl PeelState {
                     }
                 }
                 layer.sums.push(t_sum);
-                layer.members.push(t);
                 layer.coords.extend_from_slice(tv);
                 for (c, &x) in layer.corner.iter_mut().zip(tv) {
                     if x < *c {
@@ -272,10 +339,20 @@ fn skyline_layers_incremental_impl(
         .iter()
         .map(|&t| (rel.tuple(t).iter().sum::<f64>(), t))
         .collect();
-    // Dominance implies a strictly smaller attribute sum, so this order
-    // processes every dominator before the tuples it dominates (equal-sum
-    // tuples are mutually non-dominating; the id tie-break is cosmetic).
-    order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    // Both orders process every dominator before the tuples it dominates
+    // (see `lex_cmp`); the id tie-break is cosmetic.
+    let lex = |a: TupleId, b: TupleId| lex_cmp(rel.tuple(a), rel.tuple(b));
+    if rel.dims() == 3 {
+        // The sums go unused.
+        order.sort_unstable_by(|a, b| lex(a.1, b.1).then(a.1.cmp(&b.1)));
+    } else {
+        order.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap()
+                .then_with(|| lex(a.1, b.1))
+                .then(a.1.cmp(&b.1))
+        });
+    }
 
     let mut state = PeelState::new(rel.dims());
     let mut out: Vec<Vec<TupleId>> = Vec::new();
@@ -289,7 +366,7 @@ fn skyline_layers_incremental_impl(
                  lb: usize| {
         let tv = rel.tuple(t);
         let j = assign_layer(state, tv, t_sum, lb, tests);
-        state.insert(j, t, tv, t_sum);
+        state.insert(j, tv, t_sum);
         if j == out.len() {
             out.push(Vec::new());
         }
@@ -377,18 +454,87 @@ mod tests {
         }
     }
 
+    /// A `d`-column relation whose dominance hides below the attribute
+    /// sum's precision: each row of a 1/8 grid appears three times, with
+    /// 3e-17, 2e-17 and 1e-17 added to its last column, in that id order.
+    /// Each copy dominates the ones before it, and wherever the row sums to
+    /// at least 0.5 the three floating-point sums are equal.
+    fn sum_tie_relation(d: usize, seed: u64) -> Relation {
+        let base = WorkloadSpec::new(Distribution::Independent, d, 40, seed).generate();
+        let mut flat = Vec::new();
+        for (_, row) in base.iter() {
+            for e in [3e-17, 2e-17, 1e-17] {
+                flat.extend(row.iter().map(|&x| (x * 8.0).floor() / 8.0));
+                *flat.last_mut().unwrap() += e;
+            }
+        }
+        let rel = Relation::from_flat(d, flat).unwrap();
+        let sum = |t: TupleId| rel.tuple(t).iter().sum::<f64>();
+        assert!(
+            (0..rel.len() as TupleId)
+                .step_by(3)
+                .any(|t| dominates(rel.tuple(t + 1), rel.tuple(t)) && sum(t) == sum(t + 1)),
+            "d={d}: no dominance hides in a tied sum"
+        );
+        rel
+    }
+
     #[test]
     fn all_algorithms_produce_identical_layers() {
-        let rel = WorkloadSpec::new(Distribution::AntiCorrelated, 4, 300, 3).generate();
-        let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
-        let reference = skyline_layers(&rel, &all, SkylineAlgo::Naive);
-        for algo in [SkylineAlgo::Bnl, SkylineAlgo::Sfs, SkylineAlgo::BSkyTree] {
-            assert_eq!(skyline_layers(&rel, &all, algo), reference, "{algo:?}");
+        let mut cases = vec![(
+            "ANT d=4".to_string(),
+            WorkloadSpec::new(Distribution::AntiCorrelated, 4, 300, 3).generate(),
+        )];
+        for d in 2..=5 {
+            cases.push((format!("sum ties d={d}"), sum_tie_relation(d, 29)));
         }
+        for (label, rel) in &cases {
+            let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
+            let reference = skyline_layers(rel, &all, SkylineAlgo::Naive);
+            for algo in [SkylineAlgo::Bnl, SkylineAlgo::Sfs, SkylineAlgo::BSkyTree] {
+                assert_eq!(
+                    skyline_layers(rel, &all, algo),
+                    reference,
+                    "{label} {algo:?}"
+                );
+            }
+            for threads in [1, 2] {
+                let (layers, _) = skyline_layers_incremental(rel, &all, threads);
+                assert_eq!(layers, reference, "{label} incremental threads={threads}");
+            }
+        }
+    }
+
+    /// Three `d`-column relations of `n` rows whose ties the incremental
+    /// orders must resolve as the reference does: IND rows snapped to a
+    /// 1/16 grid, IND rows repeated about three times each under scattered
+    /// ids (exact duplicates), and IND rows whose first coordinate is
+    /// snapped to eight values (runs of equal x).
+    fn tie_relations(d: usize, n: usize, seed: u64) -> Vec<(&'static str, Relation)> {
+        let base = WorkloadSpec::new(Distribution::Independent, d, n, seed).generate();
+        let row = |i: usize| base.tuple(i as TupleId);
+        let distinct = n.div_ceil(3);
+        let grid = (0..n)
+            .flat_map(|i| row(i).iter().map(|&x| (x * 16.0).round() / 16.0))
+            .collect();
+        let dups = (0..n)
+            .flat_map(|i| row(i * 7919 % distinct).iter().copied())
+            .collect();
+        let equal_x = (0..n)
+            .flat_map(|i| {
+                let r = row(i);
+                std::iter::once((r[0] * 8.0).floor() / 8.0).chain(r[1..].iter().copied())
+            })
+            .collect();
+        [("grid", grid), ("duplicates", dups), ("equal-x", equal_x)]
+            .into_iter()
+            .map(|(name, flat)| (name, Relation::from_flat(d, flat).unwrap()))
+            .collect()
     }
 
     #[test]
     fn incremental_matches_peeling_reference() {
+        let mut cases: Vec<(String, Relation)> = Vec::new();
         for dist in [
             Distribution::Correlated,
             Distribution::Independent,
@@ -397,14 +543,22 @@ mod tests {
             for d in [2, 3, 4] {
                 for (n, seed) in [(60, 7u64), (400, 41)] {
                     let rel = WorkloadSpec::new(dist, d, n, seed).generate();
-                    let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
-                    let reference = skyline_layers(&rel, &all, SkylineAlgo::BSkyTree);
-                    for threads in [1, 2, 4] {
-                        let (layers, tests) = skyline_layers_incremental(&rel, &all, threads);
-                        assert_eq!(layers, reference, "{dist:?} d={d} n={n} threads={threads}");
-                        assert!(tests > 0);
-                    }
+                    cases.push((format!("{dist:?} d={d} n={n}"), rel));
                 }
+            }
+        }
+        for (n, seed) in [(60, 7u64), (400, 41)] {
+            for (name, rel) in tie_relations(3, n, seed) {
+                cases.push((format!("{name} d=3 n={n}"), rel));
+            }
+        }
+        for (label, rel) in &cases {
+            let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
+            let reference = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
+            for threads in [1, 2, 4] {
+                let (layers, tests) = skyline_layers_incremental(rel, &all, threads);
+                assert_eq!(layers, reference, "{label} threads={threads}");
+                assert!(tests > 0);
             }
         }
     }
@@ -438,15 +592,24 @@ mod tests {
         // runs over several blocks and still matches the reference. The
         // block path is forced so coverage does not depend on the host's
         // core count.
+        let n = 3 * PEEL_BLOCK;
+        let mut cases: Vec<(String, Relation)> = Vec::new();
         for d in [2, 3] {
-            let rel =
-                WorkloadSpec::new(Distribution::AntiCorrelated, d, 3 * PEEL_BLOCK, 5).generate();
+            let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, 5).generate();
+            cases.push((format!("ANT d={d}"), rel));
+        }
+        for (name, rel) in tie_relations(3, n, 5) {
+            cases.push((format!("{name} d=3"), rel));
+        }
+        for (label, rel) in &cases {
             let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
-            let reference = skyline_layers(&rel, &all, SkylineAlgo::BSkyTree);
-            let (seq, _) = skyline_layers_incremental(&rel, &all, 1);
-            let (blk, _) = skyline_layers_incremental_impl(&rel, &all, 0, true);
-            assert_eq!(seq, reference, "d={d}");
-            assert_eq!(blk, reference, "d={d}");
+            let reference = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
+            let (seq, _) = skyline_layers_incremental(rel, &all, 1);
+            assert_eq!(seq, reference, "{label}");
+            for threads in [1, 2, 4] {
+                let (blk, _) = skyline_layers_incremental_impl(rel, &all, threads, true);
+                assert_eq!(blk, reference, "{label} blocked threads={threads}");
+            }
         }
     }
 }

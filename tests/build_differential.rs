@@ -1,7 +1,7 @@
 //! Build differential suite. Both builds run one construction pipeline and
 //! differ only in its four phase kernels: `DualLayerIndex::build` runs the
-//! optimized kernels (incremental sorted peeling, block-pruned sort-merge
-//! edge generation) with thread fan-out, `DualLayerIndex::build_reference`
+//! optimized kernels (incremental sorted peeling, kd-bucketed ∀ edges,
+//! block-pruned ∃ edges) with thread fan-out, `DualLayerIndex::build_reference`
 //! the plain reference kernels on one worker. The two must produce
 //! *byte-identical* indexes — not just query-equivalent ones — so these
 //! tests check the pruned kernels and the fan-out. Equality is checked on
@@ -14,6 +14,9 @@
 use drtopk::common::{Distribution, WorkloadSpec};
 use drtopk::core::{DlOptions, DualLayerIndex, EdsPolicy, ZeroMode};
 use drtopk::storage::format::index_to_bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 fn distributions() -> [Distribution; 3] {
     [
@@ -120,6 +123,57 @@ fn optimized_build_matches_reference_across_variants() {
     // 2-d exact zero layer exercises the chain-member seed exclusion.
     let rel2 = WorkloadSpec::new(Distribution::Independent, 2, 500, 43).generate();
     assert_identical(&rel2, &DlOptions::dl_plus(), "DL+ 2d exact zero");
+    // Dominance below the attribute sum's precision: each 1/8-grid row
+    // three times, with 3e-17, 2e-17 and 1e-17 added to its last column,
+    // so a dominator can have the same floating-point sum and a larger id.
+    for d in 2..=5 {
+        let base = WorkloadSpec::new(Distribution::Independent, d, 60, 47).generate();
+        let mut flat = Vec::new();
+        for (_, row) in base.iter() {
+            for e in [3e-17, 2e-17, 1e-17] {
+                flat.extend(row.iter().map(|&x| (x * 8.0).floor() / 8.0));
+                *flat.last_mut().unwrap() += e;
+            }
+        }
+        let rel = drtopk::common::Relation::from_flat(d, flat).unwrap();
+        assert_identical(&rel, &DlOptions::dl_plus(), &format!("DL+ sum ties d={d}"));
+    }
+}
+
+/// `n` 5-d rows in nine clusters, each coordinate within 1e-7 above its
+/// cluster centre.
+fn near_duplicate_clusters(n: usize, seed: u64) -> drtopk::common::Relation {
+    let d = 5;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centres: Vec<f64> = (0..9 * d).map(|_| rng.gen_range(0.05..0.95)).collect();
+    let mut flat = Vec::with_capacity(n * d);
+    for i in 0..n {
+        for &x in &centres[(i % 9) * d..(i % 9 + 1) * d] {
+            flat.push((x + 1e-7 * rng.gen::<f64>()).clamp(0.0, 1.0));
+        }
+    }
+    drtopk::common::Relation::from_flat(d, flat).expect("coordinates stay in [0, 1]")
+}
+
+/// No input stalls a build. On 5-d near-duplicate clusters, QuickHull's
+/// tolerance-inconsistent horizons can make one cone link millions of
+/// facet pairs before its facet budget is checked again; the first coarse
+/// layer of this 90-row relation (68 rows) is such a set. Without a bound
+/// on those links this build runs past 30 s and 2 GB; with it, a build
+/// takes milliseconds in release and matches the reference byte for byte.
+#[test]
+fn near_duplicate_5d_build_ends_in_bounded_time() {
+    const BOUND: Duration = Duration::from_secs(30);
+    let rel = near_duplicate_clusters(90, 3);
+    let start = Instant::now();
+    DualLayerIndex::build(&rel, DlOptions::dl_plus());
+    let took = start.elapsed();
+    assert!(took < BOUND, "DL+ build took {took:?}, over {BOUND:?}");
+    assert_identical(
+        &rel,
+        &DlOptions::dl_plus(),
+        "DL+ 5-d near-duplicate clusters",
+    );
 }
 
 #[test]

@@ -3,14 +3,13 @@
 //! Measures, for each `(dist, n, d)` cell:
 //!
 //! * wall-clock seconds of the reference build
-//!   (`DualLayerIndex::build_reference` — the construction pipeline on
-//!   one worker with the reference kernels: repeated whole-set peels,
-//!   pairwise edge generation, no pruning);
-//! * wall-clock seconds of the optimized build at each requested
-//!   worker count, with the per-phase breakdown from
-//!   [`DualLayerIndex::build_with_profile`] (seconds *and* dominance-test
-//!   counts, so pruning effectiveness is visible independently of machine
-//!   speed);
+//!   (`DualLayerIndex::build_reference` — the construction pipeline with
+//!   the reference kernels: repeated whole-set peels, pairwise edge
+//!   generation, no pruning);
+//! * wall-clock seconds of the optimized build, with the per-phase
+//!   breakdown from [`DualLayerIndex::build_with_profile`] (seconds *and*
+//!   dominance-test counts, so pruning effectiveness is visible
+//!   independently of machine speed);
 //! * whether the optimized index is snapshot-identical to the reference
 //!   (it must be — the run aborts otherwise).
 //!
@@ -19,7 +18,7 @@
 //!
 //! ```text
 //! build [--n 100000[,N...]] [--d 2,3[,...]] [--dist ind[,ant,cor]]
-//!       [--threads 1,2,4] [--reference-max-n 100000] [--out FILE]
+//!       [--reference-max-n 100000] [--out FILE]
 //! ```
 
 use drtopk_bench::json::Value;
@@ -32,7 +31,6 @@ struct Config {
     ns: Vec<usize>,
     ds: Vec<usize>,
     dists: Vec<Distribution>,
-    threads: Vec<usize>,
     /// Cells with `n` above this skip the (slow, unpruned) reference
     /// timing; identity is still enforced by the differential test suite.
     reference_max_n: usize,
@@ -45,7 +43,6 @@ impl Config {
             ns: vec![100_000],
             ds: vec![2, 3],
             dists: vec![Distribution::Independent],
-            threads: vec![1, 2, 4],
             reference_max_n: 100_000,
             out: "BENCH_build.json".to_string(),
         };
@@ -59,7 +56,6 @@ impl Config {
                 "--n" => cfg.ns = parse_list(val)?,
                 "--d" => cfg.ds = parse_list(val)?,
                 "--dist" => cfg.dists = parse_dists(val)?,
-                "--threads" => cfg.threads = parse_list(val)?,
                 "--reference-max-n" => cfg.reference_max_n = parse_list(val)?[0],
                 "--out" => cfg.out = val.clone(),
                 other => return Err(format!("unknown flag {other}")),
@@ -145,46 +141,36 @@ fn run_cell(dist: Distribution, n: usize, d: usize, cfg: &Config) -> Value {
         None
     };
 
-    let mut rows = Vec::new();
-    for &t in &cfg.threads {
-        let opts = DlOptions {
-            build_threads: t,
-            ..DlOptions::dl_plus()
-        };
-        let (idx, profile) = DualLayerIndex::build_with_profile(&rel, opts);
-        let identical = reference
-            .as_ref()
-            .map(|(snap, _)| *snap == idx.to_snapshot());
-        if identical == Some(false) {
-            eprintln!("FATAL: optimized build diverged from reference at threads={t}");
-            std::process::exit(1);
-        }
-        let speedup = reference
-            .as_ref()
-            .map(|(_, ref_secs)| ref_secs / profile.total_seconds);
-        eprintln!(
-            "  optimized threads={t}: {:.3}s ({}), {} dominance tests",
-            profile.total_seconds,
-            speedup.map_or("no reference".to_string(), |s| format!("{s:.2}x")),
-            profile.dominance_tests()
-        );
-        let mut fields = vec![
-            ("threads", Value::uint(t)),
-            ("seconds", Value::float(profile.total_seconds)),
-            ("phases", profile_json(&profile)),
-            (
-                "identical_to_reference",
-                identical.map_or(Value::Null, Value::Bool),
-            ),
-        ];
-        if let Some(s) = speedup {
-            fields.push(("speedup_vs_reference", Value::float(s)));
-        }
-        rows.push(Value::object(fields));
+    let (idx, profile) = DualLayerIndex::build_with_profile(&rel, DlOptions::dl_plus());
+    let identical = reference
+        .as_ref()
+        .map(|(snap, _)| *snap == idx.to_snapshot());
+    if identical == Some(false) {
+        eprintln!("FATAL: optimized build diverged from reference");
+        std::process::exit(1);
+    }
+    let speedup = reference
+        .as_ref()
+        .map(|(_, ref_secs)| ref_secs / profile.total_seconds);
+    eprintln!(
+        "  optimized: {:.3}s ({}), {} dominance tests",
+        profile.total_seconds,
+        speedup.map_or("no reference".to_string(), |s| format!("{s:.2}x")),
+        profile.dominance_tests()
+    );
+    let mut row = vec![
+        ("seconds", Value::float(profile.total_seconds)),
+        ("phases", profile_json(&profile)),
+        (
+            "identical_to_reference",
+            identical.map_or(Value::Null, Value::Bool),
+        ),
+    ];
+    if let Some(s) = speedup {
+        row.push(("speedup_vs_reference", Value::float(s)));
     }
 
     let stats = {
-        let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         let s = idx.stats();
         Value::object([
             ("coarse_layers", Value::uint(s.coarse_layers)),
@@ -200,7 +186,7 @@ fn run_cell(dist: Distribution, n: usize, d: usize, cfg: &Config) -> Value {
         ("n", Value::uint(n)),
         ("d", Value::uint(d)),
         ("index", stats),
-        ("optimized", Value::Array(rows)),
+        ("optimized", Value::object(row)),
     ];
     if let Some((_, secs)) = &reference {
         fields.push(("reference_seconds", Value::float(*secs)));
@@ -216,7 +202,7 @@ fn main() {
             eprintln!("build: {e}");
             eprintln!(
                 "usage: build [--n N[,..]] [--d D[,..]] [--dist ind|ant|cor[,..]] \
-                 [--threads T[,..]] [--reference-max-n N] [--out FILE]"
+                 [--reference-max-n N] [--out FILE]"
             );
             std::process::exit(2);
         }
@@ -241,9 +227,8 @@ fn main() {
         (
             "note",
             Value::str(
-                "optimized builds are snapshot-identical to the sequential \
-                 reference at every thread count; thread speedups require \
-                 available_parallelism > 1",
+                "every index builds on one thread; each optimized build is \
+                 snapshot-identical to the reference build",
             ),
         ),
         ("cells", Value::Array(cells)),

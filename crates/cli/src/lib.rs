@@ -7,7 +7,7 @@
 //! ```text
 //! drtopk generate --dist ant --dims 4 --n 20000 --seed 7 --out data.drt
 //! drtopk import   --csv hotels.csv --columns 1:low,2:high,3:low --out data.drt
-//! drtopk build    --data data.drt --out index.drt [--variant dl+|dl|dg|dg+] [--threads T] [--stats]
+//! drtopk build    --data data.drt --out index.drt [--variant dl+|dl|dg|dg+] [--stats]
 //! drtopk stats    --index index.drt
 //! drtopk query    --index index.drt --weights 0.3,0.3,0.4 --k 10
 //! drtopk batch    --index index.drt --weights-file queries.txt --k 10 [--threads T]
@@ -230,8 +230,7 @@ drtopk — dual-resolution layer indexing for top-k queries
 commands:
   generate  --dist ind|ant|cor --dims D --n N [--seed S] --out FILE
   import    --csv FILE --columns IDX:low|high[,...] --out FILE
-  build     --data FILE --out FILE [--variant dl+|dl|dg|dg+] [--threads T]
-            [--stats]
+  build     --data FILE --out FILE [--variant dl+|dl|dg|dg+] [--stats]
   stats     --index FILE [--format text|json|prom] [--probe N] [--seed S]
             [--cache]
   query     --index FILE --weights W1,W2,... [--k K]
@@ -253,8 +252,7 @@ commands:
   drain     --connect HOST:PORT
   help
 
-build --threads T builds on T workers: 1 (the default) is sequential and
-0 uses every core; the index is byte-identical at every T.
+build runs on one thread and refuses --threads.
 serve listens on --addr (default 127.0.0.1:7071; port 0 picks a free
 port) and answers the wire protocol in PROTOCOL.md plus HTTP GET
 /metrics on the same port. With --shard-dir it serves a sharded durable
@@ -393,10 +391,14 @@ fn variant_options(name: &str) -> Result<DlOptions, CliError> {
 }
 
 fn cmd_build(f: &Flags) -> Result<String, CliError> {
+    if f.get("threads").is_some() {
+        return Err(CliError::usage(
+            "build takes no --threads: an index builds on one thread",
+        ));
+    }
     let data = PathBuf::from(f.require("data")?);
     let out = PathBuf::from(f.require("out")?);
     let mut opts = variant_options(f.get("variant").unwrap_or("dl+"))?;
-    opts.build_threads = f.parse_num("threads", 1)?;
     if let Some(c) = f.get("clusters") {
         let clusters: usize = c
             .parse()
@@ -1261,8 +1263,6 @@ mod tests {
             index.to_str().unwrap(),
             "--variant",
             "dl+",
-            "--threads",
-            "2",
             "--stats",
         ]))
         .unwrap();
@@ -1590,7 +1590,6 @@ mod tests {
         .is_err());
         let e = run(&argv(&["generate", "--dist", "ind", "--out", "/tmp/x"])).unwrap_err();
         assert_eq!(e.code, 2);
-        // The build's worker count is `--threads` alone.
         let e = run(&argv(&["build", "--data", "d", "--out", "o", "--parallel"])).unwrap_err();
         assert_eq!(e.code, 2);
         assert!(
@@ -1598,6 +1597,38 @@ mod tests {
             "{}",
             e.message
         );
+    }
+
+    #[test]
+    fn build_refuses_a_thread_count() {
+        let data = tmp("threads.data.drt");
+        let index = tmp("threads.index.drt");
+        let _ = std::fs::remove_file(&index);
+        run(&argv(&[
+            "generate",
+            "--dist",
+            "ind",
+            "--dims",
+            "2",
+            "--n",
+            "50",
+            "--out",
+            data.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let e = run(&argv(&[
+            "build",
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            index.to_str().unwrap(),
+            "--threads",
+            "2",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("one thread"), "{}", e.message);
+        assert!(!index.exists(), "a refused build writes nothing");
     }
 
     #[test]

@@ -1,22 +1,17 @@
-//! Shared scoped-thread fan-out used by the parallel build phases, the
-//! incremental skyline peel, and the batch query executor.
+//! Scoped-thread fan-out for the batch query executor.
 //!
-//! All callers need the same shape: map a function over a slice of
-//! independent work items, one contiguous chunk per worker, writing each
-//! result into its item's slot so output order equals input order — which
-//! makes every parallel pass deterministic by construction.
+//! It maps a function over a slice of independent work items, one
+//! contiguous chunk per worker, writing each result into its item's slot
+//! so output order equals input order — which makes every parallel pass
+//! deterministic by construction.
 
 /// Resolves a requested worker count: `0` means "all available cores",
 /// anything else is taken literally but clamped to the host's cores
 /// (these workers are CPU-bound — oversubscription is pure scheduler
-/// overhead), and the result never exceeds the number of items.
-pub fn resolve_workers(requested: usize, items: usize) -> usize {
-    resolve_workers_chunked(requested, items, 1)
-}
-
-/// Like [`resolve_workers`], but additionally guarantees every worker a
-/// chunk of at least `min_chunk` items: small batches collapse onto fewer
-/// workers instead of paying per-thread spawn cost for a handful of items.
+/// overhead), and the result never exceeds the number of items. Every
+/// worker gets a chunk of at least `min_chunk` items: small batches
+/// collapse onto fewer workers instead of paying per-thread spawn cost for
+/// a handful of items.
 pub fn resolve_workers_chunked(requested: usize, items: usize, min_chunk: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -33,18 +28,10 @@ pub fn resolve_workers_chunked(requested: usize, items: usize, min_chunk: usize)
 }
 
 /// Maps `f` over `items` using scoped threads, one contiguous chunk per
-/// worker, preserving order. `threads = 0` uses all available cores.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: &(dyn Fn(&T) -> R + Sync),
-) -> Vec<R> {
-    parallel_map_chunked(items, threads, 1, f)
-}
-
-/// The general form: `min_chunk` sets the smallest number of items worth
-/// giving one worker (see [`resolve_workers_chunked`]). The batch executor
-/// uses this to amortize thread spawn over whole request chunks.
+/// worker, preserving order. `threads = 0` uses all available cores, and
+/// `min_chunk` sets the smallest number of items worth giving one worker
+/// (see [`resolve_workers_chunked`]), so thread spawn is amortized over
+/// whole request chunks.
 pub fn parallel_map_chunked<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -91,12 +78,12 @@ mod tests {
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..103).collect();
         for threads in [0, 1, 2, 8, 64] {
-            let out = parallel_map(&items, threads, &|&x| x * 2);
+            let out = parallel_map_chunked(&items, threads, 1, &|&x| x * 2);
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
         let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map(&empty, 0, &|&x: &usize| x).is_empty());
-        assert_eq!(parallel_map(&[7usize], 0, &|&x| x + 1), vec![8]);
+        assert!(parallel_map_chunked(&empty, 0, 1, &|&x: &usize| x).is_empty());
+        assert_eq!(parallel_map_chunked(&[7usize], 0, 1, &|&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -104,11 +91,14 @@ mod tests {
         let cores = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4);
-        assert_eq!(resolve_workers(8, 3), 3.min(cores.min(8)));
-        assert_eq!(resolve_workers(2, 100), 2.min(cores));
-        assert_eq!(resolve_workers(0, 0), 1);
-        assert!(resolve_workers(0, 1000) >= 1);
-        assert!(resolve_workers(64, 1000) <= cores, "never oversubscribe");
+        assert_eq!(resolve_workers_chunked(8, 3, 1), 3.min(cores.min(8)));
+        assert_eq!(resolve_workers_chunked(2, 100, 1), 2.min(cores));
+        assert_eq!(resolve_workers_chunked(0, 0, 1), 1);
+        assert!(resolve_workers_chunked(0, 1000, 1) >= 1);
+        assert!(
+            resolve_workers_chunked(64, 1000, 1) <= cores,
+            "never oversubscribe"
+        );
     }
 
     #[test]
@@ -117,7 +107,7 @@ mod tests {
         assert_eq!(resolve_workers_chunked(4, 3, 8), 1);
         assert_eq!(
             resolve_workers_chunked(4, 16, 8),
-            2.min(resolve_workers(4, 16))
+            2.min(resolve_workers_chunked(4, 16, 1))
         );
         // min_chunk = 0 is treated as 1 (no division by zero).
         assert_eq!(resolve_workers_chunked(1, 5, 0), 1);

@@ -3,29 +3,26 @@
 //! One pipeline, `run`, builds every index. It peels the coarse layers,
 //! splits each into fine sublayers, connects adjacent coarse layers with ∀
 //! edges and adjacent fine sublayers with ∃ edges, attaches the zero layer
-//! and hands the parts to assembly. It takes a worker count and the four
-//! phase kernels, and the two builds differ only there:
+//! and hands the parts to assembly. It takes the four phase kernels, and
+//! the two builds differ only there:
 //!
-//! * [`DualLayerIndex::build`] runs the optimized kernels on
-//!   `build_threads` workers: an incremental sorted skyline peel (a
-//!   staircase probe per layer at d = 2 and 3), the incremental convex
-//!   peel, ∀-edge generation over a kd-tree of each layer's sum-sorted
-//!   sources, and min-sum-pruned ∃-edge generation;
+//! * [`DualLayerIndex::build`] runs the optimized kernels: an incremental
+//!   sorted skyline peel (a staircase probe per layer at d = 2 and 3), the
+//!   incremental convex peel, ∀-edge generation over a kd-tree of each
+//!   layer's sum-sorted sources, and min-sum-pruned ∃-edge generation;
 //! * [`DualLayerIndex::build_reference`] runs the plain reference kernels
-//!   of `core::build_reference` on one worker.
+//!   of `core::build_reference`.
 //!
 //! Every pruning rule is *order-preserving*: it only skips work whose
-//! outcome is forced, and the fan-out keeps item order, so the built index
-//! is bit-identical to the reference at every thread count. The
-//! differential suite in `tests/build_differential.rs` holds the two to
-//! byte-equal snapshots.
+//! outcome is forced, so the built index is bit-identical to the
+//! reference. The differential suite in `tests/build_differential.rs`
+//! holds the two to byte-equal snapshots.
 
 use crate::index::{CoarseLayer, DualLayerIndex, NodeId};
 use crate::options::{DlOptions, EdsPolicy, ZeroMode, CLUSTER_SEED};
 use crate::profile::BuildProfile;
 use crate::zero::Zero2d;
 use drtopk_cluster::{cluster_min_corners, kmeans};
-use drtopk_common::par::parallel_map;
 use drtopk_common::{Relation, TupleId};
 use drtopk_geometry::csky::{convex_layers, ConvexLayer};
 use drtopk_geometry::facet_is_eds;
@@ -55,7 +52,7 @@ pub(crate) type Edges = Vec<(NodeId, NodeId)>;
 type Facets = Vec<Vec<TupleId>>;
 
 /// Signature of [`Kernels::coarse`].
-type CoarseKernel = fn(&Relation, &[TupleId], usize) -> (Vec<Vec<TupleId>>, u64);
+type CoarseKernel = fn(&Relation, &[TupleId]) -> (Vec<Vec<TupleId>>, u64);
 
 /// Signature of [`Kernels::exists`].
 type ExistsKernel = fn(&Relation, &[Vec<TupleId>], &[TupleId], EdsPolicy, &mut Edges) -> u64;
@@ -65,8 +62,8 @@ type ExistsKernel = fn(&Relation, &[Vec<TupleId>], &[TupleId], EdsPolicy, &mut E
 /// (`dominates` calls or `facet_is_eds` evaluations) for the profile; the
 /// reference kernels count none.
 pub(crate) struct Kernels {
-    /// Coarse layers (iterated skylines) of `ids` on up to the given
-    /// number of workers, and the dominance tests the peel ran.
+    /// Coarse layers (iterated skylines) of `ids`, and the dominance
+    /// tests the peel ran.
     pub(crate) coarse: CoarseKernel,
     /// Convex-layer peel of one coarse layer, or of the pseudo-tuples.
     pub(crate) convex: fn(&Relation, &[TupleId]) -> Vec<ConvexLayer>,
@@ -100,20 +97,13 @@ impl DualLayerIndex {
     /// Like [`DualLayerIndex::build`], additionally returning per-phase
     /// wall-clock and dominance-test counts (see [`BuildProfile`]).
     pub fn build_with_profile(rel: &Relation, opts: DlOptions) -> (DualLayerIndex, BuildProfile) {
-        let threads = opts.build_threads;
-        run(rel, opts, threads, &OPTIMIZED)
+        run(rel, opts, &OPTIMIZED)
     }
 }
 
 /// The construction pipeline: Algorithm 1 and the zero layer with the
-/// kernels `k` on up to `threads` workers, then assembly. Independent jobs
-/// (coarse layers, adjacent layer pairs) fan out in item order.
-pub(crate) fn run(
-    rel: &Relation,
-    opts: DlOptions,
-    threads: usize,
-    k: &Kernels,
-) -> (DualLayerIndex, BuildProfile) {
+/// kernels `k`, then assembly.
+pub(crate) fn run(rel: &Relation, opts: DlOptions, k: &Kernels) -> (DualLayerIndex, BuildProfile) {
     let build_start = Instant::now();
     let mut profile = BuildProfile::default();
     let n = rel.len();
@@ -122,7 +112,7 @@ pub(crate) fn run(
 
     // Phase 1: coarse layers (iterated skylines).
     let t0 = Instant::now();
-    let (coarse, tests) = (k.coarse)(rel, &all, threads);
+    let (coarse, tests) = (k.coarse)(rel, &all);
     profile.coarse_peel.dominance_tests = tests;
     profile.coarse_peel.seconds = t0.elapsed().as_secs_f64();
 
@@ -150,47 +140,30 @@ pub(crate) fn run(
         (CoarseLayer { fine }, facets)
     };
     let (layers, fine_facets): (Vec<CoarseLayer>, Vec<Vec<Facets>>) =
-        parallel_map(&coarse, threads, &split_one)
-            .into_iter()
-            .unzip();
+        coarse.iter().map(split_one).unzip();
     profile.fine_split.seconds = t0.elapsed().as_secs_f64();
 
     // Phase 3: ∀-dominance edges between adjacent coarse layers.
     let t0 = Instant::now();
-    let pairs: Vec<(Vec<TupleId>, Vec<TupleId>)> = layers
-        .windows(2)
-        .map(|w| (w[0].members().collect(), w[1].members().collect()))
-        .collect();
-    let forall_one = |(sources, targets): &(Vec<TupleId>, Vec<TupleId>)| {
-        let mut edges = Vec::new();
-        let tests = (k.forall)(rel, sources, targets, &mut edges);
-        (edges, tests)
-    };
     let mut forall_edges: Edges = Vec::new();
-    for (edges, tests) in parallel_map(&pairs, threads, &forall_one) {
-        forall_edges.extend(edges);
-        profile.forall_edges.dominance_tests += tests;
+    for w in layers.windows(2) {
+        let sources: Vec<TupleId> = w[0].members().collect();
+        let targets: Vec<TupleId> = w[1].members().collect();
+        profile.forall_edges.dominance_tests +=
+            (k.forall)(rel, &sources, &targets, &mut forall_edges);
     }
     profile.forall_edges.seconds = t0.elapsed().as_secs_f64();
 
     // Phase 4: ∃-dominance edges between adjacent fine sublayers (none
     // without a fine split: every coarse layer is then one sublayer).
     let t0 = Instant::now();
-    let fine_pairs: Vec<(usize, usize)> = layers
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, layer)| (0..layer.fine.len().saturating_sub(1)).map(move |j| (ci, j)))
-        .collect();
-    let exists_one = |&(ci, j): &(usize, usize)| {
-        let mut edges = Vec::new();
-        let (facets, targets) = (&fine_facets[ci][j], &layers[ci].fine[j + 1]);
-        let tests = (k.exists)(rel, facets, targets, opts.eds_policy, &mut edges);
-        (edges, tests)
-    };
     let mut exists_edges: Edges = Vec::new();
-    for (edges, tests) in parallel_map(&fine_pairs, threads, &exists_one) {
-        exists_edges.extend(edges);
-        profile.exists_edges.dominance_tests += tests;
+    for (layer, facets) in layers.iter().zip(&fine_facets) {
+        // Sublayer j's facets cover sublayer j + 1.
+        for (facets, targets) in facets.iter().zip(layer.fine.iter().skip(1)) {
+            profile.exists_edges.dominance_tests +=
+                (k.exists)(rel, facets, targets, opts.eds_policy, &mut exists_edges);
+        }
     }
     profile.exists_edges.seconds = t0.elapsed().as_secs_f64();
 
@@ -602,7 +575,7 @@ fn exists_edges_between(
 mod tests {
     use super::*;
     use crate::build_reference::{exists_edges_reference, forall_edges_reference};
-    use drtopk_common::{Distribution, Weights, WorkloadSpec};
+    use drtopk_common::{Distribution, WorkloadSpec};
     use drtopk_skyline::{skyline_layers, SkylineAlgo};
 
     /// IND rows snapped to a 1/16 grid, so many coordinates, sums and
@@ -781,37 +754,6 @@ mod tests {
                         fast, slow,
                         "facets={facets:?} targets={targets:?} {policy:?}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
-            for d in [2, 4] {
-                let rel = WorkloadSpec::new(dist, d, 600, 21).generate();
-                for base in [DlOptions::dl(), DlOptions::dl_plus(), DlOptions::dg_plus()] {
-                    let seq = DualLayerIndex::build(&rel, base.clone());
-                    for build_threads in [0, 3] {
-                        let par = DualLayerIndex::build(
-                            &rel,
-                            DlOptions {
-                                build_threads,
-                                ..base.clone()
-                            },
-                        );
-                        assert_eq!(seq.stats(), par.stats(), "{dist:?} d={d}");
-                        assert_eq!(
-                            seq.to_snapshot(),
-                            par.to_snapshot(),
-                            "{dist:?} d={d} threads={build_threads}: snapshots must be identical"
-                        );
-                        let w = Weights::uniform(d);
-                        let (a, b) = (seq.topk(&w, 25), par.topk(&w, 25));
-                        assert_eq!(a.ids, b.ids);
-                        assert_eq!(a.cost, b.cost, "parallel build must not change costs");
-                    }
                 }
             }
         }

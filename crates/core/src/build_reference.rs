@@ -3,15 +3,14 @@
 //! [`DualLayerIndex::build_reference`] runs the same pipeline as
 //! [`DualLayerIndex::build`] — phase order, the fine-layer cap, zero-mode
 //! resolution, both zero layers and assembly are written once, in
-//! `core::build` — on one worker, with these kernels in place of the
-//! optimized ones: repeated whole-set BSkyTree peels for the coarse layers,
-//! repeated convex-skyline peels for the fine split, and pairwise edge
-//! generation with no block pruning. They are deliberately slow and
-//! untouched by the optimized kernels' pruning rules. The differential
-//! suite (`tests/build_differential.rs`) serializes both indexes and
-//! requires byte equality, so every pruning rule and the thread fan-out
-//! are checked against this ground truth; golden digests pin the shared
-//! pipeline's bytes.
+//! `core::build` — with these kernels in place of the optimized ones:
+//! repeated whole-set BSkyTree peels for the coarse layers, repeated
+//! convex-skyline peels for the fine split, and pairwise edge generation
+//! with no block pruning. They are deliberately slow and untouched by the
+//! optimized kernels' pruning rules. The differential suite
+//! (`tests/build_differential.rs`) serializes both indexes and requires
+//! byte equality, so every pruning rule is checked against this ground
+//! truth; golden digests pin the shared pipeline's bytes.
 
 use crate::build::{Edges, Kernels};
 use crate::index::{DualLayerIndex, NodeId};
@@ -22,19 +21,17 @@ use drtopk_geometry::facet_is_eds;
 use drtopk_skyline::{skyline_layers, SkylineAlgo};
 
 impl DualLayerIndex {
-    /// Reference build: the construction pipeline on one worker with the
+    /// Reference build: the construction pipeline with the unpruned
     /// reference kernels. Produces an index the optimized
-    /// [`DualLayerIndex::build`] must replicate bit for bit (the
-    /// `build_threads` option is ignored here — this path is always
-    /// single-threaded and unpruned).
+    /// [`DualLayerIndex::build`] must replicate bit for bit.
     pub fn build_reference(rel: &Relation, opts: DlOptions) -> DualLayerIndex {
         let kernels = Kernels {
-            coarse: |rel, ids, _| (skyline_layers(rel, ids, SkylineAlgo::BSkyTree), 0),
+            coarse: |rel, ids| (skyline_layers(rel, ids, SkylineAlgo::BSkyTree), 0),
             convex: convex_layers_reference,
             forall: forall_edges_reference,
             exists: exists_edges_reference,
         };
-        crate::build::run(rel, opts, 1, &kernels).0
+        crate::build::run(rel, opts, &kernels).0
     }
 }
 

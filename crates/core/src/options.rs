@@ -60,10 +60,6 @@ pub struct DlOptions {
     /// Cap on fine sublayers per coarse layer (0 = unlimited). Ablation
     /// knob: 1 reproduces coarse-only behaviour with fine bookkeeping.
     pub max_fine_layers: usize,
-    /// Worker threads that build independent layers with scoped threads:
-    /// `1` (the default) builds sequentially, `0` uses all available
-    /// cores. The built index is bit-identical at every thread count.
-    pub build_threads: usize,
 }
 
 impl Default for DlOptions {
@@ -74,7 +70,6 @@ impl Default for DlOptions {
             eds_policy: EdsPolicy::default(),
             zero: ZeroMode::Auto,
             max_fine_layers: 0,
-            build_threads: 1,
         }
     }
 }
@@ -114,88 +109,9 @@ impl DlOptions {
     }
 }
 
-impl DlOptions {
-    /// Heuristic tuning from a sample of the relation, applying the
-    /// ablation findings recorded in EXPERIMENTS.md:
-    ///
-    /// * construction on all cores once the input is large enough to
-    ///   amortize thread startup;
-    /// * the exact 2-d zero layer when applicable (always wins there);
-    /// * a fine-sublayer cap for large anti-correlated inputs — the
-    ///   selectivity win saturates after a handful of sublayers while
-    ///   construction keeps paying per peel.
-    pub fn tuned_for(rel: &drtopk_common::Relation) -> DlOptions {
-        let n = rel.len();
-        let d = rel.dims();
-        let mut opts = DlOptions {
-            build_threads: if n >= 10_000 { 0 } else { 1 },
-            ..DlOptions::default()
-        };
-        if n == 0 {
-            return opts;
-        }
-        // Estimate anti-correlation from a bounded sample: the variance of
-        // the attribute sums collapses towards 0 when attributes trade off
-        // against each other (independent data has variance d/12).
-        let sample = n.min(2_000);
-        let step = (n / sample).max(1);
-        let mut sums = Vec::with_capacity(sample);
-        let mut i = 0usize;
-        while i < n && sums.len() < sample {
-            sums.push(rel.tuple(i as u32).iter().sum::<f64>());
-            i += step;
-        }
-        let mean = sums.iter().sum::<f64>() / sums.len() as f64;
-        let var = sums.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / sums.len() as f64;
-        let independent_var = d as f64 / 12.0;
-        let anti_correlated = var < 0.5 * independent_var;
-        if anti_correlated && n >= 50_000 {
-            // Huge skyline layers ahead: cap the fine peeling where the
-            // ablation shows the win saturating.
-            opts.max_fine_layers = 16;
-        }
-        opts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drtopk_common::{Distribution, WorkloadSpec};
-
-    #[test]
-    fn tuned_options_are_sensible() {
-        let small = WorkloadSpec::new(Distribution::Independent, 3, 500, 1).generate();
-        let t = DlOptions::tuned_for(&small);
-        assert_eq!(t.build_threads, 1);
-        assert_eq!(t.max_fine_layers, 0);
-
-        let big_ant = WorkloadSpec::new(Distribution::AntiCorrelated, 4, 60_000, 2).generate();
-        let t = DlOptions::tuned_for(&big_ant);
-        assert_eq!(t.build_threads, 0);
-        assert_eq!(
-            t.max_fine_layers, 16,
-            "large anti-correlated input caps fine peeling"
-        );
-
-        let big_ind = WorkloadSpec::new(Distribution::Independent, 4, 60_000, 3).generate();
-        let t = DlOptions::tuned_for(&big_ind);
-        assert_eq!(t.build_threads, 0);
-        assert_eq!(
-            t.max_fine_layers, 0,
-            "independent data keeps full fine peeling"
-        );
-    }
-
-    #[test]
-    fn tuned_options_produce_correct_indexes() {
-        use crate::index::DualLayerIndex;
-        use drtopk_common::{topk_bruteforce, Weights};
-        let rel = WorkloadSpec::new(Distribution::AntiCorrelated, 3, 800, 4).generate();
-        let idx = DualLayerIndex::build(&rel, DlOptions::tuned_for(&rel));
-        let w = Weights::uniform(3);
-        assert_eq!(idx.topk(&w, 20).ids, topk_bruteforce(&rel, &w, 20));
-    }
 
     #[test]
     fn variant_constructors() {

@@ -26,7 +26,6 @@
 //!     t's sum behind whole-layer and per-block min-corner filters.
 
 use crate::algorithms::{lex_cmp, SkylineAlgo};
-use drtopk_common::par::{parallel_map, resolve_workers};
 use drtopk_common::{Relation, TupleId};
 
 /// Peels `ids` into consecutive skyline layers: layer 1 is the skyline of
@@ -57,12 +56,6 @@ pub fn skyline_layers(rel: &Relation, ids: &[TupleId], algo: SkylineAlgo) -> Vec
     }
     layers
 }
-
-/// Tuples per parallel lower-bound block in
-/// [`skyline_layers_incremental`]. Large enough that freezing the layer
-/// state once per block is amortized, small enough that the sequential
-/// fix-up pass rarely has to move a tuple past its frozen bound.
-const PEEL_BLOCK: usize = 2048;
 
 /// A 2-d skyline layer as a staircase: sorted by x ascending, y strictly
 /// decreasing except for exact duplicates (an antichain admits nothing
@@ -283,11 +276,11 @@ impl PeelState {
     }
 }
 
-/// Finds the layer for a tuple: the first `j ∈ [lb, len]` whose layer does
+/// Finds the layer for a tuple: the first `j ∈ [0, len]` whose layer does
 /// *not* contain a dominator (the dominator predicate is true exactly on a
 /// prefix of layers).
-fn assign_layer(state: &PeelState, tv: &[f64], t_sum: f64, lb: usize, tests: &mut u64) -> usize {
-    let mut lo = lb;
+fn assign_layer(state: &PeelState, tv: &[f64], t_sum: f64, tests: &mut u64) -> usize {
+    let mut lo = 0;
     let mut hi = state.len();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -303,35 +296,7 @@ fn assign_layer(state: &PeelState, tv: &[f64], t_sum: f64, lb: usize, tests: &mu
 /// Incremental peel: identical layers to [`skyline_layers`], one sorted
 /// pass instead of one skyline computation per layer. Returns the layers
 /// plus the number of dominance tests spent.
-///
-/// `threads` follows the workspace convention (`0` = all cores, `1` =
-/// strictly sequential). When more than one worker can actually run, the
-/// pass works in blocks: a parallel map computes, against the layer state
-/// *frozen* at block start, a lower bound on each tuple's layer (layers
-/// only grow, so a frozen-state answer can only underestimate), then a
-/// sequential fix-up finishes the binary search from that bound against
-/// the live state. Block boundaries are fixed, so the *layers* never
-/// depend on the worker count — only the dominance-test count differs
-/// between the sequential and blocked passes (the blocked pass pays for
-/// its frozen bounds).
-pub fn skyline_layers_incremental(
-    rel: &Relation,
-    ids: &[TupleId],
-    threads: usize,
-) -> (Vec<Vec<TupleId>>, u64) {
-    // The frozen-bound block pass only pays off when workers actually run
-    // concurrently; on an effectively single-threaded host it recomputes
-    // every search twice, so fall through to the plain sequential pass.
-    let blocked = resolve_workers(threads, ids.len()) > 1;
-    skyline_layers_incremental_impl(rel, ids, threads, blocked)
-}
-
-fn skyline_layers_incremental_impl(
-    rel: &Relation,
-    ids: &[TupleId],
-    threads: usize,
-    blocked: bool,
-) -> (Vec<Vec<TupleId>>, u64) {
+pub fn skyline_layers_incremental(rel: &Relation, ids: &[TupleId]) -> (Vec<Vec<TupleId>>, u64) {
     if ids.is_empty() {
         return (Vec::new(), 0);
     }
@@ -357,39 +322,14 @@ fn skyline_layers_incremental_impl(
     let mut state = PeelState::new(rel.dims());
     let mut out: Vec<Vec<TupleId>> = Vec::new();
     let mut tests: u64 = 0;
-
-    let place = |state: &mut PeelState,
-                 out: &mut Vec<Vec<TupleId>>,
-                 tests: &mut u64,
-                 t: TupleId,
-                 t_sum: f64,
-                 lb: usize| {
+    for &(t_sum, t) in &order {
         let tv = rel.tuple(t);
-        let j = assign_layer(state, tv, t_sum, lb, tests);
+        let j = assign_layer(&state, tv, t_sum, &mut tests);
         state.insert(j, tv, t_sum);
         if j == out.len() {
             out.push(Vec::new());
         }
         out[j].push(t);
-    };
-
-    if !blocked {
-        for &(t_sum, t) in &order {
-            place(&mut state, &mut out, &mut tests, t, t_sum, 0);
-        }
-    } else {
-        for block in order.chunks(PEEL_BLOCK) {
-            let frozen = &state;
-            let bounds: Vec<(usize, u64)> = parallel_map(block, threads, &|&(t_sum, t)| {
-                let mut block_tests = 0u64;
-                let lb = assign_layer(frozen, rel.tuple(t), t_sum, 0, &mut block_tests);
-                (lb, block_tests)
-            });
-            for (&(t_sum, t), &(lb, block_tests)) in block.iter().zip(&bounds) {
-                tests += block_tests;
-                place(&mut state, &mut out, &mut tests, t, t_sum, lb);
-            }
-        }
     }
 
     // Match the reference output convention: each layer sorted by id.
@@ -498,10 +438,8 @@ mod tests {
                     "{label} {algo:?}"
                 );
             }
-            for threads in [1, 2] {
-                let (layers, _) = skyline_layers_incremental(rel, &all, threads);
-                assert_eq!(layers, reference, "{label} incremental threads={threads}");
-            }
+            let (layers, _) = skyline_layers_incremental(rel, &all);
+            assert_eq!(layers, reference, "{label} incremental");
         }
     }
 
@@ -555,11 +493,9 @@ mod tests {
         for (label, rel) in &cases {
             let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
             let reference = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
-            for threads in [1, 2, 4] {
-                let (layers, tests) = skyline_layers_incremental(rel, &all, threads);
-                assert_eq!(layers, reference, "{label} threads={threads}");
-                assert!(tests > 0);
-            }
+            let (layers, tests) = skyline_layers_incremental(rel, &all);
+            assert_eq!(layers, reference, "{label}");
+            assert!(tests > 0);
         }
     }
 
@@ -569,7 +505,7 @@ mod tests {
         let rel = WorkloadSpec::new(Distribution::Independent, 3, 200, 11).generate();
         let subset: Vec<TupleId> = (0..200).filter(|i| i % 3 != 0).collect();
         let reference = skyline_layers(&rel, &subset, SkylineAlgo::BSkyTree);
-        assert_eq!(skyline_layers_incremental(&rel, &subset, 1).0, reference);
+        assert_eq!(skyline_layers_incremental(&rel, &subset).0, reference);
 
         // Exact duplicates never dominate each other: they share a layer.
         let rows: Vec<Vec<f64>> = vec![vec![0.5, 0.5]; 7]
@@ -578,21 +514,19 @@ mod tests {
             .collect();
         let dup = Relation::from_rows(2, &rows).unwrap();
         let ids: Vec<TupleId> = (0..8).collect();
-        let (layers, _) = skyline_layers_incremental(&dup, &ids, 1);
+        let (layers, _) = skyline_layers_incremental(&dup, &ids);
         assert_eq!(layers, skyline_layers(&dup, &ids, SkylineAlgo::Naive));
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].len(), 7);
 
-        assert!(skyline_layers_incremental(&rel, &[], 1).0.is_empty());
+        assert!(skyline_layers_incremental(&rel, &[]).0.is_empty());
     }
 
     #[test]
-    fn incremental_block_path_crosses_block_boundaries() {
-        // More tuples than one PEEL_BLOCK so the frozen-bound + fix-up path
-        // runs over several blocks and still matches the reference. The
-        // block path is forced so coverage does not depend on the host's
-        // core count.
-        let n = 3 * PEEL_BLOCK;
+    fn incremental_matches_peeling_reference_at_6144_rows() {
+        // ANT at d = 2 and 3 and the three d = 3 tie relations at 6,144
+        // rows each; the other peel tests stop at 400.
+        let n = 6144;
         let mut cases: Vec<(String, Relation)> = Vec::new();
         for d in [2, 3] {
             let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, 5).generate();
@@ -604,12 +538,8 @@ mod tests {
         for (label, rel) in &cases {
             let all: Vec<TupleId> = (0..rel.len() as TupleId).collect();
             let reference = skyline_layers(rel, &all, SkylineAlgo::BSkyTree);
-            let (seq, _) = skyline_layers_incremental(rel, &all, 1);
-            assert_eq!(seq, reference, "{label}");
-            for threads in [1, 2, 4] {
-                let (blk, _) = skyline_layers_incremental_impl(rel, &all, threads, true);
-                assert_eq!(blk, reference, "{label} blocked threads={threads}");
-            }
+            let (layers, _) = skyline_layers_incremental(rel, &all);
+            assert_eq!(layers, reference, "{label}");
         }
     }
 }

@@ -18,16 +18,10 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("catalog.drtopk");
 
-    // Build once (parallel construction), persist.
+    // Build once, persist.
     let data = WorkloadSpec::new(Distribution::AntiCorrelated, 4, 20_000, 7).generate();
     let t0 = Instant::now();
-    let index = DualLayerIndex::build(
-        &data,
-        DlOptions {
-            build_threads: 0,
-            ..DlOptions::default()
-        },
-    );
+    let index = DualLayerIndex::build(&data, DlOptions::default());
     println!(
         "built in {:.2?} ({} ∃-edges)",
         t0.elapsed(),

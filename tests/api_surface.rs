@@ -20,13 +20,7 @@ use drtopk::storage::{
 #[test]
 fn end_to_end_service_lifecycle() {
     let data = WorkloadSpec::new(Distribution::AntiCorrelated, 3, 800, 5).generate();
-    let index = DualLayerIndex::build(
-        &data,
-        DlOptions {
-            build_threads: 0,
-            ..DlOptions::default()
-        },
-    );
+    let index = DualLayerIndex::build(&data, DlOptions::default());
     let w = Weights::new(vec![0.2, 0.5, 0.3]).unwrap();
     let want = topk_bruteforce(&data, &w, 12);
     assert_eq!(index.topk(&w, 12).ids, want);

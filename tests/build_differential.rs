@@ -1,10 +1,10 @@
 //! Build differential suite. Both builds run one construction pipeline and
 //! differ only in its four phase kernels: `DualLayerIndex::build` runs the
 //! optimized kernels (incremental sorted peeling, kd-bucketed ∀ edges,
-//! block-pruned ∃ edges) with thread fan-out, `DualLayerIndex::build_reference`
-//! the plain reference kernels on one worker. The two must produce
-//! *byte-identical* indexes — not just query-equivalent ones — so these
-//! tests check the pruned kernels and the fan-out. Equality is checked on
+//! block-pruned ∃ edges), `DualLayerIndex::build_reference` the plain
+//! reference kernels. The two must produce *byte-identical* indexes — not
+//! just query-equivalent ones — so these tests check the pruned kernels.
+//! Equality is checked on
 //! the serialized snapshot, so any drift in layer order, edge order,
 //! seeds, or pseudo-tuples fails. The shared pipeline itself (phase order,
 //! the fine-layer cap, zero-mode resolution, both zero layers, assembly)
@@ -26,36 +26,14 @@ fn distributions() -> [Distribution; 3] {
     ]
 }
 
-/// Serialized bytes of an index built with the given options/threads.
-fn optimized_bytes(rel: &drtopk::common::Relation, base: &DlOptions, threads: usize) -> Vec<u8> {
-    let idx = DualLayerIndex::build(
-        rel,
-        DlOptions {
-            build_threads: threads,
-            ..base.clone()
-        },
-    );
-    index_to_bytes(&idx.to_snapshot())
-}
-
 fn assert_identical(rel: &drtopk::common::Relation, base: &DlOptions, ctx: &str) {
     let reference = DualLayerIndex::build_reference(rel, base.clone());
-    let want = index_to_bytes(&reference.to_snapshot());
-    // Sequential optimized path, then the block/parallel path at several
-    // worker counts (0 = all cores). Bit-identity must hold at every one.
-    let seq = DualLayerIndex::build(rel, base.clone());
+    let optimized = DualLayerIndex::build(rel, base.clone());
     assert_eq!(
-        index_to_bytes(&seq.to_snapshot()),
-        want,
-        "{ctx}: sequential optimized build differs from reference"
+        index_to_bytes(&optimized.to_snapshot()),
+        index_to_bytes(&reference.to_snapshot()),
+        "{ctx}: optimized build differs from reference"
     );
-    for threads in [1, 2, 0] {
-        assert_eq!(
-            optimized_bytes(rel, base, threads),
-            want,
-            "{ctx} threads={threads}: optimized build differs from reference"
-        );
-    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! oracle: the optimized build — renumbered nodes, arena-packed edges,
 //! unrolled kernels — must return *identical* ids, Definition-9 costs, and
 //! `QueryExplain` breakdowns on every cell of the matrix (dimensionality,
-//! size, options variant, build thread count). A separate seeded property
+//! size, options variant). A separate seeded property
 //! test pins the epoch-scratch contract: reusing one scratch across an
 //! arbitrary query history, the caller's or the index's own pool, never
 //! changes any answer versus a fresh scratch.
@@ -47,27 +47,12 @@ fn assert_query_identical(
     }
 }
 
-/// Builds the optimized index at the given thread count and checks it
-/// against the reference build, query-for-query.
+/// Builds the optimized index and checks it against the reference build,
+/// query-for-query.
 fn assert_matrix_cell(rel: &drtopk::common::Relation, base: &DlOptions, seed: u64, ctx: &str) {
     let reference = DualLayerIndex::build_reference(rel, base.clone());
-    let d = rel.dims();
-    for threads in [1usize, 4] {
-        let idx = DualLayerIndex::build(
-            rel,
-            DlOptions {
-                build_threads: threads,
-                ..base.clone()
-            },
-        );
-        assert_query_identical(
-            &reference,
-            &idx,
-            d,
-            seed,
-            &format!("{ctx} threads={threads}"),
-        );
-    }
+    let idx = DualLayerIndex::build(rel, base.clone());
+    assert_query_identical(&reference, &idx, rel.dims(), seed, ctx);
 }
 
 #[test]
@@ -165,13 +150,7 @@ fn large_sample_matches_reference() {
     for d in [2usize, 4] {
         let rel = WorkloadSpec::new(Distribution::Independent, d, 100_000, 77).generate();
         let reference = DualLayerIndex::build_reference(&rel, DlOptions::dl_plus());
-        let idx = DualLayerIndex::build(
-            &rel,
-            DlOptions {
-                build_threads: 4,
-                ..DlOptions::dl_plus()
-            },
-        );
+        let idx = DualLayerIndex::build(&rel, DlOptions::dl_plus());
         assert_query_identical(&reference, &idx, d, 19, &format!("n=100k d={d}"));
     }
     // `explain` at k = n must stay O(n) in memory. VmHWM is the peak of
